@@ -18,7 +18,7 @@ from .analysis import (
     resonance_radius,
     trap_frequencies,
 )
-from .constants import CODATA2018, RB87, AtomSpecies, PhysicalConstants
+from .constants import RB87, AtomSpecies
 from .dressed import (
     PotentialSample,
     detuning,

@@ -32,11 +32,7 @@ from .errors import (
 from .grids import sample_grid
 from .image_io import export_image_binary, export_image_csv
 from .imaging import add_noise, column_density, measure_ring_radius, thermal_density
-from .units import (
-    gauss_to_tesla,
-    joule_to_microkelvin,
-    rad_per_s_to_mhz,
-)
+from .units import convert_units
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,9 +69,11 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
     grid = sample_grid(cfg, rc.grid_region(), rc.grid_dims())
     pos = grid.node_positions().reshape(-1, 3)
     vals = grid.values.reshape(-1)
+    # v / j_per_uk rounds exactly as convert_units(v, "J", "uK") does
+    j_per_uk = convert_units(1.0, "uK", "J")
     lines = ["x_m,y_m,z_m,V_J,V_uK"]
     for (x, y, z), v in zip(pos.tolist(), vals.tolist()):
-        lines.append(f"{x!r},{y!r},{z!r},{v!r},{joule_to_microkelvin(v)!r}")
+        lines.append(f"{x!r},{y!r},{z!r},{v!r},{v / j_per_uk!r}")
     _write_text(outdir / "grid.csv", "\n".join(lines) + "\n")
 
     vmin = float(grid.values.min())
@@ -85,10 +83,10 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
         "origin_m": list(grid.origin),
         "spacing_m": list(grid.spacing),
         "min_J": vmin,
-        "min_uK": joule_to_microkelvin(vmin),
+        "min_uK": convert_units(vmin, "J", "uK"),
         "min_position_m": [float(c) for c in grid.min_position()],
         "max_J": vmax,
-        "max_uK": joule_to_microkelvin(vmax),
+        "max_uK": convert_units(vmax, "J", "uK"),
         "resonance_radius_m": resonance_radius(cfg),
     }
     _write_text(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -120,8 +118,8 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         f"low_confidence: {_fmt(analysis.low_confidence)}",
         f"ring_radius_um: {_fmt(analysis.ring_radius * um)}",
         f"resonance_radius_um: {_fmt(analysis.resonance_radius * um)}",
-        f"barrier_uK: {_fmt(joule_to_microkelvin(analysis.barrier_height))}",
-        f"depth_uK: {_fmt(joule_to_microkelvin(analysis.depth))}",
+        f"barrier_uK: {_fmt(convert_units(analysis.barrier_height, 'J', 'uK'))}",
+        f"depth_uK: {_fmt(convert_units(analysis.depth, 'J', 'uK'))}",
         f"omega_rho_Hz: {_fmt(hz(analysis.omega_rho))}",
         f"omega_z_Hz: {_fmt(hz(analysis.omega_z))}",
         f"omega_phi_Hz: {_fmt(hz(analysis.omega_phi))}",
@@ -137,7 +135,7 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         x, y, z = (float(c) * um for c in pos)
         lines.append(
             f"  {float(np.degrees(azim))!r},{x!r},{y!r},{z!r},"
-            f"{joule_to_microkelvin(v)!r}"
+            f"{convert_units(v, 'J', 'uK')!r}"
         )
     for note in analysis.notes:
         lines.append(f"note: {note}")
@@ -149,7 +147,7 @@ def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
     cfg = rc.trap()
     freqs_mhz = rc.sweep_frequencies_mhz()
     table_g = rc.amplitude_table_g(len(freqs_mhz), config_dir)
-    omegas = [f * _TWO_PI * 1e6 for f in freqs_mhz]
+    omegas = [convert_units(f, "MHz", "rad/s") for f in freqs_mhz]
     amplitudes = None
     if table_g is not None:
         for (f_mhz, *_), f_want in zip(table_g, freqs_mhz):
@@ -159,7 +157,7 @@ def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
                     f"match sweep frequency {f_want} MHz"
                 )
         amplitudes = [
-            tuple(gauss_to_tesla(b) for b in row[1:]) for row in table_g
+            tuple(convert_units(b, "G", "T") for b in row[1:]) for row in table_g
         ]
     r0 = resonance_radius(cfg)
     rows = frequency_sweep(
@@ -173,17 +171,17 @@ def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
     )
     um = 1e6
     lines = ["freq_MHz,r_resonance_um,r_numeric_um,barrier_uK,geometry,error"]
-    for row in rows:
+    for f_mhz, row in zip(freqs_mhz, rows):
         if row.error is None:
             lines.append(
-                f"{rad_per_s_to_mhz(row.omega)!r},"
+                f"{f_mhz!r},"
                 f"{row.resonance_radius * um!r},"
                 f"{row.numeric_radius * um!r},"
-                f"{joule_to_microkelvin(row.barrier_height)!r},"
+                f"{convert_units(row.barrier_height, 'J', 'uK')!r},"
                 f"{row.geometry},"
             )
         else:
-            lines.append(f"{rad_per_s_to_mhz(row.omega)!r},,,,,{row.error}")
+            lines.append(f"{f_mhz!r},,,,,{row.error}")
     _write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
     return EXIT_OK
 

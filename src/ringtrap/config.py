@@ -20,11 +20,7 @@ from .analysis import ClassifierTolerances
 from .constants import SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
-from .units import (
-    gauss_per_cm_to_tesla_per_m,
-    gauss_to_tesla,
-    mhz_to_rad_per_s,
-)
+from .units import convert_units
 
 
 def _positive(v):
@@ -182,16 +178,16 @@ class RunConfig:
     def trap(self) -> TrapConfig:
         try:
             rf = RfConfig(
-                b_x=gauss_to_tesla(self.get("rf", "bx_g")),
-                b_y=gauss_to_tesla(self.get("rf", "by_g")),
-                b_z=gauss_to_tesla(self.get("rf", "bz_g")),
+                b_x=convert_units(self.get("rf", "bx_g"), "G", "T"),
+                b_y=convert_units(self.get("rf", "by_g"), "G", "T"),
+                b_z=convert_units(self.get("rf", "bz_g"), "G", "T"),
                 alpha=math.radians(self.get("rf", "alpha_deg")),
                 beta=math.radians(self.get("rf", "beta_deg")),
-                omega=mhz_to_rad_per_s(self.get("rf", "freq_mhz")),
+                omega=convert_units(self.get("rf", "freq_mhz"), "MHz", "rad/s"),
             )
             quad = QuadrupoleConfig(
-                gradient=gauss_per_cm_to_tesla_per_m(
-                    self.get("quadrupole", "gradient_g_per_cm")
+                gradient=convert_units(
+                    self.get("quadrupole", "gradient_g_per_cm"), "G/cm", "T/m"
                 )
             )
         except ValueError as err:

@@ -15,24 +15,6 @@ G_ACCEL = 9.80665  # standard gravity [m/s^2] (exact)
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed fundamental constants, immutable after construction."""
-
-    hbar: float = HBAR
-    mu_B: float = MU_B
-    k_B: float = K_B
-    g_accel: float = G_ACCEL
-
-    def __post_init__(self):
-        for name in ("hbar", "mu_B", "k_B", "g_accel"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"constant {name} must be strictly positive")
-
-
-CODATA2018 = PhysicalConstants()
-
-
-@dataclass(frozen=True)
 class AtomSpecies:
     """Atomic constants of one trapped species.
 
@@ -63,11 +45,6 @@ class AtomSpecies:
             raise ValueError(
                 "trappable low-field seeker requires m_F >= 1 and g_F*m_F > 0"
             )
-
-    @property
-    def magnetic_moment(self) -> float:
-        """g_F * m_F * mu_B [J/T], the trapped-state moment."""
-        return self.g_F * self.m_F * MU_B
 
 
 #: 87Rb in |F=2, m_F=2>, the workhorse species for rf-dressed quadrupole traps.

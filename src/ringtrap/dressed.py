@@ -13,37 +13,26 @@ frequency from the Larmor frequency
 
 and |Omega| is the position-dependent Rabi coupling between adjacent Zeeman
 sub-levels. For the rf field (B_x cos wt, B_y cos(wt-alpha), B_z cos(wt-beta))
-the coupling is
+with complex amplitude B~ = (B_x, B_y e^{i alpha}, B_z e^{i beta}) = a + i b,
 
-    |Omega|^2 = (g_F mu_B / 2 hbar)^2 * [
-          (4z^2/R^2) (B_x^2 x^2 + B_y^2 y^2)/rho^2
-        + (B_x^2 y^2 + B_y^2 x^2)/rho^2
-        + B_z^2 rho^2/R^2
-        - 2 B_x B_y x y cos(alpha)/R^2
-        + 4 B_x B_y z sin(alpha)/R
-        + 4 B_y B_z y z cos(alpha-beta)/R^2
-        + 2 B_y B_z x sin(alpha-beta)/R
-        + 4 B_z B_x z x cos(beta)/R^2
-        + 2 B_z B_x y sin(beta)/R ]
+    a = Re B~ = (B_x, B_y cos alpha, B_z cos beta)
+    b = Im B~ = (0,   B_y sin alpha, B_z sin beta),
 
-with rho^2 = x^2 + y^2 and R^2 = x^2 + y^2 + 4 z^2. This equals the
-coordinate-free RWA expression
+only the part of B~ transverse to the local field direction
+n = (x, y, -2z)/R, R^2 = x^2 + y^2 + 4z^2, drives the transition. In the
+rotating-wave approximation
 
-    |Omega|^2 = (g_F mu_B / 2 hbar)^2 * (|B~|^2 - |n.B~|^2 - i n.(B~ x B~*))
+    |Omega|^2 = C^2 (|B~|^2 - |n.B~|^2 - i n.(B~ x B~*))
+              = C^2 |a - (n.a) n + n x b|^2,       C = g_F mu_B / (2 hbar).
 
-for the complex rf amplitude B~ = (B_x, B_y e^{i alpha}, B_z e^{i beta}) and
-local field direction n; the bracketed form above is what is implemented.
+The second form is a sum of squares, so the coupling is non-negative in
+floating point, and it depends on position only through n. On the z-axis n
+is (0, 0, -sgn z), which gives the unique axial limit
 
-The rho^2 denominators give direction-dependent limits on the z-axis. Points
-within ``AXIS_EPS`` of the axis are assigned the analytic azimuthal average
-(sin^2, cos^2 -> 1/2; odd terms -> 0):
+    |Omega|^2_axis = C^2 [B_x^2 + B_y^2 + 2 B_x B_y sin(alpha) sgn(z)].
 
-    |Omega|^2_axis = (g_F mu_B / 2 hbar)^2 *
-                     [B_x^2 + B_y^2 + 2 B_x B_y sin(alpha) sgn(z)]
-
-with sgn(0) = 0 at the exact origin (the two one-sided z -> 0 limits are
-averaged). The squared magnitude is clamped at zero; rounding can leave it
-infinitesimally negative.
+Only the trap centre R = 0 has no field direction; there the coupling is
+taken as C^2 (B_x^2 + B_y^2), the average of the two axial limits.
 """
 
 from __future__ import annotations
@@ -54,9 +43,6 @@ import numpy as np
 
 from .constants import G_ACCEL, HBAR, MU_B
 from .fields import TrapConfig
-
-#: distance from the z-axis below which the azimuth-averaged limit is used [m]
-AXIS_EPS = 1e-12
 
 #: finite-difference steps below this are rejected as underflow [m]
 MIN_FD_STEP = 1e-9
@@ -80,55 +66,36 @@ def detuning(r, cfg: TrapConfig):
     return cfg.rf.omega - larmor_frequency(r, cfg)
 
 
-def rabi_squared(r, cfg: TrapConfig, clamp: bool = True):
+def rabi_squared(r, cfg: TrapConfig):
     """Squared Rabi coupling |Omega|^2 [(rad/s)^2] at position(s) ``r``.
 
-    Vectorised over leading axes of ``r`` (shape (..., 3)). With ``clamp``
-    (default) the result is floored at zero; ``clamp=False`` exposes the raw
-    bracket value for diagnostics of rounding excursions.
+    Vectorised over leading axes of ``r`` (shape (..., 3)); evaluates
+    C^2 |a - (n.a) n + n x b|^2 (see the module docstring).
     """
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 1
-    r = np.atleast_2d(r)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    bx, by, bz = cfg.rf.b_x, cfg.rf.b_y, cfg.rf.b_z
-    ca, sa = np.cos(cfg.rf.alpha), np.sin(cfg.rf.alpha)
-    cab = np.cos(cfg.rf.alpha - cfg.rf.beta)
-    sab = np.sin(cfg.rf.alpha - cfg.rf.beta)
-    cb, sb = np.cos(cfg.rf.beta), np.sin(cfg.rf.beta)
+    rf = cfg.rf
+    ax, ay, az = rf.b_x, rf.b_y * np.cos(rf.alpha), rf.b_z * np.cos(rf.beta)
+    by, bz = rf.b_y * np.sin(rf.alpha), rf.b_z * np.sin(rf.beta)
 
-    rho2 = x * x + y * y
-    r2 = rho2 + 4.0 * z * z
-    on_axis = rho2 <= AXIS_EPS * AXIS_EPS
-
-    # guarded denominators; masked entries are overwritten below
-    rho2_s = np.where(on_axis, 1.0, rho2)
-    r2_s = np.where(r2 == 0.0, 1.0, r2)
-    rad_s = np.sqrt(r2_s)
-
-    t = (4.0 * z * z / r2_s) * (bx * bx * x * x + by * by * y * y) / rho2_s
-    t += (bx * bx * y * y + by * by * x * x) / rho2_s
-    t += bz * bz * rho2 / r2_s
-    t += -2.0 * bx * by * x * y * ca / r2_s
-    t += 4.0 * bx * by * z * sa / rad_s
-    t += 4.0 * by * bz * y * z * cab / r2_s
-    t += 2.0 * by * bz * x * sab / rad_s
-    t += 4.0 * bz * bx * z * x * cb / r2_s
-    t += 2.0 * bz * bx * y * sb / rad_s
-
-    if np.any(on_axis):
-        axis_val = bx * bx + by * by + 2.0 * bx * by * sa * np.sign(z)
-        t = np.where(on_axis, axis_val, t)
+    x, y, w = r[..., 0], r[..., 1], -2.0 * r[..., 2]
+    rad = np.sqrt(x * x + y * y + w * w)
+    centre = rad == 0.0
+    inv = 1.0 / np.where(centre, 1.0, rad)
+    nx, ny, nz = x * inv, y * inv, w * inv
+    na = nx * ax + ny * ay + nz * az
+    # components of a - (n.a) n + n x b, with b = (0, by, bz)
+    ux = ax - na * nx + ny * bz - nz * by
+    uy = ay - na * ny - nx * bz
+    uz = az - na * nz + nx * by
+    t = np.where(centre, rf.b_x**2 + rf.b_y**2, ux * ux + uy * uy + uz * uz)
 
     pref = coupling_prefactor(cfg)
     out = (pref * pref) * t
-    if clamp:
-        out = np.maximum(out, 0.0)
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def rabi_frequency(r, cfg: TrapConfig):
-    """|Omega| [rad/s], the square root of the clamped coupling."""
+    """|Omega| [rad/s], the square root of :func:`rabi_squared`."""
     return np.sqrt(rabi_squared(r, cfg))
 
 
@@ -167,26 +134,17 @@ def sample_point(r, cfg: TrapConfig) -> PotentialSample:
     )
 
 
-def _check_fd_point(r, h: float):
+def _check_fd_step(h: float):
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
     if h < MIN_FD_STEP:
         raise ValueError(f"finite-difference step underflow: h={h} < {MIN_FD_STEP}")
-    rho = float(np.hypot(r[0], r[1]))
-    if rho < 2.0 * h:
-        raise ValueError(
-            "point too close to the z-axis exclusion tube for finite differences"
-        )
 
 
 def potential_gradient(r, cfg: TrapConfig, h: float = 1e-7):
-    """Central-difference gradient of V [J/m], O(h^2) accurate.
-
-    Requires the point to sit at least 2h from the z-axis so that no stencil
-    point crosses the on-axis limit.
-    """
+    """Central-difference gradient of V [J/m], O(h^2) accurate."""
     r = np.asarray(r, dtype=float)
-    _check_fd_point(r, h)
+    _check_fd_step(h)
     steps = h * np.eye(3)
     plus = dressed_potential(r + steps, cfg)
     minus = dressed_potential(r - steps, cfg)
@@ -196,7 +154,7 @@ def potential_gradient(r, cfg: TrapConfig, h: float = 1e-7):
 def potential_hessian(r, cfg: TrapConfig, h: float = 1e-7):
     """Central-difference Hessian of V [J/m^2], symmetrised as (H+H^T)/2."""
     r = np.asarray(r, dtype=float)
-    _check_fd_point(r, h)
+    _check_fd_step(h)
     eye = np.eye(3)
     v0 = float(dressed_potential(r, cfg))
     hess = np.empty((3, 3))

@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import FitError
 
-#: parameter order of the 6-vector
-PARAM_NAMES = ("amp1", "center1", "width1", "amp2", "center2", "width2")
-
 _MIN_SAMPLES = 12
 _MAX_ITER = 200
 _COST_RTOL = 1e-10

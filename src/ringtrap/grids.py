@@ -13,7 +13,7 @@ from .fields import TrapConfig
 MAX_GRID_NODES = 100_000_000
 
 #: number of nodes evaluated per chunk when filling large grids
-_CHUNK = 1 << 20
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -95,10 +95,7 @@ def _newton_polish(cfg, x, bounds, h, grad_target, max_steps=12):
                 cand = np.clip(cand, bounds[0], bounds[1])
             if np.array_equal(cand, x):  # step vanished or clipped away
                 break
-            try:
-                g_new = potential_gradient(cand, cfg, h)
-            except ValueError:
-                break  # stencil crossed the axis tube
+            g_new = potential_gradient(cand, cfg, h)
             gn_new = float(np.linalg.norm(g_new))
             if gn_new < gn:
                 x, g, gn = cand, g_new, gn_new
@@ -132,11 +129,8 @@ def find_minimum(
     ConvergenceError
         Iteration cap exceeded; the best iterate rides on the exception.
     ValueError
-        ``start`` lies inside the z-axis exclusion tube.
+        ``h`` is not a valid finite-difference step.
     """
-    start = np.asarray(start, dtype=float)
-    if np.hypot(start[0], start[1]) < 1e-9:
-        raise ValueError("start must lie off the z-axis exclusion tube")
     if step0 is None:
         # a twentieth of the resonance radius spans the valley comfortably
         char = HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
@@ -159,20 +153,13 @@ def find_minimum(
 
     smooth = rabi_frequency(x, cfg) > SMOOTH_RABI_FRACTION * cfg.rf.omega
     grad_target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
-    grad_norm = None
     if smooth:
-        try:
-            x, grad_norm = _newton_polish(cfg, x, bounds, h, grad_target)
-            fx = f(x)
-        except ValueError:
-            pass  # too close to the axis for stencils; keep the search point
+        x, grad_norm = _newton_polish(cfg, x, bounds, h, grad_target)
+        fx = f(x)
     else:
-        try:
-            grad_norm = float(np.linalg.norm(potential_gradient(x, cfg, h)))
-        except ValueError:
-            grad_norm = None
+        grad_norm = float(np.linalg.norm(potential_gradient(x, cfg, h)))
 
-    stationary = grad_norm is not None and grad_norm < grad_target
+    stationary = grad_norm < grad_target
     return MinimizationResult(
         position=x,
         value=fx,

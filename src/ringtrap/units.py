@@ -13,7 +13,8 @@ import math
 from .constants import K_B
 from .errors import UnitError
 
-# multiplicative factors, keyed by (from, to)
+# multiplicative factors from the first unit to the second; the reverse
+# direction divides by the same factor
 _FACTORS = {
     ("G", "T"): 1e-4,
     ("G/cm", "T/m"): 1e-2,
@@ -21,8 +22,6 @@ _FACTORS = {
     ("deg", "rad"): math.pi / 180.0,
     ("uK", "J"): K_B * 1e-6,
 }
-for (a, b), f in list(_FACTORS.items()):
-    _FACTORS[(b, a)] = 1.0 / f
 
 _ALIASES = {"µK": "uK", "μK": "uK", "gauss": "G", "degree": "deg"}
 
@@ -37,42 +36,8 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
     tu = _ALIASES.get(to_unit, to_unit)
     if fu == tu:
         raise UnitError(f"no conversion defined from {from_unit!r} to itself")
-    try:
-        factor = _FACTORS[(fu, tu)]
-    except KeyError:
-        raise UnitError(
-            f"unsupported unit pair {from_unit!r} -> {to_unit!r}"
-        ) from None
-    return value * factor
-
-
-def gauss_to_tesla(b_gauss: float) -> float:
-    return b_gauss * 1e-4
-
-
-def tesla_to_gauss(b_tesla: float) -> float:
-    return b_tesla * 1e4
-
-
-def gauss_per_cm_to_tesla_per_m(grad: float) -> float:
-    return grad * 1e-2
-
-
-def tesla_per_m_to_gauss_per_cm(grad: float) -> float:
-    return grad * 1e2
-
-
-def mhz_to_rad_per_s(f_mhz: float) -> float:
-    return f_mhz * 2 * math.pi * 1e6
-
-
-def rad_per_s_to_mhz(omega: float) -> float:
-    return omega / (2 * math.pi * 1e6)
-
-
-def joule_to_microkelvin(energy: float) -> float:
-    return energy / (K_B * 1e-6)
-
-
-def microkelvin_to_joule(t_uk: float) -> float:
-    return t_uk * K_B * 1e-6
+    if (fu, tu) in _FACTORS:
+        return value * _FACTORS[(fu, tu)]
+    if (tu, fu) in _FACTORS:
+        return value / _FACTORS[(tu, fu)]
+    raise UnitError(f"unsupported unit pair {from_unit!r} -> {to_unit!r}")

@@ -2,7 +2,6 @@
 PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import math
 import time
 
 import numpy as np
@@ -26,7 +25,6 @@ from ringtrap import (
 )
 from ringtrap.cli import EXIT_OK, main
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
-from ringtrap.dressed import coupling_prefactor
 from ringtrap.image_io import export_image_binary, import_image_binary
 from ringtrap.units import convert_units
 
@@ -229,10 +227,7 @@ def test_criterion_6_oracle_equivalence():
         lo = np.array([-1.35 * r0, -1.35 * r0, -0.45 * r0])
         hi = np.array([1.35 * r0, 1.35 * r0, 0.45 * r0])
         v_grid, pos_grid, cell_var = _grid_global_min(cfg, lo, hi)
-        start = pos_grid.copy()
-        if math.hypot(start[0], start[1]) < 1e-9:  # keep off the axis tube
-            start[0] = 1e-9
-        res = find_minimum(cfg, start, bounds=(lo, hi))
+        res = find_minimum(cfg, pos_grid, bounds=(lo, hi))
         gap = v_grid - res.value
         good = res.value <= v_grid + 1e-45 and gap <= cell_var
         ok &= good
@@ -265,7 +260,7 @@ def test_criterion_7_imaging_round_trip():
 
 
 def test_criterion_8_finite_difference_health():
-    """Richardson ratios ~4 at 100 random smooth points; clamp within 1e-10."""
+    """Richardson ratios ~4 at 100 random smooth points; coupling never negative."""
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2)
     r0 = resonance_radius(cfg)
     rng = np.random.default_rng(12345)
@@ -292,26 +287,25 @@ def test_criterion_8_finite_difference_health():
     ratio_ok = bool(np.all((ratios >= 3.2) & (ratios <= 4.8)))
 
     # torus sample plus points straddling the coupling-zero manifold of the
-    # axial-rf config, where the bracket terms cancel almost exactly
+    # axial-rf config, where the coupling nearly vanishes
     pts = _torus_points(r0, 200_000, seed=777)
-    raw = rabi_squared(pts, cfg, clamp=False)
+    raw = rabi_squared(pts, cfg)
     cfg_c = make_trap(b_x=B07, b_z=B02, beta=0.0)
     x = rng.uniform(0.5 * r0, 1.3 * r0, 200_000) * rng.choice([-1, 1], 200_000)
     near_zero = np.stack(
         [x, rng.normal(0, 1e-13, x.size), -x * B02 / (2 * B07) + rng.normal(0, 1e-13, x.size)],
         axis=-1,
     )
-    raw_c = rabi_squared(near_zero, cfg_c, clamp=False)
-    scale = (coupling_prefactor(cfg) * cfg.rf.max_amplitude) ** 2
+    raw_c = rabi_squared(near_zero, cfg_c)
     neg = np.concatenate([raw[raw < 0], raw_c[raw_c < 0]])
-    clamp_ok = bool(np.all(neg >= -1e-10 * scale)) if neg.size else True
-    ok = ratio_ok and clamp_ok
+    sign_ok = neg.size == 0
+    ok = ratio_ok and sign_ok
     report(
         8,
         ok,
         f"gradient ratios [{min(ratios_g):.2f}, {max(ratios_g):.2f}], hessian "
         f"ratios [{min(ratios_h):.2f}, {max(ratios_h):.2f}] within 4 +- 20%; "
-        f"clamp excursions {neg.size} all within 1e-10 of zero: {clamp_ok}",
+        f"negative couplings {neg.size} == 0: {sign_ok}",
     )
 
 

@@ -133,6 +133,18 @@ def test_sweep_single_point_matches_analyze(ini, tmp_path):
     assert row[4] == rep["geometry"]
 
 
+def test_sweep_echoes_configured_frequency(ini, tmp_path):
+    # 1.25 MHz does not survive a MHz -> rad/s -> MHz round trip exactly
+    out = tmp_path / "swf"
+    code = main(
+        ["sweep", "--config", str(ini), "--out", str(out),
+         "--set", "sweep.freq_mhz_list=1.25,1.5"]
+    )
+    assert code == EXIT_OK
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.25", "1.5"]
+
+
 def test_sweep_amplitude_table_center_trap(ini, tmp_path):
     table = tmp_path / "amps.csv"
     table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n3.0,0,0,0\n")

@@ -87,6 +87,27 @@ def test_iteration_cap_raises_with_best():
     assert exc.value.best.f_evals > 0
 
 
-def test_axis_start_rejected(fig2a):
-    with pytest.raises(ValueError):
-        find_minimum(fig2a, [0.0, 0.0, 1e-4])
+def test_axis_start_converges(fig2a):
+    r0 = resonance_radius(fig2a)
+    res = find_minimum(fig2a, [0.0, 0.0, 1e-4])
+    assert res.converged
+    assert abs(res.position[0]) == pytest.approx(r0, rel=5e-3)
+    assert abs(res.position[1]) < 1e-6 and abs(res.position[2]) < 1e-6
+    # a gravity-ring start on the axis lands where a start just off it does
+    cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
+    r0 = resonance_radius(cfg)
+    on = find_minimum(cfg, [0.0, -r0, 0.0], bounds=torus_box(r0))
+    off = find_minimum(cfg, [1e-9, -r0, 0.0], bounds=torus_box(r0))
+    np.testing.assert_allclose(on.position, off.position, rtol=0, atol=1e-9 * r0)
+
+
+@pytest.mark.parametrize("h", [1e-10, -1.0])
+def test_invalid_fd_step_raises(fig2a, h):
+    # the step is checked by the finite-difference stencils on both the
+    # cusp path and the Newton-polish path; the error must reach the caller
+    r0 = resonance_radius(fig2a)
+    with pytest.raises(ValueError, match="finite-difference step"):
+        find_minimum(fig2a, [0.9 * r0, 0.05 * r0, 0.0], bounds=torus_box(r0), h=h)
+    cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
+    with pytest.raises(ValueError, match="finite-difference step"):
+        find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=torus_box(r0), h=h)
