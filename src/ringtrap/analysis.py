@@ -26,9 +26,12 @@ from .dressed import (
     rabi_frequency,
     rabi_squared,
 )
-from .errors import ConvergenceError, NotAMinimumError
+from .errors import ConvergenceError, NotAMinimumError, RingtrapError
 from .fields import TrapConfig
 from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum
+
+#: fewest profile azimuths the geometry classifier accepts
+MIN_CLASSIFY_AZIMUTHS = 64
 
 
 class Geometry(str, enum.Enum):
@@ -133,47 +136,33 @@ def azimuthal_profile(
 
     rho_lo = np.full(n_phi, rho_factors[0] * r0)
     rho_hi = np.full(n_phi, rho_factors[1] * r0)
-    use_z = z_band > 0.0
     z_lo = np.full(n_phi, -z_band)
     z_hi = np.full(n_phi, z_band)
-    nz = n_z if use_z else 1
+    nz = n_z if z_band > 0.0 else 1  # the z = 0 plane is a one-row band
 
-    best_rho = np.empty(n_phi)
-    best_z = np.zeros(n_phi)
-    best_v = np.empty(n_phi)
     for _ in range(zoom_iters):
         frac_r = np.linspace(0.0, 1.0, n_rho)
         rr = rho_lo[None, :] + (rho_hi - rho_lo)[None, :] * frac_r[:, None]
-        if use_z:
-            frac_z = np.linspace(0.0, 1.0, nz)
-            zz = z_lo[None, :] + (z_hi - z_lo)[None, :] * frac_z[:, None]
-            R = rr[:, None, :]
-            Z = zz[None, :, :]
-            pts = np.empty((n_rho, nz, n_phi, 3))
-            pts[..., 0] = R * cosp
-            pts[..., 1] = R * sinp
-            pts[..., 2] = np.broadcast_to(Z, (n_rho, nz, n_phi))
-        else:
-            pts = np.empty((n_rho, 1, n_phi, 3))
-            pts[..., 0] = rr[:, None, :] * cosp
-            pts[..., 1] = rr[:, None, :] * sinp
-            pts[..., 2] = 0.0
+        frac_z = np.linspace(0.0, 1.0, nz)
+        zz = z_lo[None, :] + (z_hi - z_lo)[None, :] * frac_z[:, None]
+        pts = np.empty((n_rho, nz, n_phi, 3))
+        pts[..., 0] = rr[:, None, :] * cosp
+        pts[..., 1] = rr[:, None, :] * sinp
+        pts[..., 2] = zz[None, :, :]
         vals = dressed_potential(pts, cfg)
         flat = vals.reshape(-1, n_phi)
         kmin = np.argmin(flat, axis=0)
         ir, iz = np.unravel_index(kmin, vals.shape[:2])
         best_v = flat[kmin, np.arange(n_phi)]
         best_rho = rr[ir, np.arange(n_phi)]
-        if use_z:
-            best_z = zz[iz, np.arange(n_phi)]
+        best_z = zz[iz, np.arange(n_phi)]
         # shrink the window to 2.5 cells around the incumbent
         half_r = 2.5 * (rho_hi - rho_lo) / (n_rho - 1)
         rho_lo = np.clip(best_rho - half_r, rho_factors[0] * r0, None)
         rho_hi = np.clip(best_rho + half_r, None, rho_factors[1] * r0)
-        if use_z:
-            half_z = 2.5 * (z_hi - z_lo) / (nz - 1)
-            z_lo = np.clip(best_z - half_z, -z_band, None)
-            z_hi = np.clip(best_z + half_z, None, z_band)
+        half_z = 2.5 * (z_hi - z_lo) / max(nz - 1, 1)
+        z_lo = np.clip(best_z - half_z, -z_band, None)
+        z_hi = np.clip(best_z + half_z, None, z_band)
 
     pts_min = np.stack(
         [best_rho * cosp, best_rho * sinp, best_z], axis=-1
@@ -283,8 +272,10 @@ def classify_geometry(
     The classification is re-run with halved tolerances; disagreement sets
     ``low_confidence``.
     """
-    if len(profile) < 64:
-        raise ValueError("classification requires a profile with >= 64 azimuths")
+    if len(profile) < MIN_CLASSIFY_AZIMUTHS:
+        raise ValueError(
+            f"classification requires a profile with >= {MIN_CLASSIFY_AZIMUTHS} azimuths"
+        )
     tol = tolerances or ClassifierTolerances()
     geometry, minima = _classify_once(profile, tol)
     geometry_halved, _ = _classify_once(profile, tol.halved())
@@ -392,19 +383,19 @@ class CriteriaReport:
 def criteria_report(
     cfg: TrapConfig,
     gravity_threshold: float = 5.0,
-    n_phi: int = 32,
     profile: AzimuthalProfile | None = None,
 ) -> CriteriaReport:
     """kappa = g_F m_F mu_B B_q / (m g) and omega/Omega at the ring minimum.
 
-    ``coupling_dominated`` is exactly (omega/Omega < kappa). When the
-    coupling vanishes at the valley minimum, omega/Omega is +inf and the
-    flag is False.
+    The ring minimum is the global minimum of ``profile``, by default
+    :func:`azimuthal_profile` of ``cfg``. ``coupling_dominated`` is exactly
+    (omega/Omega < kappa). When the coupling vanishes at the valley minimum,
+    omega/Omega is +inf and the flag is False.
     """
     atom = cfg.atom
     kappa = atom.g_F * atom.m_F * MU_B * cfg.quad.gradient / (atom.mass * G_ACCEL)
     if profile is None:
-        profile = azimuthal_profile(cfg, n_phi=max(n_phi, 8))
+        profile = azimuthal_profile(cfg)
     pmin = profile.global_minimum()
     if pmin.rabi > 1e-12 * cfg.rf.omega:
         omega_over_rabi = cfg.rf.omega / pmin.rabi
@@ -437,25 +428,27 @@ class RingAnalysis:
     omega_phi: float | None
     low_confidence: bool
     minimum: MinimizationResult | None
+    criteria: CriteriaReport  # taken at the global minimum of the analysed profile
     notes: tuple = ()
 
 
 def _escape_depth(cfg: TrapConfig, origin: np.ndarray, v_min: float, r0: float) -> float:
-    """Min over the 6 axis directions of the first ray maximum above v_min."""
+    """Min over the 6 axis directions of the first ray maximum above v_min.
+
+    Each ray is scanned up to its first sample k above v_min whose successor
+    is lower (or up to the second-last sample); its depth is the highest
+    value seen by then, floored at v_min, minus v_min.
+    """
     step = r0 / 200.0
     n_steps = 800  # 4 * r0 reach
-    depths = []
-    for direction in np.vstack([np.eye(3), -np.eye(3)]):
-        pts = origin[None, :] + step * np.arange(1, n_steps + 1)[:, None] * direction
-        vals = dressed_potential(pts, cfg)
-        peak = v_min
-        for k in range(len(vals) - 1):
-            if vals[k] > peak:
-                peak = vals[k]
-            if vals[k] > v_min and vals[k + 1] < vals[k]:
-                break
-        depths.append(peak - v_min)
-    return float(min(depths))
+    directions = np.vstack([np.eye(3), -np.eye(3)])
+    offsets = step * np.arange(1, n_steps + 1)[None, :, None] * directions[:, None, :]
+    vals = dressed_potential(origin + offsets, cfg)  # (6 rays, n_steps)
+    turns = (vals[:, :-1] > v_min) & (vals[:, 1:] < vals[:, :-1])
+    stop = np.where(turns.any(axis=1), turns.argmax(axis=1), n_steps - 2)
+    seen = np.arange(n_steps) <= stop[:, None]
+    peaks = np.where(seen, vals, v_min).max(axis=1)
+    return float((peaks - v_min).min())
 
 
 def analyze_trap(
@@ -528,6 +521,7 @@ def analyze_trap(
         omega_phi=freqs.omega_phi if freqs else None,
         low_confidence=cls.low_confidence,
         minimum=result,
+        criteria=criteria_report(cfg, profile=profile),
         notes=tuple(notes),
     )
 
@@ -567,8 +561,8 @@ def frequency_sweep(
         raise ValueError("sweep requires at least one frequency")
     if any(w <= 0 for w in omegas):
         raise ValueError("sweep frequencies must be positive")
-    if n_phi < 64:
-        raise ValueError("sweep classification requires n_phi >= 64")
+    if n_phi < MIN_CLASSIFY_AZIMUTHS:
+        raise ValueError(f"sweep classification requires n_phi >= {MIN_CLASSIFY_AZIMUTHS}")
     if amplitudes is not None and len(amplitudes) != len(omegas):
         raise ValueError("amplitudes table must match the frequency list length")
 
@@ -595,7 +589,7 @@ def frequency_sweep(
                     low_confidence=cls.low_confidence,
                 )
             )
-        except Exception as err:  # per-row failure; keep sweeping
+        except (RingtrapError, ValueError) as err:  # per-row failure; keep sweeping
             rows.append(
                 SweepPoint(
                     omega=w,

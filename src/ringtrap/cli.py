@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    analyze_trap,
-    criteria_report,
-    frequency_sweep,
-    resonance_radius,
-)
+from .analysis import analyze_trap, frequency_sweep, resonance_radius
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -103,7 +98,7 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         z_band=rc.get("analysis", "z_band_factor") * r0,
         tolerances=rc.classifier_tolerances(),
     )
-    criteria = criteria_report(cfg)
+    criteria = analysis.criteria
 
     um = 1e6
     hz = lambda w: None if w is None else w / _TWO_PI

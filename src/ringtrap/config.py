@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import ClassifierTolerances
+from .analysis import MIN_CLASSIFY_AZIMUTHS, ClassifierTolerances
 from .constants import SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
@@ -59,7 +59,7 @@ _SCHEMA = {
         "enabled": _Key(bool, True),
     },
     "analysis": {
-        "n_phi": _Key(int, 64, lambda v: v >= 8),
+        "n_phi": _Key(int, 64, lambda v: v >= MIN_CLASSIFY_AZIMUTHS),
         "rho_min_factor": _Key(float, 0.2, _positive),
         "rho_max_factor": _Key(float, 3.0, _positive),
         "z_band_factor": _Key(float, 0.0, _non_negative),

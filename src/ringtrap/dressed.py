@@ -152,26 +152,23 @@ def potential_gradient(r, cfg: TrapConfig, h: float = 1e-7):
 
 
 def potential_hessian(r, cfg: TrapConfig, h: float = 1e-7):
-    """Central-difference Hessian of V [J/m^2], symmetrised as (H+H^T)/2."""
+    """Central-difference Hessian of V [J/m^2], symmetrised as (H+H^T)/2.
+
+    The 19-point stencil (centre, r +- 2h e_i, r +- h e_i +- h e_j) is
+    evaluated in one kernel call.
+    """
     r = np.asarray(r, dtype=float)
     _check_fd_step(h)
-    eye = np.eye(3)
-    v0 = float(dressed_potential(r, cfg))
-    hess = np.empty((3, 3))
-    for i in range(3):
-        ei = h * eye[i]
-        hess[i, i] = (
-            float(dressed_potential(r + 2 * ei, cfg))
-            - 2.0 * v0
-            + float(dressed_potential(r - 2 * ei, cfg))
-        ) / (4.0 * h * h)
-        for j in range(i + 1, 3):
-            ej = h * eye[j]
-            val = (
-                float(dressed_potential(r + ei + ej, cfg))
-                - float(dressed_potential(r + ei - ej, cfg))
-                - float(dressed_potential(r - ei + ej, cfg))
-                + float(dressed_potential(r - ei - ej, cfg))
-            ) / (4.0 * h * h)
-            hess[i, j] = hess[j, i] = val
+    e = h * np.eye(3)
+    i, j = np.triu_indices(3, 1)
+    plus, minus = r + e[i], r - e[i]
+    pts = np.concatenate(
+        [r[None, :], r + 2 * e, r - 2 * e,
+         plus + e[j], plus - e[j], minus + e[j], minus - e[j]]
+    )
+    v = dressed_potential(pts, cfg)
+    v0, vp, vm = v[0], v[1:4], v[4:7]
+    vpp, vpm, vmp, vmm = v[7:10], v[10:13], v[13:16], v[16:19]
+    hess = np.diag((vp - 2.0 * v0 + vm) / (4.0 * h * h))
+    hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h * h)
     return 0.5 * (hess + hess.T)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .constants import G_ACCEL, HBAR, MU_B
 from .dressed import (
+    _check_fd_step,
     dressed_potential,
     potential_gradient,
     potential_hessian,
@@ -47,14 +48,17 @@ class MinimizationResult:
 def pattern_search(f, x0, step0, min_step, bounds=None, max_iter=10_000):
     """Compass search: step along +-x, +-y, +-z; halve the mesh on failure.
 
-    Returns ``(x, fx, iterations, evals, hit_cap)``. Deterministic: ties are
-    broken by fixed direction order, moves go to the best improving neighbour.
+    ``f`` is batched: it maps (k, 3) points to (k,) values, and each
+    iteration evaluates its six candidates in one call. Returns
+    ``(x, fx, iterations, evals, hit_cap)``, where ``evals`` counts points.
+    Deterministic: ties are broken by fixed direction order, moves go to the
+    best improving neighbour.
     """
     x = np.asarray(x0, dtype=float).copy()
     if bounds is not None:
         lo, hi = (np.asarray(b, dtype=float) for b in bounds)
         x = np.clip(x, lo, hi)
-    fx = float(f(x))
+    fx = float(f(x[None, :])[0])
     step = float(step0)
     evals = 1
     directions = np.vstack([np.eye(3), -np.eye(3)])
@@ -66,7 +70,7 @@ def pattern_search(f, x0, step0, min_step, bounds=None, max_iter=10_000):
         cands = x + step * directions
         if bounds is not None:
             cands = np.clip(cands, lo, hi)
-        vals = np.array([f(c) for c in cands])
+        vals = f(cands)
         evals += len(cands)
         k = int(np.argmin(vals))
         if vals[k] < fx:
@@ -131,6 +135,7 @@ def find_minimum(
     ValueError
         ``h`` is not a valid finite-difference step.
     """
+    _check_fd_step(h)
     if step0 is None:
         # a twentieth of the resonance radius spans the valley comfortably
         char = HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
@@ -138,7 +143,7 @@ def find_minimum(
     if bounds is not None:
         bounds = tuple(np.asarray(b, dtype=float) for b in bounds)
 
-    f = lambda r: float(dressed_potential(r, cfg))
+    f = lambda r: dressed_potential(r, cfg)
     x, fx, it, evals, hit_cap = pattern_search(
         f, start, step0, min_step, bounds, max_iter
     )
@@ -155,7 +160,7 @@ def find_minimum(
     grad_target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
     if smooth:
         x, grad_norm = _newton_polish(cfg, x, bounds, h, grad_target)
-        fx = f(x)
+        fx = float(f(x))
     else:
         grad_norm = float(np.linalg.norm(potential_gradient(x, cfg, h)))
 

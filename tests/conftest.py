@@ -7,6 +7,7 @@ from ringtrap import (
     RfConfig,
     TrapConfig,
     column_density,
+    dressed_potential,
     resonance_radius,
     thermal_density,
 )
@@ -25,6 +26,29 @@ def make_trap(b_x=0.0, b_y=0.0, b_z=0.0, alpha=0.0, beta=0.0,
         rf=RfConfig(b_x=b_x, b_y=b_y, b_z=b_z, alpha=alpha, beta=beta, omega=omega),
         gravity_on=gravity,
     )
+
+
+def reference_configs():
+    """The fig. 2a/b/c panels and the circular ring under gravity, by name."""
+    return {
+        "fig2a": make_trap(b_x=B07),
+        "fig2b": make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2),
+        "fig2c": make_trap(b_x=B07, b_z=B02, beta=0.0),
+        "gravity": make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True),
+    }
+
+
+def count_kernel_calls(monkeypatch, module):
+    """Route ``module.dressed_potential`` through a counter; returns the list
+    of point-array shapes it is called with."""
+    calls = []
+
+    def counted(r, cfg):
+        calls.append(np.shape(r))
+        return dressed_potential(r, cfg)
+
+    monkeypatch.setattr(module, "dressed_potential", counted)
+    return calls
 
 
 @pytest.fixture

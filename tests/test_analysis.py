@@ -3,21 +3,31 @@ import math
 import numpy as np
 import pytest
 
+import ringtrap.analysis
 from ringtrap import (
     Geometry,
     analyze_trap,
     azimuthal_profile,
     classify_geometry,
     criteria_report,
+    dressed_potential,
     frequency_sweep,
     resonance_radius,
     trap_frequencies,
 )
+from ringtrap.analysis import _escape_depth
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
 from ringtrap.errors import NotAMinimumError
 from ringtrap.minimize import find_minimum
 
-from conftest import B07, B02, OMEGA_15MHZ, make_trap
+from conftest import (
+    B07,
+    B02,
+    OMEGA_15MHZ,
+    count_kernel_calls,
+    make_trap,
+    reference_configs,
+)
 
 
 # -- resonance radius --------------------------------------------------------
@@ -268,6 +278,15 @@ def test_sweep_per_row_failure_recorded(fig2b):
     assert rows[1].error is not None and rows[1].geometry is None
 
 
+def test_sweep_propagates_programming_errors(fig2b, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the profile")
+
+    monkeypatch.setattr(ringtrap.analysis, "azimuthal_profile", broken)
+    with pytest.raises(TypeError, match="bug in the profile"):
+        frequency_sweep(fig2b, [OMEGA_15MHZ])
+
+
 def test_sweep_zero_amplitude_center_trap(fig2b):
     omegas = [OMEGA_15MHZ, 2 * OMEGA_15MHZ]
     amps = [(B07, B07, 0.0), (0.0, 0.0, 0.0)]
@@ -307,6 +326,40 @@ def test_analyze_gravity_ring_reports_frequencies():
     assert analysis.depth > 0
     assert analysis.barrier_height >= 0
     assert analysis.minimum.stationary
+
+
+def escape_depth_per_ray(cfg, origin, v_min, r0):
+    """The ray scan with one kernel call and one Python loop per ray."""
+    step = r0 / 200.0
+    depths = []
+    for direction in np.vstack([np.eye(3), -np.eye(3)]):
+        pts = origin[None, :] + step * np.arange(1, 801)[:, None] * direction
+        vals = dressed_potential(pts, cfg)
+        peak = v_min
+        for k in range(len(vals) - 1):
+            if vals[k] > peak:
+                peak = vals[k]
+            if vals[k] > v_min and vals[k + 1] < vals[k]:
+                break
+        depths.append(peak - v_min)
+    return float(min(depths))
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_escape_depth_matches_per_ray_oracle(name, monkeypatch):
+    # origins: the valley floor (rays turn over), the trap centre (every ray
+    # climbs to its end) and a generic point
+    cfg = reference_configs()[name]
+    r0 = resonance_radius(cfg)
+    floor = azimuthal_profile(cfg).global_minimum().position
+    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    for origin in (floor, np.zeros(3), np.array([0.5 * r0, 0.3 * r0, 0.1 * r0])):
+        v = float(dressed_potential(origin, cfg))
+        for v_min in (v, v + 1e-3 * RB87.m_F * HBAR * cfg.rf.omega):
+            calls.clear()
+            got = _escape_depth(cfg, origin, v_min, r0)
+            assert len(calls) == 1
+            assert np.array_equal(got, escape_depth_per_ray(cfg, origin, v_min, r0))
 
 
 def test_analyze_ring_radius_positive(fig2b):

@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ringtrap import rabi_frequency
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from ringtrap.config import load_config
 
 BASE = """
 [rf]
@@ -184,6 +187,36 @@ def test_analysis_window_knobs_flow_through(ini, tmp_path):
          "--set", "analysis.rho_min_factor=2.0", "--set", "analysis.rho_max_factor=1.0"]
     )
     assert bad == EXIT_CONFIG
+
+
+def test_analyze_coupling_test_at_reported_minimum(ini, tmp_path):
+    # with gravity and a z band the valley minimum leaves the z = 0 plane;
+    # omega/Omega must be taken there, not on a separate in-plane profile
+    out = tmp_path / "zb"
+    overrides = ["gravity.enabled=true", "analysis.z_band_factor=0.3"]
+    argv = ["analyze", "--config", str(ini), "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    text = (out / "analysis.txt").read_text().splitlines()
+    rep = read_report(out / "analysis.txt")
+    first = text[text.index("minima: azimuth_deg,x_um,y_um,z_um,V_uK") + 1]
+    pos = np.array([float(c) for c in first.split(",")[1:4]]) * 1e-6
+    assert abs(pos[2]) > 1e-5  # the reported minimum is off-plane
+    cfg = load_config(ini, overrides=overrides).trap()
+    expected = cfg.rf.omega / rabi_frequency(pos, cfg)
+    assert float(rep["omega_over_rabi"]) == pytest.approx(expected, rel=1e-9)
+    want_flag = "true" if expected < float(rep["kappa"]) else "false"
+    assert rep["coupling_dominated"] == want_flag
+
+
+def test_classification_azimuth_limit_checked_at_load(ini, tmp_path):
+    out = tmp_path / "np"
+    code = main(
+        ["analyze", "--config", str(ini), "--out", str(out), "--set", "analysis.n_phi=32"]
+    )
+    assert code == EXIT_CONFIG
+    assert not (out / "resolved.ini").exists()
 
 
 def test_image_od_scale_scales_pixels(ini, tmp_path):

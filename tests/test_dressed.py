@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ringtrap.dressed
 from ringtrap import (
     RB87,
     detuning,
@@ -16,7 +17,7 @@ from ringtrap import (
 from ringtrap.constants import G_ACCEL, HBAR, MU_B
 from ringtrap.dressed import coupling_prefactor
 
-from conftest import B07, make_trap
+from conftest import B07, count_kernel_calls, make_trap, reference_configs
 
 
 # -- Larmor frequency --------------------------------------------------------
@@ -245,6 +246,40 @@ def test_hessian_symmetric(fig2b):
     r0 = resonance_radius(fig2b)
     h = potential_hessian([0.9 * r0, 0.3 * r0, 0.1 * r0], fig2b)
     np.testing.assert_array_equal(h, h.T)
+
+
+def hessian_per_point(r, cfg, h):
+    """The Hessian stencil with one kernel call per point, in stencil order."""
+    r = np.asarray(r, dtype=float)
+    v = lambda p: float(dressed_potential(p, cfg))
+    eye = np.eye(3)
+    v0 = v(r)
+    hess = np.empty((3, 3))
+    for i in range(3):
+        ei = h * eye[i]
+        hess[i, i] = (v(r + 2 * ei) - 2.0 * v0 + v(r - 2 * ei)) / (4.0 * h * h)
+        for j in range(i + 1, 3):
+            ej = h * eye[j]
+            hess[i, j] = hess[j, i] = (
+                v(r + ei + ej) - v(r + ei - ej) - v(r - ei + ej) + v(r - ei - ej)
+            ) / (4.0 * h * h)
+    return 0.5 * (hess + hess.T)
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_hessian_matches_per_point_oracle(name, monkeypatch):
+    calls = count_kernel_calls(monkeypatch, ringtrap.dressed)
+    cfg = reference_configs()[name]
+    r0 = resonance_radius(cfg)
+    rng = np.random.default_rng(7)
+    points = [[0.9 * r0, 0.3 * r0, 0.1 * r0], [1e-9, -1.05 * r0, 0.2 * r0], [0.0, 0.0, 0.3 * r0]]
+    points += list(rng.uniform([-1.5, -1.5, -0.4], [1.5, 1.5, 0.4], (12, 3)) * r0)
+    for r in points:
+        for h in (1e-7, 1e-6):
+            calls.clear()
+            got = potential_hessian(r, cfg, h)
+            assert len(calls) == 1
+            assert np.array_equal(got, hessian_per_point(r, cfg, h))
 
 
 def test_fd_step_underflow_rejected(fig2b):

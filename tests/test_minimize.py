@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import ringtrap.minimize
 from ringtrap import dressed_potential, find_minimum, pattern_search, resonance_radius
 from ringtrap.constants import G_ACCEL, RB87
 from ringtrap.errors import ConvergenceError
 
-from conftest import B07, make_trap
+from conftest import B07, count_kernel_calls, make_trap
 
 
 def torus_box(r0, xy=2.0, z=0.45):
@@ -13,14 +14,14 @@ def torus_box(r0, xy=2.0, z=0.45):
 
 
 def test_pattern_search_quadratic_bowl():
-    f = lambda r: float((r[0] - 1.0) ** 2 + 2 * (r[1] + 0.5) ** 2 + 0.3 * r[2] ** 2)
+    f = lambda r: (r[..., 0] - 1.0) ** 2 + 2 * (r[..., 1] + 0.5) ** 2 + 0.3 * r[..., 2] ** 2
     x, fx, _, _, cap = pattern_search(f, np.zeros(3), step0=0.5, min_step=1e-10)
     assert not cap
     np.testing.assert_allclose(x, [1.0, -0.5, 0.0], atol=1e-8)
 
 
 def test_pattern_search_respects_bounds():
-    f = lambda r: float(np.sum(r**2))
+    f = lambda r: np.sum(r**2, axis=-1)
     bounds = (np.array([0.5, -1, -1]), np.array([2.0, 1, 1]))
     x, _, _, _, _ = pattern_search(f, np.array([1.5, 0.5, 0.5]), 0.25, 1e-9, bounds)
     assert x[0] >= 0.5 - 1e-15
@@ -103,11 +104,32 @@ def test_axis_start_converges(fig2a):
 
 @pytest.mark.parametrize("h", [1e-10, -1.0])
 def test_invalid_fd_step_raises(fig2a, h):
-    # the step is checked by the finite-difference stencils on both the
-    # cusp path and the Newton-polish path; the error must reach the caller
+    # the step is checked before the search, so the error reaches the caller
+    # on both the cusp path and the Newton-polish path
     r0 = resonance_radius(fig2a)
     with pytest.raises(ValueError, match="finite-difference step"):
         find_minimum(fig2a, [0.9 * r0, 0.05 * r0, 0.0], bounds=torus_box(r0), h=h)
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
     with pytest.raises(ValueError, match="finite-difference step"):
         find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=torus_box(r0), h=h)
+
+
+def test_invalid_fd_step_rejected_before_search(monkeypatch):
+    calls = count_kernel_calls(monkeypatch, ringtrap.minimize)
+    cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
+    r0 = resonance_radius(cfg)
+    with pytest.raises(ValueError, match="finite-difference step"):
+        find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=torus_box(r0), h=-1.0)
+    assert calls == []
+
+
+def test_pattern_search_one_kernel_call_per_iteration(fig2a, monkeypatch):
+    # the cusp minimum skips the Newton polish, so every minimiser-level kernel
+    # call belongs to the pattern search: one start point, then 6 per iteration
+    calls = count_kernel_calls(monkeypatch, ringtrap.minimize)
+    r0 = resonance_radius(fig2a)
+    res = find_minimum(fig2a, [0.9 * r0, 0.05 * r0, 0.0], bounds=torus_box(r0))
+    assert not res.smooth
+    assert len(calls) == res.iterations + 1
+    assert calls == [(1, 3)] + [(6, 3)] * res.iterations
+    assert res.f_evals == 1 + 6 * res.iterations
