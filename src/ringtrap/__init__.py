@@ -6,7 +6,6 @@ from .analysis import (
     ClassifierTolerances,
     CriteriaReport,
     Geometry,
-    ProfilePoint,
     RingAnalysis,
     SweepPoint,
     TrapFrequencies,
@@ -15,7 +14,6 @@ from .analysis import (
     classify_geometry,
     criteria_report,
     frequency_sweep,
-    resonance_radius,
     trap_frequencies,
 )
 from .constants import RB87, AtomSpecies
@@ -28,6 +26,7 @@ from .dressed import (
     potential_hessian,
     rabi_frequency,
     rabi_squared,
+    resonance_radius,
     sample_point,
 )
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig, field_magnitude, quadrupole_field

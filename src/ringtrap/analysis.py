@@ -25,6 +25,7 @@ from .dressed import (
     potential_hessian,
     rabi_frequency,
     rabi_squared,
+    resonance_radius,
 )
 from .errors import ConvergenceError, NotAMinimumError, RingtrapError
 from .fields import TrapConfig
@@ -32,6 +33,20 @@ from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum
 
 #: fewest profile azimuths the geometry classifier accepts
 MIN_CLASSIFY_AZIMUTHS = 64
+
+#: valley-profile grid zoom: radial nodes, axial nodes (z band only), passes
+PROFILE_ZOOM = (96, 25, 7)
+
+#: profile coupling below this fraction of m_F * omega everywhere means the
+#: trap is effectively undressed (center trap)
+CENTER_TRAP_COUPLING = 1e-9
+
+#: an azimuthal trap frequency below this fraction of omega_rho is reported
+#: as exactly zero (flat ring direction)
+FLAT_PHI_FRACTION = 1e-3
+
+#: kappa above this counts as gravity negligible
+GRAVITY_NEGLIGIBLE_KAPPA = 5.0
 
 
 class Geometry(str, enum.Enum):
@@ -44,67 +59,42 @@ class Geometry(str, enum.Enum):
         return self.value
 
 
-def resonance_radius(cfg: TrapConfig) -> float:
-    """z=0 radius of the zero-detuning shell: hbar*omega/(g_F mu_B B_q)."""
-    return HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
-
-
 # ---------------------------------------------------------------------------
 # azimuthal valley profile
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProfilePoint:
-    """Valley floor at one azimuth: position (rho, z), V and coupling there."""
-
-    azimuth: float
-    potential: float
-    rho: float
-    z: float
-    rabi: float
-    converged: bool = True
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array(
-            [self.rho * math.cos(self.azimuth), self.rho * math.sin(self.azimuth), self.z]
-        )
-
-
-@dataclass(frozen=True)
 class AzimuthalProfile:
-    """Valley floor versus azimuth, plus the scales the classifier needs."""
+    """Valley floor versus azimuth, plus the scales the classifier needs.
 
-    points: tuple
+    Entry i of each array belongs to azimuth ``azimuths[i]``: the floor sits
+    at cylindrical (``radii[i]``, ``z[i]``) with potential ``potentials[i]``
+    [J] and Rabi coupling ``rabis[i]`` [rad/s].
+    """
+
+    azimuths: np.ndarray
+    radii: np.ndarray
+    z: np.ndarray
+    potentials: np.ndarray
+    rabis: np.ndarray
     energy_scale: float  # m_F * hbar * omega: natural dressing energy [J]
     resonance_radius: float
 
     def __len__(self):
-        return len(self.points)
+        return len(self.azimuths)
 
-    def potentials(self) -> np.ndarray:
-        return np.array([p.potential for p in self.points])
-
-    def radii(self) -> np.ndarray:
-        return np.array([p.rho for p in self.points])
-
-    def rabis(self) -> np.ndarray:
-        return np.array([p.rabi for p in self.points])
-
-    def azimuths(self) -> np.ndarray:
-        return np.array([p.azimuth for p in self.points])
+    def position(self, i: int) -> np.ndarray:
+        """Cartesian position of the valley floor at azimuth index ``i``."""
+        phi, rho = float(self.azimuths[i]), float(self.radii[i])
+        return np.array([rho * math.cos(phi), rho * math.sin(phi), float(self.z[i])])
 
     def barrier_height(self) -> float:
         """Azimuthal max - min of the valley floor [J]."""
-        pots = self.potentials()
-        return float(pots.max() - pots.min())
+        return float(self.potentials.max() - self.potentials.min())
 
     def numeric_radius(self) -> float:
         """Azimuth-averaged radial coordinate of the valley floor [m]."""
-        return float(self.radii().mean())
-
-    def global_minimum(self) -> ProfilePoint:
-        return min(self.points, key=lambda p: p.potential)
+        return float(self.radii.mean())
 
 
 def azimuthal_profile(
@@ -112,9 +102,6 @@ def azimuthal_profile(
     n_phi: int = 64,
     rho_factors: tuple[float, float] = (0.2, 3.0),
     z_band: float = 0.0,
-    n_rho: int = 96,
-    n_z: int = 25,
-    zoom_iters: int = 7,
 ) -> AzimuthalProfile:
     """Minimise V over the radial(-axial) window at each azimuth.
 
@@ -124,12 +111,13 @@ def azimuthal_profile(
     plane the ring, wells and any azimuthal asymmetry live in, and the
     plane absorption images project onto. The minimisation is an iterated
     grid zoom, evaluated for all azimuths in lockstep; it is deterministic
-    and is not derailed by the conical valley sections.
+    and is not derailed by the conical valley sections (see ``PROFILE_ZOOM``).
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
     if z_band < 0:
         raise ValueError("z_band must be non-negative")
+    n_rho, n_z, zoom_iters = PROFILE_ZOOM
     r0 = resonance_radius(cfg)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     cosp, sinp = np.cos(phis), np.sin(phis)
@@ -167,20 +155,12 @@ def azimuthal_profile(
     pts_min = np.stack(
         [best_rho * cosp, best_rho * sinp, best_z], axis=-1
     )
-    rabis = np.sqrt(rabi_squared(pts_min, cfg))
-    points = tuple(
-        ProfilePoint(
-            azimuth=float(phis[i]),
-            potential=float(best_v[i]),
-            rho=float(best_rho[i]),
-            z=float(best_z[i]),
-            rabi=float(rabis[i]),
-            converged=bool(np.isfinite(best_v[i])),
-        )
-        for i in range(n_phi)
-    )
     return AzimuthalProfile(
-        points=points,
+        azimuths=phis,
+        radii=best_rho,
+        z=best_z,
+        potentials=best_v,
+        rabis=np.sqrt(rabi_squared(pts_min, cfg)),
         energy_scale=cfg.atom.m_F * HBAR * cfg.rf.omega,
         resonance_radius=r0,
     )
@@ -200,21 +180,15 @@ class ClassifierTolerances:
                 double-well.
     closure:    valley coupling below closure * max profile coupling marks a
                 closed avoided crossing (a true well, not a modulated ring).
-    coupling_floor: profile coupling below coupling_floor * omega everywhere
-                means the trap is effectively undressed (center trap).
     """
 
     rel_flat: float = 1e-3
     match_depth: float = 1e-2
     closure: float = 0.05
-    coupling_floor: float = 1e-9
 
     def halved(self) -> "ClassifierTolerances":
         return ClassifierTolerances(
-            rel_flat=self.rel_flat / 2,
-            match_depth=self.match_depth / 2,
-            closure=self.closure / 2,
-            coupling_floor=self.coupling_floor,
+            self.rel_flat / 2, self.match_depth / 2, self.closure / 2
         )
 
 
@@ -236,10 +210,9 @@ def _local_minima_indices(pots: np.ndarray, depth_floor: float) -> list[int]:
 
 
 def _classify_once(profile: AzimuthalProfile, tol: ClassifierTolerances):
-    pots = profile.potentials()
-    rabis = profile.rabis()
+    pots, rabis = profile.potentials, profile.rabis
     omega_scale = profile.energy_scale / HBAR  # m_F * omega; rabi comparison scale
-    if rabis.max() < tol.coupling_floor * omega_scale:
+    if rabis.max() < CENTER_TRAP_COUPLING * omega_scale:
         return Geometry.CENTER_TRAP, []
     span = float(pots.max() - pots.min())
     if span < tol.rel_flat * profile.energy_scale:
@@ -299,16 +272,14 @@ class TrapFrequencies:
     eigenvalues: tuple  # curvature [J/m^2] paired as (rho, phi, z)
 
 
-def trap_frequencies(
-    cfg: TrapConfig, minimum, h: float = 1e-7, phi_zero_tol: float = 1e-3
-) -> TrapFrequencies:
+def trap_frequencies(cfg: TrapConfig, minimum) -> TrapFrequencies:
     """Harmonic frequencies at a converged smooth minimum.
 
     The Hessian of V is rotated into the local cylindrical frame
     (rho-hat, phi-hat, z-hat) at the minimum and diagonalised; each
     eigenvalue is paired to the axis its eigenvector aligns with best, and
     omega_i = sqrt(lambda_i / m). An azimuthal frequency below
-    ``phi_zero_tol * omega_rho`` is reported as exactly zero (flat ring
+    ``FLAT_PHI_FRACTION * omega_rho`` is reported as exactly zero (flat ring
     direction).
 
     Raises :class:`NotAMinimumError` at coupling-closed cusp points (the
@@ -323,7 +294,7 @@ def trap_frequencies(
             "coupling closes at this point; the valley is a cusp with no "
             "harmonic expansion"
         )
-    hess = potential_hessian(r, cfg, h)
+    hess = potential_hessian(r, cfg)
     phi = math.atan2(r[1], r[0])
     rho_hat = np.array([math.cos(phi), math.sin(phi), 0.0])
     phi_hat = np.array([-math.sin(phi), math.cos(phi), 0.0])
@@ -351,7 +322,7 @@ def trap_frequencies(
     w_rho = math.sqrt(max(lam_rho, 0.0) / m)
     w_z = math.sqrt(max(lam_z, 0.0) / m)
     w_phi = math.sqrt(max(lam_phi, 0.0) / m)
-    if w_phi < phi_zero_tol * w_rho:
+    if w_phi < FLAT_PHI_FRACTION * w_rho:
         w_phi = 0.0
     return TrapFrequencies(
         omega_rho=w_rho,
@@ -381,31 +352,30 @@ class CriteriaReport:
 
 
 def criteria_report(
-    cfg: TrapConfig,
-    gravity_threshold: float = 5.0,
-    profile: AzimuthalProfile | None = None,
+    cfg: TrapConfig, profile: AzimuthalProfile | None = None
 ) -> CriteriaReport:
     """kappa = g_F m_F mu_B B_q / (m g) and omega/Omega at the ring minimum.
 
-    The ring minimum is the global minimum of ``profile``, by default
-    :func:`azimuthal_profile` of ``cfg``. ``coupling_dominated`` is exactly
-    (omega/Omega < kappa). When the coupling vanishes at the valley minimum,
-    omega/Omega is +inf and the flag is False.
+    The ring minimum is the global minimum of ``profile`` (its first, if
+    tied), by default :func:`azimuthal_profile` of ``cfg``.
+    ``coupling_dominated`` is exactly (omega/Omega < kappa). When the
+    coupling vanishes at the valley minimum, omega/Omega is +inf and the flag
+    is False. ``gravity_negligible`` is kappa > ``GRAVITY_NEGLIGIBLE_KAPPA``.
     """
     atom = cfg.atom
     kappa = atom.g_F * atom.m_F * MU_B * cfg.quad.gradient / (atom.mass * G_ACCEL)
     if profile is None:
         profile = azimuthal_profile(cfg)
-    pmin = profile.global_minimum()
-    if pmin.rabi > 1e-12 * cfg.rf.omega:
-        omega_over_rabi = cfg.rf.omega / pmin.rabi
+    rabi = float(profile.rabis[np.argmin(profile.potentials)])
+    if rabi > 1e-12 * cfg.rf.omega:
+        omega_over_rabi = cfg.rf.omega / rabi
     else:
         omega_over_rabi = math.inf
     return CriteriaReport(
         kappa=float(kappa),
         omega_over_rabi=float(omega_over_rabi),
         coupling_dominated=bool(omega_over_rabi < kappa),
-        gravity_negligible=bool(kappa > gravity_threshold),
+        gravity_negligible=bool(kappa > GRAVITY_NEGLIGIBLE_KAPPA),
     )
 
 
@@ -457,7 +427,6 @@ def analyze_trap(
     rho_factors: tuple[float, float] = (0.2, 3.0),
     z_band: float = 0.0,
     tolerances: ClassifierTolerances | None = None,
-    refine: bool = True,
 ) -> RingAnalysis:
     """Profile, classify and harmonically characterise one trap config."""
     r0 = resonance_radius(cfg)
@@ -465,13 +434,13 @@ def analyze_trap(
     cls = classify_geometry(profile, tolerances)
     notes = []
 
-    pots = profile.potentials()
+    pots = profile.potentials
     minima_idx = list(cls.minima_indices)
     if not minima_idx:  # flat ring or center trap: report the global minimum
         minima_idx = [int(np.argmin(pots))]
     minima = sorted(
         (
-            (profile.points[i].position, float(pots[i]), float(profile.points[i].azimuth))
+            (profile.position(i), float(pots[i]), float(profile.azimuths[i]))
             for i in minima_idx
         ),
         key=lambda t: t[1],
@@ -479,7 +448,7 @@ def analyze_trap(
 
     result = None
     freqs = None
-    if refine and cls.geometry is not Geometry.CENTER_TRAP:
+    if cls.geometry is not Geometry.CENTER_TRAP:
         start = minima[0][0].copy()
         box = (
             np.array([-3.2 * r0, -3.2 * r0, -0.45 * r0]),
@@ -503,6 +472,15 @@ def analyze_trap(
             notes.append(
                 "valley is not stationary in 3D (no harmonic minimum at the "
                 "ring plane); frequencies unavailable"
+            )
+        # the search and the Newton polish clip to the box, so a stop on a
+        # face is an exact match with a bound
+        if result is not None and np.any(
+            (result.position == box[0]) | (result.position == box[1])
+        ):
+            notes.append(
+                "minimum refinement stopped on a face of its search box; the "
+                "escape depth is measured from that point"
             )
 
     v_ref = result.value if result is not None else minima[0][1]

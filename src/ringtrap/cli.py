@@ -3,7 +3,9 @@ sweeps and synthetic images, all driven by one INI config.
 
 Every subcommand writes a resolved-config echo next to its outputs and is
 deterministic: identical configs produce byte-identical files. Exit codes:
-0 success, 2 configuration error, 3 numerical non-convergence, 4 I/O error.
+0 success, 2 configuration error (:class:`ConfigError`, raised before any
+computation), 3 numerical failure (any other package error or
+``ValueError``), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import numpy as np
 
 from .analysis import analyze_trap, frequency_sweep, resonance_radius
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    FitError,
-    MeasurementError,
-    RingtrapError,
-)
+from .errors import ConfigError, RingtrapError
 from .grids import sample_grid
 from .image_io import export_image_binary, export_image_csv
 from .imaging import add_noise, column_density, measure_ring_radius, thermal_density
@@ -184,15 +180,7 @@ def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
 def run_image(rc: RunConfig, outdir: Path) -> int:
     cfg = rc.trap()
     r0 = resonance_radius(cfg)
-    pixel = rc.get("imaging", "pixel_um") * 1e-6
-    half_xy = rc.get("imaging", "xy_halfwidth_factor") * r0
-    half_z = rc.get("imaging", "z_halfwidth_factor") * r0
-    n_half = int(np.ceil(half_xy / pixel))
-    n_xy = 2 * n_half + 1
-    extent = n_half * pixel
-    region = ((-extent, extent), (-extent, extent), (-half_z, half_z))
-    dims = (n_xy, n_xy, rc.get("imaging", "nz"))
-
+    region, dims = rc.image_grid(r0)
     density = thermal_density(
         cfg,
         temperature=rc.get("imaging", "temperature_uk") * 1e-6,
@@ -265,14 +253,7 @@ def main(argv=None) -> int:
     try:
         rc = load_config(args.config, overrides=args.set)
         outdir = Path(args.out) if args.out else Path(rc.get("output", "directory"))
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except (OSError, FileExistsError) as err:
-            print(f"ringtrap: cannot create output directory: {err}", file=sys.stderr)
-            return EXIT_IO
-        if not outdir.is_dir():
-            print(f"ringtrap: output path is not a directory: {outdir}", file=sys.stderr)
-            return EXIT_IO
+        outdir.mkdir(parents=True, exist_ok=True)  # raises if outdir is a file
         _echo_config(rc, outdir)
         if args.command == "potential":
             return run_potential(rc, outdir)
@@ -284,18 +265,12 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"ringtrap: config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, FitError, MeasurementError) as err:
-        print(f"ringtrap: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as err:
         print(f"ringtrap: i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except RingtrapError as err:
-        print(f"ringtrap: error: {err}", file=sys.stderr)
+    except (RingtrapError, ValueError) as err:
+        print(f"ringtrap: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:  # invalid derived inputs (regions, dims, ...)
-        print(f"ringtrap: config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 def entry() -> None:

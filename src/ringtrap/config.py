@@ -20,6 +20,7 @@ from .analysis import MIN_CLASSIFY_AZIMUTHS, ClassifierTolerances
 from .constants import SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
+from .grids import MAX_GRID_NODES
 from .units import convert_units
 
 
@@ -86,7 +87,7 @@ _SCHEMA = {
         "nz": _Key(int, 33, lambda v: v >= 2),
         "od_scale": _Key(float, 1.0, _positive),
         "noise_frac": _Key(float, 0.0, _non_negative),
-        "noise_seed": _Key(int, 0),
+        "noise_seed": _Key(int, 0, _non_negative),
     },
     "sweep": {
         "freq_mhz_start": _Key(float, 0.5, _positive),
@@ -102,6 +103,15 @@ _SCHEMA = {
 }
 
 _RANGE_KEYS = ("freq_mhz_start", "freq_mhz_stop", "freq_mhz_count")
+
+
+def _check_node_cap(section: str, dims) -> None:
+    n_nodes = math.prod(dims)
+    if n_nodes > MAX_GRID_NODES:
+        raise ConfigError(
+            f"[{section}] grid of {n_nodes} nodes exceeds the {MAX_GRID_NODES} "
+            "node limit"
+        )
 
 
 def _parse_value(section: str, key: str, raw: str, spec: _Key):
@@ -231,7 +241,21 @@ class RunConfig:
                 raise ConfigError(
                     f"[analysis] grid_n{ax}={n} needs a non-empty grid_{ax} range"
                 )
+        _check_node_cap("analysis", dims)
         return dims
+
+    def image_grid(self, r0: float):
+        """(region, dims) of the imaged box around a ring of resonance radius
+        ``r0``: square pixels, centred on the axis, with the in-plane
+        half-width rounded up to whole pixels.
+        """
+        pixel = self.get("imaging", "pixel_um") * 1e-6
+        half_z = self.get("imaging", "z_halfwidth_factor") * r0
+        n_half = int(math.ceil(self.get("imaging", "xy_halfwidth_factor") * r0 / pixel))
+        extent = n_half * pixel
+        dims = (2 * n_half + 1, 2 * n_half + 1, self.get("imaging", "nz"))
+        _check_node_cap("imaging", dims)
+        return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
 
     def sweep_frequencies_mhz(self) -> list:
         listed = self.get("sweep", "freq_mhz_list").strip()
@@ -271,8 +295,12 @@ class RunConfig:
             path = base_dir / path
         if not path.exists():
             raise ConfigError(f"[sweep] amplitude_table not found: {path}")
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"[sweep] amplitude_table is not text: {err}") from None
         rows = []
-        for ln, line in enumerate(path.read_text().splitlines(), start=1):
+        for ln, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("freq"):
                 continue
@@ -283,11 +311,18 @@ class RunConfig:
                     f"freq_MHz,bx_G,by_G,bz_G"
                 )
             try:
-                rows.append(tuple(float(p) for p in parts))
+                row = tuple(float(p) for p in parts)
             except ValueError:
                 raise ConfigError(
                     f"[sweep] amplitude_table line {ln}: non-numeric value"
                 ) from None
+            # the same limits as the [rf] keys: finite, amplitudes >= 0
+            if not all(math.isfinite(v) for v in row) or min(row[1:]) < 0:
+                raise ConfigError(
+                    f"[sweep] amplitude_table line {ln}: values must be finite "
+                    "and rf amplitudes non-negative"
+                )
+            rows.append(row)
         if len(rows) != n_rows:
             raise ConfigError(
                 f"[sweep] amplitude_table has {len(rows)} rows for {n_rows} "
@@ -373,7 +408,7 @@ def load_config(path, overrides=None) -> RunConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as err:
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"config syntax error: {err}") from None
 
     values = _blank_values()

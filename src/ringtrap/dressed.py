@@ -53,32 +53,20 @@ def coupling_prefactor(cfg: TrapConfig) -> float:
     return cfg.atom.g_F * MU_B / (2.0 * HBAR)
 
 
-def larmor_frequency(r, cfg: TrapConfig):
-    """Local Larmor frequency omega_0 [rad/s]; zero at the trap centre."""
-    r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    rad = np.sqrt(x * x + y * y + 4.0 * z * z)
-    return cfg.atom.g_F * MU_B * cfg.quad.gradient * rad / HBAR
+def resonance_radius(cfg: TrapConfig) -> float:
+    """z=0 radius of the zero-detuning shell: hbar*omega/(g_F mu_B B_q)."""
+    return HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
 
 
-def detuning(r, cfg: TrapConfig):
-    """delta = omega - omega_0(r): positive inside the resonance shell."""
-    return cfg.rf.omega - larmor_frequency(r, cfg)
-
-
-def rabi_squared(r, cfg: TrapConfig):
-    """Squared Rabi coupling |Omega|^2 [(rad/s)^2] at position(s) ``r``.
-
-    Vectorised over leading axes of ``r`` (shape (..., 3)); evaluates
-    C^2 |a - (n.a) n + n x b|^2 (see the module docstring).
-    """
+def _larmor_and_rabi_squared(r, cfg: TrapConfig):
+    """(omega_0, |Omega|^2) at ``r`` (..., 3), with R and n computed once."""
     r = np.asarray(r, dtype=float)
     rf = cfg.rf
     ax, ay, az = rf.b_x, rf.b_y * np.cos(rf.alpha), rf.b_z * np.cos(rf.beta)
     by, bz = rf.b_y * np.sin(rf.alpha), rf.b_z * np.sin(rf.beta)
-
     x, y, w = r[..., 0], r[..., 1], -2.0 * r[..., 2]
     rad = np.sqrt(x * x + y * y + w * w)
+    larmor = cfg.atom.g_F * MU_B * cfg.quad.gradient * rad / HBAR
     centre = rad == 0.0
     inv = 1.0 / np.where(centre, 1.0, rad)
     nx, ny, nz = x * inv, y * inv, w * inv
@@ -88,10 +76,23 @@ def rabi_squared(r, cfg: TrapConfig):
     uy = ay - na * ny - nx * bz
     uz = az - na * nz + nx * by
     t = np.where(centre, rf.b_x**2 + rf.b_y**2, ux * ux + uy * uy + uz * uz)
-
     pref = coupling_prefactor(cfg)
-    out = (pref * pref) * t
-    return float(out) if out.ndim == 0 else out
+    return larmor, (pref * pref) * t
+
+
+def larmor_frequency(r, cfg: TrapConfig):
+    """Local Larmor frequency omega_0 [rad/s]; zero at the trap centre."""
+    return _larmor_and_rabi_squared(r, cfg)[0]
+
+
+def detuning(r, cfg: TrapConfig):
+    """delta = omega - omega_0(r): positive inside the resonance shell."""
+    return cfg.rf.omega - larmor_frequency(r, cfg)
+
+
+def rabi_squared(r, cfg: TrapConfig):
+    """Squared Rabi coupling |Omega|^2 [(rad/s)^2] at position(s) ``r``."""
+    return _larmor_and_rabi_squared(r, cfg)[1]
 
 
 def rabi_frequency(r, cfg: TrapConfig):
@@ -102,8 +103,9 @@ def rabi_frequency(r, cfg: TrapConfig):
 def dressed_potential(r, cfg: TrapConfig):
     """Adiabatic potential V [J] at position(s) ``r`` of shape (..., 3)."""
     r = np.asarray(r, dtype=float)
-    delta = detuning(r, cfg)
-    om2 = rabi_squared(r, cfg)
+    larmor, om2 = _larmor_and_rabi_squared(r, cfg)
+    delta = cfg.rf.omega - larmor
+    del larmor  # one chunk-sized array fewer alive through the sqrt
     v = cfg.atom.m_F * HBAR * np.sqrt(delta * delta + om2)
     if cfg.gravity_on:
         v = v + cfg.atom.mass * G_ACCEL * r[..., 1]
@@ -142,13 +144,12 @@ def _check_fd_step(h: float):
 
 
 def potential_gradient(r, cfg: TrapConfig, h: float = 1e-7):
-    """Central-difference gradient of V [J/m], O(h^2) accurate."""
+    """Central-difference gradient of V [J/m], O(h^2) accurate; one kernel call."""
     r = np.asarray(r, dtype=float)
     _check_fd_step(h)
     steps = h * np.eye(3)
-    plus = dressed_potential(r + steps, cfg)
-    minus = dressed_potential(r - steps, cfg)
-    return (plus - minus) / (2.0 * h)
+    v = dressed_potential(np.concatenate([r + steps, r - steps]), cfg)
+    return (v[:3] - v[3:]) / (2.0 * h)
 
 
 def potential_hessian(r, cfg: TrapConfig, h: float = 1e-7):
@@ -167,8 +168,7 @@ def potential_hessian(r, cfg: TrapConfig, h: float = 1e-7):
          plus + e[j], plus - e[j], minus + e[j], minus - e[j]]
     )
     v = dressed_potential(pts, cfg)
-    v0, vp, vm = v[0], v[1:4], v[4:7]
-    vpp, vpm, vmp, vmm = v[7:10], v[10:13], v[13:16], v[16:19]
+    v0, (vp, vm, vpp, vpm, vmp, vmm) = v[0], v[1:].reshape(6, 3)
     hess = np.diag((vp - 2.0 * v0 + vm) / (4.0 * h * h))
     hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * h * h)
     return 0.5 * (hess + hess.T)

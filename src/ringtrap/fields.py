@@ -60,10 +60,6 @@ class RfConfig:
         object.__setattr__(self, "alpha", _reduce_phase(self.alpha))
         object.__setattr__(self, "beta", _reduce_phase(self.beta))
 
-    @property
-    def max_amplitude(self) -> float:
-        return max(self.b_x, self.b_y, self.b_z)
-
 
 @dataclass(frozen=True)
 class TrapConfig:

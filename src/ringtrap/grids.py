@@ -30,7 +30,6 @@ class ScalarGrid:
     spacing: tuple
     dims: tuple
     values: np.ndarray = field(repr=False)
-    unit: str = "J"
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
@@ -88,7 +87,7 @@ def _axis_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return lo + spacing * np.arange(n), spacing
 
 
-def sample_grid(cfg: TrapConfig, region, dims, unit: str = "J") -> ScalarGrid:
+def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     """Evaluate the dressed potential on every node of a rectangular grid.
 
     Parameters
@@ -133,5 +132,4 @@ def sample_grid(cfg: TrapConfig, region, dims, unit: str = "J") -> ScalarGrid:
         spacing=tuple(spacings),
         dims=dims,
         values=vals.reshape(dims),
-        unit=unit,
     )

@@ -90,17 +90,14 @@ def thermal_density(
         raise ValueError("temperature must be positive")
     if atom_number < 0:
         raise ValueError("atom number must be non-negative")
-    grid = sample_grid(cfg, region, dims)
+    grid = sample_grid(cfg, region, dims)  # ScalarGrid rejects non-finite values
     v = grid.values
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential evaluation failed on the density grid")
     weight = np.exp(-(v - v.min()) / (K_B * temperature))
     raw = ScalarGrid(
         origin=grid.origin,
         spacing=grid.spacing,
         dims=grid.dims,
         values=weight,
-        unit="1/m^3",
     )
     norm = raw.integral()
     if norm <= 0:
@@ -110,7 +107,6 @@ def thermal_density(
         spacing=grid.spacing,
         dims=grid.dims,
         values=weight * (atom_number / norm),
-        unit="1/m^3",
     )
 
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import G_ACCEL, HBAR, MU_B
+from .constants import G_ACCEL
 from .dressed import (
     _check_fd_step,
     dressed_potential,
     potential_gradient,
     potential_hessian,
     rabi_frequency,
+    resonance_radius,
 )
 from .errors import ConvergenceError
 from .fields import TrapConfig
@@ -30,6 +31,9 @@ SMOOTH_RABI_FRACTION = 0.01
 #: stationarity threshold on the gradient norm, in units of m*g
 STATIONARY_GRAD_FACTOR = 1e-8
 
+#: the pattern search stops once its mesh shrinks to this step [m]
+MIN_MESH_STEP = 1e-12
+
 
 @dataclass(frozen=True)
 class MinimizationResult:
@@ -37,7 +41,7 @@ class MinimizationResult:
 
     position: np.ndarray
     value: float
-    converged: bool  # mesh shrunk to min_step (or polish reached stationarity)
+    converged: bool  # mesh shrunk to MIN_MESH_STEP (or polish reached stationarity)
     stationary: bool  # gradient norm below 1e-8 * m * g
     smooth: bool  # coupling open at the minimum; harmonic analysis valid
     grad_norm: float | None
@@ -115,14 +119,13 @@ def find_minimum(
     cfg: TrapConfig,
     start,
     bounds=None,
-    step0: float | None = None,
-    min_step: float = 1e-12,
     max_iter: int = 10_000,
     h: float = 1e-7,
 ) -> MinimizationResult:
     """Locate a local minimum of the dressed potential near ``start``.
 
-    Pattern search runs first; where the coupling is open
+    Pattern search runs first, from a mesh of a twentieth of the resonance
+    radius, which spans the valley comfortably; where the coupling is open
     (|Omega| > 0.01 omega) a Newton polish then drives the central-difference
     gradient below ``1e-8 * m * g``. At coupling-closed cusp minima the
     potential is conical and that gradient criterion is unattainable, so
@@ -136,16 +139,12 @@ def find_minimum(
         ``h`` is not a valid finite-difference step.
     """
     _check_fd_step(h)
-    if step0 is None:
-        # a twentieth of the resonance radius spans the valley comfortably
-        char = HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
-        step0 = char / 20.0
     if bounds is not None:
         bounds = tuple(np.asarray(b, dtype=float) for b in bounds)
 
     f = lambda r: dressed_potential(r, cfg)
     x, fx, it, evals, hit_cap = pattern_search(
-        f, start, step0, min_step, bounds, max_iter
+        f, start, resonance_radius(cfg) / 20.0, MIN_MESH_STEP, bounds, max_iter
     )
     if hit_cap:
         raise ConvergenceError(

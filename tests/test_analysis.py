@@ -53,16 +53,16 @@ def test_resonance_radius_inverse_in_gradient():
 
 def test_profile_flat_for_circular(fig2b):
     prof = azimuthal_profile(fig2b, n_phi=64)
-    pots = prof.potentials()
+    pots = prof.potentials
     assert (pots.max() - pots.min()) / pots.max() < 1e-9
-    radii = prof.radii()
+    radii = prof.radii
     assert radii.std() / radii.mean() < 1e-6  # azimuth-independent ring radius
 
 
 def test_profile_double_well_for_linear(fig2a):
     prof = azimuthal_profile(fig2a, n_phi=64)
-    pots = prof.potentials()
-    phis = prof.azimuths()
+    pots = prof.potentials
+    phis = prof.azimuths
     # two equal zero minima at phi = 0 and pi, barriers at +-pi/2
     assert pots[phis == 0.0][0] == pytest.approx(0.0, abs=1e-6 * prof.energy_scale)
     i_pi = int(np.argmin(np.abs(phis - np.pi)))
@@ -81,17 +81,17 @@ def test_profile_brute_force_oracle(fig2a):
     r0 = prof.resonance_radius
     from ringtrap import dressed_potential
 
-    for p in prof.points[:4]:
+    for phi, v in zip(prof.azimuths[:4], prof.potentials[:4]):
         rr = np.linspace(0.2 * r0, 3 * r0, 20001)
-        pts = np.stack([rr * math.cos(p.azimuth), rr * math.sin(p.azimuth), np.zeros_like(rr)], axis=-1)
+        pts = np.stack([rr * math.cos(phi), rr * math.sin(phi), np.zeros_like(rr)], axis=-1)
         dense = dressed_potential(pts, fig2a).min()
-        assert p.potential <= dense + 1e-45
+        assert v <= dense + 1e-45
 
 
 def test_profile_fig2c_open_ring(fig2c):
     prof = azimuthal_profile(fig2c, n_phi=64)
-    pots = prof.potentials()
-    rabis = prof.rabis()
+    pots = prof.potentials
+    rabis = prof.rabis
     # modulated but open: the valley coupling never closes
     assert (pots.max() - pots.min()) > 0.1 * prof.energy_scale / 10
     assert rabis.min() > 0.2 * rabis.max()
@@ -104,8 +104,8 @@ def test_profile_z_band_finds_lower_valley(fig2c):
     # the zx coupling term lowers the valley off the z=0 plane
     flat = azimuthal_profile(fig2c, n_phi=16)
     banded = azimuthal_profile(fig2c, n_phi=16, z_band=0.3 * resonance_radius(fig2c))
-    assert banded.potentials()[0] < flat.potentials()[0]
-    assert abs(banded.points[0].z) > 1e-6
+    assert banded.potentials[0] < flat.potentials[0]
+    assert abs(banded.z[0]) > 1e-6
 
 
 def test_profile_requires_min_azimuths(fig2a):
@@ -351,7 +351,8 @@ def test_escape_depth_matches_per_ray_oracle(name, monkeypatch):
     # climbs to its end) and a generic point
     cfg = reference_configs()[name]
     r0 = resonance_radius(cfg)
-    floor = azimuthal_profile(cfg).global_minimum().position
+    prof = azimuthal_profile(cfg)
+    floor = prof.position(int(np.argmin(prof.potentials)))
     calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
     for origin in (floor, np.zeros(3), np.array([0.5 * r0, 0.3 * r0, 0.1 * r0])):
         v = float(dressed_potential(origin, cfg))
@@ -362,7 +363,16 @@ def test_escape_depth_matches_per_ray_oracle(name, monkeypatch):
             assert np.array_equal(got, escape_depth_per_ray(cfg, origin, v_min, r0))
 
 
+def test_analyze_notes_refinement_on_box_face(fig2b):
+    # the circular ring's refinement leaves the ring plane for the z face of
+    # its search box; the gravity ring's stays inside
+    face = "minimum refinement stopped on a face of its search box"
+    assert any(n.startswith(face) for n in analyze_trap(fig2b).notes)
+    gravity = reference_configs()["gravity"]
+    assert not any(n.startswith(face) for n in analyze_trap(gravity).notes)
+
+
 def test_analyze_ring_radius_positive(fig2b):
-    analysis = analyze_trap(fig2b, refine=False)
+    analysis = analyze_trap(fig2b)
     assert analysis.ring_radius > 0
     assert analysis.ring_radius == pytest.approx(analysis.resonance_radius, rel=1e-6)

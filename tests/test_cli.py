@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ringtrap.cli
 from ringtrap import rabi_frequency
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from ringtrap.config import load_config
@@ -163,6 +164,20 @@ def test_sweep_amplitude_table_center_trap(ini, tmp_path):
     assert lines[2].split(",")[4] == "center-trap"
 
 
+@pytest.mark.parametrize("bad", ["-0.7", "nan", "inf"])
+def test_invalid_amplitude_table_entry_rejected_at_load(ini, tmp_path, bad):
+    table = tmp_path / "amps.csv"
+    table.write_text(f"freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n3.0,{bad},0,0\n")
+    out = tmp_path / "swn"
+    code = main(
+        ["sweep", "--config", str(ini), "--out", str(out),
+         "--set", "sweep.freq_mhz_list=1.0,3.0",
+         "--set", f"sweep.amplitude_table={table}"]
+    )
+    assert code == EXIT_CONFIG
+    assert not (out / "sweep.csv").exists()
+
+
 def test_image_outputs_and_measurement(ini, tmp_path):
     out = tmp_path / "im"
     assert main(["image", "--config", str(ini), "--out", str(out)]) == EXIT_OK
@@ -247,6 +262,32 @@ def test_numeric_error_exit_code(ini, tmp_path):
         ["image", "--config", str(ini), "--out", str(out), "--set", "imaging.atom_number=0"]
     )
     assert code == EXIT_NUMERIC
+
+
+def test_grid_node_cap_is_a_config_error(ini, tmp_path):
+    big = ["--set", "analysis.grid_nx=20000", "--set", "analysis.grid_ny=20000"]
+    argv = ["potential", "--config", str(ini), "--out", str(tmp_path / "p")]
+    assert main(argv + big) == EXIT_CONFIG
+    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "i")]
+    assert main(argv + ["--set", "imaging.pixel_um=0.01"]) == EXIT_CONFIG
+
+
+def test_invalid_seed_and_non_text_config_are_config_errors(ini, tmp_path):
+    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "s")]
+    assert main(argv + ["--set", "imaging.noise_seed=-1"]) == EXIT_CONFIG
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xff\xfe[rf]\n")
+    argv = ["potential", "--config", str(binary), "--out", str(tmp_path / "b")]
+    assert main(argv) == EXIT_CONFIG
+
+
+def test_stray_value_error_is_a_numerical_failure(ini, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("failure deep in the numerics")
+
+    monkeypatch.setattr(ringtrap.cli, "analyze_trap", broken)
+    argv = ["analyze", "--config", str(ini), "--out", str(tmp_path / "v")]
+    assert main(argv) == EXIT_NUMERIC
 
 
 def test_io_error_exit_code(ini, tmp_path):

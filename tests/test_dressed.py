@@ -200,6 +200,21 @@ def test_sample_point_consistency(fig2b):
     assert s.potential == pytest.approx(RB87.m_F * HBAR * s.rabi, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_potential_composes_detuning_and_coupling(name):
+    # V is built from the same omega_0 and |Omega|^2 the public helpers return
+    cfg = reference_configs()[name]
+    r0 = resonance_radius(cfg)
+    pts = np.random.default_rng(11).uniform(-2.0, 2.0, (200, 3)) * r0
+    pts[:20, :2] = 0.0  # on the z axis
+    pts[20] = 0.0  # the trap centre
+    delta = detuning(pts, cfg)
+    expected = RB87.m_F * HBAR * np.sqrt(delta * delta + rabi_squared(pts, cfg))
+    if cfg.gravity_on:
+        expected = expected + RB87.mass * G_ACCEL * pts[:, 1]
+    assert np.array_equal(dressed_potential(pts, cfg), expected)
+
+
 # -- finite differences ------------------------------------------------------
 
 def test_gradient_of_gravity_term():
