@@ -101,13 +101,14 @@ def azimuthal_profile(
     cfg: TrapConfig,
     n_phi: int = 64,
     rho_factors: tuple[float, float] = (0.2, 3.0),
-    z_band: float = 0.0,
+    z_band_factor: float = 0.0,
 ) -> AzimuthalProfile:
     """Minimise V over the radial(-axial) window at each azimuth.
 
     For every azimuth phi the potential is minimised over
-    rho in [0.2, 3] * r0 (factors configurable) and, when ``z_band`` > 0,
-    z in [-z_band, z_band]. The default is the z = 0 plane: that is the
+    rho in [0.2, 3] * r0 (factors configurable) and, when ``z_band_factor``
+    > 0, z in [-z_band_factor, z_band_factor] * r0, where r0 is the
+    resonance radius of ``cfg``. The default is the z = 0 plane: that is the
     plane the ring, wells and any azimuthal asymmetry live in, and the
     plane absorption images project onto. The minimisation is an iterated
     grid zoom, evaluated for all azimuths in lockstep; it is deterministic
@@ -115,10 +116,11 @@ def azimuthal_profile(
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
-    if z_band < 0:
-        raise ValueError("z_band must be non-negative")
+    if z_band_factor < 0:
+        raise ValueError("z_band_factor must be non-negative")
     n_rho, n_z, zoom_iters = PROFILE_ZOOM
     r0 = resonance_radius(cfg)
+    z_band = z_band_factor * r0
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     cosp, sinp = np.cos(phis), np.sin(phis)
 
@@ -425,12 +427,14 @@ def analyze_trap(
     cfg: TrapConfig,
     n_phi: int = 64,
     rho_factors: tuple[float, float] = (0.2, 3.0),
-    z_band: float = 0.0,
+    z_band_factor: float = 0.0,
     tolerances: ClassifierTolerances | None = None,
 ) -> RingAnalysis:
     """Profile, classify and harmonically characterise one trap config."""
     r0 = resonance_radius(cfg)
-    profile = azimuthal_profile(cfg, n_phi=n_phi, rho_factors=rho_factors, z_band=z_band)
+    profile = azimuthal_profile(
+        cfg, n_phi=n_phi, rho_factors=rho_factors, z_band_factor=z_band_factor
+    )
     cls = classify_geometry(profile, tolerances)
     notes = []
 
@@ -525,13 +529,14 @@ def frequency_sweep(
     amplitudes=None,
     n_phi: int = 64,
     rho_factors: tuple[float, float] = (0.2, 3.0),
-    z_band: float = 0.0,
+    z_band_factor: float = 0.0,
     tolerances: ClassifierTolerances | None = None,
 ) -> list[SweepPoint]:
     """Analyse the trap at each dressing frequency.
 
     ``amplitudes`` optionally overrides (b_x, b_y, b_z) per frequency
-    (user-supplied antenna response table, tesla). A failure at one
+    (user-supplied antenna response table, tesla). The rho window and the
+    z band scale with each row's own resonance radius. A failure at one
     frequency is recorded on its row; the sweep continues.
     """
     omegas = [float(w) for w in omegas]
@@ -554,7 +559,7 @@ def frequency_sweep(
             cfg_i = cfg.with_rf(**changes)
             r_res = resonance_radius(cfg_i)
             profile = azimuthal_profile(
-                cfg_i, n_phi=n_phi, rho_factors=rho_factors, z_band=z_band
+                cfg_i, n_phi=n_phi, rho_factors=rho_factors, z_band_factor=z_band_factor
             )
             cls = classify_geometry(profile, tolerances)
             rows.append(

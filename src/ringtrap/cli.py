@@ -85,13 +85,11 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_analyze(rc: RunConfig, outdir: Path) -> int:
-    cfg = rc.trap()
-    r0 = resonance_radius(cfg)
     analysis = analyze_trap(
-        cfg,
+        rc.trap(),
         n_phi=rc.get("analysis", "n_phi"),
         rho_factors=rc.rho_factors(),
-        z_band=rc.get("analysis", "z_band_factor") * r0,
+        z_band_factor=rc.get("analysis", "z_band_factor"),
         tolerances=rc.classifier_tolerances(),
     )
     criteria = analysis.criteria
@@ -137,27 +135,15 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
 def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
     cfg = rc.trap()
     freqs_mhz = rc.sweep_frequencies_mhz()
-    table_g = rc.amplitude_table_g(len(freqs_mhz), config_dir)
+    amplitudes = rc.sweep_amplitudes_t(freqs_mhz, config_dir)
     omegas = [convert_units(f, "MHz", "rad/s") for f in freqs_mhz]
-    amplitudes = None
-    if table_g is not None:
-        for (f_mhz, *_), f_want in zip(table_g, freqs_mhz):
-            if abs(f_mhz - f_want) > 1e-9 * max(abs(f_want), 1.0):
-                raise ConfigError(
-                    f"[sweep] amplitude_table frequency {f_mhz} MHz does not "
-                    f"match sweep frequency {f_want} MHz"
-                )
-        amplitudes = [
-            tuple(convert_units(b, "G", "T") for b in row[1:]) for row in table_g
-        ]
-    r0 = resonance_radius(cfg)
     rows = frequency_sweep(
         cfg,
         omegas,
         amplitudes=amplitudes,
         n_phi=rc.get("analysis", "n_phi"),
         rho_factors=rc.rho_factors(),
-        z_band=rc.get("analysis", "z_band_factor") * r0,
+        z_band_factor=rc.get("analysis", "z_band_factor"),
         tolerances=rc.classifier_tolerances(),
     )
     um = 1e6
@@ -188,7 +174,7 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
         dims=dims,
         atom_number=rc.get("imaging", "atom_number"),
     )
-    image = column_density(density, axis="z", od_scale=rc.get("imaging", "od_scale"))
+    image = column_density(density, od_scale=rc.get("imaging", "od_scale"))
     noise = rc.get("imaging", "noise_frac")
     if noise > 0:
         image = add_noise(image, noise, seed=rc.get("imaging", "noise_seed"))

@@ -285,8 +285,10 @@ class RunConfig:
             raise ConfigError("[sweep] frequencies must be positive")
         return freqs
 
-    def amplitude_table_g(self, n_rows: int, base_dir: Path):
-        """Optional per-frequency (bx, by, bz) override table in gauss."""
+    def sweep_amplitudes_t(self, freqs_mhz, base_dir: Path):
+        """Per-frequency (bx, by, bz) rf amplitudes in tesla from the optional
+        ``amplitude_table`` (rows ``freq_MHz,bx_G,by_G,bz_G``, one per sweep
+        frequency, in order), or None when no table is configured."""
         path_str = self.get("sweep", "amplitude_table").strip()
         if not path_str:
             return None
@@ -323,12 +325,18 @@ class RunConfig:
                     "and rf amplitudes non-negative"
                 )
             rows.append(row)
-        if len(rows) != n_rows:
+        if len(rows) != len(freqs_mhz):
             raise ConfigError(
-                f"[sweep] amplitude_table has {len(rows)} rows for {n_rows} "
+                f"[sweep] amplitude_table has {len(rows)} rows for {len(freqs_mhz)} "
                 "sweep frequencies"
             )
-        return rows
+        for (f_mhz, *_), f_want in zip(rows, freqs_mhz):
+            if abs(f_mhz - f_want) > 1e-9 * max(abs(f_want), 1.0):
+                raise ConfigError(
+                    f"[sweep] amplitude_table frequency {f_mhz} MHz does not "
+                    f"match sweep frequency {f_want} MHz"
+                )
+        return [tuple(convert_units(b, "G", "T") for b in row[1:]) for row in rows]
 
     def output_formats(self) -> list:
         toks = [t.strip() for t in self.get("output", "formats").split(",") if t.strip()]

@@ -6,6 +6,7 @@ they set the energy scales for every potential evaluated by this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 HBAR = 1.054571817e-34  # reduced Planck constant [J s]
@@ -39,6 +40,8 @@ class AtomSpecies:
     label: str = ""
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mass, self.g_F, self.m_F)):
+            raise ValueError("atom mass, g_F and m_F must be finite")
         if not self.mass > 0:
             raise ValueError("atom mass must be positive")
         if self.m_F < 1 or self.g_F * self.m_F <= 0:

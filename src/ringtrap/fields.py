@@ -33,6 +33,8 @@ class QuadrupoleConfig:
     gradient: float
 
     def __post_init__(self):
+        if not math.isfinite(self.gradient):
+            raise ValueError("quadrupole gradient must be finite")
         if not self.gradient > 0:
             raise ValueError("quadrupole gradient must be positive")
 
@@ -53,6 +55,9 @@ class RfConfig:
     omega: float = 0.0
 
     def __post_init__(self):
+        values = (self.b_x, self.b_y, self.b_z, self.alpha, self.beta, self.omega)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("rf amplitudes, phases and omega must be finite")
         if min(self.b_x, self.b_y, self.b_z) < 0:
             raise ValueError("rf amplitudes must be non-negative")
         if not self.omega > 0:

@@ -77,16 +77,6 @@ class ScalarGrid:
         return np.array([ax[i][idx[i]] for i in range(3)])
 
 
-def _axis_nodes(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
-    if n == 1:
-        return np.array([0.5 * (lo + hi)]), 1.0
-    if not hi > lo:
-        raise ValueError("region must have positive extent on multi-node axes")
-    spacing = (hi - lo) / (n - 1)
-    # same arithmetic ScalarGrid.axes() uses, so positions reconstruct exactly
-    return lo + spacing * np.arange(n), spacing
-
-
 def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     """Evaluate the dressed potential on every node of a rectangular grid.
 
@@ -110,12 +100,19 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
             f"grid of {n_nodes} nodes exceeds the {MAX_GRID_NODES} node limit; "
             "reduce dims or sample the region in pieces"
         )
-    region = [(float(lo), float(hi)) for lo, hi in region]
-    axes, spacings = [], []
+    origin, spacing = [], []
     for (lo, hi), n in zip(region, dims):
-        ax, sp = _axis_nodes(lo, hi, n)
-        axes.append(ax)
-        spacings.append(sp)
+        lo, hi = float(lo), float(hi)
+        if n == 1:
+            origin.append(0.5 * (lo + hi))
+            spacing.append(1.0)
+            continue
+        if not hi > lo:
+            raise ValueError("region must have positive extent on multi-node axes")
+        origin.append(lo)
+        spacing.append((hi - lo) / (n - 1))
+    # the node coordinates ScalarGrid.axes() reports, so positions reconstruct exactly
+    axes = [o + s * np.arange(n) for o, s, n in zip(origin, spacing, dims)]
 
     # fill in C-order chunks; positions are built per chunk to bound memory
     nx, ny, nz = dims
@@ -127,9 +124,4 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
         iy, iz = np.divmod(rem, nz)
         pts = np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=-1)
         vals[start:stop] = dressed_potential(pts, cfg)
-    return ScalarGrid(
-        origin=(axes[0][0], axes[1][0], axes[2][0]),
-        spacing=tuple(spacings),
-        dims=dims,
-        values=vals.reshape(dims),
-    )
+    return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals.reshape(dims))

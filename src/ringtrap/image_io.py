@@ -4,6 +4,10 @@ CSV stores full-precision floats (``repr`` round-trip, so import is exact).
 The binary format quantises to uint16 with a scale recorded in the sidecar;
 an imported image remembers that scale, so export -> import -> export
 reproduces both files byte for byte.
+
+Both formats carry the same ``key=value`` metadata lines; images are always
+projected along z, so the ``axis_labels`` line is fixed and ignored on
+import.
 """
 
 from __future__ import annotations
@@ -17,48 +21,54 @@ from .imaging import SyntheticImage
 _HDR_VERSION = "1"
 
 
-def export_image_csv(image: SyntheticImage, path) -> None:
-    """Write the image as a comment-headed CSV matrix of repr floats."""
-    path = Path(path)
+def _meta_lines(image: SyntheticImage, units: str) -> list[str]:
+    """The metadata lines both formats share, without comment markers."""
     n0, n1 = image.dims
-    lines = [
-        f"# ringtrap image csv v{_HDR_VERSION}",
-        f"# dims={n0},{n1}",
-        f"# pixel_size_m={image.pixel_size!r}",
-        f"# origin_m={image.origin[0]!r},{image.origin[1]!r}",
-        f"# axis_labels={image.axis_labels[0]},{image.axis_labels[1]}",
-        "# units=atoms/m^2 * od_scale",
-        f"# od_scale={image.od_scale!r}",
+    return [
+        f"dims={n0},{n1}",
+        f"pixel_size_m={image.pixel_size!r}",
+        f"origin_m={image.origin[0]!r},{image.origin[1]!r}",
+        "axis_labels=x,y",
+        f"units={units}",
+        f"od_scale={image.od_scale!r}",
     ]
-    for row in image.values.tolist():
-        lines.append(",".join(repr(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
-def import_image_csv(path) -> SyntheticImage:
-    path = Path(path)
-    meta = {}
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    values = np.array(rows, dtype=float)
-    origin = tuple(float(v) for v in meta.get("origin_m", "0,0").split(","))
-    labels = tuple(meta.get("axis_labels", "x,y").split(","))
+def _parse_meta(line: str, meta: dict) -> None:
+    """Record a ``key=value`` line in ``meta``; other lines are ignored."""
+    key, sep, val = line.partition("=")
+    if sep:
+        meta[key.strip()] = val.strip()
+
+
+def _image_from_meta(meta: dict, values: np.ndarray, quant_scale=None) -> SyntheticImage:
     return SyntheticImage(
         pixel_size=float(meta["pixel_size_m"]),
         values=values,
-        axis_labels=labels,
-        origin=origin,
+        origin=tuple(float(v) for v in meta.get("origin_m", "0,0").split(",")),
         od_scale=float(meta.get("od_scale", "1.0")),
+        quant_scale=quant_scale,
     )
+
+
+def export_image_csv(image: SyntheticImage, path) -> None:
+    """Write the image as a comment-headed CSV matrix of repr floats."""
+    lines = [f"# ringtrap image csv v{_HDR_VERSION}"]
+    lines += ["# " + line for line in _meta_lines(image, "atoms/m^2 * od_scale")]
+    for row in image.values.tolist():
+        lines.append(",".join(repr(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def import_image_csv(path) -> SyntheticImage:
+    meta = {}
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            _parse_meta(line[1:], meta)
+        elif line:
+            rows.append([float(v) for v in line.split(",")])
+    return _image_from_meta(meta, np.array(rows, dtype=float))
 
 
 def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
@@ -67,7 +77,6 @@ def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
     The quantisation scale is max/65535 unless the image carries the scale
     it was previously imported with, which keeps round trips bit-exact.
     """
-    data_path, header_path = Path(data_path), Path(header_path)
     vmax = float(image.values.max())
     scale = image.quant_scale
     if scale is None:
@@ -75,43 +84,23 @@ def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
     quant = np.rint(image.values / scale).astype("<u2") if scale > 0 else np.zeros(
         image.dims, dtype="<u2"
     )
-    n0, n1 = image.dims
-    header = "\n".join(
-        [
-            f"format=ringtrap-u16 v{_HDR_VERSION}",
-            f"dims={n0},{n1}",
-            f"pixel_size_m={image.pixel_size!r}",
-            f"origin_m={image.origin[0]!r},{image.origin[1]!r}",
-            f"axis_labels={image.axis_labels[0]},{image.axis_labels[1]}",
-            "units=atoms/m^2 * od_scale (for value = u16 * scale)",
-            f"od_scale={image.od_scale!r}",
-            f"scale={scale!r}",
-            "dtype=uint16",
-            "byteorder=little",
-            "order=row-major",
-        ]
-    )
-    header_path.write_text(header + "\n")
-    data_path.write_bytes(quant.tobytes())
+    header = [
+        f"format=ringtrap-u16 v{_HDR_VERSION}",
+        *_meta_lines(image, "atoms/m^2 * od_scale (for value = u16 * scale)"),
+        f"scale={scale!r}",
+        "dtype=uint16",
+        "byteorder=little",
+        "order=row-major",
+    ]
+    Path(header_path).write_text("\n".join(header) + "\n")
+    Path(data_path).write_bytes(quant.tobytes())
 
 
 def import_image_binary(data_path, header_path) -> SyntheticImage:
-    data_path, header_path = Path(data_path), Path(header_path)
     meta = {}
-    for line in header_path.read_text().splitlines():
-        if "=" in line:
-            key, _, val = line.partition("=")
-            meta[key.strip()] = val.strip()
+    for line in Path(header_path).read_text().splitlines():
+        _parse_meta(line, meta)
     n0, n1 = (int(v) for v in meta["dims"].split(","))
     scale = float(meta["scale"])
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<u2").reshape(n0, n1)
-    origin = tuple(float(v) for v in meta.get("origin_m", "0,0").split(","))
-    labels = tuple(meta.get("axis_labels", "x,y").split(","))
-    return SyntheticImage(
-        pixel_size=float(meta["pixel_size_m"]),
-        values=raw.astype(float) * scale,
-        axis_labels=labels,
-        origin=origin,
-        od_scale=float(meta.get("od_scale", "1.0")),
-        quant_scale=scale,
-    )
+    raw = np.frombuffer(Path(data_path).read_bytes(), dtype="<u2").reshape(n0, n1)
+    return _image_from_meta(meta, raw.astype(float) * scale, quant_scale=scale)

@@ -1,16 +1,16 @@
 """Synthetic absorption imaging of a thermal cloud and ring-radius readout.
 
 A thermal cloud in the dressed trap is modelled with a Boltzmann density
-n(r) ~ exp(-(V - V_min)/k_B T), projected along a probe axis into a column
-density map, and the ring radius is measured the way it is done on real
-absorption images: two-Gaussian fits to diameter profiles through the cloud
-centroid, averaged over directions.
+n(r) ~ exp(-(V - V_min)/k_B T), projected along the quadrupole axis z into a
+column density map, and the ring radius is measured the way it is done on
+real absorption images: two-Gaussian fits to diameter profiles through the
+cloud centroid, averaged over directions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +19,6 @@ from .errors import MeasurementError
 from .fields import TrapConfig
 from .gaussfit import FitError, fit_two_gaussians
 from .grids import ScalarGrid, sample_grid
-
-_AXES = {"x": 0, "y": 1, "z": 2}
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class SyntheticImage:
 
     pixel_size: float
     values: np.ndarray
-    axis_labels: tuple = ("x", "y")
     origin: tuple = (0.0, 0.0)
     od_scale: float = 1.0
     quant_scale: float | None = None  # uint16 scale this image was stored with
@@ -85,55 +82,47 @@ def thermal_density(
     Normalised so the trapezoidal integral over the grid equals
     ``atom_number``. The grid region doubles as the trap truncation: only
     population inside it is modelled.
+
+    The potential grid is made here and does not escape before it is
+    turned into the density in place: the density keeps the one grid array
+    the fill allocates, and only the normalising integral adds temporaries.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     if atom_number < 0:
         raise ValueError("atom number must be non-negative")
     grid = sample_grid(cfg, region, dims)  # ScalarGrid rejects non-finite values
-    v = grid.values
-    weight = np.exp(-(v - v.min()) / (K_B * temperature))
-    raw = ScalarGrid(
-        origin=grid.origin,
-        spacing=grid.spacing,
-        dims=grid.dims,
-        values=weight,
-    )
-    norm = raw.integral()
+    w = grid.values
+    w -= w.min()
+    w /= -(K_B * temperature)
+    np.exp(w, out=w)  # weights in [0, 1]
+    norm = grid.integral()
     if norm <= 0:
         raise ValueError("density normalisation integral vanished")
-    return ScalarGrid(
-        origin=grid.origin,
-        spacing=grid.spacing,
-        dims=grid.dims,
-        values=weight * (atom_number / norm),
-    )
+    scale = atom_number / norm
+    if not math.isfinite(scale):
+        raise ValueError("density scale atom_number / integral is not finite")
+    w *= scale
+    return grid
 
 
-def column_density(density: ScalarGrid, axis: str = "z", od_scale: float = 1.0) -> SyntheticImage:
-    """Project a 3D density along one axis by trapezoidal integration.
+def column_density(density: ScalarGrid, od_scale: float = 1.0) -> SyntheticImage:
+    """Project a 3D density along z by trapezoidal integration.
 
-    The two remaining axes must share their pixel pitch (square pixels).
-    With the density normalised by :func:`thermal_density`, the image
-    integral equals the atom number to machine precision.
+    The x and y spacings must agree (square pixels). With the density
+    normalised by :func:`thermal_density`, the image integral equals the
+    atom number to machine precision.
     """
-    try:
-        k = _AXES[axis]
-    except KeyError:
-        raise ValueError(f"projection axis must be one of x, y, z; got {axis!r}")
-    if density.dims[k] < 2:
+    if density.dims[2] < 2:
         raise ValueError("projection axis is collapsed; nothing to integrate")
-    img = np.trapezoid(density.values, dx=density.spacing[k], axis=k)
-    keep = [i for i in range(3) if i != k]
-    p0, p1 = density.spacing[keep[0]], density.spacing[keep[1]]
+    p0, p1 = density.spacing[0], density.spacing[1]
     if not math.isclose(p0, p1, rel_tol=1e-12):
         raise ValueError("image pixels must be square; grid spacings differ")
-    labels = tuple("xyz"[i] for i in keep)
+    img = np.trapezoid(density.values, dx=density.spacing[2], axis=2)
     return SyntheticImage(
         pixel_size=p0,
         values=img * od_scale,
-        axis_labels=labels,
-        origin=(density.origin[keep[0]], density.origin[keep[1]]),
+        origin=density.origin[:2],
         od_scale=od_scale,
     )
 
@@ -148,13 +137,7 @@ def add_noise(image: SyntheticImage, sigma_frac: float, seed: int = 0) -> Synthe
     rng = np.random.default_rng(seed)
     sigma = sigma_frac * float(image.values.max())
     noisy = np.clip(image.values + rng.normal(0.0, sigma, image.values.shape), 0.0, None)
-    return SyntheticImage(
-        pixel_size=image.pixel_size,
-        values=noisy,
-        axis_labels=image.axis_labels,
-        origin=image.origin,
-        od_scale=image.od_scale,
-    )
+    return replace(image, values=noisy, quant_scale=None)
 
 
 # ---------------------------------------------------------------------------

@@ -81,4 +81,4 @@ def imaging_region(cfg, pixel=PIXEL, half_xy_factor=1.8, half_z_factor=0.1, nz=3
 def synth_image(cfg, temperature=20e-6, atoms=1e5, pixel=PIXEL):
     region, dims = imaging_region(cfg, pixel=pixel)
     dens = thermal_density(cfg, temperature, region, dims, atom_number=atoms)
-    return column_density(dens, axis="z")
+    return column_density(dens)

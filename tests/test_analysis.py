@@ -103,7 +103,7 @@ def test_profile_fig2c_open_ring(fig2c):
 def test_profile_z_band_finds_lower_valley(fig2c):
     # the zx coupling term lowers the valley off the z=0 plane
     flat = azimuthal_profile(fig2c, n_phi=16)
-    banded = azimuthal_profile(fig2c, n_phi=16, z_band=0.3 * resonance_radius(fig2c))
+    banded = azimuthal_profile(fig2c, n_phi=16, z_band_factor=0.3)
     assert banded.potentials[0] < flat.potentials[0]
     assert abs(banded.z[0]) > 1e-6
 
@@ -276,6 +276,22 @@ def test_sweep_per_row_failure_recorded(fig2b):
     rows = frequency_sweep(fig2b, omegas, amplitudes=amps)
     assert rows[0].error is None and rows[0].geometry is Geometry.SYMMETRIC_RING
     assert rows[1].error is not None and rows[1].geometry is None
+
+
+def test_sweep_non_finite_amplitude_is_a_row_error(fig2b):
+    rows = frequency_sweep(fig2b, [OMEGA_15MHZ], amplitudes=[(float("nan"), 0.0, 0.0)])
+    assert rows[0].error.startswith("ValueError: ")
+    assert rows[0].geometry is None and rows[0].barrier_height is None
+
+
+def test_sweep_z_band_scales_with_each_row_resonance_radius(fig2c):
+    # the band is a fraction of each row's own r0, as the rho window is
+    omegas = [0.5 * fig2c.rf.omega, 2.0 * fig2c.rf.omega]
+    rows = frequency_sweep(fig2c, omegas, z_band_factor=0.3)
+    for w, row in zip(omegas, rows):
+        direct = azimuthal_profile(fig2c.with_rf(omega=w), z_band_factor=0.3)
+        assert row.numeric_radius == direct.numeric_radius()
+        assert row.barrier_height == direct.barrier_height()
 
 
 def test_sweep_propagates_programming_errors(fig2b, monkeypatch):

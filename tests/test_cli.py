@@ -178,6 +178,19 @@ def test_invalid_amplitude_table_entry_rejected_at_load(ini, tmp_path, bad):
     assert not (out / "sweep.csv").exists()
 
 
+def test_amplitude_table_frequency_mismatch_is_a_config_error(ini, tmp_path):
+    table = tmp_path / "amps.csv"
+    table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n2.0,0.7,0.7,0\n")
+    out = tmp_path / "swm"
+    code = main(
+        ["sweep", "--config", str(ini), "--out", str(out),
+         "--set", "sweep.freq_mhz_list=1.0,3.0",
+         "--set", f"sweep.amplitude_table={table}"]
+    )
+    assert code == EXIT_CONFIG
+    assert not (out / "sweep.csv").exists()
+
+
 def test_image_outputs_and_measurement(ini, tmp_path):
     out = tmp_path / "im"
     assert main(["image", "--config", str(ini), "--out", str(out)]) == EXIT_OK

@@ -129,10 +129,13 @@ def test_amplitude_table_loaded_and_validated(tmp_path):
     table = tmp_path / "amps.csv"
     table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n2.0,0,0,0\n")
     rc = load_config(write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0, 2.0\namplitude_table = amps.csv\n"))
-    rows = rc.amplitude_table_g(2, tmp_path)
-    assert rows[0] == (1.0, 0.7, 0.7, 0.0)
+    rows = rc.sweep_amplitudes_t([1.0, 2.0], tmp_path)
+    assert rows == [(0.7e-4, 0.7e-4, 0.0), (0.0, 0.0, 0.0)]
     with pytest.raises(ConfigError, match="rows"):
-        rc.amplitude_table_g(3, tmp_path)
+        rc.sweep_amplitudes_t([1.0, 2.0, 3.0], tmp_path)
+    with pytest.raises(ConfigError, match="does not match"):
+        rc.sweep_amplitudes_t([1.0, 2.5], tmp_path)
+    assert load_config(write(tmp_path, MINIMAL)).sweep_amplitudes_t([1.0], tmp_path) is None
 
 
 def test_echo_deterministic(tmp_path):

@@ -88,3 +88,32 @@ def test_atom_species_validation():
         AtomSpecies(mass=1e-25, g_F=-0.5, m_F=2)  # high-field seeker
     with pytest.raises(ValueError):
         AtomSpecies(mass=1e-25, g_F=0.5, m_F=0)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RfConfig(b_x=_NAN, b_y=0, b_z=0, omega=1e6),
+        lambda: RfConfig(b_x=1e-4, b_y=_INF, b_z=0, omega=1e6),
+        lambda: RfConfig(b_x=1e-4, b_y=0, b_z=-_INF, omega=1e6),
+        lambda: RfConfig(b_x=1e-4, b_y=0, b_z=0, alpha=_NAN, omega=1e6),
+        lambda: RfConfig(b_x=1e-4, b_y=0, b_z=0, beta=_INF, omega=1e6),
+        lambda: RfConfig(b_x=1e-4, b_y=0, b_z=0, omega=_INF),
+        lambda: QuadrupoleConfig(gradient=_INF),
+        lambda: QuadrupoleConfig(gradient=_NAN),
+        lambda: AtomSpecies(mass=1e-25, g_F=_NAN, m_F=2),
+        lambda: AtomSpecies(mass=_INF, g_F=0.5, m_F=2),
+        lambda: AtomSpecies(mass=1e-25, g_F=0.5, m_F=_NAN),
+    ],
+    ids=[
+        "rf-nan-bx", "rf-inf-by", "rf-neg-inf-bz", "rf-nan-alpha", "rf-inf-beta",
+        "rf-inf-omega", "quad-inf", "quad-nan", "atom-nan-gF", "atom-inf-mass",
+        "atom-nan-mF",
+    ],
+)
+def test_non_finite_physics_inputs_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

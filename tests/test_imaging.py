@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ringtrap.imaging
 from ringtrap import (
     SyntheticImage,
     add_noise,
@@ -12,7 +13,7 @@ from ringtrap import (
 )
 from ringtrap.constants import K_B
 from ringtrap.errors import MeasurementError
-from ringtrap.grids import ScalarGrid
+from ringtrap.grids import ScalarGrid, sample_grid
 from ringtrap.image_io import (
     export_image_binary,
     export_image_csv,
@@ -20,7 +21,7 @@ from ringtrap.image_io import (
     import_image_csv,
 )
 
-from conftest import PIXEL, imaging_region, synth_image
+from conftest import PIXEL, imaging_region, reference_configs, synth_image
 
 T20 = 20e-6
 
@@ -76,6 +77,39 @@ def test_density_azimuthally_uniform_circular(fig2b):
     assert (w.max() - w.min()) / w.max() < 1e-6
 
 
+def test_density_fills_the_sampled_grid_in_place(fig2b, monkeypatch):
+    filled = []
+
+    def capture(*args):
+        grid = sample_grid(*args)
+        filled.append(grid.values)
+        return grid
+
+    monkeypatch.setattr(ringtrap.imaging, "sample_grid", capture)
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    dens = thermal_density(fig2b, T20, region, dims)
+    assert np.shares_memory(dens.values, filled[0])
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_density_matches_out_of_place_oracle(name):
+    # the out-of-place formula the in-place transform replaced, bit for bit
+    cfg = reference_configs()[name]
+    region, dims = imaging_region(cfg, pixel=4 * PIXEL, nz=9)
+    dens = thermal_density(cfg, T20, region, dims, atom_number=3e4)
+    grid = sample_grid(cfg, region, dims)
+    v = grid.values
+    weight = np.exp(-(v - v.min()) / (K_B * T20))
+    norm = ScalarGrid(grid.origin, grid.spacing, grid.dims, weight).integral()
+    assert np.array_equal(dens.values, weight * (3e4 / norm))
+
+
+def test_non_finite_density_rejected(fig2b):
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    with pytest.raises(ValueError, match="finite"):
+        thermal_density(fig2b, T20, region, dims, atom_number=1e300)
+
+
 def test_zero_temperature_rejected(fig2b):
     with pytest.raises(ValueError):
         thermal_density(fig2b, 0.0, ((-1, 1), (-1, 1), (-1, 1)), (5, 5, 5))
@@ -88,14 +122,14 @@ def test_column_density_uniform_box():
         origin=(0, 0, 0), spacing=(1e-6, 1e-6, 2e-6), dims=(8, 8, 5),
         values=np.full((8, 8, 5), 3.0),
     )
-    img = column_density(grid, axis="z")
+    img = column_density(grid)
     np.testing.assert_allclose(img.values, 3.0 * 2e-6 * 4, rtol=1e-14)
 
 
 def test_column_density_conserves_atom_number(fig2b):
     region, dims = imaging_region(fig2b)
     dens = thermal_density(fig2b, T20, region, dims, atom_number=5e4)
-    img = column_density(dens, axis="z")
+    img = column_density(dens)
     assert img.integral() == pytest.approx(5e4, rel=1e-9)
 
 
@@ -110,10 +144,15 @@ def test_annulus_peaks_at_resonance_radius(fig2b):
 
 
 def test_projection_axis_validation(fig2b):
-    region, dims = imaging_region(fig2b)
+    # images are projected along z: a collapsed z axis has nothing to integrate
+    region, dims = imaging_region(fig2b, nz=1)
     dens = thermal_density(fig2b, T20, region, dims)
-    with pytest.raises(ValueError):
-        column_density(dens, axis="w")
+    with pytest.raises(ValueError, match="collapsed"):
+        column_density(dens)
+    box = ScalarGrid(origin=(0, 0, 0), spacing=(1e-6, 2e-6, 1e-6), dims=(4, 4, 3),
+                     values=np.ones((4, 4, 3)))
+    with pytest.raises(ValueError, match="square"):
+        column_density(box)
 
 
 # -- radius measurement ------------------------------------------------------
@@ -170,7 +209,7 @@ def test_noise_seed_determinism(fig2b):
 def test_zero_atom_image_measurement_errors(fig2b):
     region, dims = imaging_region(fig2b)
     dens = thermal_density(fig2b, T20, region, dims, atom_number=0.0)
-    img = column_density(dens, axis="z")
+    img = column_density(dens)
     assert img.values.max() == 0.0
     with pytest.raises(MeasurementError):
         measure_ring_radius(img, n_diameters=4)
@@ -184,6 +223,37 @@ def test_measurement_mean_and_std_invariants(fig2b):
 
 
 # -- export / import ---------------------------------------------------------
+
+def _header_image():
+    return SyntheticImage(
+        pixel_size=2.5e-6,
+        values=np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 6.5]]),
+        origin=(-2.5e-6, -1.25e-6),
+        od_scale=0.5,
+    )
+
+
+def test_export_header_text_is_fixed(tmp_path):
+    csv, data, hdr = tmp_path / "h.csv", tmp_path / "h.u16", tmp_path / "h.hdr"
+    export_image_csv(_header_image(), csv)
+    export_image_binary(_header_image(), data, hdr)
+    assert csv.read_text() == (
+        "# ringtrap image csv v1\n# dims=3,2\n# pixel_size_m=2.5e-06\n"
+        "# origin_m=-2.5e-06,-1.25e-06\n# axis_labels=x,y\n"
+        "# units=atoms/m^2 * od_scale\n# od_scale=0.5\n"
+        "0.0,1.0\n2.0,3.0\n4.0,6.5\n"
+    )
+    assert hdr.read_text() == (
+        "format=ringtrap-u16 v1\ndims=3,2\npixel_size_m=2.5e-06\n"
+        "origin_m=-2.5e-06,-1.25e-06\naxis_labels=x,y\n"
+        "units=atoms/m^2 * od_scale (for value = u16 * scale)\nod_scale=0.5\n"
+        "scale=9.918364232852674e-05\ndtype=uint16\nbyteorder=little\n"
+        "order=row-major\n"
+    )
+    back = import_image_csv(csv)
+    assert (back.origin, back.pixel_size, back.od_scale) == ((-2.5e-6, -1.25e-6), 2.5e-6, 0.5)
+    np.testing.assert_array_equal(back.values, _header_image().values)
+
 
 def test_csv_round_trip_exact(fig2b, tmp_path):
     img = synth_image(fig2b, atoms=777.0)

@@ -9,7 +9,7 @@ any division by zero, overflow, underflow or invalid operation (such as the
 import numpy as np
 import pytest
 
-from ringtrap import analyze_trap, frequency_sweep, resonance_radius
+from ringtrap import analyze_trap, frequency_sweep
 
 from conftest import reference_configs
 
@@ -18,9 +18,10 @@ from conftest import reference_configs
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_pipelines_raise_no_fp_error(name, band_factor):
     cfg = reference_configs()[name]
-    z_band = band_factor * resonance_radius(cfg)
     with np.errstate(all="raise"):
-        analysis = analyze_trap(cfg, z_band=z_band)
-        rows = frequency_sweep(cfg, [0.5 * cfg.rf.omega, cfg.rf.omega], z_band=z_band)
+        analysis = analyze_trap(cfg, z_band_factor=band_factor)
+        rows = frequency_sweep(
+            cfg, [0.5 * cfg.rf.omega, cfg.rf.omega], z_band_factor=band_factor
+        )
     assert np.isfinite(analysis.ring_radius) and np.isfinite(analysis.depth)
     assert all(row.error is None for row in rows)
