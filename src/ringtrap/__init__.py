@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .constants import RB87, AtomSpecies
 from .dressed import (
-    PotentialSample,
     detuning,
     dressed_potential,
     larmor_frequency,
@@ -27,7 +26,6 @@ from .dressed import (
     rabi_frequency,
     rabi_squared,
     resonance_radius,
-    sample_point,
 )
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig, field_magnitude, quadrupole_field
 from .gaussfit import TwoGaussianFit, fit_two_gaussians, two_gaussian

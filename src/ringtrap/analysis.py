@@ -2,9 +2,12 @@
 
 The toroidal valley of an rf-dressed quadrupole trap lives on the resonance
 shell sqrt(x^2+y^2+4z^2) = hbar*omega/(g_F mu_B B_q); its z=0 circle is the
-ring. Because the Rabi coupling is independent of radius in the z=0 plane,
-the in-plane valley floor sits exactly at zero detuning, which is what the
-two-Gaussian image measurement tracks. The azimuthal profile of that valley
+ring. In the z=0 plane the field direction, and so the Rabi coupling, does
+not depend on radius: along each azimuth V is a hyperbola in the detuning
+plus the linear gravity term, and its minimum has a closed form. Without
+gravity the in-plane valley floor sits exactly at zero detuning, which is
+what the two-Gaussian image measurement tracks; only an off-plane z band
+needs a numerical search. The azimuthal profile of that valley
 separates the geometries: a flat profile is a symmetric ring, coupling-closed
 zeros pinch the ring into a double well, and an azimuthally modulated but
 open valley is an asymmetric ring.
@@ -34,7 +37,8 @@ from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum
 #: fewest profile azimuths the geometry classifier accepts
 MIN_CLASSIFY_AZIMUTHS = 64
 
-#: valley-profile grid zoom: radial nodes, axial nodes (z band only), passes
+#: valley-profile grid zoom with a z band (the z = 0 plane has a closed form):
+#: radial nodes, axial nodes, passes
 PROFILE_ZOOM = (96, 25, 7)
 
 #: profile coupling below this fraction of m_F * omega everywhere means the
@@ -97,6 +101,71 @@ class AzimuthalProfile:
         return float(self.radii.mean())
 
 
+def _plane_floor(cfg, cosp, sinp, rho_min, rho_max):
+    """Exact valley floor in the z = 0 plane: radii, z, potentials, rabis.
+
+    In the plane n = (cos phi, sin phi, 0) does not depend on rho, so along
+    each ray V = sqrt(A^2 u^2 + E^2) + c (r0 + u) with u = rho - r0,
+    A = m_F g_F mu_B B_q, E = m_F hbar |Omega(phi)| and c = m g sin(phi)
+    (0 without gravity). V is convex in u: its minimum is at
+    u = -c E / (A sqrt(A^2 - c^2)) when |c| < A, and otherwise on the
+    downhill edge of the window; clipping to [rho_min, rho_max] gives the
+    constrained minimum in both cases.
+    """
+    atom = cfg.atom
+    r0 = resonance_radius(cfg)
+    zeros = np.zeros_like(cosp)
+    rabis = np.sqrt(rabi_squared(np.stack([cosp, sinp, zeros], axis=-1), cfg))
+    a = atom.m_F * atom.g_F * MU_B * cfg.quad.gradient
+    e = atom.m_F * HBAR * rabis
+    c = atom.mass * G_ACCEL * sinp if cfg.gravity_on else zeros
+    bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
+    root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
+    u = np.where(bound, -c * e / (a * root), np.copysign(np.inf, -c))
+    radii = np.clip(r0 + u, rho_min, rho_max)
+    potentials = dressed_potential(
+        np.stack([radii * cosp, radii * sinp, zeros], axis=-1), cfg
+    )
+    return radii, zeros, potentials, rabis
+
+
+def _banded_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
+    """Valley floor over the window and |z| <= z_band by ``PROFILE_ZOOM``."""
+    n_rho, n_z, zoom_iters = PROFILE_ZOOM
+    n_phi = len(cosp)
+    rho_lo = np.full(n_phi, rho_min)
+    rho_hi = np.full(n_phi, rho_max)
+    z_lo = np.full(n_phi, -z_band)
+    z_hi = np.full(n_phi, z_band)
+
+    for _ in range(zoom_iters):
+        frac_r = np.linspace(0.0, 1.0, n_rho)
+        rr = rho_lo[None, :] + (rho_hi - rho_lo)[None, :] * frac_r[:, None]
+        frac_z = np.linspace(0.0, 1.0, n_z)
+        zz = z_lo[None, :] + (z_hi - z_lo)[None, :] * frac_z[:, None]
+        pts = np.empty((n_rho, n_z, n_phi, 3))
+        pts[..., 0] = rr[:, None, :] * cosp
+        pts[..., 1] = rr[:, None, :] * sinp
+        pts[..., 2] = zz[None, :, :]
+        vals = dressed_potential(pts, cfg)
+        flat = vals.reshape(-1, n_phi)
+        kmin = np.argmin(flat, axis=0)
+        ir, iz = np.unravel_index(kmin, vals.shape[:2])
+        best_v = flat[kmin, np.arange(n_phi)]
+        best_rho = rr[ir, np.arange(n_phi)]
+        best_z = zz[iz, np.arange(n_phi)]
+        # shrink the window to 2.5 cells around the incumbent
+        half_r = 2.5 * (rho_hi - rho_lo) / (n_rho - 1)
+        rho_lo = np.clip(best_rho - half_r, rho_min, None)
+        rho_hi = np.clip(best_rho + half_r, None, rho_max)
+        half_z = 2.5 * (z_hi - z_lo) / (n_z - 1)
+        z_lo = np.clip(best_z - half_z, -z_band, None)
+        z_hi = np.clip(best_z + half_z, None, z_band)
+
+    pts_min = np.stack([best_rho * cosp, best_rho * sinp, best_z], axis=-1)
+    return best_rho, best_z, best_v, np.sqrt(rabi_squared(pts_min, cfg))
+
+
 def azimuthal_profile(
     cfg: TrapConfig,
     n_phi: int = 64,
@@ -110,59 +179,30 @@ def azimuthal_profile(
     > 0, z in [-z_band_factor, z_band_factor] * r0, where r0 is the
     resonance radius of ``cfg``. The default is the z = 0 plane: that is the
     plane the ring, wells and any azimuthal asymmetry live in, and the
-    plane absorption images project onto. The minimisation is an iterated
-    grid zoom, evaluated for all azimuths in lockstep; it is deterministic
-    and is not derailed by the conical valley sections (see ``PROFILE_ZOOM``).
+    plane absorption images project onto. There the floor has a closed form
+    (two kernel calls of ``n_phi`` points). With a z band the field
+    direction depends on (rho, z), and the minimisation is an iterated grid
+    zoom, evaluated for all azimuths in lockstep; it is deterministic and is
+    not derailed by the conical valley sections (see ``PROFILE_ZOOM``).
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
     if z_band_factor < 0:
         raise ValueError("z_band_factor must be non-negative")
-    n_rho, n_z, zoom_iters = PROFILE_ZOOM
     r0 = resonance_radius(cfg)
-    z_band = z_band_factor * r0
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     cosp, sinp = np.cos(phis), np.sin(phis)
-
-    rho_lo = np.full(n_phi, rho_factors[0] * r0)
-    rho_hi = np.full(n_phi, rho_factors[1] * r0)
-    z_lo = np.full(n_phi, -z_band)
-    z_hi = np.full(n_phi, z_band)
-    nz = n_z if z_band > 0.0 else 1  # the z = 0 plane is a one-row band
-
-    for _ in range(zoom_iters):
-        frac_r = np.linspace(0.0, 1.0, n_rho)
-        rr = rho_lo[None, :] + (rho_hi - rho_lo)[None, :] * frac_r[:, None]
-        frac_z = np.linspace(0.0, 1.0, nz)
-        zz = z_lo[None, :] + (z_hi - z_lo)[None, :] * frac_z[:, None]
-        pts = np.empty((n_rho, nz, n_phi, 3))
-        pts[..., 0] = rr[:, None, :] * cosp
-        pts[..., 1] = rr[:, None, :] * sinp
-        pts[..., 2] = zz[None, :, :]
-        vals = dressed_potential(pts, cfg)
-        flat = vals.reshape(-1, n_phi)
-        kmin = np.argmin(flat, axis=0)
-        ir, iz = np.unravel_index(kmin, vals.shape[:2])
-        best_v = flat[kmin, np.arange(n_phi)]
-        best_rho = rr[ir, np.arange(n_phi)]
-        best_z = zz[iz, np.arange(n_phi)]
-        # shrink the window to 2.5 cells around the incumbent
-        half_r = 2.5 * (rho_hi - rho_lo) / (n_rho - 1)
-        rho_lo = np.clip(best_rho - half_r, rho_factors[0] * r0, None)
-        rho_hi = np.clip(best_rho + half_r, None, rho_factors[1] * r0)
-        half_z = 2.5 * (z_hi - z_lo) / max(nz - 1, 1)
-        z_lo = np.clip(best_z - half_z, -z_band, None)
-        z_hi = np.clip(best_z + half_z, None, z_band)
-
-    pts_min = np.stack(
-        [best_rho * cosp, best_rho * sinp, best_z], axis=-1
-    )
+    window = (cosp, sinp, rho_factors[0] * r0, rho_factors[1] * r0)
+    if z_band_factor == 0.0:
+        radii, z, potentials, rabis = _plane_floor(cfg, *window)
+    else:
+        radii, z, potentials, rabis = _banded_floor(cfg, *window, z_band_factor * r0)
     return AzimuthalProfile(
         azimuths=phis,
-        radii=best_rho,
-        z=best_z,
-        potentials=best_v,
-        rabis=np.sqrt(rabi_squared(pts_min, cfg)),
+        radii=radii,
+        z=z,
+        potentials=potentials,
+        rabis=rabis,
         energy_scale=cfg.atom.m_F * HBAR * cfg.rf.omega,
         resonance_radius=r0,
     )

@@ -37,8 +37,6 @@ taken as C^2 (B_x^2 + B_y^2), the average of the two axial limits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import G_ACCEL, HBAR, MU_B
@@ -110,30 +108,6 @@ def dressed_potential(r, cfg: TrapConfig):
     if cfg.gravity_on:
         v = v + cfg.atom.mass * G_ACCEL * r[..., 1]
     return v
-
-
-@dataclass(frozen=True)
-class PotentialSample:
-    """One evaluation of the dressed potential and its ingredients."""
-
-    position: tuple
-    larmor: float
-    detuning: float
-    rabi: float
-    potential: float
-
-
-def sample_point(r, cfg: TrapConfig) -> PotentialSample:
-    """Evaluate V and its ingredients at a single position."""
-    r = np.asarray(r, dtype=float)
-    w0 = float(larmor_frequency(r, cfg))
-    return PotentialSample(
-        position=tuple(float(c) for c in r),
-        larmor=w0,
-        detuning=cfg.rf.omega - w0,
-        rabi=float(rabi_frequency(r, cfg)),
-        potential=float(dressed_potential(r, cfg)),
-    )
 
 
 def _check_fd_step(h: float):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ringtrap import (
     QuadrupoleConfig,
@@ -11,6 +12,13 @@ from ringtrap import (
     resonance_radius,
     thermal_density,
 )
+
+# property tests draw the same examples on every run and have no deadline:
+# the suite must be deterministic and must not fail on a slow shared machine
+settings.register_profile(
+    "ringtrap", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("ringtrap")
 
 OMEGA_15MHZ = 2 * np.pi * 1.5e6
 B07 = 0.7e-4  # 0.7 G in tesla

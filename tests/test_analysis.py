@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ringtrap.analysis
+import ringtrap.dressed
 from ringtrap import (
     Geometry,
     analyze_trap,
@@ -111,6 +113,111 @@ def test_profile_z_band_finds_lower_valley(fig2c):
 def test_profile_requires_min_azimuths(fig2a):
     with pytest.raises(ValueError):
         azimuthal_profile(fig2a, n_phi=4)
+
+
+def plane_zoom_profile(cfg, n_phi, rho_factors):
+    """The z = 0 grid zoom the profile used before its closed form: (radii, V)."""
+    n_rho, _, zoom_iters = ringtrap.analysis.PROFILE_ZOOM
+    r0 = resonance_radius(cfg)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    cosp, sinp = np.cos(phis), np.sin(phis)
+    rho_lo = np.full(n_phi, rho_factors[0] * r0)
+    rho_hi = np.full(n_phi, rho_factors[1] * r0)
+    for _ in range(zoom_iters):
+        frac_r = np.linspace(0.0, 1.0, n_rho)
+        rr = rho_lo[None, :] + (rho_hi - rho_lo)[None, :] * frac_r[:, None]
+        pts = np.stack([rr * cosp, rr * sinp, np.zeros_like(rr)], axis=-1)
+        vals = dressed_potential(pts, cfg)
+        k = np.argmin(vals, axis=0)
+        best_v = vals[k, np.arange(n_phi)]
+        best_rho = rr[k, np.arange(n_phi)]
+        half_r = 2.5 * (rho_hi - rho_lo) / (n_rho - 1)
+        rho_lo = np.clip(best_rho - half_r, rho_factors[0] * r0, None)
+        rho_hi = np.clip(best_rho + half_r, None, rho_factors[1] * r0)
+    return best_rho, best_v
+
+
+#: below this |Omega| / omega the valley section is a cone whose tip the
+#: zoom's final cell misses by up to ~1e-10 m_F hbar omega
+CONE_COUPLING = 1e-6
+
+
+def assert_plane_profile_matches_zoom(cfg, n_phi, rho_factors):
+    prof = azimuthal_profile(cfg, n_phi=n_phi, rho_factors=rho_factors)
+    radii, pots = plane_zoom_profile(cfg, n_phi, rho_factors)
+    r0 = prof.resonance_radius
+    tol = 1e-14 * prof.energy_scale
+    assert np.all(prof.potentials <= pots + tol)
+    assert np.all(np.abs(prof.radii - radii) <= 1e-6 * r0)
+    cone = prof.rabis < CONE_COUPLING * cfg.rf.omega
+    assert np.all(np.abs(prof.potentials - pots)[~cone] <= tol)
+    # on a cone V lies within E = m_F hbar |Omega| above the piecewise-linear
+    # section, whose window minimum is at an edge or at the tip rho = r0
+    candidates = np.clip([rho_factors[0] * r0, r0, rho_factors[1] * r0],
+                         rho_factors[0] * r0, rho_factors[1] * r0)
+    for i in np.flatnonzero(cone):
+        phi = prof.azimuths[i]
+        pts = candidates[:, None] * np.array([math.cos(phi), math.sin(phi), 0.0])
+        best = dressed_potential(pts, cfg).min()
+        e = cfg.atom.m_F * HBAR * prof.rabis[i]
+        assert best - e - tol <= prof.potentials[i] <= best + tol
+
+
+def _plane_cases():
+    cases = {}
+    for name, cfg in reference_configs().items():
+        for n_phi in (64, 256):
+            cases[f"{name}-{n_phi}"] = (cfg, n_phi, (0.2, 3.0))
+        for window in ((0.999, 1.001), (1.2, 3.0)):
+            cases[f"{name}-{window}"] = (cfg, 64, window)
+    for gradient in (0.1, 0.152):  # kappa = 0.66 and 0.996: some rays slide
+        for label, cfg in (
+            ("circular", make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2,
+                                   gradient=gradient, gravity=True)),
+            ("linear", make_trap(b_x=B07, gradient=gradient, gravity=True)),
+        ):
+            cases[f"{label}-kappa-below-1-{gradient}"] = (cfg, 64, (0.2, 3.0))
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_plane_cases()))
+def test_plane_profile_matches_zoom_oracle(case):
+    assert_plane_profile_matches_zoom(*_plane_cases()[case])
+
+
+@given(
+    amps=st.tuples(*[st.floats(0.0, 1e-4)] * 3),
+    phases=st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
+    gradient=st.floats(0.05, 2.0),
+    gravity=st.booleans(),
+    rho_lo=st.floats(0.1, 1.5),
+    width=st.floats(1e-3, 3.0),
+)
+def test_plane_profile_matches_zoom_property(amps, phases, gradient, gravity, rho_lo, width):
+    cfg = make_trap(*amps, *phases, gradient=gradient, gravity=gravity)
+    assert_plane_profile_matches_zoom(cfg, 64, (rho_lo, rho_lo + width))
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+def test_plane_radii_are_resonance_radius_without_gravity(name):
+    cfg = reference_configs()[name]
+    prof = azimuthal_profile(cfg, n_phi=256)
+    assert np.all(prof.radii == resonance_radius(cfg))
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_plane_profile_makes_two_kernel_calls(name, monkeypatch):
+    kernel = ringtrap.dressed._larmor_and_rabi_squared
+    shapes = []
+
+    def counted(r, cfg):
+        shapes.append(np.shape(r))
+        return kernel(r, cfg)
+
+    monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
+    azimuthal_profile(reference_configs()[name], n_phi=256)
+    assert len(shapes) <= 2
+    assert all(shape == (256, 3) for shape in shapes)
 
 
 # -- classifier --------------------------------------------------------------

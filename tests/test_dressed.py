@@ -3,16 +3,17 @@ import pytest
 
 import ringtrap.dressed
 from ringtrap import (
+    QuadrupoleConfig,
     RB87,
     detuning,
     dressed_potential,
+    field_magnitude,
     larmor_frequency,
     potential_gradient,
     potential_hessian,
     rabi_frequency,
     rabi_squared,
     resonance_radius,
-    sample_point,
 )
 from ringtrap.constants import G_ACCEL, HBAR, MU_B
 from ringtrap.dressed import coupling_prefactor
@@ -192,12 +193,24 @@ def test_gravity_term_added(fig2b):
     assert dv == pytest.approx(RB87.mass * G_ACCEL * r[1], rel=1e-12)
 
 
-def test_sample_point_consistency(fig2b):
-    r0 = resonance_radius(fig2b)
-    s = sample_point([r0, 0, 0], fig2b)
-    assert s.larmor == pytest.approx(fig2b.rf.omega, rel=1e-12)
-    assert s.detuning == pytest.approx(0.0, abs=1e-6 * fig2b.rf.omega)
-    assert s.potential == pytest.approx(RB87.m_F * HBAR * s.rabi, rel=1e-12)
+def test_point_ingredients_consistency(fig2b):
+    r = [resonance_radius(fig2b), 0, 0]
+    assert larmor_frequency(r, fig2b) == pytest.approx(fig2b.rf.omega, rel=1e-12)
+    assert detuning(r, fig2b) == pytest.approx(0.0, abs=1e-6 * fig2b.rf.omega)
+    rabi = rabi_frequency(r, fig2b)
+    assert dressed_potential(r, fig2b) == pytest.approx(RB87.m_F * HBAR * rabi, rel=1e-12)
+
+
+@pytest.mark.parametrize("gradient", [0.37, 1.0, 2.5])
+def test_larmor_is_the_field_model_magnitude(gradient):
+    # the kernel's omega_0 is g_F mu_B |B_q| / hbar of the field model
+    cfg = make_trap(b_x=B07, gradient=gradient)
+    r0 = resonance_radius(cfg)
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (200, 3)) * r0
+    pts[:20, :2] = 0.0  # on the z axis
+    pts[20] = 0.0  # the trap centre
+    expected = RB87.g_F * MU_B * field_magnitude(pts, QuadrupoleConfig(gradient)) / HBAR
+    np.testing.assert_allclose(larmor_frequency(pts, cfg), expected, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
