@@ -11,6 +11,7 @@ computation), 3 numerical failure (any other package error or
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 from .analysis import analyze_trap, frequency_sweep, resonance_radius
 from .config import RunConfig, load_config
 from .errors import ConfigError, RingtrapError
-from .grids import sample_grid
+from .grids import node_blocks, sample_grid
 from .image_io import export_image_binary, export_image_csv
 from .imaging import add_noise, column_density, measure_ring_radius, thermal_density
 from .units import convert_units
@@ -58,14 +59,19 @@ def _fmt(value) -> str:
 def run_potential(rc: RunConfig, outdir: Path) -> int:
     cfg = rc.trap()
     grid = sample_grid(cfg, rc.grid_region(), rc.grid_dims())
-    pos = grid.node_positions().reshape(-1, 3)
-    vals = grid.values.reshape(-1)
     # v / j_per_uk rounds exactly as convert_units(v, "J", "uK") does
     j_per_uk = convert_units(1.0, "uK", "J")
-    lines = ["x_m,y_m,z_m,V_J,V_uK"]
-    for (x, y, z), v in zip(pos.tolist(), vals.tolist()):
-        lines.append(f"{x!r},{y!r},{z!r},{v!r},{v / j_per_uk!r}")
-    _write_text(outdir / "grid.csv", "\n".join(lines) + "\n")
+    # each axis value is formatted once; only V is formatted per node
+    coords = [[repr(c) for c in ax.tolist()] for ax in grid.axes()]
+    with open(outdir / "grid.csv", "w") as fh:
+        fh.write("x_m,y_m,z_m,V_J,V_uK\n")
+        for box in node_blocks(grid.dims):
+            v = grid.values[box].reshape(-1)
+            heads = itertools.product(*(c[s] for c, s in zip(coords, box)))
+            fh.writelines(
+                f"{x},{y},{z},{a!r},{b!r}\n"
+                for (x, y, z), a, b in zip(heads, v.tolist(), (v / j_per_uk).tolist())
+            )
 
     vmin = float(grid.values.min())
     vmax = float(grid.values.max())

@@ -117,6 +117,8 @@ def _check_node_cap(section: str, dims) -> None:
 def _parse_value(section: str, key: str, raw: str, spec: _Key):
     raw = raw.strip()
     where = f"[{section}] {key}"
+    if not raw and spec.default is None:
+        return None  # unset: the echo writes an unset key as an empty value
     if spec.type is bool:
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
@@ -137,7 +139,22 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
         if not math.isfinite(val):
             raise ConfigError(f"{where}: value must be finite")
         return val
+    # the echo must read back as written: no line breaks or other control
+    # characters, and no comment markers
+    if not raw.isprintable() or "#" in raw or ";" in raw:
+        raise ConfigError(
+            f"{where}: text may not hold '#', ';' or control characters, got {raw!r}"
+        )
     return raw
+
+
+def _assign(values: dict, provided: set, section: str, key: str, raw: str) -> None:
+    val = _parse_value(section, key, raw, _SCHEMA[section][key])
+    values[section][key] = val
+    if val is None:
+        provided.discard((section, key))
+    else:
+        provided.add((section, key))
 
 
 @dataclass(frozen=True)
@@ -429,11 +446,9 @@ def load_config(path, overrides=None) -> RunConfig:
             k = key.lower()
             if k not in _SCHEMA[sec]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[sec][k] = _parse_value(sec, k, raw, _SCHEMA[sec][k])
-            provided.add((sec, k))
+            _assign(values, provided, sec, k, raw)
     for section, key, raw in parse_overrides(overrides) if overrides else []:
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"--set targets unknown key {section}.{key}")
-        values[section][key] = _parse_value(section, key, raw, _SCHEMA[section][key])
-        provided.add((section, key))
+        _assign(values, provided, section, key, raw)
     return _validated(values, provided)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +13,8 @@ from .fields import TrapConfig
 #: refuse to allocate grids beyond this many nodes
 MAX_GRID_NODES = 100_000_000
 
-#: number of nodes evaluated per chunk when filling large grids
+#: most nodes in one block of :func:`node_blocks`: blocks are runs of whole
+#: x-slabs, split into z-rows or z-runs only where one slab holds more nodes
 _CHUNK = 1 << 18
 
 
@@ -77,6 +79,28 @@ class ScalarGrid:
         return np.array([ax[i][idx[i]] for i in range(3)])
 
 
+def node_blocks(dims):
+    """Split the C-order nodes of a grid of ``dims`` into consecutive boxes of
+    at most ``_CHUNK`` nodes, each a tuple of three slices.
+
+    A box is a run of whole x-slabs when one slab fits, else a run of whole
+    z-rows of one slab, else a run of nodes of one z-row. Each box is one
+    contiguous run of the flattened grid.
+    """
+    for axis in range(3):
+        tail = math.prod(dims[axis + 1:])  # nodes per index step along axis
+        if tail <= _CHUNK:
+            break
+    step = _CHUNK // tail
+    for outer in np.ndindex(*dims[:axis]):
+        for lo in range(0, dims[axis], step):
+            yield (
+                *(slice(i, i + 1) for i in outer),
+                slice(lo, lo + step),
+                *(slice(None),) * (2 - axis),
+            )
+
+
 def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     """Evaluate the dressed potential on every node of a rectangular grid.
 
@@ -88,8 +112,11 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     dims : three ints
         Node counts; at least 2 on non-collapsed axes.
 
-    The fill is deterministic for fixed inputs. Grids above
-    ``MAX_GRID_NODES`` nodes are rejected; shrink dims or split the region.
+    The grid is filled block by block (:func:`node_blocks`): each block's
+    positions are broadcast from the axis vectors, so no per-node index
+    array is built and no kernel call exceeds ``_CHUNK`` nodes. The fill is
+    deterministic for fixed inputs. Grids above ``MAX_GRID_NODES`` nodes are
+    rejected; shrink dims or split the region.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or any(n < 1 for n in dims):
@@ -114,14 +141,15 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     # the node coordinates ScalarGrid.axes() reports, so positions reconstruct exactly
     axes = [o + s * np.arange(n) for o, s, n in zip(origin, spacing, dims)]
 
-    # fill in C-order chunks; positions are built per chunk to bound memory
-    nx, ny, nz = dims
-    vals = np.empty(n_nodes)
-    for start in range(0, n_nodes, _CHUNK):
-        stop = min(start + _CHUNK, n_nodes)
-        idx = np.arange(start, stop)
-        ix, rem = np.divmod(idx, ny * nz)
-        iy, iz = np.divmod(rem, nz)
-        pts = np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=-1)
-        vals[start:stop] = dressed_potential(pts, cfg)
-    return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals.reshape(dims))
+    vals = np.empty(dims)
+    for box in node_blocks(dims):
+        pts = np.stack(
+            np.broadcast_arrays(
+                axes[0][box[0], None, None],
+                axes[1][None, box[1], None],
+                axes[2][None, None, box[2]],
+            ),
+            axis=-1,
+        )
+        vals[box] = dressed_potential(pts, cfg)
+    return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import ringtrap.cli
-from ringtrap import rabi_frequency
+import ringtrap.grids
+from ringtrap import rabi_frequency, sample_grid
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from ringtrap.config import load_config
+from ringtrap.grids import node_blocks
+from ringtrap.units import convert_units
 
 BASE = """
 [rf]
@@ -63,6 +66,37 @@ def test_potential_deterministic_reruns(ini, tmp_path):
     main(["potential", "--config", str(ini), "--out", str(out2)])
     for name in ("grid.csv", "summary.json", "resolved.ini"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def per_row_grid_csv(grid):
+    """grid.csv as the potential command wrote it before the per-axis writer:
+    all node positions, and five reprs per row."""
+    pos = grid.node_positions().reshape(-1, 3)
+    vals = grid.values.reshape(-1)
+    j_per_uk = convert_units(1.0, "uK", "J")
+    lines = ["x_m,y_m,z_m,V_J,V_uK"]
+    for (x, y, z), v in zip(pos.tolist(), vals.tolist()):
+        lines.append(f"{x!r},{y!r},{z!r},{v!r},{v / j_per_uk!r}")
+    return "\n".join(lines) + "\n"
+
+
+# blocks of z-runs, of whole z-rows and of several x-slabs on a 5 x 4 x 3 grid
+@pytest.mark.parametrize("chunk, n_blocks", [(2, 40), (7, 10), (40, 2)])
+def test_potential_csv_matches_per_row_writer(ini, tmp_path, monkeypatch, chunk, n_blocks):
+    monkeypatch.setattr(ringtrap.grids, "_CHUNK", chunk)
+    overrides = [
+        "gravity.enabled=true",
+        "analysis.grid_nx=5", "analysis.grid_ny=4", "analysis.grid_nz=3",
+        "analysis.grid_z_min_mm=-0.05", "analysis.grid_z_max_mm=0.05",
+    ]
+    argv = ["potential", "--config", str(ini), "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    rc = load_config(ini, overrides=overrides)
+    assert len(list(node_blocks(rc.grid_dims()))) == n_blocks
+    grid = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
+    assert (tmp_path / "grid.csv").read_bytes() == per_row_grid_csv(grid).encode()
 
 
 def test_analyze_report(ini, tmp_path):
@@ -307,6 +341,21 @@ def test_io_error_exit_code(ini, tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
     assert main(["potential", "--config", str(ini), "--out", str(blocker)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("command", ["potential", "analyze", "sweep", "image"])
+def test_resolved_ini_reloads(ini, tmp_path, command):
+    # the echo writes the unset [atom] keys as empty values; reading it back
+    # must give the same run
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = [command, "--config", str(ini), "--out", str(first),
+            "--set", "imaging.xy_halfwidth_factor=1.2"]
+    assert main(argv) == EXIT_OK
+    echo = first / "resolved.ini"
+    assert load_config(echo).resolved_ini() == echo.read_text()
+    assert main([command, "--config", str(echo), "--out", str(second)]) == EXIT_OK
+    for path in first.iterdir():
+        assert (second / path.name).read_bytes() == path.read_bytes()
 
 
 def test_console_entry_point():

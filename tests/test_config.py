@@ -1,8 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from ringtrap.config import load_config
+from ringtrap.config import _SCHEMA, load_config
 from ringtrap.errors import ConfigError
 
 MINIMAL = """
@@ -143,6 +144,80 @@ def test_echo_deterministic(tmp_path):
     assert load_config(p).resolved_ini() == load_config(p).resolved_ini()
 
 
+def test_empty_atom_constant_reads_as_unset(tmp_path):
+    rc = load_config(write(tmp_path, MINIMAL + "\n[atom]\nmass_kg =\ng_f =\n"),
+                     overrides=["atom.m_f="])
+    assert rc.get("atom", "mass_kg") is None
+    assert rc.atom().label.startswith("87Rb")  # no conflict with the preset
+    with pytest.raises(ConfigError, match="expected a number"):
+        load_config(write(tmp_path, MINIMAL + "\n[quadrupole]\ngradient_g_per_cm =\n"))
+
+
+@pytest.mark.parametrize("value", ["out #1", "a;b", "tab\there"])
+def test_text_the_echo_cannot_write_back_is_rejected(tmp_path, value):
+    with pytest.raises(ConfigError, match=r"\[output\] directory"):
+        load_config(write(tmp_path, MINIMAL), overrides=[f"output.directory={value}"])
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.ini")
+
+
+_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys]
+_TEXT = ["Rb87", "custom", "csv", "csv,bin", "1.0, 2.0", "out", ""]
+# values every key accepts, and values of the right type in or out of range
+_CLEAN = {
+    bool: st.sampled_from(["true", "false", "yes", "off", "1", "0"]),
+    int: st.integers(16, 10**6).map(str),
+    float: st.floats(1e-3, 1e3).map(repr),
+    str: st.sampled_from(_TEXT),
+}
+_TYPED = {
+    bool: _CLEAN[bool],
+    int: st.integers().map(str),
+    float: st.floats().map(repr),  # nan and inf included
+    str: _CLEAN[str],
+}
+# any text a file can hold: line breaks, comment markers, brackets, unicode
+_GARBAGE = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+def _entries(clean):
+    def entry(section_key):
+        section, key = section_key
+        kind = _SCHEMA[section][key].type
+        value = _CLEAN[kind] if clean else st.one_of(_TYPED[kind], _GARBAGE)
+        return st.tuples(st.just(section), st.just(key), value)
+
+    return st.sampled_from(_KEYS).flatmap(entry)
+
+
+def _ini_text(entries):
+    sections = {}
+    for section, key, value in entries:
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+
+def _run(clean):
+    """(INI entries, --set pairs); garbage pairs only when not ``clean``."""
+    pair = _entries(clean).map(lambda e: f"{e[0]}.{e[1]}={e[2]}")
+    return st.tuples(
+        st.lists(_entries(clean), max_size=8, unique_by=lambda e: e[:2]),
+        st.lists(pair if clean else st.one_of(pair, _GARBAGE), max_size=4),
+    )
+
+
+@given(st.booleans().flatmap(_run))
+def test_load_raises_only_config_error_and_echo_round_trips(tmp_path_factory, run):
+    file_entries, overrides = run
+    path = tmp_path_factory.getbasetemp() / "property.ini"
+    path.write_text(_ini_text(file_entries), encoding="utf-8")
+    try:
+        rc = load_config(path, overrides=overrides)
+    except ConfigError:
+        return
+    echo = rc.resolved_ini()
+    path.write_text(echo)
+    assert load_config(path).resolved_ini() == echo

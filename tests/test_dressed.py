@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ringtrap.dressed
 from ringtrap import (
@@ -143,6 +144,46 @@ def test_rabi_coordinate_free_oracle():
             rtol=0,
             atol=tol,
         )
+
+
+def _point(direction, exponent, on_axis):
+    """A position spanning six decades; a zero direction is the trap centre."""
+    r = np.array(direction, dtype=float) * 1e-3 * 10.0**exponent
+    if on_axis:
+        r[:2] = 0.0
+    return r
+
+
+_position = st.builds(
+    _point, st.tuples(*[st.integers(-1000, 1000)] * 3), st.floats(-9, -3), st.booleans()
+)
+_amplitude = st.one_of(st.just(0.0), st.floats(1e-7, 1e-3))
+_phase = st.floats(-np.pi, np.pi)
+
+
+@given(
+    st.tuples(_amplitude, _amplitude, _amplitude),
+    st.tuples(_phase, _phase),
+    st.floats(0.05, 2.0),
+    st.booleans(),
+    st.lists(_position, min_size=1, max_size=20),
+)
+def test_kernel_finite_and_matches_oracle_property(amps, phases, gradient, gravity, points):
+    bx, by, bz = amps
+    cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=phases[0], beta=phases[1],
+                    gradient=gradient, gravity=gravity)
+    tol = 1e-13 * coupling_prefactor(cfg) ** 2 * (bx * bx + by * by + bz * bz)
+    pts = np.array(points + [np.zeros(3), [0.0, 0.0, 1e-4], [0.0, 0.0, -1e-4]])
+    om2 = rabi_squared(pts, cfg)
+    assert not np.isnan(om2).any()
+    off = np.any(pts != 0.0, axis=-1)
+    np.testing.assert_allclose(
+        om2[off], _rabi_squared_oracle(pts[off], cfg), rtol=0, atol=tol
+    )
+    # the centre takes the average of the two axial limits
+    centre = coupling_prefactor(cfg) ** 2 * (bx * bx + by * by)
+    np.testing.assert_allclose(om2[~off], centre, rtol=0, atol=tol)
+    assert np.all(np.isfinite(dressed_potential(pts, cfg)))
 
 
 # -- dressed potential -------------------------------------------------------

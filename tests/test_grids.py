@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+import ringtrap.grids
 from ringtrap import ScalarGrid, dressed_potential, resonance_radius, sample_grid
 from ringtrap.constants import HBAR, RB87
+from ringtrap.grids import _CHUNK
 
-from conftest import make_trap
+from conftest import B07, count_kernel_calls, make_trap
 
 
 def test_fig2b_plane_minimum_locus(fig2b):
@@ -78,3 +82,47 @@ def test_determinism(fig2b):
     g1 = sample_grid(fig2b, ((-1e-4, 1e-4), (-1e-4, 1e-4), (0, 0)), (51, 51, 1))
     g2 = sample_grid(fig2b, ((-1e-4, 1e-4), (-1e-4, 1e-4), (0, 0)), (51, 51, 1))
     np.testing.assert_array_equal(g1.values, g2.values)
+
+
+def divmod_fill(cfg, axes, dims):
+    """The fill sample_grid used before slabs: C-order chunks of _CHUNK nodes,
+    positions gathered from the axes by divmod node indices."""
+    nx, ny, nz = dims
+    n_nodes = nx * ny * nz
+    vals = np.empty(n_nodes)
+    for start in range(0, n_nodes, _CHUNK):
+        stop = min(start + _CHUNK, n_nodes)
+        idx = np.arange(start, stop)
+        ix, rem = np.divmod(idx, ny * nz)
+        iy, iz = np.divmod(rem, nz)
+        pts = np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=-1)
+        vals[start:stop] = dressed_potential(pts, cfg)
+    return vals.reshape(dims)
+
+
+CIRCULAR = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2)
+
+
+@pytest.mark.parametrize(
+    "cfg, region, dims",
+    [
+        (CIRCULAR, ((-5e-4, 5e-4), (-5e-4, 5e-4), (0, 0)), (401, 401, 1)),
+        # gravity on, 3D
+        (make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True),
+         ((-3e-4, 3e-4), (-2e-4, 4e-4), (-5e-5, 5e-5)), (41, 37, 9)),
+        # collapsed middle axis
+        (CIRCULAR, ((-3e-4, 3e-4), (1e-4, 2e-4), (-5e-5, 5e-5)), (7, 1, 5)),
+        # one x-slab holds more than _CHUNK nodes
+        (CIRCULAR, ((-1e-4, 1e-4), (-3e-4, 3e-4), (-1e-4, 1e-4)), (2, 600, 600)),
+        # one z-row holds more than _CHUNK nodes
+        (CIRCULAR, ((1e-4, 1e-4), (0, 0), (-3e-4, 3e-4)), (1, 1, 300_000)),
+    ],
+)
+def test_fill_matches_divmod_oracle(monkeypatch, cfg, region, dims):
+    calls = count_kernel_calls(monkeypatch, ringtrap.grids)
+    grid = sample_grid(cfg, region, dims)
+    np.testing.assert_array_equal(grid.values, divmod_fill(cfg, grid.axes(), dims))
+    sizes = [math.prod(shape[:-1]) for shape in calls]
+    assert all(shape[-1] == 3 for shape in calls)
+    assert max(sizes) <= _CHUNK
+    assert sum(sizes) == math.prod(dims)
