@@ -32,7 +32,7 @@ from .dressed import (
 )
 from .errors import ConvergenceError, NotAMinimumError, RingtrapError
 from .fields import TrapConfig
-from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum
+from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum, on_box_face
 
 #: fewest profile azimuths the geometry classifier accepts
 MIN_CLASSIFY_AZIMUTHS = 64
@@ -441,6 +441,9 @@ class RingAnalysis:
     low_confidence: bool
     minimum: MinimizationResult | None
     criteria: CriteriaReport  # taken at the global minimum of the analysed profile
+    # the refined 3D minimum when it is smooth, stationary and inside the
+    # search box; None otherwise
+    refined_minimum: np.ndarray | None
     notes: tuple = ()
 
 
@@ -492,6 +495,7 @@ def analyze_trap(
 
     result = None
     freqs = None
+    refined = None
     if cls.geometry is not Geometry.CENTER_TRAP:
         start = minima[0][0].copy()
         box = (
@@ -517,15 +521,13 @@ def analyze_trap(
                 "valley is not stationary in 3D (no harmonic minimum at the "
                 "ring plane); frequencies unavailable"
             )
-        # the search and the Newton polish clip to the box, so a stop on a
-        # face is an exact match with a bound
-        if result is not None and np.any(
-            (result.position == box[0]) | (result.position == box[1])
-        ):
+        if result is not None and on_box_face(result.position, box):
             notes.append(
                 "minimum refinement stopped on a face of its search box; the "
                 "escape depth is measured from that point"
             )
+        elif result is not None and result.stationary and result.smooth:
+            refined = result.position
 
     v_ref = result.value if result is not None else minima[0][1]
     origin = result.position if result is not None else minima[0][0]
@@ -544,6 +546,7 @@ def analyze_trap(
         low_confidence=cls.low_confidence,
         minimum=result,
         criteria=criteria_report(cfg, profile=profile),
+        refined_minimum=refined,
         notes=tuple(notes),
     )
 

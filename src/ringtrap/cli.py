@@ -132,6 +132,11 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
             f"  {float(np.degrees(azim))!r},{x!r},{y!r},{z!r},"
             f"{convert_units(v, 'J', 'uK')!r}"
         )
+    if analysis.refined_minimum is not None:
+        x, y, z = (float(c) * um for c in analysis.refined_minimum)
+        offset = float(np.linalg.norm(analysis.refined_minimum - analysis.minima[0][0]))
+        lines.append(f"refined_minimum_um: {x!r},{y!r},{z!r}")
+        lines.append(f"refined_offset_um: {offset * um!r}")
     for note in analysis.notes:
         lines.append(f"note: {note}")
     _write_text(outdir / "analysis.txt", "\n".join(lines) + "\n")

@@ -367,11 +367,17 @@ class RunConfig:
     # -- echo ---------------------------------------------------------------
 
     def resolved_ini(self) -> str:
-        """Render the full configuration, defaults included, as INI text."""
+        """Render the full configuration, defaults included, as INI text.
+
+        A ``freq_mhz_list`` sweep leaves out the range keys it does not use,
+        so the echo reloads as the same list sweep."""
+        skipped = _RANGE_KEYS if self.get("sweep", "freq_mhz_list").strip() else ()
         lines = []
         for section in _SCHEMA:
             lines.append(f"[{section}]")
             for key in _SCHEMA[section]:
+                if section == "sweep" and key in skipped:
+                    continue
                 val = self.values[section][key]
                 if val is None:
                     rendered = ""

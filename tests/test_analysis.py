@@ -20,7 +20,7 @@ from ringtrap import (
 from ringtrap.analysis import _escape_depth
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
 from ringtrap.errors import NotAMinimumError
-from ringtrap.minimize import find_minimum
+from ringtrap.minimize import MinimizationResult, find_minimum
 
 from conftest import (
     B07,
@@ -499,3 +499,123 @@ def test_analyze_ring_radius_positive(fig2b):
     analysis = analyze_trap(fig2b)
     assert analysis.ring_radius > 0
     assert analysis.ring_radius == pytest.approx(analysis.resonance_radius, rel=1e-6)
+
+
+# analyze_trap on the reference configs with its defaults, as the one-stage
+# minimum refinement reported them; (x, y, z) m, V J, azimuth rad
+_REFERENCE_ANALYSES = {
+    "fig2a": dict(
+        geometry=Geometry.DOUBLE_WELL,
+        ring_radius=0.0002143432050427971,
+        barrier_height=3.2459035274049997e-28,
+        depth=1.9878210437820233e-27,
+        omegas=(None, None, None),
+        minima=[((0.0002143432050427971, 0.0, 0.0), 0.0, 0.0),
+                ((-0.0002143432050427971, 2.6249471997464628e-20, 0.0),
+                 3.975085365177636e-44, 3.141592653589793)],
+        refined=(0.0002143432050427971, 0.0, 0.0),
+        omega_over_rabi=math.inf,
+        coupling_dominated=False,
+        notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
+    ),
+    "fig2b": dict(
+        geometry=Geometry.SYMMETRIC_RING,
+        ring_radius=0.0002143432050427971,
+        barrier_height=8.96831017167883e-44,
+        depth=9.0567126410055e-33,
+        omegas=(None, None, None),
+        minima=[((0.00021331108392455867, 2.1009308007367626e-05, 0.0),
+                 3.2459035274049993e-28, 0.09817477042468103)],
+        refined=(9.207320857222672e-05, -5.926536504967071e-06, 9.645444226925869e-05),
+        omega_over_rabi=6.124091572651347,
+        coupling_dominated=True,
+        notes=("valley is not stationary in 3D (no harmonic minimum at the ring "
+               "plane); frequencies unavailable",
+               "minimum refinement stopped on a face of its search box; the "
+               "escape depth is measured from that point"),
+    ),
+    "fig2c": dict(
+        geometry=Geometry.ASYMMETRIC_RING,
+        ring_radius=0.0002143432050427971,
+        barrier_height=2.4483896163859514e-28,
+        depth=1.4781553620786315e-27,
+        omegas=(None, None, None),
+        minima=[((0.0002143432050427971, 0.0, 0.0), 9.274010078300001e-29, 0.0),
+                ((-0.0002143432050427971, 2.6249471997464628e-20, 0.0),
+                 9.274010078300001e-29, 3.141592653589793)],
+        refined=(0.00020609612518983272, 0.0, -2.9442302868498927e-05),
+        omega_over_rabi=21.434320504279707,
+        coupling_dominated=False,
+        notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
+    ),
+    "gravity": dict(
+        geometry=Geometry.ASYMMETRIC_RING,
+        ring_radius=0.00021434320504279712,
+        barrier_height=6.067012289354637e-28,
+        depth=6.184932073065382e-28,
+        omegas=(314.41393635187404, 4183.979557550116, 257.5547006893306),
+        minima=[((-4.0366991435830814e-20, -0.00021974766636898024, 0.0),
+                 1.7437917372758596e-29, 4.71238898038469)],
+        refined=(-4.0366991435830814e-20, -0.000147842364609883, 7.829111471728347e-05),
+        omega_over_rabi=6.124091572651347,
+        coupling_dominated=True,
+        notes=(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_ANALYSES))
+def test_reference_analysis_pinned(name):
+    # only the gravity ring's refinement takes the Newton exit from the
+    # coarse mesh, which moves its point by ~1e-11 r0: its depth and
+    # frequencies may move by 1e-8 relative, every other number is exact
+    want = _REFERENCE_ANALYSES[name]
+    cfg = reference_configs()[name]
+    got = analyze_trap(cfg)
+    r0 = resonance_radius(cfg)
+    assert got.geometry is want["geometry"]
+    assert len(got.minima) == len(want["minima"])
+    assert got.notes == want["notes"]
+    assert got.low_confidence is False
+    assert got.resonance_radius == 0.0002143432050427971
+    assert got.ring_radius == want["ring_radius"]
+    assert got.barrier_height == want["barrier_height"]
+    for (pos, v, azim), (want_pos, want_v, want_azim) in zip(got.minima, want["minima"]):
+        assert pos.tolist() == list(want_pos)
+        assert (v, azim) == (want_v, want_azim)
+    assert got.criteria.kappa == 6.552882865491849
+    assert got.criteria.omega_over_rabi == want["omega_over_rabi"]
+    assert got.criteria.coupling_dominated is want["coupling_dominated"]
+    assert got.criteria.gravity_negligible is True
+    omegas = (got.omega_rho, got.omega_z, got.omega_phi)
+    if name == "gravity":
+        assert got.depth == pytest.approx(want["depth"], rel=1e-8, abs=0)
+        assert omegas == pytest.approx(want["omegas"], rel=1e-8, abs=0)
+        np.testing.assert_allclose(
+            got.minimum.position, want["refined"], rtol=0, atol=1e-10 * r0
+        )
+        assert np.array_equal(got.refined_minimum, got.minimum.position)
+    else:
+        assert got.depth == want["depth"]
+        assert omegas == want["omegas"]
+        assert got.minimum.position.tolist() == list(want["refined"])
+        assert got.refined_minimum is None
+
+
+@pytest.mark.parametrize("smooth, stationary", [(True, True), (True, False), (False, True)])
+def test_refined_minimum_only_for_smooth_stationary_interior_point(
+    smooth, stationary, monkeypatch
+):
+    cfg = reference_configs()["gravity"]
+    r0 = resonance_radius(cfg)
+    point = np.array([0.0, -0.7 * r0, 0.3 * r0])
+    result = MinimizationResult(
+        position=point, value=float(dressed_potential(point, cfg)), converged=True,
+        stationary=stationary, smooth=smooth, grad_norm=0.0, iterations=1, f_evals=7,
+    )
+    monkeypatch.setattr(ringtrap.analysis, "find_minimum", lambda *a, **k: result)
+    got = analyze_trap(cfg).refined_minimum
+    if smooth and stationary:
+        assert got is point
+    else:
+        assert got is None

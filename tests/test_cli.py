@@ -132,6 +132,25 @@ def test_analyze_gravity_negligible_flag(ini, tmp_path):
     assert rep["gravity_negligible"] == "true"  # kappa = 6.553 > threshold 5
 
 
+def test_analyze_reports_refined_minimum_only_when_stationary_inside_box(ini, tmp_path):
+    out, ring = tmp_path / "grav", tmp_path / "ring"
+    argv = ["analyze", "--config", str(ini), "--out"]
+    assert main(argv + [str(out), "--set", "gravity.enabled=true"]) == EXIT_OK
+    text = (out / "analysis.txt").read_text().splitlines()
+    rep = read_report(out / "analysis.txt")
+    listed = text[text.index("minima: azimuth_deg,x_um,y_um,z_um,V_uK") + 1]
+    listed = np.array([float(c) for c in listed.split(",")[1:4]])
+    refined = np.array([float(c) for c in rep["refined_minimum_um"].split(",")])
+    # the gravity ring's 3D minimum leaves the ring plane toward the pole
+    assert refined[2] > 50.0
+    assert float(rep["refined_offset_um"]) == pytest.approx(
+        np.linalg.norm(refined - listed), rel=1e-12)
+    assert rep["omega_z_Hz"] != "unavailable"
+    # the circular ring's refinement ends on the z face of its box: no line
+    assert main(argv + [str(ring)]) == EXIT_OK
+    assert "refined_" not in (ring / "analysis.txt").read_text()
+
+
 def test_analyze_double_well_via_set_override(ini, tmp_path):
     out = tmp_path / "dw"
     code = main(
@@ -181,6 +200,20 @@ def test_sweep_echoes_configured_frequency(ini, tmp_path):
     assert code == EXIT_OK
     lines = (out / "sweep.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["1.25", "1.5"]
+
+
+def test_list_sweep_echo_reruns(ini, tmp_path):
+    # the echo of a list sweep must not bring back the range keys, which
+    # would conflict with the list on reload
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["sweep", "--config", str(ini), "--out", str(first),
+            "--set", "sweep.freq_mhz_list=1.0,1.25,1.5"]
+    assert main(argv) == EXIT_OK
+    echo = first / "resolved.ini"
+    assert main(["sweep", "--config", str(echo), "--out", str(second)]) == EXIT_OK
+    assert (second / "sweep.csv").read_bytes() == (first / "sweep.csv").read_bytes()
+    assert (second / "resolved.ini").read_bytes() == echo.read_bytes()
+    assert len((first / "sweep.csv").read_text().splitlines()) == 4
 
 
 def test_sweep_amplitude_table_center_trap(ini, tmp_path):
