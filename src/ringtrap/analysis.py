@@ -2,15 +2,15 @@
 
 The toroidal valley of an rf-dressed quadrupole trap lives on the resonance
 shell sqrt(x^2+y^2+4z^2) = hbar*omega/(g_F mu_B B_q); its z=0 circle is the
-ring. In the z=0 plane the field direction, and so the Rabi coupling, does
-not depend on radius: along each azimuth V is a hyperbola in the detuning
-plus the linear gravity term, and its minimum has a closed form. Without
-gravity the in-plane valley floor sits exactly at zero detuning, which is
-what the two-Gaussian image measurement tracks; only an off-plane z band
-needs a numerical search. The azimuthal profile of that valley
-separates the geometries: a flat profile is a symmetric ring, coupling-closed
-zeros pinch the ring into a double well, and an azimuthally modulated but
-open valley is an asymmetric ring.
+ring. Along any ray of constant z / rho the field direction, and so the Rabi
+coupling, is fixed: V is a hyperbola in the detuning plus the gravity term,
+which is linear along the ray, and its minimum has a closed form. The z=0
+plane is one such ray per azimuth; without gravity its valley floor sits
+exactly at zero detuning, which is what the two-Gaussian image measurement
+tracks. An off-plane z band searches only over the ray slope. The
+azimuthal profile of that valley separates the geometries: a flat profile is
+a symmetric ring, coupling-closed zeros pinch the ring into a double well,
+and an azimuthally modulated but open valley is an asymmetric ring.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum, on
 #: fewest profile azimuths the geometry classifier accepts
 MIN_CLASSIFY_AZIMUTHS = 64
 
-#: valley-profile grid zoom with a z band (the z = 0 plane has a closed form):
-#: radial nodes, axial nodes, passes
-PROFILE_ZOOM = (96, 25, 7)
+#: valley-profile zoom over the ray slope z / rho in each half of a z band
+#: (the z = 0 plane is the one slope 0): slope nodes, passes
+PROFILE_ZOOM = (97, 12)
 
 #: profile coupling below this fraction of m_F * omega everywhere means the
 #: trap is effectively undressed (center trap)
@@ -101,69 +101,80 @@ class AzimuthalProfile:
         return float(self.radii.mean())
 
 
-def _plane_floor(cfg, cosp, sinp, rho_min, rho_max):
-    """Exact valley floor in the z = 0 plane: radii, z, potentials, rabis.
+def _check_rho_factors(rho_factors):
+    if not 0 < rho_factors[0] < rho_factors[1]:
+        raise ValueError(
+            f"rho window factors must satisfy 0 < lower < upper, got {tuple(rho_factors)}"
+        )
 
-    In the plane n = (cos phi, sin phi, 0) does not depend on rho, so along
-    each ray V = sqrt(A^2 u^2 + E^2) + c (r0 + u) with u = rho - r0,
-    A = m_F g_F mu_B B_q, E = m_F hbar |Omega(phi)| and c = m g sin(phi)
-    (0 without gravity). V is convex in u: its minimum is at
-    u = -c E / (A sqrt(A^2 - c^2)) when |c| < A, and otherwise on the
-    downhill edge of the window; clipping to [rho_min, rho_max] gives the
-    constrained minimum in both cases.
+
+def _lowest(rays):
+    """``rays`` (quantity, candidate, ...) at the candidate of lowest V (row 3)."""
+    k = np.argmin(rays[3], axis=0)
+    return np.take_along_axis(rays, k[None, None], axis=1)[:, 0]
+
+
+def _valley_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
+    """Valley floor over rho in [rho_min, rho_max] and |z| <= z_band: radii,
+    z, potentials, rabis.
+
+    Along a ray of slope s = z / rho at azimuth phi the field direction
+    n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and so
+    is E = m_F hbar |Omega(n)|. With R = q rho,
+    V = sqrt(A^2 (R - r0)^2 + E^2) + c R, A = m_F g_F mu_B B_q and
+    c = m g sin(phi) / q (0 without gravity). V is convex in R: its minimum
+    is at R = r0 - c E / (A sqrt(A^2 - c^2)) when |c| < A, and otherwise on
+    the downhill edge; clipping rho to the part of the window the ray
+    crosses, [rho_min, min(rho_max, z_band / |s|)], gives the constrained
+    minimum in both cases. The z = 0 plane is the single ray s = 0. A z band
+    zooms s over [-z_band / rho_min, 0] and [0, z_band / rho_min] by
+    ``PROFILE_ZOOM`` and keeps the lowest ray seen; s = 0 is a node of the
+    first pass, so the band floor is never above the plane floor.
     """
     atom = cfg.atom
     r0 = resonance_radius(cfg)
-    zeros = np.zeros_like(cosp)
-    rabis = np.sqrt(rabi_squared(np.stack([cosp, sinp, zeros], axis=-1), cfg))
     a = atom.m_F * atom.g_F * MU_B * cfg.quad.gradient
-    e = atom.m_F * HBAR * rabis
-    c = atom.mass * G_ACCEL * sinp if cfg.gravity_on else zeros
-    bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
-    root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
-    u = np.where(bound, -c * e / (a * root), np.copysign(np.inf, -c))
-    radii = np.clip(r0 + u, rho_min, rho_max)
-    potentials = dressed_potential(
-        np.stack([radii * cosp, radii * sinp, zeros], axis=-1), cfg
-    )
-    return radii, zeros, potentials, rabis
-
-
-def _banded_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
-    """Valley floor over the window and |z| <= z_band by ``PROFILE_ZOOM``."""
-    n_rho, n_z, zoom_iters = PROFILE_ZOOM
-    n_phi = len(cosp)
-    rho_lo = np.full(n_phi, rho_min)
-    rho_hi = np.full(n_phi, rho_max)
-    z_lo = np.full(n_phi, -z_band)
-    z_hi = np.full(n_phi, z_band)
-
-    for _ in range(zoom_iters):
-        frac_r = np.linspace(0.0, 1.0, n_rho)
-        rr = rho_lo[None, :] + (rho_hi - rho_lo)[None, :] * frac_r[:, None]
-        frac_z = np.linspace(0.0, 1.0, n_z)
-        zz = z_lo[None, :] + (z_hi - z_lo)[None, :] * frac_z[:, None]
-        pts = np.empty((n_rho, n_z, n_phi, 3))
-        pts[..., 0] = rr[:, None, :] * cosp
-        pts[..., 1] = rr[:, None, :] * sinp
-        pts[..., 2] = zz[None, :, :]
-        vals = dressed_potential(pts, cfg)
-        flat = vals.reshape(-1, n_phi)
-        kmin = np.argmin(flat, axis=0)
-        ir, iz = np.unravel_index(kmin, vals.shape[:2])
-        best_v = flat[kmin, np.arange(n_phi)]
-        best_rho = rr[ir, np.arange(n_phi)]
-        best_z = zz[iz, np.arange(n_phi)]
-        # shrink the window to 2.5 cells around the incumbent
-        half_r = 2.5 * (rho_hi - rho_lo) / (n_rho - 1)
-        rho_lo = np.clip(best_rho - half_r, rho_min, None)
-        rho_hi = np.clip(best_rho + half_r, None, rho_max)
-        half_z = 2.5 * (z_hi - z_lo) / (n_z - 1)
-        z_lo = np.clip(best_z - half_z, -z_band, None)
-        z_hi = np.clip(best_z + half_z, None, z_band)
-
-    pts_min = np.stack([best_rho * cosp, best_rho * sinp, best_z], axis=-1)
-    return best_rho, best_z, best_v, np.sqrt(rabi_squared(pts_min, cfg))
+    n_s, passes = PROFILE_ZOOM if z_band > 0 else (1, 1)
+    s_max = z_band / rho_min
+    # slope windows on axes (half, azimuth): each sign of z is zoomed on its
+    # own, as the valleys at +-z mirror each other up to the polarisation
+    # cross terms, too close in V for a coarse pass to rank
+    halves = [-s_max, 0.0, 0.0, s_max] if z_band > 0 else [0.0, 0.0]
+    s_lo, s_hi = np.array(halves).reshape(2, -1, 1)
+    lo, hi = s_lo, s_hi  # the first pass shares its slopes across azimuths
+    frac = (np.arange(n_s) / max(n_s - 1, 1))[:, None, None]
+    best = None  # s, rho, z, V, |Omega| of each window's lowest ray so far
+    for _ in range(passes):
+        s = lo + (hi - lo) * frac  # (slope, half, azimuth or 1); +0.0 in the plane
+        shape = (n_s, len(s_lo), len(cosp))
+        pts = np.empty(shape + (3,))
+        pts[..., 0], pts[..., 1], pts[..., 2] = cosp, sinp, s
+        rabis = np.sqrt(rabi_squared(pts.reshape(-1, 3), cfg)).reshape(shape)
+        e = atom.m_F * HBAR * rabis
+        q = np.hypot(1.0, 2.0 * s)
+        c = atom.mass * G_ACCEL * sinp / q if cfg.gravity_on else np.zeros_like(s)
+        bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
+        root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
+        u = np.where(bound, -c * e / (a * root), np.copysign(np.inf, -c))
+        radii = np.minimum(np.maximum((r0 + u) / q, rho_min), rho_max)
+        # the ray leaves the band at rho = z_band / |s|, kept >= rho_min and
+        # |z| <= z_band against rounding
+        abs_s = np.abs(s)
+        np.divide(z_band, abs_s, out=radii, where=abs_s * radii > z_band)
+        np.maximum(radii, rho_min, out=radii)
+        z = np.copysign(np.minimum(abs_s * radii, z_band), s)
+        pts[..., 0], pts[..., 1], pts[..., 2] = radii * cosp, radii * sinp, z
+        v = dressed_potential(pts.reshape(-1, 3), cfg).reshape(shape)
+        if passes == 1:  # the plane: one ray per azimuth
+            return radii[0, 0], z[0, 0], v[0, 0], rabis[0, 0]
+        lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v, rabis)))
+        best = lowest if best is None else np.where(lowest[3] < best[3], lowest, best)
+        # shrink each slope window to 2.5 cells around its lowest ray
+        half = 2.5 * (hi - lo) / (n_s - 1)
+        lo = np.maximum(best[0] - half, s_lo)
+        hi = np.minimum(best[0] + half, s_hi)
+    _, radii, z, potentials, rabis = _lowest(best)
+    return radii, z, potentials, rabis
 
 
 def azimuthal_profile(
@@ -175,28 +186,28 @@ def azimuthal_profile(
     """Minimise V over the radial(-axial) window at each azimuth.
 
     For every azimuth phi the potential is minimised over
-    rho in [0.2, 3] * r0 (factors configurable) and, when ``z_band_factor``
-    > 0, z in [-z_band_factor, z_band_factor] * r0, where r0 is the
-    resonance radius of ``cfg``. The default is the z = 0 plane: that is the
-    plane the ring, wells and any azimuthal asymmetry live in, and the
-    plane absorption images project onto. There the floor has a closed form
-    (two kernel calls of ``n_phi`` points). With a z band the field
-    direction depends on (rho, z), and the minimisation is an iterated grid
-    zoom, evaluated for all azimuths in lockstep; it is deterministic and is
-    not derailed by the conical valley sections (see ``PROFILE_ZOOM``).
+    rho in [0.2, 3] * r0 (factors configurable, 0 < lower < upper) and
+    |z| <= ``z_band_factor`` * r0, where r0 is the resonance radius of
+    ``cfg``. The default band is 0, the z = 0 plane: the plane the ring,
+    wells and any azimuthal asymmetry live in, and the plane absorption
+    images project onto. Along every ray of constant z / rho the field
+    direction is fixed and V has a closed-form minimum (``_valley_floor``):
+    the plane is one such ray per azimuth (two kernel calls of ``n_phi``
+    points); a z band zooms over the ray slope for all azimuths in lockstep
+    (two kernel calls per pass of ``PROFILE_ZOOM``).
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
     if z_band_factor < 0:
         raise ValueError("z_band_factor must be non-negative")
+    _check_rho_factors(rho_factors)
     r0 = resonance_radius(cfg)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    cosp, sinp = np.cos(phis), np.sin(phis)
-    window = (cosp, sinp, rho_factors[0] * r0, rho_factors[1] * r0)
-    if z_band_factor == 0.0:
-        radii, z, potentials, rabis = _plane_floor(cfg, *window)
-    else:
-        radii, z, potentials, rabis = _banded_floor(cfg, *window, z_band_factor * r0)
+    # np.linspace(0, 2 pi, n_phi, endpoint=False) bit for bit, at half its cost
+    phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+    radii, z, potentials, rabis = _valley_floor(
+        cfg, np.cos(phis), np.sin(phis),
+        rho_factors[0] * r0, rho_factors[1] * r0, z_band_factor * r0,
+    )
     return AzimuthalProfile(
         azimuths=phis,
         radii=radii,
@@ -589,6 +600,7 @@ def frequency_sweep(
         raise ValueError("sweep frequencies must be positive")
     if n_phi < MIN_CLASSIFY_AZIMUTHS:
         raise ValueError(f"sweep classification requires n_phi >= {MIN_CLASSIFY_AZIMUTHS}")
+    _check_rho_factors(rho_factors)
     if amplitudes is not None and len(amplitudes) != len(omegas):
         raise ValueError("amplitudes table must match the frequency list length")
 
@@ -600,7 +612,6 @@ def frequency_sweep(
             changes.update(b_x=float(bx), b_y=float(by), b_z=float(bz))
         try:
             cfg_i = cfg.with_rf(**changes)
-            r_res = resonance_radius(cfg_i)
             profile = azimuthal_profile(
                 cfg_i, n_phi=n_phi, rho_factors=rho_factors, z_band_factor=z_band_factor
             )
@@ -608,7 +619,7 @@ def frequency_sweep(
             rows.append(
                 SweepPoint(
                     omega=w,
-                    resonance_radius=r_res,
+                    resonance_radius=profile.resonance_radius,
                     numeric_radius=profile.numeric_radius(),
                     barrier_height=profile.barrier_height(),
                     geometry=cls.geometry,

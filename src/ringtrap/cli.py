@@ -34,14 +34,6 @@ EXIT_IO = 4
 _TWO_PI = 2.0 * np.pi
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
-def _echo_config(rc: RunConfig, outdir: Path) -> None:
-    _write_text(outdir / "resolved.ini", rc.resolved_ini())
-
-
 def _fmt(value) -> str:
     if value is None:
         return "unavailable"
@@ -86,7 +78,7 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
         "max_uK": convert_units(vmax, "J", "uK"),
         "resonance_radius_m": resonance_radius(cfg),
     }
-    _write_text(outdir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -139,7 +131,7 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         lines.append(f"refined_offset_um: {offset * um!r}")
     for note in analysis.notes:
         lines.append(f"note: {note}")
-    _write_text(outdir / "analysis.txt", "\n".join(lines) + "\n")
+    (outdir / "analysis.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -170,7 +162,7 @@ def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
             )
         else:
             lines.append(f"{f_mhz!r},,,,,{row.error}")
-    _write_text(outdir / "sweep.csv", "\n".join(lines) + "\n")
+    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -212,7 +204,7 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
         )
     for angle, reason in measurement.excluded:
         lines.append(f"excluded: {float(np.degrees(angle))!r},{reason}")
-    _write_text(outdir / "radius.txt", "\n".join(lines) + "\n")
+    (outdir / "radius.txt").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -251,7 +243,7 @@ def main(argv=None) -> int:
         rc = load_config(args.config, overrides=args.set)
         outdir = Path(args.out) if args.out else Path(rc.get("output", "directory"))
         outdir.mkdir(parents=True, exist_ok=True)  # raises if outdir is a file
-        _echo_config(rc, outdir)
+        (outdir / "resolved.ini").write_text(rc.resolved_ini())
         if args.command == "potential":
             return run_potential(rc, outdir)
         if args.command == "analyze":

@@ -23,8 +23,6 @@ _FACTORS = {
     ("uK", "J"): K_B * 1e-6,
 }
 
-_ALIASES = {"µK": "uK", "μK": "uK", "gauss": "G", "degree": "deg"}
-
 
 def convert_units(value: float, from_unit: str, to_unit: str) -> float:
     """Convert ``value`` between a supported unit pair.
@@ -32,12 +30,10 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
     Supported pairs (either direction): G<->T, G/cm<->T/m, MHz<->rad/s,
     deg<->rad, uK<->J. Anything else raises :class:`UnitError`.
     """
-    fu = _ALIASES.get(from_unit, from_unit)
-    tu = _ALIASES.get(to_unit, to_unit)
-    if fu == tu:
+    if from_unit == to_unit:
         raise UnitError(f"no conversion defined from {from_unit!r} to itself")
-    if (fu, tu) in _FACTORS:
-        return value * _FACTORS[(fu, tu)]
-    if (tu, fu) in _FACTORS:
-        return value / _FACTORS[(tu, fu)]
+    if (from_unit, to_unit) in _FACTORS:
+        return value * _FACTORS[(from_unit, to_unit)]
+    if (to_unit, from_unit) in _FACTORS:
+        return value / _FACTORS[(to_unit, from_unit)]
     raise UnitError(f"unsupported unit pair {from_unit!r} -> {to_unit!r}")

@@ -117,7 +117,7 @@ def test_profile_requires_min_azimuths(fig2a):
 
 def plane_zoom_profile(cfg, n_phi, rho_factors):
     """The z = 0 grid zoom the profile used before its closed form: (radii, V)."""
-    n_rho, _, zoom_iters = ringtrap.analysis.PROFILE_ZOOM
+    n_rho, zoom_iters = 96, 7
     r0 = resonance_radius(cfg)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     cosp, sinp = np.cos(phis), np.sin(phis)
@@ -135,6 +135,43 @@ def plane_zoom_profile(cfg, n_phi, rho_factors):
         rho_lo = np.clip(best_rho - half_r, rho_factors[0] * r0, None)
         rho_hi = np.clip(best_rho + half_r, None, rho_factors[1] * r0)
     return best_rho, best_v
+
+
+def banded_zoom_profile(cfg, n_phi, rho_factors, z_band_factor):
+    """The (rho, z) grid zoom the profile used with a z band before it
+    zoomed over ray slopes: (radii, z, V)."""
+    n_rho, n_z, zoom_iters = 96, 25, 7
+    r0 = resonance_radius(cfg)
+    rho_min, rho_max, z_band = rho_factors[0] * r0, rho_factors[1] * r0, z_band_factor * r0
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    cosp, sinp = np.cos(phis), np.sin(phis)
+    rho_lo = np.full(n_phi, rho_min)
+    rho_hi = np.full(n_phi, rho_max)
+    z_lo = np.full(n_phi, -z_band)
+    z_hi = np.full(n_phi, z_band)
+    for _ in range(zoom_iters):
+        frac_r = np.linspace(0.0, 1.0, n_rho)
+        rr = rho_lo[None, :] + (rho_hi - rho_lo)[None, :] * frac_r[:, None]
+        frac_z = np.linspace(0.0, 1.0, n_z)
+        zz = z_lo[None, :] + (z_hi - z_lo)[None, :] * frac_z[:, None]
+        pts = np.empty((n_rho, n_z, n_phi, 3))
+        pts[..., 0] = rr[:, None, :] * cosp
+        pts[..., 1] = rr[:, None, :] * sinp
+        pts[..., 2] = zz[None, :, :]
+        vals = dressed_potential(pts, cfg)
+        flat = vals.reshape(-1, n_phi)
+        kmin = np.argmin(flat, axis=0)
+        ir, iz = np.unravel_index(kmin, vals.shape[:2])
+        best_v = flat[kmin, np.arange(n_phi)]
+        best_rho = rr[ir, np.arange(n_phi)]
+        best_z = zz[iz, np.arange(n_phi)]
+        half_r = 2.5 * (rho_hi - rho_lo) / (n_rho - 1)
+        rho_lo = np.clip(best_rho - half_r, rho_min, None)
+        rho_hi = np.clip(best_rho + half_r, None, rho_max)
+        half_z = 2.5 * (z_hi - z_lo) / (n_z - 1)
+        z_lo = np.clip(best_z - half_z, -z_band, None)
+        z_hi = np.clip(best_z + half_z, None, z_band)
+    return best_rho, best_z, best_v
 
 
 #: below this |Omega| / omega the valley section is a cone whose tip the
@@ -218,6 +255,107 @@ def test_plane_profile_makes_two_kernel_calls(name, monkeypatch):
     azimuthal_profile(reference_configs()[name], n_phi=256)
     assert len(shapes) <= 2
     assert all(shape == (256, 3) for shape in shapes)
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_plane_z_is_positive_zero(name):
+    # a -0.0 would print as "-0.0" in analysis.txt
+    z = azimuthal_profile(reference_configs()[name], n_phi=64).z
+    assert np.all(z == 0.0) and not np.signbit(z).any()
+
+
+def assert_band_profile_holds(cfg, n_phi, rho_factors, z_band_factor):
+    prof = azimuthal_profile(
+        cfg, n_phi=n_phi, rho_factors=rho_factors, z_band_factor=z_band_factor
+    )
+    plane = azimuthal_profile(cfg, n_phi=n_phi, rho_factors=rho_factors)
+    _, _, zoom = banded_zoom_profile(cfg, n_phi, rho_factors, z_band_factor)
+    r0 = prof.resonance_radius
+    assert np.all(prof.potentials <= zoom + 1e-14 * prof.energy_scale)
+    assert np.all(prof.potentials <= plane.potentials)
+    assert np.all(np.abs(prof.z) <= z_band_factor * r0)
+    assert np.all(prof.radii >= rho_factors[0] * r0)
+    assert np.all(prof.radii <= rho_factors[1] * r0)
+
+
+def _band_cases():
+    cases = {}
+    bands = (1e-6, 0.3, 2.0)
+    for name, cfg in reference_configs().items():
+        for band in bands:
+            for n_phi in (64, 256):
+                cases[f"{name}-{n_phi}-{band}"] = (cfg, n_phi, (0.2, 3.0), band)
+            for window in ((0.999, 1.001), (1.2, 3.0)):
+                cases[f"{name}-{window}-{band}"] = (cfg, 64, window, band)
+    for label, (cfg, n_phi, window) in _plane_cases().items():
+        if "kappa-below-1" in label:
+            for band in bands:
+                cases[f"{label}-{band}"] = (cfg, n_phi, window, band)
+            # gravity pins the floor to the corner (rho_min, +-z_band), and
+            # z_band / (z_band / rho_min) rounds below rho_min
+            cases[f"{label}-corner"] = (cfg, n_phi, (0.22, 3.0), 0.3)
+    # valleys at +z and -z within ~3e-4 m_F hbar omega of each other: one
+    # slope window over the whole band follows the wrong one
+    cases["mirror-gravity"] = (
+        make_trap(2.55e-5, 8.42e-5, 6.73e-5, -2.62, -3.04, gradient=1.52, gravity=True),
+        64, (0.12, 0.45), 1.25,
+    )
+    cases["mirror"] = (
+        make_trap(5.03e-5, 8.55e-5, 9.68e-5, 1.69, -0.495, gradient=0.24),
+        64, (0.48, 0.87), 1.12,
+    )
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_band_cases()))
+def test_band_profile_below_zoom_and_plane(case):
+    assert_band_profile_holds(*_band_cases()[case])
+
+
+@given(
+    amps=st.tuples(*[st.floats(0.0, 1e-4)] * 3),
+    phases=st.tuples(*[st.floats(-np.pi, np.pi)] * 2),
+    gradient=st.floats(0.05, 2.0),
+    gravity=st.booleans(),
+    rho_lo=st.floats(0.1, 1.5),
+    width=st.floats(1e-3, 3.0),
+    band=st.floats(1e-6, 2.0),
+)
+def test_band_profile_below_zoom_and_plane_property(
+    amps, phases, gradient, gravity, rho_lo, width, band
+):
+    cfg = make_trap(*amps, *phases, gradient=gradient, gravity=gravity)
+    assert_band_profile_holds(cfg, 16, (rho_lo, rho_lo + width), band)
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_band_profile_makes_two_kernel_calls_per_pass(name, monkeypatch):
+    kernel = ringtrap.dressed._larmor_and_rabi_squared
+    shapes = []
+
+    def counted(r, cfg):
+        shapes.append(np.shape(r))
+        return kernel(r, cfg)
+
+    monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
+    azimuthal_profile(reference_configs()[name], n_phi=256, z_band_factor=0.3)
+    n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
+    assert len(shapes) == 2 * passes
+    # one slope window per sign of z and azimuth
+    assert all(shape == (n_slopes * 2 * 256, 3) for shape in shapes)
+
+
+@pytest.mark.parametrize(
+    "rho_factors", [(3.0, 0.2), (1.0, 1.0), (0.0, 3.0), (-0.5, 3.0), (math.nan, 3.0)]
+)
+def test_bad_rho_window_rejected(fig2b, rho_factors):
+    with pytest.raises(ValueError, match="rho window"):
+        azimuthal_profile(fig2b, rho_factors=rho_factors)
+    with pytest.raises(ValueError, match="rho window"):
+        analyze_trap(fig2b, rho_factors=rho_factors)
+    # one error before the loop, not one error row per frequency
+    with pytest.raises(ValueError, match="rho window"):
+        frequency_sweep(fig2b, [OMEGA_15MHZ, 2 * OMEGA_15MHZ], rho_factors=rho_factors)
 
 
 # -- classifier --------------------------------------------------------------

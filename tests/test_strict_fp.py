@@ -14,7 +14,7 @@ from ringtrap import analyze_trap, frequency_sweep
 from conftest import reference_configs
 
 
-@pytest.mark.parametrize("band_factor", [0.0, 0.3])
+@pytest.mark.parametrize("band_factor", [0.0, 1e-6, 0.3, 2.0])
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_pipelines_raise_no_fp_error(name, band_factor):
     cfg = reference_configs()[name]

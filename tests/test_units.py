@@ -50,7 +50,3 @@ def test_unknown_pair_rejected():
         convert_units(1.0, "furlong", "m")
     with pytest.raises(UnitError):
         convert_units(1.0, "G", "G")
-
-
-def test_microkelvin_alias():
-    assert convert_units(1.0, "µK", "J") == convert_units(1.0, "uK", "J")
