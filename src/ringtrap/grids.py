@@ -10,12 +10,16 @@ import numpy as np
 from .dressed import dressed_potential
 from .fields import TrapConfig
 
-#: refuse to allocate grids beyond this many nodes
+#: refuse to allocate grids beyond this many nodes: the fill, the integral
+#: and the projection each work one block at a time, so a grid costs 8 B per
+#: node plus one block
 MAX_GRID_NODES = 100_000_000
 
-#: most nodes in one block of :func:`node_blocks`: blocks are runs of whole
-#: x-slabs, split into z-rows or z-runs only where one slab holds more nodes
-_CHUNK = 1 << 18
+#: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
+#: blocks are runs of whole x-slabs, split into z-rows or z-runs only where
+#: one slab holds more nodes. 2^15 nodes keep the kernel's temporaries (a few
+#: MB) in cache and bound the working set of every pass to one block.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,8 @@ class ScalarGrid:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != dims:
             raise ValueError(f"values shape {vals.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(vals)):
+        # min and max propagate NaN and reach any inf, with no per-node mask
+        if not (math.isfinite(vals.min()) and math.isfinite(vals.max())):
             raise ValueError("grid values must all be finite")
         if any(s <= 0 for n, s in zip(dims, self.spacing) if n > 1):
             raise ValueError("spacing must be positive on non-collapsed axes")
@@ -63,20 +68,40 @@ class ScalarGrid:
         return np.stack(mesh, axis=-1)
 
     def integral(self) -> float:
-        """Trapezoidal integral over all non-collapsed axes."""
-        out = self.values
-        for axis in (2, 1, 0):
-            if self.dims[axis] > 1:
-                out = np.trapezoid(out, dx=self.spacing[axis], axis=axis)
-            else:
-                out = np.squeeze(out, axis=axis)
-        return float(out)
+        """Trapezoidal integral over all non-collapsed axes.
+
+        Integrates over z, then y, one run of whole x-slabs at a time
+        (:func:`slab_runs`), then over the one value per x node. Each row
+        sums as it would over the whole array, so the result does not depend
+        on the block size, and the temporaries never exceed one block.
+        """
+        per_x = np.empty(self.dims[0])
+        for run in slab_runs(self.dims):
+            out = self.values[run]
+            for axis in (2, 1):
+                if self.dims[axis] > 1:
+                    out = np.trapezoid(out, dx=self.spacing[axis], axis=axis)
+                else:
+                    out = np.squeeze(out, axis=axis)
+            per_x[run] = out
+        if self.dims[0] > 1:
+            return float(np.trapezoid(per_x, dx=self.spacing[0]))
+        return float(per_x[0])
 
     def min_position(self) -> np.ndarray:
         """Coordinates of the smallest value (first occurrence)."""
         idx = np.unravel_index(int(np.argmin(self.values)), self.dims)
         ax = self.axes()
         return np.array([ax[i][idx[i]] for i in range(3)])
+
+
+def slab_runs(dims):
+    """Slices of the first axis of an array of shape ``dims``: consecutive
+    runs of whole slabs (index steps along that axis) of at most ``_CHUNK``
+    nodes together, or of one slab where one slab alone holds more."""
+    step = max(1, _CHUNK // math.prod(dims[1:]))
+    for lo in range(0, dims[0], step):
+        yield slice(lo, lo + step)
 
 
 def node_blocks(dims):
@@ -87,16 +112,13 @@ def node_blocks(dims):
     z-rows of one slab, else a run of nodes of one z-row. Each box is one
     contiguous run of the flattened grid.
     """
-    for axis in range(3):
-        tail = math.prod(dims[axis + 1:])  # nodes per index step along axis
-        if tail <= _CHUNK:
-            break
-    step = _CHUNK // tail
+    # the first axis whose slabs fit; the z axis's slabs are single nodes
+    axis = next(a for a in range(3) if math.prod(dims[a + 1:]) <= _CHUNK)
     for outer in np.ndindex(*dims[:axis]):
-        for lo in range(0, dims[axis], step):
+        for run in slab_runs(dims[axis:]):
             yield (
                 *(slice(i, i + 1) for i in outer),
-                slice(lo, lo + step),
+                run,
                 *(slice(None),) * (2 - axis),
             )
 

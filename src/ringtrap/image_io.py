@@ -53,11 +53,11 @@ def _image_from_meta(meta: dict, values: np.ndarray, quant_scale=None) -> Synthe
 
 def export_image_csv(image: SyntheticImage, path) -> None:
     """Write the image as a comment-headed CSV matrix of repr floats."""
-    lines = [f"# ringtrap image csv v{_HDR_VERSION}"]
-    lines += ["# " + line for line in _meta_lines(image, "atoms/m^2 * od_scale")]
-    for row in image.values.tolist():
-        lines.append(",".join(repr(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"# ringtrap image csv v{_HDR_VERSION}\n")
+        fh.writelines(f"# {line}\n" for line in _meta_lines(image, "atoms/m^2 * od_scale"))
+        for row in image.values:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def import_image_csv(path) -> SyntheticImage:
@@ -75,11 +75,13 @@ def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
     """Write little-endian uint16 pixels plus a text sidecar header.
 
     The quantisation scale is max/65535 unless the image carries the scale
-    it was previously imported with, which keeps round trips bit-exact.
+    it was previously imported with, which keeps round trips bit-exact. The
+    carried scale is kept only while the largest value still quantises to
+    at most 65535, so values that have grown since are never wrapped.
     """
     vmax = float(image.values.max())
     scale = image.quant_scale
-    if scale is None:
+    if scale is None or (vmax > 0 and not (scale > 0 and np.rint(vmax / scale) <= 65535)):
         scale = vmax / 65535.0 if vmax > 0 else 1.0
     quant = np.rint(image.values / scale).astype("<u2") if scale > 0 else np.zeros(
         image.dims, dtype="<u2"

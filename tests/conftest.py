@@ -86,6 +86,25 @@ def imaging_region(cfg, pixel=PIXEL, half_xy_factor=1.8, half_z_factor=0.1, nz=3
     return region, (2 * n_half + 1, 2 * n_half + 1, nz)
 
 
+def whole_array_integral(grid):
+    """ScalarGrid.integral as it was before it ran in slab runs: one
+    trapezoid pass per axis over the whole array."""
+    out = grid.values
+    for axis in (2, 1, 0):
+        if grid.dims[axis] > 1:
+            out = np.trapezoid(out, dx=grid.spacing[axis], axis=axis)
+        else:
+            out = np.squeeze(out, axis=axis)
+    return float(out)
+
+
+def whole_array_projection(density, od_scale=1.0):
+    """The values of column_density as it was before it ran in slab runs:
+    one trapezoid pass along z over the whole array, then scaled."""
+    img = np.trapezoid(density.values, dx=density.spacing[2], axis=2)
+    return img * od_scale
+
+
 def synth_image(cfg, temperature=20e-6, atoms=1e5, pixel=PIXEL):
     region, dims = imaging_region(cfg, pixel=pixel)
     dens = thermal_density(cfg, temperature, region, dims, atom_number=atoms)

@@ -4,11 +4,23 @@ import numpy as np
 import pytest
 
 import ringtrap.grids
-from ringtrap import ScalarGrid, dressed_potential, resonance_radius, sample_grid
+from ringtrap import (
+    ScalarGrid,
+    column_density,
+    dressed_potential,
+    resonance_radius,
+    sample_grid,
+)
 from ringtrap.constants import HBAR, RB87
 from ringtrap.grids import _CHUNK
 
-from conftest import B07, count_kernel_calls, make_trap
+from conftest import (
+    B07,
+    count_kernel_calls,
+    make_trap,
+    whole_array_integral,
+    whole_array_projection,
+)
 
 
 def test_fig2b_plane_minimum_locus(fig2b):
@@ -60,11 +72,11 @@ def test_node_count_guard(fig2a):
 def test_grid_validation():
     with pytest.raises(ValueError):
         ScalarGrid(origin=(0, 0, 0), spacing=(1, 1, 1), dims=(2, 2, 2), values=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        ScalarGrid(
-            origin=(0, 0, 0), spacing=(1, 1, 1), dims=(2, 2, 2),
-            values=np.full((2, 2, 2), np.nan),
-        )
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.zeros((2, 2, 2))
+        values[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScalarGrid(origin=(0, 0, 0), spacing=(1, 1, 1), dims=(2, 2, 2), values=values)
     with pytest.raises(ValueError):
         ScalarGrid(origin=(0, 0, 0), spacing=(0, 1, 1), dims=(2, 2, 2), values=np.zeros((2, 2, 2)))
 
@@ -126,3 +138,34 @@ def test_fill_matches_divmod_oracle(monkeypatch, cfg, region, dims):
     assert all(shape[-1] == 3 for shape in calls)
     assert max(sizes) <= _CHUNK
     assert sum(sizes) == math.prod(dims)
+
+
+# image-workload grid, planes, a z line, a slab over _CHUNK, collapsed axes,
+# an x line and slabs of 12,000 nodes
+SLAB_SHAPES = [
+    (311, 311, 33), (401, 401, 1), (1, 1, 300_000), (2, 600, 600),
+    (7, 1, 5), (1, 37, 9), (1000, 1, 1), (5, 4000, 3),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024, _CHUNK])
+@pytest.mark.parametrize("dims", SLAB_SHAPES)
+def test_slab_runs_match_whole_array_trapezoids(monkeypatch, dims, chunk):
+    monkeypatch.setattr(ringtrap.grids, "_CHUNK", chunk)
+    base = np.random.default_rng(math.prod(dims)).random(dims)
+    for scale in (1.0, 1e-30, 1e12):
+        grid = ScalarGrid(
+            origin=(0, 0, 0), spacing=(2.5e-6, 2.5e-6, 1.7e-6), dims=dims,
+            values=base * scale,
+        )
+        assert grid.integral() == whole_array_integral(grid)
+        if min(dims) >= 2:
+            img = column_density(grid, od_scale=0.37)
+            assert np.array_equal(img.values, whole_array_projection(grid, 0.37))
+
+
+def test_slab_runs_cover_the_first_axis(monkeypatch):
+    # runs of 3 slabs of 4 x 5 nodes; one slab a run where a slab is larger
+    monkeypatch.setattr(ringtrap.grids, "_CHUNK", 60)
+    assert list(ringtrap.grids.slab_runs((7, 4, 5))) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+    assert list(ringtrap.grids.slab_runs((2, 61))) == [slice(0, 1), slice(1, 2)]

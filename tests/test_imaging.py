@@ -1,6 +1,10 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ringtrap.grids
 import ringtrap.imaging
 from ringtrap import (
     SyntheticImage,
@@ -21,7 +25,14 @@ from ringtrap.image_io import (
     import_image_csv,
 )
 
-from conftest import PIXEL, imaging_region, reference_configs, synth_image
+from conftest import (
+    PIXEL,
+    imaging_region,
+    reference_configs,
+    synth_image,
+    whole_array_integral,
+    whole_array_projection,
+)
 
 T20 = 20e-6
 
@@ -102,6 +113,55 @@ def test_density_matches_out_of_place_oracle(name):
     weight = np.exp(-(v - v.min()) / (K_B * T20))
     norm = ScalarGrid(grid.origin, grid.spacing, grid.dims, weight).integral()
     assert np.array_equal(dens.values, weight * (3e4 / norm))
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_density_and_projection_match_whole_array_code(name, monkeypatch):
+    # thermal_density and column_density as they were before the fill, the
+    # integral and the projection ran in blocks of at most _CHUNK nodes
+    cfg = reference_configs()[name]
+    region, dims = imaging_region(cfg)
+    dens = thermal_density(cfg, T20, region, dims)
+    img = column_density(dens, od_scale=0.5)
+    monkeypatch.setattr(ringtrap.grids, "_CHUNK", 1 << 18)
+    grid = sample_grid(cfg, region, dims)
+    w = grid.values
+    w -= w.min()
+    w /= -(K_B * T20)
+    np.exp(w, out=w)
+    w *= 1e5 / whole_array_integral(grid)
+    assert np.array_equal(dens.values, w)
+    assert np.array_equal(img.values, whole_array_projection(grid, 0.5))
+
+
+def _traced_growth(step):
+    """Run ``step()`` under tracemalloc; return its result and its peak above
+    what was held when it started."""
+    tracemalloc.reset_peak()
+    held, _ = tracemalloc.get_traced_memory()
+    result = step()
+    return result, tracemalloc.get_traced_memory()[1] - held
+
+
+def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path):
+    # the image workload's 311 x 311 x 33 grid: the density peaks at its own
+    # 25.5 MB plus one block, and the projection and the CSV export add at
+    # most one block to what is held when they start
+    block = 8 << 20
+    region, dims = imaging_region(fig2b)
+    tracemalloc.start()
+    try:
+        dens, grown = _traced_growth(lambda: thermal_density(fig2b, T20, region, dims))
+        assert grown <= dens.values.nbytes + block
+        # validating a grid builds no per-node mask
+        _, grown = _traced_growth(lambda: dataclasses.replace(dens))
+        assert grown < 1 << 20
+        img, grown = _traced_growth(lambda: column_density(dens))
+        assert grown <= block
+        _, grown = _traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
+        assert grown <= block
+    finally:
+        tracemalloc.stop()
 
 
 def test_non_finite_density_rejected(fig2b):
@@ -276,6 +336,17 @@ def test_binary_round_trip_bit_exact(fig2b, tmp_path):
     assert h1.read_text() == h2.read_text()
     again = import_image_binary(p2, h2)
     np.testing.assert_array_equal(again.values, back.values)
+
+
+def test_binary_export_of_grown_values_does_not_wrap(tmp_path):
+    # an imported image carries its quantisation scale; values doubled since
+    # would need 2 x 65535 steps of it and wrapped mod 65536
+    p, h = tmp_path / "a.u16", tmp_path / "a.hdr"
+    export_image_binary(_header_image(), p, h)
+    grown = dataclasses.replace(import_image_binary(p, h), values=_header_image().values * 2)
+    export_image_binary(grown, p, h)
+    back = import_image_binary(p, h)
+    assert np.abs(back.values - grown.values).max() <= grown.values.max() / 65535.0
 
 
 def test_binary_quantisation_error_bounded(fig2b, tmp_path):
