@@ -11,6 +11,11 @@ tracks. An off-plane z band searches only over the ray slope. The
 azimuthal profile of that valley separates the geometries: a flat profile is
 a symmetric ring, coupling-closed zeros pinch the ring into a double well,
 and an azimuthally modulated but open valley is an asymmetric ring.
+
+The same closed form turns the 3-D minimum into a 2-D question: a local
+minimum of V is a local minimum of the ray floor over the unit sphere of
+field directions, which ``shell_minimum`` descends from the profile
+minimum's direction, with no box and no window.
 """
 
 from __future__ import annotations
@@ -32,7 +37,13 @@ from .dressed import (
 )
 from .errors import ConvergenceError, NotAMinimumError, RingtrapError
 from .fields import TrapConfig
-from .minimize import SMOOTH_RABI_FRACTION, MinimizationResult, find_minimum, on_box_face
+from .minimize import (
+    MIN_MESH_STEP,
+    SMOOTH_RABI_FRACTION,
+    MinimizationResult,
+    sphere_moves,
+    staged_search,
+)
 
 #: fewest profile azimuths the geometry classifier accepts
 MIN_CLASSIFY_AZIMUTHS = 64
@@ -40,6 +51,14 @@ MIN_CLASSIFY_AZIMUTHS = 64
 #: valley-profile zoom over the ray slope z / rho in each half of a z band
 #: (the z = 0 plane is the one slope 0): slope nodes, passes
 PROFILE_ZOOM = (97, 12)
+
+#: meshes the sphere search evaluates per kernel call: step, step / 2 and
+#: step / 4 (``minimize._compass``)
+SPHERE_MESH_LEVELS = 3
+
+#: maps a unit field direction n to the point (n_x, n_y, -n_z / 2) at R = 1
+#: of its ray
+_RAY = np.array([1.0, 1.0, -0.5])
 
 #: profile coupling below this fraction of m_F * omega everywhere means the
 #: trap is effectively undressed (center trap)
@@ -114,26 +133,46 @@ def _lowest(rays):
     return np.take_along_axis(rays, k[None, None], axis=1)[:, 0]
 
 
+def _ray_floor(cfg, u):
+    """Closed-form floor of V along the rays r = R u, R >= 0, through the
+    points ``u`` = (n_x, n_y, -n_z / 2) (..., 3) of unit field directions n:
+    the radius R*, the floor V* and the Rabi coupling |Omega|.
+
+    Along such a ray the field direction is n, so E = m_F hbar |Omega(n)| is
+    fixed, and V = sqrt(A^2 (R - r0)^2 + E^2) + c R with
+    A = m_F g_F mu_B B_q and c = m g n_y (0 without gravity). V is convex in
+    R. When |c| < A its minimum is at R* = r0 - c E / (A sqrt(A^2 - c^2)),
+    where V* = c r0 + E sqrt(1 - c^2 / A^2). Otherwise the ray has no floor:
+    R* = +inf where V falls without end (c <= -A) and -inf where it rises
+    from the centre (c >= A). V* is the floor only where 0 < R* < inf.
+    """
+    atom = cfg.atom
+    r0 = resonance_radius(cfg)
+    a = atom.m_F * atom.g_F * MU_B * cfg.quad.gradient
+    rabis = np.sqrt(rabi_squared(u.reshape(-1, 3), cfg)).reshape(u.shape[:-1])
+    e = atom.m_F * HBAR * rabis
+    c = atom.mass * G_ACCEL * u[..., 1] if cfg.gravity_on else 0.0
+    bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
+    root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
+    radius = np.where(bound, r0 - c * e / (a * root), np.copysign(np.inf, -c))
+    return radius, c * r0 + e * root / a, rabis
+
+
 def _valley_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
     """Valley floor over rho in [rho_min, rho_max] and |z| <= z_band: radii,
     z, potentials, rabis.
 
     Along a ray of slope s = z / rho at azimuth phi the field direction
-    n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and so
-    is E = m_F hbar |Omega(n)|. With R = q rho,
-    V = sqrt(A^2 (R - r0)^2 + E^2) + c R, A = m_F g_F mu_B B_q and
-    c = m g sin(phi) / q (0 without gravity). V is convex in R: its minimum
-    is at R = r0 - c E / (A sqrt(A^2 - c^2)) when |c| < A, and otherwise on
-    the downhill edge; clipping rho to the part of the window the ray
-    crosses, [rho_min, min(rho_max, z_band / |s|)], gives the constrained
-    minimum in both cases. The z = 0 plane is the single ray s = 0. A z band
-    zooms s over [-z_band / rho_min, 0] and [0, z_band / rho_min] by
-    ``PROFILE_ZOOM`` and keeps the lowest ray seen; s = 0 is a node of the
-    first pass, so the band floor is never above the plane floor.
+    n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and V
+    has the closed-form floor of ``_ray_floor`` at R* = q rho. V is convex
+    in R, so clipping rho to the part of the window the ray crosses,
+    [rho_min, min(rho_max, z_band / |s|)], gives the constrained minimum
+    whether or not the ray has a floor. The z = 0 plane is the single ray
+    s = 0. A z band zooms s over [-z_band / rho_min, 0] and
+    [0, z_band / rho_min] by ``PROFILE_ZOOM`` and keeps the lowest ray seen;
+    s = 0 is a node of the first pass, so the band floor is never above the
+    plane floor.
     """
-    atom = cfg.atom
-    r0 = resonance_radius(cfg)
-    a = atom.m_F * atom.g_F * MU_B * cfg.quad.gradient
     n_s, passes = PROFILE_ZOOM if z_band > 0 else (1, 1)
     s_max = z_band / rho_min
     # slope windows on axes (half, azimuth): each sign of z is zoomed on its
@@ -146,23 +185,22 @@ def _valley_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
     best = None  # s, rho, z, V, |Omega| of each window's lowest ray so far
     for _ in range(passes):
         s = lo + (hi - lo) * frac  # (slope, half, azimuth or 1); +0.0 in the plane
+        inv_q = 1.0 / np.hypot(1.0, 2.0 * s)  # 1 / q: exactly 1 in the plane
         shape = (n_s, len(s_lo), len(cosp))
         pts = np.empty(shape + (3,))
-        pts[..., 0], pts[..., 1], pts[..., 2] = cosp, sinp, s
-        rabis = np.sqrt(rabi_squared(pts.reshape(-1, 3), cfg)).reshape(shape)
-        e = atom.m_F * HBAR * rabis
-        q = np.hypot(1.0, 2.0 * s)
-        c = atom.mass * G_ACCEL * sinp / q if cfg.gravity_on else np.zeros_like(s)
-        bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
-        root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
-        u = np.where(bound, -c * e / (a * root), np.copysign(np.inf, -c))
-        radii = np.minimum(np.maximum((r0 + u) / q, rho_min), rho_max)
-        # the ray leaves the band at rho = z_band / |s|, kept >= rho_min and
-        # |z| <= z_band against rounding
-        abs_s = np.abs(s)
-        np.divide(z_band, abs_s, out=radii, where=abs_s * radii > z_band)
-        np.maximum(radii, rho_min, out=radii)
-        z = np.copysign(np.minimum(abs_s * radii, z_band), s)
+        for k, coord in enumerate((cosp, sinp, s)):  # the ray points at R = 1
+            np.multiply(coord, inv_q, out=pts[..., k])
+        radius, _, rabis = _ray_floor(cfg, pts)
+        radii = np.minimum(np.maximum(radius * inv_q, rho_min), rho_max)
+        if z_band > 0:
+            # the ray leaves the band at rho = z_band / |s|, kept >= rho_min
+            # and |z| <= z_band against rounding
+            abs_s = np.abs(s)
+            np.divide(z_band, abs_s, out=radii, where=abs_s * radii > z_band)
+            np.maximum(radii, rho_min, out=radii)
+            z = np.copysign(np.minimum(abs_s * radii, z_band), s)
+        else:  # the plane's rays stay in it
+            z = np.zeros_like(radii)
         pts[..., 0], pts[..., 1], pts[..., 2] = radii * cosp, radii * sinp, z
         v = dressed_potential(pts.reshape(-1, 3), cfg).reshape(shape)
         if passes == 1:  # the plane: one ray per azimuth
@@ -452,8 +490,7 @@ class RingAnalysis:
     low_confidence: bool
     minimum: MinimizationResult | None
     criteria: CriteriaReport  # taken at the global minimum of the analysed profile
-    # the refined 3D minimum when it is smooth, stationary and inside the
-    # search box; None otherwise
+    # the refined 3D minimum when it is smooth and stationary; None otherwise
     refined_minimum: np.ndarray | None
     notes: tuple = ()
 
@@ -477,6 +514,46 @@ def _escape_depth(cfg: TrapConfig, origin: np.ndarray, v_min: float, r0: float) 
     return float((peaks - v_min).min())
 
 
+def _field_direction(r) -> np.ndarray:
+    """Unit field direction (x, y, -2 z) / R of the point ``r``."""
+    w = np.asarray(r, dtype=float) * np.array([1.0, 1.0, -2.0])
+    return w / np.linalg.norm(w)
+
+
+def shell_minimum(
+    cfg: TrapConfig, start, step0: float, max_iter: int = 10_000
+) -> MinimizationResult:
+    """Local minimum of V over all space, searched on the sphere of field
+    directions from the unit direction ``start``.
+
+    Every ray of fixed field direction n has the closed-form floor V*(n) of
+    ``_ray_floor``, so a local minimum of V is a local minimum of V* on the
+    unit sphere, at R*(n) (n_x, n_y, -n_z / 2). The search is
+    ``minimize.staged_search`` over n: compass moves of ``step0`` rad and
+    less in a tangent frame at the current n (``sphere_moves``), a coarse
+    stage of ``COARSE_MESH_HALVINGS`` halvings, the unbounded 3-D Newton exit
+    where the coupling is open, and otherwise a fine stage down to
+    ``MIN_MESH_STEP / r0`` rad, which moves the point by about
+    ``MIN_MESH_STEP``. Each iteration tries ``SPHERE_MESH_LEVELS`` meshes
+    in one kernel call; ``f_evals`` counts the directions evaluated. The
+    caller must know that V is bounded below (no gravity, or kappa > 1):
+    otherwise V* falls toward the rays that have no floor, where R* grows
+    without bound.
+    """
+    def floor(n):
+        radius, v, _ = _ray_floor(cfg, n * _RAY)
+        # a ray whose floor lies behind the centre, or that has none, is
+        # never stepped onto
+        return np.where((radius > 0) & (radius < np.inf), v, np.inf)
+
+    point = lambda n: _ray_floor(cfg, n * _RAY)[0] * n * _RAY
+    return staged_search(
+        cfg, floor, sphere_moves, np.asarray(start, dtype=float), step0,
+        MIN_MESH_STEP / resonance_radius(cfg), point, max_iter=max_iter,
+        levels=SPHERE_MESH_LEVELS,
+    )
+
+
 def analyze_trap(
     cfg: TrapConfig,
     n_phi: int = 64,
@@ -484,7 +561,16 @@ def analyze_trap(
     z_band_factor: float = 0.0,
     tolerances: ClassifierTolerances | None = None,
 ) -> RingAnalysis:
-    """Profile, classify and harmonically characterise one trap config."""
+    """Profile, classify and harmonically characterise one trap config.
+
+    The profile minimum (the first listed minimum) is refined by
+    ``shell_minimum``: the result is a local minimum of V over all space,
+    reached by descent from that minimum's field direction, and may lie
+    outside the rho window and the z band. The escape depth is measured from
+    it. With gravity on and kappa <= 1, V has no bound minimum: nothing is
+    refined, a note says so, and the depth is measured from the profile
+    minimum.
+    """
     r0 = resonance_radius(cfg)
     profile = azimuthal_profile(
         cfg, n_phi=n_phi, rho_factors=rho_factors, z_band_factor=z_band_factor
@@ -504,41 +590,38 @@ def analyze_trap(
         key=lambda t: t[1],
     )
 
+    criteria = criteria_report(cfg, profile=profile)
     result = None
     freqs = None
     refined = None
-    if cls.geometry is not Geometry.CENTER_TRAP:
-        start = minima[0][0].copy()
-        box = (
-            np.array([-3.2 * r0, -3.2 * r0, -0.45 * r0]),
-            np.array([3.2 * r0, 3.2 * r0, 0.45 * r0]),
+    if cfg.gravity_on and criteria.kappa <= 1:
+        notes.append(
+            f"gravity exceeds the magnetic confinement (kappa = {criteria.kappa!r} "
+            "<= 1): the potential has no bound minimum to refine"
         )
+    elif cls.geometry is not Geometry.CENTER_TRAP:
         try:
-            result = find_minimum(cfg, start, bounds=box)
+            result = shell_minimum(
+                cfg, _field_direction(minima[0][0]), 2.0 * np.pi / n_phi
+            )
         except ConvergenceError as err:
             notes.append(f"minimum refinement did not converge: {err}")
             result = err.best
-        if result is not None and result.stationary and result.smooth:
+        if result.stationary and result.smooth:
+            refined = result.position
             try:
                 freqs = trap_frequencies(cfg, result.position)
             except NotAMinimumError as err:
                 notes.append(f"harmonic analysis unavailable: {err}")
-        elif result is not None and not result.smooth:
+        elif not result.smooth:
             notes.append(
                 "coupling-closed (cusp) minimum; harmonic frequencies undefined"
             )
-        elif result is not None:
+        else:
             notes.append(
-                "valley is not stationary in 3D (no harmonic minimum at the "
-                "ring plane); frequencies unavailable"
+                "refined minimum is not stationary in 3D (no harmonic "
+                "minimum); frequencies unavailable"
             )
-        if result is not None and on_box_face(result.position, box):
-            notes.append(
-                "minimum refinement stopped on a face of its search box; the "
-                "escape depth is measured from that point"
-            )
-        elif result is not None and result.stationary and result.smooth:
-            refined = result.position
 
     v_ref = result.value if result is not None else minima[0][1]
     origin = result.position if result is not None else minima[0][0]
@@ -556,7 +639,7 @@ def analyze_trap(
         omega_phi=freqs.omega_phi if freqs else None,
         low_confidence=cls.low_confidence,
         minimum=result,
-        criteria=criteria_report(cfg, profile=profile),
+        criteria=criteria,
         refined_minimum=refined,
         notes=tuple(notes),
     )

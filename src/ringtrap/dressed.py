@@ -31,8 +31,9 @@ is (0, 0, -sgn z), which gives the unique axial limit
 
     |Omega|^2_axis = C^2 [B_x^2 + B_y^2 + 2 B_x B_y sin(alpha) sgn(z)].
 
-Only the trap centre R = 0 has no field direction; there the coupling is
-taken as C^2 (B_x^2 + B_y^2), the average of the two axial limits.
+Only the trap centre r = 0 has no field direction; there the coupling is
+taken as C^2 (B_x^2 + B_y^2), the average of the two axial limits. A point
+so close to the centre that R underflows still has its own direction.
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig):
     x, y, w = r[..., 0], r[..., 1], -2.0 * r[..., 2]
     rad = np.sqrt(x * x + y * y + w * w)
     larmor = cfg.atom.g_F * MU_B * cfg.quad.gradient * rad / HBAR
+    tiny = 2.0**-500
+    if rad.min(initial=np.inf) < tiny and np.any(r[rad < tiny] != 0.0):
+        # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
+        # underflows to 0; scaling by a power of two is exact, so such a
+        # point keeps its own direction
+        scale = np.where(rad < tiny, 2.0**600, 1.0)
+        x, y, w = x * scale, y * scale, w * scale
+        rad = np.sqrt(x * x + y * y + w * w)
     centre = rad == 0.0
     inv = 1.0 / np.where(centre, 1.0, rad)
     nx, ny, nz = x * inv, y * inv, w * inv

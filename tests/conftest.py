@@ -46,6 +46,26 @@ def reference_configs():
     }
 
 
+def grid_global_min(cfg, lo, hi, n=161):
+    """Brute-force node minimum over the box (lo, hi), evaluated slab by
+    slab: (V, position, largest change of V to a neighbouring node)."""
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(3)]
+    xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
+    best_v, best_pos = np.inf, None
+    for z in axes[2]:
+        pts = np.stack([xg, yg, np.full_like(xg, z)], axis=-1)
+        vals = dressed_potential(pts, cfg)
+        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        if vals[idx] < best_v:
+            best_v = float(vals[idx])
+            best_pos = np.array([axes[0][idx[0]], axes[1][idx[1]], z])
+    cell = np.array([ax[1] - ax[0] for ax in axes])
+    neighbors = best_pos + np.vstack([np.diag(cell), -np.diag(cell)])
+    neighbors = np.clip(neighbors, lo, hi)
+    variation = float(np.max(np.abs(dressed_potential(neighbors, cfg) - best_v)))
+    return best_v, best_pos, variation
+
+
 def count_kernel_calls(monkeypatch, module):
     """Route ``module.dressed_potential`` through a counter; returns the list
     of point-array shapes it is called with."""

@@ -28,7 +28,7 @@ from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
 from ringtrap.image_io import export_image_binary, import_image_binary
 from ringtrap.units import convert_units
 
-from conftest import B07, B02, PIXEL, make_trap, synth_image
+from conftest import B07, B02, PIXEL, grid_global_min, make_trap, synth_image
 
 GRAD_100_GCM = 1.0  # T/m
 
@@ -194,26 +194,6 @@ def test_criterion_5_symmetry_suite():
     report(5, ok, detail)
 
 
-def _grid_global_min(cfg, lo, hi, n=161):
-    """Brute-force node minimum, evaluated slab by slab."""
-    axes = [np.linspace(lo[i], hi[i], n) for i in range(3)]
-    xg, yg = np.meshgrid(axes[0], axes[1], indexing="ij")
-    best_v, best_pos, best_idx = np.inf, None, None
-    for k, z in enumerate(axes[2]):
-        pts = np.stack([xg, yg, np.full_like(xg, z)], axis=-1)
-        vals = dressed_potential(pts, cfg)
-        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        if vals[idx] < best_v:
-            best_v = float(vals[idx])
-            best_pos = np.array([axes[0][idx[0]], axes[1][idx[1]], z])
-            best_idx = (idx[0], idx[1], k)
-    cell = np.array([ax[1] - ax[0] for ax in axes])
-    neighbors = best_pos + np.vstack([np.diag(cell), -np.diag(cell)])
-    neighbors = np.clip(neighbors, lo, hi)
-    variation = float(np.max(np.abs(dressed_potential(neighbors, cfg) - best_v)))
-    return best_v, best_pos, variation
-
-
 def test_criterion_6_oracle_equivalence():
     """Optimizer minimum matches a 161^3 brute-force grid, all three regimes."""
     details = []
@@ -226,7 +206,7 @@ def test_criterion_6_oracle_equivalence():
         r0 = resonance_radius(cfg)
         lo = np.array([-1.35 * r0, -1.35 * r0, -0.45 * r0])
         hi = np.array([1.35 * r0, 1.35 * r0, 0.45 * r0])
-        v_grid, pos_grid, cell_var = _grid_global_min(cfg, lo, hi)
+        v_grid, pos_grid, cell_var = grid_global_min(cfg, lo, hi)
         res = find_minimum(cfg, pos_grid, bounds=(lo, hi))
         gap = v_grid - res.value
         good = res.value <= v_grid + 1e-45 and gap <= cell_var

@@ -17,16 +17,17 @@ from ringtrap import (
     resonance_radius,
     trap_frequencies,
 )
-from ringtrap.analysis import _escape_depth
+from ringtrap.analysis import _escape_depth, _field_direction, _ray_floor, shell_minimum
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
-from ringtrap.errors import NotAMinimumError
-from ringtrap.minimize import MinimizationResult, find_minimum
+from ringtrap.errors import ConvergenceError, NotAMinimumError
+from ringtrap.minimize import MIN_MESH_STEP, MinimizationResult, find_minimum, sphere_moves
 
 from conftest import (
     B07,
     B02,
     OMEGA_15MHZ,
     count_kernel_calls,
+    grid_global_min,
     make_trap,
     reference_configs,
 )
@@ -624,13 +625,181 @@ def test_escape_depth_matches_per_ray_oracle(name, monkeypatch):
             assert np.array_equal(got, escape_depth_per_ray(cfg, origin, v_min, r0))
 
 
-def test_analyze_notes_refinement_on_box_face(fig2b):
-    # the circular ring's refinement leaves the ring plane for the z face of
-    # its search box; the gravity ring's stays inside
-    face = "minimum refinement stopped on a face of its search box"
-    assert any(n.startswith(face) for n in analyze_trap(fig2b).notes)
-    gravity = reference_configs()["gravity"]
-    assert not any(n.startswith(face) for n in analyze_trap(gravity).notes)
+CUSP_NOTE = "coupling-closed (cusp) minimum; harmonic frequencies undefined"
+
+#: where the descent ends near fig2b's pole hole, in units of r0: there
+#: |Omega| = C B theta^2 / 2 to leading order in the angle theta from the
+#: pole, and the kernel's cancellation resolves |Omega| to ~1e-16 of C B, so
+#: theta, and with it the point, is resolved to ~1e-8 (the worst seen is
+#: 1.7e-8)
+POLE_TOLERANCE = 5e-8
+
+
+def test_fig2b_refinement_reaches_the_pole_hole(fig2b):
+    # circular xy rf: |Omega| = C B |1 + n_z| closes only at n = (0, 0, -1),
+    # the point (0, 0, r0 / 2) above the ring plane
+    got = analyze_trap(fig2b)
+    r0 = got.resonance_radius
+    pole = np.array([0.0, 0.0, 0.5 * r0])
+    assert np.linalg.norm(got.minimum.position - pole) <= POLE_TOLERANCE * r0
+    assert got.notes == (CUSP_NOTE,)
+    assert got.refined_minimum is None
+    assert got.minimum.value <= 1e-15 * RB87.m_F * HBAR * fig2b.rf.omega
+
+
+def test_flat_ring_descent_is_start_independent(fig2b):
+    # every azimuth of the flat ring ties in the profile; from each of them
+    # the descent reaches the same hole and the same escape depth
+    r0 = resonance_radius(fig2b)
+    prof = azimuthal_profile(fig2b, n_phi=64)
+    ends = [
+        shell_minimum(fig2b, np.array([math.cos(p), math.sin(p), 0.0]), 2 * np.pi / 64)
+        for p in prof.azimuths
+    ]
+    pole = np.array([0.0, 0.0, 0.5 * r0])
+    for end in ends:
+        assert np.linalg.norm(end.position - pole) <= POLE_TOLERANCE * r0
+    depths = np.array([_escape_depth(fig2b, e.position, e.value, r0) for e in ends])
+    assert depths.max() - depths.min() <= 1e-9 * depths.max()
+
+
+def linear_hole(cfg, start):
+    """The coupling hole of linear rf (b = 0) nearest ``start``: the ray
+    floor of n = +-a / |a|, and n . a of the start direction."""
+    rf = cfg.rf
+    a = np.array([rf.b_x, rf.b_y * math.cos(rf.alpha), rf.b_z * math.cos(rf.beta)])
+    n = a / np.linalg.norm(a)
+    towards = float(_field_direction(start) @ n)
+    n = math.copysign(1.0, towards) * n
+    u = n * np.array([1.0, 1.0, -0.5])
+    return float(_ray_floor(cfg, u)[0]) * u, towards
+
+
+#: a descent into a conical hole ends within one fine mesh, MIN_MESH_STEP
+#: of position, along each of its two tangent axes
+HOLE_TOLERANCE = 2 * MIN_MESH_STEP
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2c"])
+def test_linear_rf_descent_ends_in_the_hole_along_a(name):
+    cfg = reference_configs()[name]
+    got = analyze_trap(cfg)
+    hole, _ = linear_hole(cfg, got.minima[0][0])
+    assert np.linalg.norm(got.minimum.position - hole) <= HOLE_TOLERANCE
+    assert not got.minimum.smooth
+
+
+@given(
+    amps=st.tuples(*[st.floats(1e-6, 1e-4)] * 3),
+    phases=st.tuples(*[st.sampled_from([0.0, np.pi])] * 2),
+    gradient=st.floats(0.05, 2.0),
+)
+def test_linear_rf_descent_ends_in_the_hole_along_a_property(amps, phases, gradient):
+    cfg = make_trap(*amps, *phases, gradient=gradient)
+    got = analyze_trap(cfg)
+    hole, towards = linear_hole(cfg, got.minima[0][0])
+    if abs(towards) > 1e-3:  # the start is not on the ridge between the holes
+        assert np.linalg.norm(got.minimum.position - hole) <= HOLE_TOLERANCE
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_shell_minimum_not_above_box_search_or_grid(name):
+    # oracles: criterion 6's brute-force grid and find_minimum from the same
+    # start in the box analyze_trap searched before; V at the found point is
+    # not above either, up to the rounding of the gravity ring's Newton point
+    cfg = reference_configs()[name]
+    r0 = resonance_radius(cfg)
+    analysis = analyze_trap(cfg)
+    v = float(dressed_potential(analysis.minimum.position, cfg))
+    start = analysis.minima[0][0]
+    box = (np.array([-3.2 * r0, -3.2 * r0, -0.45 * r0]),
+           np.array([3.2 * r0, 3.2 * r0, 0.45 * r0]))
+    lo = np.array([-1.35 * r0, -1.35 * r0, -0.45 * r0])
+    v_grid, _, _ = grid_global_min(cfg, lo, -lo)
+    v_box = find_minimum(cfg, start, bounds=box).value
+    for oracle in (v_grid, v_box):
+        assert v <= oracle + 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_mesh_levels_keep_the_one_mesh_path(name, monkeypatch):
+    # trying step, step / 2 and step / 4 in one call ends where trying one
+    # mesh per iteration does, bit for bit, in fewer iterations
+    cfg = reference_configs()[name]
+    start = _field_direction(analyze_trap(cfg).minima[0][0])
+    got = shell_minimum(cfg, start, 2 * np.pi / 64)
+    monkeypatch.setattr(ringtrap.analysis, "SPHERE_MESH_LEVELS", 1)
+    one = shell_minimum(cfg, start, 2 * np.pi / 64)
+    assert np.array_equal(got.position, one.position) and got.value == one.value
+    assert got.iterations < one.iterations
+
+
+def test_ray_floor_is_the_minimum_along_each_ray():
+    rng = np.random.default_rng(3)
+    n = rng.normal(size=(40, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    u = n * [1, 1, -0.5]  # the ray points at R = 1
+    # kappa = 1.3; and kappa = 1.05 with Omega ~ 2.3 omega, where the floors
+    # of rays pointing up lie behind the centre
+    strong = make_trap(b_x=1e-3, gradient=0.16, gravity=True)
+    cfgs = list(reference_configs().values()) + [
+        make_trap(b_x=B07, b_z=B02, gradient=0.2, gravity=True), strong,
+    ]
+    for cfg in cfgs:
+        r0 = resonance_radius(cfg)
+        radius, floor, rabis = _ray_floor(cfg, u)
+        np.testing.assert_array_equal(rabis, ringtrap.dressed.rabi_frequency(u, cfg))
+        rr = np.linspace(0.0, 4.0 * r0, 4001)[:, None, None]
+        scan = dressed_potential(rr * u, cfg)
+        tol = 1e-12 * cfg.atom.m_F * HBAR * cfg.rf.omega
+        has_floor = np.isfinite(radius) & (radius > 0)
+        assert np.all(floor[has_floor] <= scan.min(axis=0)[has_floor] + tol)
+        at = dressed_potential(radius[has_floor, None] * u[has_floor], cfg)
+        np.testing.assert_allclose(at, floor[has_floor], rtol=0, atol=tol)
+        assert bool(has_floor.all()) == (cfg is not strong)
+
+
+def test_sphere_moves_are_unit_tangent_moves():
+    for n in ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, -0.48, 0.64]):
+        n = np.array(n)
+        moves = sphere_moves(n, 1e-3)
+        np.testing.assert_allclose(np.linalg.norm(moves, axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(moves @ n, 1.0 / math.hypot(1.0, 1e-3), rtol=0, atol=1e-15)
+        # the four moves span the tangent plane: opposite pairs, orthogonal axes
+        steps = moves - n / math.hypot(1.0, 1e-3)
+        np.testing.assert_allclose(steps[:2], -steps[2:], rtol=0, atol=1e-15)
+        assert abs(steps[0] @ steps[1]) <= 1e-18
+
+
+def test_shell_minimum_iteration_cap_raises_with_best(fig2b, monkeypatch):
+    start = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ConvergenceError) as exc:
+        shell_minimum(fig2b, start, 2 * np.pi / 64, max_iter=5)
+    best = exc.value.best
+    assert best.iterations == 6 and not best.converged
+    assert np.isfinite(best.value) and np.all(np.isfinite(best.position))
+    # analyze_trap notes the failure and measures the depth from the best point
+    def capped(cfg, start, step0):
+        return shell_minimum(cfg, start, step0, max_iter=5)
+
+    monkeypatch.setattr(ringtrap.analysis, "shell_minimum", capped)
+    got = analyze_trap(fig2b)
+    assert got.notes[0].startswith("minimum refinement did not converge")
+    assert got.minimum.iterations == 6 and got.refined_minimum is None
+
+
+@pytest.mark.parametrize("shape", ["circular", "linear"])
+def test_unbound_gravity_has_no_refined_minimum(shape):
+    # 10 G/cm: kappa = 0.66, gravity pulls harder than the magnetic slope
+    cfg = make_trap(b_x=B07, b_y=B07 if shape == "circular" else 0.0,
+                    alpha=-np.pi / 2, gradient=0.1, gravity=True)
+    with np.errstate(all="raise"):
+        got = analyze_trap(cfg)
+    assert got.criteria.kappa < 1
+    assert got.minimum is None and got.refined_minimum is None
+    assert got.omega_rho is None
+    assert any(n.startswith("gravity exceeds the magnetic confinement") for n in got.notes)
+    assert np.isfinite(got.depth) and got.depth >= 0
 
 
 def test_analyze_ring_radius_positive(fig2b):
@@ -639,8 +808,10 @@ def test_analyze_ring_radius_positive(fig2b):
     assert analysis.ring_radius == pytest.approx(analysis.resonance_radius, rel=1e-6)
 
 
-# analyze_trap on the reference configs with its defaults, as the one-stage
-# minimum refinement reported them; (x, y, z) m, V J, azimuth rad
+# analyze_trap on the reference configs with its defaults; (x, y, z) m, V J,
+# azimuth rad. The gravity ring's refined point, depth and frequencies are
+# those of the one-stage box search, which the sphere search meets within
+# the tolerances of test_reference_analysis_pinned
 _REFERENCE_ANALYSES = {
     "fig2a": dict(
         geometry=Geometry.DOUBLE_WELL,
@@ -654,36 +825,36 @@ _REFERENCE_ANALYSES = {
         refined=(0.0002143432050427971, 0.0, 0.0),
         omega_over_rabi=math.inf,
         coupling_dominated=False,
+        iterations=9,
         notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
     ),
     "fig2b": dict(
         geometry=Geometry.SYMMETRIC_RING,
         ring_radius=0.0002143432050427971,
         barrier_height=8.96831017167883e-44,
-        depth=9.0567126410055e-33,
+        depth=2.0722535037198915e-27,
         omegas=(None, None, None),
         minima=[((0.00021331108392455867, 2.1009308007367626e-05, 0.0),
                  3.2459035274049993e-28, 0.09817477042468103)],
-        refined=(9.207320857222672e-05, -5.926536504967071e-06, 9.645444226925869e-05),
+        refined=(-1.3918642364121237e-12, -1.721539527275524e-12, 0.0001071716025213987),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
-        notes=("valley is not stationary in 3D (no harmonic minimum at the ring "
-               "plane); frequencies unavailable",
-               "minimum refinement stopped on a face of its search box; the "
-               "escape depth is measured from that point"),
+        iterations=48,
+        notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
     ),
     "fig2c": dict(
         geometry=Geometry.ASYMMETRIC_RING,
         ring_radius=0.0002143432050427971,
         barrier_height=2.4483896163859514e-28,
-        depth=1.4781553620786315e-27,
+        depth=1.4781553560197638e-27,
         omegas=(None, None, None),
         minima=[((0.0002143432050427971, 0.0, 0.0), 9.274010078300001e-29, 0.0),
                 ((-0.0002143432050427971, 2.6249471997464628e-20, 0.0),
                  9.274010078300001e-29, 3.141592653589793)],
-        refined=(0.00020609612518983272, 0.0, -2.9442302868498927e-05),
+        refined=(0.00020609612478533795, 0.0, -2.944230330869583e-05),
         omega_over_rabi=21.434320504279707,
         coupling_dominated=False,
+        iterations=18,
         notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
     ),
     "gravity": dict(
@@ -697,6 +868,7 @@ _REFERENCE_ANALYSES = {
         refined=(-4.0366991435830814e-20, -0.000147842364609883, 7.829111471728347e-05),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
+        iterations=15,
         notes=(),
     ),
 }
@@ -705,8 +877,9 @@ _REFERENCE_ANALYSES = {
 @pytest.mark.parametrize("name", sorted(_REFERENCE_ANALYSES))
 def test_reference_analysis_pinned(name):
     # only the gravity ring's refinement takes the Newton exit from the
-    # coarse mesh, which moves its point by ~1e-11 r0: its depth and
-    # frequencies may move by 1e-8 relative, every other number is exact
+    # coarse mesh, which moves its point by ~1e-11 r0 against the one-stage
+    # search: its depth and frequencies may move by 1e-8 relative, every
+    # other number is exact
     want = _REFERENCE_ANALYSES[name]
     cfg = reference_configs()[name]
     got = analyze_trap(cfg)
@@ -725,6 +898,8 @@ def test_reference_analysis_pinned(name):
     assert got.criteria.omega_over_rabi == want["omega_over_rabi"]
     assert got.criteria.coupling_dominated is want["coupling_dominated"]
     assert got.criteria.gravity_negligible is True
+    # the sphere search's iterations, each of SPHERE_MESH_LEVELS meshes
+    assert got.minimum.iterations == want["iterations"]
     omegas = (got.omega_rho, got.omega_z, got.omega_phi)
     if name == "gravity":
         assert got.depth == pytest.approx(want["depth"], rel=1e-8, abs=0)
@@ -751,7 +926,7 @@ def test_refined_minimum_only_for_smooth_stationary_interior_point(
         position=point, value=float(dressed_potential(point, cfg)), converged=True,
         stationary=stationary, smooth=smooth, grad_norm=0.0, iterations=1, f_evals=7,
     )
-    monkeypatch.setattr(ringtrap.analysis, "find_minimum", lambda *a, **k: result)
+    monkeypatch.setattr(ringtrap.analysis, "shell_minimum", lambda *a, **k: result)
     got = analyze_trap(cfg).refined_minimum
     if smooth and stationary:
         assert got is point

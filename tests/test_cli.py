@@ -146,7 +146,8 @@ def test_analyze_reports_refined_minimum_only_when_stationary_inside_box(ini, tm
     assert float(rep["refined_offset_um"]) == pytest.approx(
         np.linalg.norm(refined - listed), rel=1e-12)
     assert rep["omega_z_Hz"] != "unavailable"
-    # the circular ring's refinement ends on the z face of its box: no line
+    # the circular ring's refinement ends in the coupling hole at the pole,
+    # a cusp: no line
     assert main(argv + [str(ring)]) == EXIT_OK
     assert "refined_" not in (ring / "analysis.txt").read_text()
 

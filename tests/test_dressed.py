@@ -186,6 +186,22 @@ def test_kernel_finite_and_matches_oracle_property(amps, phases, gradient, gravi
     assert np.all(np.isfinite(dressed_potential(pts, cfg)))
 
 
+def test_underflowing_radius_keeps_its_direction(fig2a):
+    # below |r| ~ 1e-154 m, x^2 + y^2 + 4 z^2 underflows to 0; such a point
+    # is not the trap centre and takes the coupling of its own direction
+    assert rabi_squared([1e-200, 0.0, 0.0], fig2a) == 0.0
+    directions = np.random.default_rng(5).normal(size=(32, 3))
+    directions[:3] = np.eye(3)
+    for cfg in reference_configs().values():
+        for scale in (2.0**-520, 2.0**-700, 2.0**-900):
+            np.testing.assert_array_equal(
+                rabi_squared(directions * scale, cfg), rabi_squared(directions, cfg)
+            )
+        # the centre itself keeps the average of the two axial limits
+        centre = coupling_prefactor(cfg) ** 2 * (cfg.rf.b_x**2 + cfg.rf.b_y**2)
+        assert rabi_squared(np.zeros(3), cfg) == pytest.approx(centre, rel=1e-15)
+
+
 # -- dressed potential -------------------------------------------------------
 
 def test_potential_circular_ring_value(fig2b):

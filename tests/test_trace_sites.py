@@ -9,8 +9,10 @@ import importlib
 import sys
 from pathlib import Path
 
-#: sites known to be stale; ``cli`` no longer imports ``criteria_report``
-KNOWN_STALE = {"ringtrap.cli.criteria_report"}
+#: sites known to be stale: ``cli`` no longer imports ``criteria_report``,
+#: and ``analysis`` refines its minimum with ``shell_minimum``, not
+#: ``find_minimum``; both are retargeted with the benchmark's next revision
+KNOWN_STALE = {"ringtrap.cli.criteria_report", "ringtrap.analysis.find_minimum"}
 
 
 def test_every_traced_site_resolves():
