@@ -31,8 +31,10 @@ from .fields import QuadrupoleConfig, RfConfig, TrapConfig, field_magnitude, qua
 from .gaussfit import TwoGaussianFit, fit_two_gaussians, two_gaussian
 from .grids import ScalarGrid, sample_grid
 from .image_io import (
+    export_grid_binary,
     export_image_binary,
     export_image_csv,
+    import_grid_binary,
     import_image_binary,
     import_image_csv,
 )

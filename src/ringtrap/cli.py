@@ -22,7 +22,7 @@ from .analysis import analyze_trap, frequency_sweep, resonance_radius
 from .config import RunConfig, load_config
 from .errors import ConfigError, RingtrapError
 from .grids import node_blocks, sample_grid
-from .image_io import export_image_binary, export_image_csv
+from .image_io import export_grid_binary, export_image_binary, export_image_csv
 from .imaging import add_noise, column_density, measure_ring_radius, thermal_density
 from .units import convert_units
 
@@ -48,14 +48,14 @@ def _fmt(value) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_potential(rc: RunConfig, outdir: Path) -> int:
-    cfg = rc.trap()
-    grid = sample_grid(cfg, rc.grid_region(), rc.grid_dims())
+def _write_grid_csv(grid, path) -> None:
+    """One ``x_m,y_m,z_m,V_J,V_uK`` row of ``repr``s per node, written one
+    block at a time."""
     # v / j_per_uk rounds exactly as convert_units(v, "J", "uK") does
     j_per_uk = convert_units(1.0, "uK", "J")
     # each axis value is formatted once; only V is formatted per node
     coords = [[repr(c) for c in ax.tolist()] for ax in grid.axes()]
-    with open(outdir / "grid.csv", "w") as fh:
+    with open(path, "w") as fh:
         fh.write("x_m,y_m,z_m,V_J,V_uK\n")
         for box in node_blocks(grid.dims):
             v = grid.values[box].reshape(-1)
@@ -64,6 +64,16 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
                 f"{x},{y},{z},{a!r},{b!r}\n"
                 for (x, y, z), a, b in zip(heads, v.tolist(), (v / j_per_uk).tolist())
             )
+
+
+def run_potential(rc: RunConfig, outdir: Path) -> int:
+    cfg = rc.trap()
+    grid = sample_grid(cfg, rc.grid_region(), rc.grid_dims())
+    formats = rc.output_formats()
+    if "csv" in formats:
+        _write_grid_csv(grid, outdir / "grid.csv")
+    if "bin" in formats:
+        export_grid_binary(grid, outdir / "grid.f64", outdir / "grid.hdr")
 
     vmin = float(grid.values.min())
     vmax = float(grid.values.max())
@@ -170,14 +180,18 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
     cfg = rc.trap()
     r0 = resonance_radius(cfg)
     region, dims = rc.image_grid(r0)
-    density = thermal_density(
-        cfg,
-        temperature=rc.get("imaging", "temperature_uk") * 1e-6,
-        region=region,
-        dims=dims,
-        atom_number=rc.get("imaging", "atom_number"),
+    # the density is passed on and not kept: its 8 B per node are freed
+    # before the noise, the export and the fits run
+    image = column_density(
+        thermal_density(
+            cfg,
+            temperature=rc.get("imaging", "temperature_uk") * 1e-6,
+            region=region,
+            dims=dims,
+            atom_number=rc.get("imaging", "atom_number"),
+        ),
+        od_scale=rc.get("imaging", "od_scale"),
     )
-    image = column_density(density, od_scale=rc.get("imaging", "od_scale"))
     noise = rc.get("imaging", "noise_frac")
     if noise > 0:
         image = add_noise(image, noise, seed=rc.get("imaging", "noise_seed"))
@@ -219,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
-        ("potential", "sample the dressed potential on a grid and export CSV"),
+        ("potential", "sample the dressed potential on a grid and export it"),
         ("analyze", "classify the trap geometry and report ring observables"),
         ("sweep", "analyse the trap across a list of dressing frequencies"),
         ("image", "synthesise an absorption image and measure the ring radius"),

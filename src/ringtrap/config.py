@@ -98,7 +98,7 @@ _SCHEMA = {
     },
     "output": {
         "directory": _Key(str, "out"),
-        "formats": _Key(str, "csv,bin"),
+        "formats": _Key(str, "bin"),
     },
 }
 
@@ -356,6 +356,7 @@ class RunConfig:
         return [tuple(convert_units(b, "G", "T") for b in row[1:]) for row in rows]
 
     def output_formats(self) -> list:
+        """The ``[output] formats`` tokens, ``csv`` and/or ``bin``."""
         toks = [t.strip() for t in self.get("output", "formats").split(",") if t.strip()]
         bad = [t for t in toks if t not in ("csv", "bin")]
         if bad:
@@ -400,7 +401,9 @@ def _validated(values: dict, provided: set) -> RunConfig:
                 continue
             if spec.check is not None and not spec.check(val):
                 raise ConfigError(f"[{section}] {key}={val!r} is out of range")
-    return RunConfig(values=values, provided=frozenset(provided))
+    rc = RunConfig(values=values, provided=frozenset(provided))
+    rc.output_formats()  # a bad token fails the load, not the run that writes
+    return rc
 
 
 def _blank_values() -> dict:

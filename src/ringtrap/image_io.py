@@ -1,13 +1,15 @@
-"""Image export and import: plain-text CSV matrix and 16-bit binary + sidecar.
+"""Image and grid export and import: plain-text CSV matrix, 16-bit binary
+image and float64 binary grid, each binary with a text sidecar.
 
 CSV stores full-precision floats (``repr`` round-trip, so import is exact).
-The binary format quantises to uint16 with a scale recorded in the sidecar;
+The image binary quantises to uint16 with a scale recorded in the sidecar;
 an imported image remembers that scale, so export -> import -> export
-reproduces both files byte for byte.
+reproduces both files byte for byte. The grid binary holds the float64
+values themselves, so it reloads bit for bit.
 
-Both formats carry the same ``key=value`` metadata lines; images are always
-projected along z, so the ``axis_labels`` line is fixed and ignored on
-import.
+Both image formats carry the same ``key=value`` metadata lines; images are
+always projected along z, so the ``axis_labels`` line is fixed and ignored
+on import.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .grids import ScalarGrid
 from .imaging import SyntheticImage
 
 _HDR_VERSION = "1"
@@ -39,6 +42,13 @@ def _parse_meta(line: str, meta: dict) -> None:
     key, sep, val = line.partition("=")
     if sep:
         meta[key.strip()] = val.strip()
+
+
+def _read_header(header_path) -> dict:
+    meta = {}
+    for line in Path(header_path).read_text().splitlines():
+        _parse_meta(line, meta)
+    return meta
 
 
 def _image_from_meta(meta: dict, values: np.ndarray, quant_scale=None) -> SyntheticImage:
@@ -99,10 +109,44 @@ def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
 
 
 def import_image_binary(data_path, header_path) -> SyntheticImage:
-    meta = {}
-    for line in Path(header_path).read_text().splitlines():
-        _parse_meta(line, meta)
+    meta = _read_header(header_path)
     n0, n1 = (int(v) for v in meta["dims"].split(","))
     scale = float(meta["scale"])
     raw = np.frombuffer(Path(data_path).read_bytes(), dtype="<u2").reshape(n0, n1)
     return _image_from_meta(meta, raw.astype(float) * scale, quant_scale=scale)
+
+
+def export_grid_binary(grid: ScalarGrid, data_path, header_path) -> None:
+    """Write the grid's values in joules as little-endian float64 in C order
+    (z innermost), plus a text sidecar header.
+
+    The values are written straight from ``grid.values``, with no copy on a
+    little-endian machine. ``origin_m`` and ``spacing_m`` are ``repr``s, so
+    ``origin + spacing * arange(n)`` rebuilds :meth:`ScalarGrid.axes`
+    exactly.
+    """
+    header = [
+        f"format=ringtrap-f64 v{_HDR_VERSION}",
+        "dims=" + ",".join(str(n) for n in grid.dims),
+        "origin_m=" + ",".join(repr(c) for c in grid.origin),
+        "spacing_m=" + ",".join(repr(s) for s in grid.spacing),
+        "units=J",
+        "dtype=float64",
+        "byteorder=little",
+        "order=row-major",
+    ]
+    Path(header_path).write_text("\n".join(header) + "\n")
+    grid.values.astype("<f8", copy=False).tofile(data_path)
+
+
+def import_grid_binary(data_path, header_path) -> ScalarGrid:
+    """Read a grid written by :func:`export_grid_binary`, bit for bit."""
+    meta = _read_header(header_path)
+    dims = tuple(int(v) for v in meta["dims"].split(","))
+    values = np.fromfile(data_path, dtype="<f8").reshape(dims)
+    return ScalarGrid(
+        origin=tuple(float(v) for v in meta["origin_m"].split(",")),
+        spacing=tuple(float(v) for v in meta["spacing_m"].split(",")),
+        dims=dims,
+        values=values,
+    )

@@ -24,8 +24,15 @@ from ringtrap import (
     trap_frequencies,
 )
 from ringtrap.cli import EXIT_OK, main
+from ringtrap.config import load_config
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
-from ringtrap.image_io import export_image_binary, import_image_binary
+from ringtrap.grids import sample_grid
+from ringtrap.image_io import (
+    export_grid_binary,
+    export_image_binary,
+    import_grid_binary,
+    import_image_binary,
+)
 from ringtrap.units import convert_units
 
 from conftest import B07, B02, PIXEL, grid_global_min, make_trap, synth_image
@@ -290,7 +297,7 @@ def test_criterion_8_finite_difference_health():
 
 
 def test_criterion_9_determinism_and_format_fidelity(tmp_path):
-    """Byte-identical reruns, bit-exact image files, unit round trips."""
+    """Byte-identical reruns, bit-exact image and grid files, unit round trips."""
     ini = tmp_path / "run.ini"
     ini.write_text(
         "[rf]\nbx_g = 0.7\nby_g = 0.7\nalpha_deg = -90\nfreq_mhz = 1.5\n"
@@ -317,6 +324,20 @@ def test_criterion_9_determinism_and_format_fidelity(tmp_path):
     export_image_binary(back, p2, h2)
     image_ok = p1.read_bytes() == p2.read_bytes() and h1.read_text() == h2.read_text()
 
+    # the potential run's grid reloads bit for bit and re-exports byte for byte
+    rc = load_config(ini)
+    sampled = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
+    g1, gh1 = tmp_path / "potential_a" / "grid.f64", tmp_path / "potential_a" / "grid.hdr"
+    grid = import_grid_binary(g1, gh1)
+    g2, gh2 = tmp_path / "y.f64", tmp_path / "y.hdr"
+    export_grid_binary(grid, g2, gh2)
+    grid_ok = (
+        grid.values.tobytes() == sampled.values.tobytes()
+        and all(np.array_equal(a, b) for a, b in zip(grid.axes(), sampled.axes()))
+        and g1.read_bytes() == g2.read_bytes()
+        and gh1.read_bytes() == gh2.read_bytes()
+    )
+
     rng = np.random.default_rng(5)
     pairs = [("G", "T"), ("G/cm", "T/m"), ("MHz", "rad/s"), ("deg", "rad"), ("uK", "J")]
     worst = 0.0
@@ -326,11 +347,11 @@ def test_criterion_9_determinism_and_format_fidelity(tmp_path):
             worst = max(worst, abs(back_v - v) / v)
     units_ok = worst <= 1e-12
 
-    ok = rerun_ok and image_ok and units_ok
+    ok = rerun_ok and image_ok and grid_ok and units_ok
     report(
         9,
         ok,
         f"reruns byte-identical over {len(produced)} files: {rerun_ok}; image "
-        f"export/import bit-exact: {image_ok}; unit round-trip worst "
-        f"{worst:.2e} <= 1e-12",
+        f"export/import bit-exact: {image_ok}; grid reload bit-exact: {grid_ok}; "
+        f"unit round-trip worst {worst:.2e} <= 1e-12",
     )

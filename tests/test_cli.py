@@ -1,15 +1,17 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import ringtrap.cli
 import ringtrap.grids
-from ringtrap import rabi_frequency, sample_grid
+from ringtrap import measure_ring_radius, rabi_frequency, sample_grid, thermal_density
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from ringtrap.config import load_config
 from ringtrap.grids import node_blocks
+from ringtrap.image_io import import_grid_binary
 from ringtrap.units import convert_units
 
 BASE = """
@@ -32,6 +34,10 @@ grid_y_max_mm = 0.3
 """
 
 
+#: the default writes only the binary bulk files; tests that read CSV ask for it
+CSV_AND_BIN = "output.formats=csv,bin"
+
+
 @pytest.fixture
 def ini(tmp_path):
     p = tmp_path / "run.ini"
@@ -50,7 +56,8 @@ def read_report(path):
 
 def test_potential_outputs(ini, tmp_path):
     out = tmp_path / "pot"
-    assert main(["potential", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+    argv = ["potential", "--config", str(ini), "--out", str(out), "--set", CSV_AND_BIN]
+    assert main(argv) == EXIT_OK
     grid = (out / "grid.csv").read_text().splitlines()
     assert grid[0] == "x_m,y_m,z_m,V_J,V_uK"
     assert len(grid) == 1 + 81 * 81
@@ -62,8 +69,8 @@ def test_potential_outputs(ini, tmp_path):
 
 def test_potential_deterministic_reruns(ini, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["potential", "--config", str(ini), "--out", str(out1)])
-    main(["potential", "--config", str(ini), "--out", str(out2)])
+    main(["potential", "--config", str(ini), "--out", str(out1), "--set", CSV_AND_BIN])
+    main(["potential", "--config", str(ini), "--out", str(out2), "--set", CSV_AND_BIN])
     for name in ("grid.csv", "summary.json", "resolved.ini"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -88,6 +95,7 @@ def test_potential_csv_matches_per_row_writer(ini, tmp_path, monkeypatch, chunk,
         "gravity.enabled=true",
         "analysis.grid_nx=5", "analysis.grid_ny=4", "analysis.grid_nz=3",
         "analysis.grid_z_min_mm=-0.05", "analysis.grid_z_max_mm=0.05",
+        CSV_AND_BIN,
     ]
     argv = ["potential", "--config", str(ini), "--out", str(tmp_path)]
     for item in overrides:
@@ -97,6 +105,36 @@ def test_potential_csv_matches_per_row_writer(ini, tmp_path, monkeypatch, chunk,
     assert len(list(node_blocks(rc.grid_dims()))) == n_blocks
     grid = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
     assert (tmp_path / "grid.csv").read_bytes() == per_row_grid_csv(grid).encode()
+
+
+def test_default_outputs_are_binary(ini, tmp_path):
+    out = tmp_path / "pot"
+    assert main(["potential", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+    assert sorted(f.name for f in out.iterdir()) == [
+        "grid.f64", "grid.hdr", "resolved.ini", "summary.json",
+    ]
+    rc = load_config(ini)
+    grid = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
+    back = import_grid_binary(out / "grid.f64", out / "grid.hdr")
+    assert back.values.tobytes() == grid.values.tobytes()
+    assert (back.origin, back.spacing, back.dims) == (grid.origin, grid.spacing, grid.dims)
+    out = tmp_path / "im"
+    argv = ["image", "--config", str(ini), "--out", str(out),
+            "--set", "imaging.xy_halfwidth_factor=1.2"]
+    assert main(argv) == EXIT_OK
+    assert sorted(f.name for f in out.iterdir()) == [
+        "image.hdr", "image.u16", "radius.txt", "resolved.ini",
+    ]
+
+
+@pytest.mark.parametrize("command", ["potential", "analyze", "sweep", "image"])
+@pytest.mark.parametrize("formats", ["xml", "csv,xml", ""])
+def test_bad_output_format_fails_before_any_computation(ini, tmp_path, command, formats):
+    out = tmp_path / "f"
+    argv = [command, "--config", str(ini), "--out", str(out),
+            "--set", f"output.formats={formats}"]
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_analyze_report(ini, tmp_path):
@@ -261,12 +299,34 @@ def test_amplitude_table_frequency_mismatch_is_a_config_error(ini, tmp_path):
 
 def test_image_outputs_and_measurement(ini, tmp_path):
     out = tmp_path / "im"
-    assert main(["image", "--config", str(ini), "--out", str(out)]) == EXIT_OK
+    argv = ["image", "--config", str(ini), "--out", str(out), "--set", CSV_AND_BIN]
+    assert main(argv) == EXIT_OK
     for name in ("image.csv", "image.u16", "image.hdr", "radius.txt", "resolved.ini"):
         assert (out / name).exists()
     rep = read_report(out / "radius.txt")
     assert float(rep["radius_um"]) == pytest.approx(214.343, abs=5.0)
     assert rep["n_diameters_used"] == "8"
+
+
+def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
+    # the density's 8 B per node are most of an image run's memory, and only
+    # the projection needs them
+    refs = []
+
+    def density(*args, **kwargs):
+        grid = thermal_density(*args, **kwargs)
+        refs.append(weakref.ref(grid))
+        return grid
+
+    def measure(image, **kwargs):
+        assert refs[0]() is None
+        return measure_ring_radius(image, **kwargs)
+
+    monkeypatch.setattr(ringtrap.cli, "thermal_density", density)
+    monkeypatch.setattr(ringtrap.cli, "measure_ring_radius", measure)
+    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "im"),
+            "--set", "imaging.xy_halfwidth_factor=1.2"]
+    assert main(argv) == EXIT_OK
 
 
 def test_analysis_window_knobs_flow_through(ini, tmp_path):
@@ -321,7 +381,7 @@ def test_image_od_scale_scales_pixels(ini, tmp_path):
         out = tmp_path / tag
         main(["image", "--config", str(ini), "--out", str(out),
               "--set", f"imaging.od_scale={scale}",
-              "--set", "imaging.xy_halfwidth_factor=1.2"])
+              "--set", "imaging.xy_halfwidth_factor=1.2", "--set", CSV_AND_BIN])
         from ringtrap.image_io import import_image_csv
 
         vals[tag] = import_image_csv(out / "image.csv").values

@@ -19,8 +19,10 @@ from ringtrap.constants import K_B
 from ringtrap.errors import MeasurementError
 from ringtrap.grids import ScalarGrid, sample_grid
 from ringtrap.image_io import (
+    export_grid_binary,
     export_image_binary,
     export_image_csv,
+    import_grid_binary,
     import_image_binary,
     import_image_csv,
 )
@@ -355,3 +357,55 @@ def test_binary_quantisation_error_bounded(fig2b, tmp_path):
     export_image_binary(img, p, h)
     back = import_image_binary(p, h)
     assert np.abs(back.values - img.values).max() <= img.values.max() / 65535.0
+
+
+def test_grid_header_text_is_fixed(tmp_path):
+    grid = ScalarGrid(
+        origin=(-1e-4, 0.1, 2.5e-5),
+        spacing=(0.1, 1.0, 1e-6),
+        dims=(3, 1, 2),
+        values=np.arange(6.0).reshape(3, 1, 2) * 1e-30,
+    )
+    data, hdr = tmp_path / "g.f64", tmp_path / "g.hdr"
+    export_grid_binary(grid, data, hdr)
+    assert hdr.read_text() == (
+        "format=ringtrap-f64 v1\ndims=3,1,2\norigin_m=-0.0001,0.1,2.5e-05\n"
+        "spacing_m=0.1,1.0,1e-06\nunits=J\ndtype=float64\nbyteorder=little\n"
+        "order=row-major\n"
+    )
+    # z innermost: the file is the values in C order
+    assert data.read_bytes() == (np.arange(6.0) * 1e-30).astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, region, dims",
+    [
+        ("fig2b", ((-3e-4, 3e-4), (-3e-4, 3e-4), (0.0, 0.0)), (41, 37, 1)),
+        ("gravity", ((-3e-4, 3e-4), (-2e-4, 3e-4), (-5e-5, 7e-5)), (13, 11, 9)),
+    ],
+)
+def test_grid_binary_round_trip_bit_exact(tmp_path, name, region, dims):
+    grid = sample_grid(reference_configs()[name], region, dims)
+    p1, h1 = tmp_path / "a.f64", tmp_path / "a.hdr"
+    export_grid_binary(grid, p1, h1)
+    back = import_grid_binary(p1, h1)
+    assert back.values.tobytes() == grid.values.tobytes()
+    assert (back.origin, back.spacing, back.dims) == (grid.origin, grid.spacing, grid.dims)
+    for a, b in zip(back.axes(), grid.axes()):
+        assert a.tobytes() == b.tobytes()
+    p2, h2 = tmp_path / "b.f64", tmp_path / "b.hdr"
+    export_grid_binary(back, p2, h2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert h1.read_bytes() == h2.read_bytes()
+
+
+def test_grid_binary_export_copies_no_grid(fig2b, tmp_path):
+    grid = sample_grid(fig2b, ((-3e-4, 3e-4),) * 3, (161, 161, 41))
+    tracemalloc.start()
+    try:
+        _, grown = _traced_growth(
+            lambda: export_grid_binary(grid, tmp_path / "g.f64", tmp_path / "g.hdr")
+        )
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20  # the grid is 8.5 MB
