@@ -20,7 +20,7 @@ from .analysis import MIN_CLASSIFY_AZIMUTHS, ClassifierTolerances
 from .constants import SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
-from .grids import MAX_GRID_NODES
+from .grids import check_grid_budget
 from .units import convert_units
 
 
@@ -105,13 +105,11 @@ _SCHEMA = {
 _RANGE_KEYS = ("freq_mhz_start", "freq_mhz_stop", "freq_mhz_count")
 
 
-def _check_node_cap(section: str, dims) -> None:
-    n_nodes = math.prod(dims)
-    if n_nodes > MAX_GRID_NODES:
-        raise ConfigError(
-            f"[{section}] grid of {n_nodes} nodes exceeds the {MAX_GRID_NODES} "
-            "node limit"
-        )
+def _check_grid_budget(section: str, dims) -> None:
+    try:
+        check_grid_budget(dims)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {err}") from None
 
 
 def _parse_value(section: str, key: str, raw: str, spec: _Key):
@@ -258,7 +256,7 @@ class RunConfig:
                 raise ConfigError(
                     f"[analysis] grid_n{ax}={n} needs a non-empty grid_{ax} range"
                 )
-        _check_node_cap("analysis", dims)
+        _check_grid_budget("analysis", dims)
         return dims
 
     def image_grid(self, r0: float):
@@ -271,7 +269,7 @@ class RunConfig:
         n_half = int(math.ceil(self.get("imaging", "xy_halfwidth_factor") * r0 / pixel))
         extent = n_half * pixel
         dims = (2 * n_half + 1, 2 * n_half + 1, self.get("imaging", "nz"))
-        _check_node_cap("imaging", dims)
+        _check_grid_budget("imaging", dims)
         return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
 
     def sweep_frequencies_mhz(self) -> list:
@@ -402,7 +400,10 @@ def _validated(values: dict, provided: set) -> RunConfig:
             if spec.check is not None and not spec.check(val):
                 raise ConfigError(f"[{section}] {key}={val!r} is out of range")
     rc = RunConfig(values=values, provided=frozenset(provided))
-    rc.output_formats()  # a bad token fails the load, not the run that writes
+    # a bad token or grid fails the load, not the run that uses it; the
+    # imaging grid's size depends on the atom, so image_grid checks it
+    rc.output_formats()
+    rc.grid_dims()
     return rc
 
 

@@ -34,6 +34,13 @@ is (0, 0, -sgn z), which gives the unique axial limit
 Only the trap centre r = 0 has no field direction; there the coupling is
 taken as C^2 (B_x^2 + B_y^2), the average of the two axial limits. A point
 so close to the centre that R underflows still has its own direction.
+
+Every function of a position takes it in either of two forms: an (..., 3)
+array of positions, or a tuple (x, y, z) of coordinate arrays that broadcast
+together, such as the axes ``np.meshgrid(..., sparse=True)`` returns. A grid
+block passes its three axis slices this way and builds no positions array.
+Both forms run through one kernel and give the same bits for the same
+points; the result has the points' shape.
 """
 
 from __future__ import annotations
@@ -57,32 +64,69 @@ def resonance_radius(cfg: TrapConfig) -> float:
     return HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
 
 
-def _larmor_and_rabi_squared(r, cfg: TrapConfig):
-    """(omega_0, |Omega|^2) at ``r`` (..., 3), with R and n computed once."""
+def _coordinates(r):
+    """x, y and z of an (..., 3) array or of a tuple of three arrays."""
+    if isinstance(r, tuple):
+        return tuple(np.asarray(c, dtype=float) for c in r)
     r = np.asarray(r, dtype=float)
+    if r.ndim == 1:
+        # one point: numpy scalars' arithmetic is several times cheaper than
+        # 0-d arrays', and signals floating-point errors the same way
+        return r[0], r[1], r[2]
+    return r[..., 0], r[..., 1], r[..., 2]
+
+
+def _larmor_and_rabi_squared(r, cfg: TrapConfig):
+    """(omega_0, |Omega|^2) at the positions ``r`` in either form, with R and
+    n computed once.
+
+    The temporaries the kernel owns are updated in place, never its inputs;
+    each takes the shape of all the points, so an in-place update never has
+    to broadcast into a smaller operand. The components of u are computed
+    with their signs flipped, which IEEE arithmetic does exactly, and are
+    only ever squared, so the results are bit for bit those of the
+    out-of-place expressions.
+    """
+    x, y, z = _coordinates(r)
     rf = cfg.rf
-    ax, ay, az = rf.b_x, rf.b_y * np.cos(rf.alpha), rf.b_z * np.cos(rf.beta)
-    by, bz = rf.b_y * np.sin(rf.alpha), rf.b_z * np.sin(rf.beta)
-    x, y, w = r[..., 0], r[..., 1], -2.0 * r[..., 2]
+    ax, ay, az, by, bz = rf.amplitude_parts
+    w = -2.0 * z
     rad = np.sqrt(x * x + y * y + w * w)
-    larmor = cfg.atom.g_F * MU_B * cfg.quad.gradient * rad / HBAR
+    larmor = cfg.atom.g_F * MU_B * cfg.quad.gradient * rad
+    larmor /= HBAR
     tiny = 2.0**-500
-    if rad.min(initial=np.inf) < tiny and np.any(r[rad < tiny] != 0.0):
+    if (rad < tiny).any():
         # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
         # underflows to 0; scaling by a power of two is exact, so such a
-        # point keeps its own direction
+        # point keeps its own direction (and the centre stays at 0)
         scale = np.where(rad < tiny, 2.0**600, 1.0)
         x, y, w = x * scale, y * scale, w * scale
         rad = np.sqrt(x * x + y * y + w * w)
     centre = rad == 0.0
     inv = 1.0 / np.where(centre, 1.0, rad)
-    nx, ny, nz = x * inv, y * inv, w * inv
-    na = nx * ax + ny * ay + nz * az
-    # components of a - (n.a) n + n x b, with b = (0, by, bz)
-    ux = ax - na * nx + ny * bz - nz * by
-    uy = ay - na * ny - nx * bz
-    uz = az - na * nz + nx * by
-    t = np.where(centre, rf.b_x**2 + rf.b_y**2, ux * ux + uy * uy + uz * uz)
+    nx, ny = x * inv, y * inv
+    inv *= w  # 1/R is not needed again
+    nz = inv
+    na = nx * ax
+    na += ny * ay
+    na += nz * az
+    # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
+    ux = na * nx
+    ux -= ax
+    ux -= ny * bz
+    ux += nz * by
+    uy = na * ny
+    uy -= ay
+    uy += nx * bz
+    uz = na * nz
+    uz -= az
+    uz -= nx * by
+    ux *= ux
+    uy *= uy
+    ux += uy
+    uz *= uz
+    ux += uz
+    t = np.where(centre, rf.b_x**2 + rf.b_y**2, ux)
     pref = coupling_prefactor(cfg)
     return larmor, (pref * pref) * t
 
@@ -108,14 +152,22 @@ def rabi_frequency(r, cfg: TrapConfig):
 
 
 def dressed_potential(r, cfg: TrapConfig):
-    """Adiabatic potential V [J] at position(s) ``r`` of shape (..., 3)."""
-    r = np.asarray(r, dtype=float)
+    """Adiabatic potential V [J] at position(s) ``r``.
+
+    ``r`` is an (..., 3) array of positions, or a tuple ``(x, y, z)`` of
+    coordinate arrays that broadcast together, such as the axes that
+    ``np.meshgrid(..., sparse=True)`` returns; V has their broadcast shape.
+    Both forms give the same bits for the same positions.
+    """
     larmor, om2 = _larmor_and_rabi_squared(r, cfg)
-    delta = cfg.rf.omega - larmor
-    del larmor  # one chunk-sized array fewer alive through the sqrt
-    v = cfg.atom.m_F * HBAR * np.sqrt(delta * delta + om2)
+    larmor -= cfg.rf.omega  # -delta, only ever squared
+    larmor *= larmor
+    larmor += om2
+    del om2  # one chunk-sized array fewer alive through the sqrt
+    v = np.sqrt(larmor)
+    v *= cfg.atom.m_F * HBAR
     if cfg.gravity_on:
-        v = v + cfg.atom.mass * G_ACCEL * r[..., 1]
+        v += cfg.atom.mass * G_ACCEL * _coordinates(r)[1]
     return v
 
 

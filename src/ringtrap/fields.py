@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,19 @@ class RfConfig:
             raise ValueError("dressing frequency omega must be positive")
         object.__setattr__(self, "alpha", _reduce_phase(self.alpha))
         object.__setattr__(self, "beta", _reduce_phase(self.beta))
+
+    @cached_property
+    def amplitude_parts(self) -> tuple:
+        """(a_x, a_y, a_z, b_y, b_z): the real part a and imaginary part b of
+        the complex amplitude (B_x, B_y e^{i alpha}, B_z e^{i beta}), whose
+        b_x is 0. Computed once per config, not once per kernel call."""
+        return (
+            self.b_x,
+            self.b_y * np.cos(self.alpha),
+            self.b_z * np.cos(self.beta),
+            self.b_y * np.sin(self.alpha),
+            self.b_z * np.sin(self.beta),
+        )
 
 
 @dataclass(frozen=True)

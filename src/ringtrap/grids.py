@@ -10,16 +10,28 @@ import numpy as np
 from .dressed import dressed_potential
 from .fields import TrapConfig
 
-#: refuse to allocate grids beyond this many nodes: the fill, the integral
-#: and the projection each work one block at a time, so a grid costs 8 B per
-#: node plus one block
-MAX_GRID_NODES = 100_000_000
-
 #: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
 #: blocks are runs of whole x-slabs, split into z-rows or z-runs only where
 #: one slab holds more nodes. 2^15 nodes keep the kernel's temporaries (a few
 #: MB) in cache and bound the working set of every pass to one block.
 _CHUNK = 1 << 15
+
+#: refuse grids beyond this many bytes: 10^8 nodes. The fill, the integral
+#: and the projection each work one block at a time, so a grid costs 8 B per
+#: node plus one block.
+MAX_GRID_BYTES = 8 * (100_000_000 + _CHUNK)
+
+
+def check_grid_budget(dims) -> None:
+    """Raise ValueError for a grid of ``dims`` beyond ``MAX_GRID_BYTES``."""
+    n_nodes = math.prod(dims)
+    need = 8 * (n_nodes + _CHUNK)
+    if need > MAX_GRID_BYTES:
+        raise ValueError(
+            f"grid of {n_nodes} nodes exceeds the node limit: it needs "
+            f"{need} B of a {MAX_GRID_BYTES} B budget (8 B per node plus one "
+            f"{_CHUNK}-node block); reduce dims or sample the region in pieces"
+        )
 
 
 @dataclass(frozen=True)
@@ -134,21 +146,17 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     dims : three ints
         Node counts; at least 2 on non-collapsed axes.
 
-    The grid is filled block by block (:func:`node_blocks`): each block's
-    positions are broadcast from the axis vectors, so no per-node index
-    array is built and no kernel call exceeds ``_CHUNK`` nodes. The fill is
-    deterministic for fixed inputs. Grids above ``MAX_GRID_NODES`` nodes are
-    rejected; shrink dims or split the region.
+    The grid is filled block by block (:func:`node_blocks`): the kernel
+    takes each block's three axis slices, which broadcast to its nodes, so
+    no positions or per-node index array is built and no kernel call exceeds
+    ``_CHUNK`` nodes. The fill is deterministic for fixed inputs. Grids
+    beyond ``MAX_GRID_BYTES`` are rejected; shrink dims or split the
+    region.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise ValueError("dims must be three positive integers")
-    n_nodes = dims[0] * dims[1] * dims[2]
-    if n_nodes > MAX_GRID_NODES:
-        raise ValueError(
-            f"grid of {n_nodes} nodes exceeds the {MAX_GRID_NODES} node limit; "
-            "reduce dims or sample the region in pieces"
-        )
+    check_grid_budget(dims)
     origin, spacing = [], []
     for (lo, hi), n in zip(region, dims):
         lo, hi = float(lo), float(hi)
@@ -165,13 +173,10 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
 
     vals = np.empty(dims)
     for box in node_blocks(dims):
-        pts = np.stack(
-            np.broadcast_arrays(
-                axes[0][box[0], None, None],
-                axes[1][None, box[1], None],
-                axes[2][None, None, box[2]],
-            ),
-            axis=-1,
+        vals[box] = dressed_potential(
+            (axes[0][box[0], None, None],
+             axes[1][None, box[1], None],
+             axes[2][None, None, box[2]]),
+            cfg,
         )
-        vals[box] = dressed_potential(pts, cfg)
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

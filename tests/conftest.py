@@ -68,11 +68,12 @@ def grid_global_min(cfg, lo, hi, n=161):
 
 def count_kernel_calls(monkeypatch, module):
     """Route ``module.dressed_potential`` through a counter; returns the list
-    of point-array shapes it is called with."""
+    of point-array shapes it is called with. A tuple of coordinate arrays
+    counts as the (..., 3) array of the points it broadcasts to."""
     calls = []
 
     def counted(r, cfg):
-        calls.append(np.shape(r))
+        calls.append(np.broadcast(*r).shape + (3,) if isinstance(r, tuple) else np.shape(r))
         return dressed_potential(r, cfg)
 
     monkeypatch.setattr(module, "dressed_potential", counted)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import ringtrap.dressed
 from ringtrap import (
@@ -200,6 +200,57 @@ def test_underflowing_radius_keeps_its_direction(fig2a):
         # the centre itself keeps the average of the two axial limits
         centre = coupling_prefactor(cfg) ** 2 * (cfg.rf.b_x**2 + cfg.rf.b_y**2)
         assert rabi_squared(np.zeros(3), cfg) == pytest.approx(centre, rel=1e-15)
+
+
+_coordinate = st.one_of(
+    st.builds(lambda m, e: m * 1e-3 * 10.0**e, st.floats(-1, 1), st.floats(-9, -3)),
+    st.builds(lambda m: m * 2.0**-520, st.floats(-1, 1)),  # R below 2^-500 m
+)
+_axis = st.lists(_coordinate, min_size=1, max_size=4)
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+_CENTRE_AND_UNDERFLOW = ([2.0**-520, 1e-5], [-2.0**-600], [3.0 * 2.0**-530, -2e-6])
+
+
+@example((B07, B07, 2e-5), (-np.pi / 2, 0.3), False, _CENTRE_AND_UNDERFLOW, True, "3d")
+@example((B07, B07, 2e-5), (-np.pi / 2, 0.3), True, _CENTRE_AND_UNDERFLOW, True, "3d")
+@given(
+    st.tuples(_amplitude, _amplitude, _amplitude),
+    st.tuples(_phase, _phase),
+    st.booleans(),
+    st.tuples(_axis, _axis, _axis),
+    st.booleans(),
+    st.sampled_from(["3d", "2d", "point"]),
+)
+def test_coordinate_tuple_matches_stacked_positions_property(
+    amps, phases, gravity, axes, with_centre, layout
+):
+    # a tuple of coordinate arrays that broadcast gives the bits of the
+    # stacked (..., 3) positions, and neither form writes to its input
+    bx, by, bz = amps
+    cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=phases[0], beta=phases[1],
+                    gravity=gravity)
+    xs, ys, zs = ([0.0, *a] if with_centre else a for a in axes)
+    if layout == "3d":
+        coords = (np.array(xs)[:, None, None], np.array(ys)[None, :, None],
+                  np.array(zs)[None, None, :])
+    elif layout == "2d":
+        coords = (np.array(xs)[:, None], np.array(ys)[None, :], zs[0])
+    else:
+        coords = (xs[0], ys[0], zs[0])
+    coords = tuple(_read_only(c) for c in coords)
+    stacked = _read_only(np.stack(np.broadcast_arrays(*coords), axis=-1))
+    for fn in (dressed_potential, rabi_squared, larmor_frequency, detuning):
+        from_tuple = np.asarray(fn(coords, cfg))
+        from_stack = np.asarray(fn(stacked, cfg))
+        assert from_tuple.shape == from_stack.shape == stacked.shape[:-1]
+        assert from_tuple.tobytes() == from_stack.tobytes()
 
 
 # -- dressed potential -------------------------------------------------------

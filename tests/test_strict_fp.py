@@ -1,17 +1,18 @@
 """The reference pipelines raise no floating-point warning.
 
 ``analyze_trap`` and ``frequency_sweep`` run on the four reference configs,
-in the z = 0 plane and with a z band, under ``np.errstate(all="raise")``:
-any division by zero, overflow, underflow or invalid operation (such as the
-0/0 of a zero-width z window) fails the test.
+in the z = 0 plane and with a z band, and ``sample_grid`` fills grids that
+hold the trap centre, under ``np.errstate(all="raise")``: any division by
+zero, overflow, underflow or invalid operation (such as the 0/0 of a
+zero-width z window, or 1/R at the centre) fails the test.
 """
 
 import numpy as np
 import pytest
 
-from ringtrap import analyze_trap, frequency_sweep
+from ringtrap import analyze_trap, frequency_sweep, sample_grid
 
-from conftest import reference_configs
+from conftest import imaging_region, reference_configs
 
 
 @pytest.mark.parametrize("band_factor", [0.0, 1e-6, 0.3, 2.0])
@@ -25,3 +26,19 @@ def test_pipelines_raise_no_fp_error(name, band_factor):
         )
     assert np.isfinite(analysis.ring_radius) and np.isfinite(analysis.depth)
     assert all(row.error is None for row in rows)
+
+
+@pytest.mark.parametrize("grid", ["map", "image"])
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_grid_fill_through_the_centre_raises_no_fp_error(name, grid):
+    cfg = reference_configs()[name]
+    if grid == "map":
+        # the README's 401 x 401 grid of the z = 0 plane
+        region, dims = ((-5e-4, 5e-4), (-5e-4, 5e-4), (0.0, 0.0)), (401, 401, 1)
+    else:
+        # a pixel of 2^-17 m makes every node a whole number of pixels from
+        # the axis, and nz = 33 puts the middle z plane exactly at 0
+        region, dims = imaging_region(cfg, pixel=2.0**-17)
+    with np.errstate(all="raise"):
+        filled = sample_grid(cfg, region, dims)
+    assert all(0.0 in axis for axis in filled.axes())  # the trap centre is a node
