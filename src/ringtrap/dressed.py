@@ -41,9 +41,18 @@ together, such as the axes ``np.meshgrid(..., sparse=True)`` returns. A grid
 block passes its three axis slices this way and builds no positions array.
 Both forms run through one kernel and give the same bits for the same
 points; the result has the points' shape.
+
+Where the kernel's temporaries live: a call allocates them afresh, as numpy
+scalars for one point, unless it is given a workspace
+(:func:`kernel_workspace`). It then writes each temporary into a row of that
+workspace, viewed in the temporary's own shape, and ``dressed_potential``
+writes V into the ``out`` array it is given, so a call allocates nothing the
+size of its points. The grid fill passes one workspace to every block.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,6 +61,9 @@ from .fields import TrapConfig
 
 #: finite-difference steps below this are rejected as underflow [m]
 MIN_FD_STEP = 1e-9
+
+#: temporaries of one kernel call alive at once: the rows of a workspace
+WORKSPACE_ROWS = 8
 
 
 def coupling_prefactor(cfg: TrapConfig) -> float:
@@ -62,6 +74,13 @@ def coupling_prefactor(cfg: TrapConfig) -> float:
 def resonance_radius(cfg: TrapConfig) -> float:
     """z=0 radius of the zero-detuning shell: hbar*omega/(g_F mu_B B_q)."""
     return HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
+
+
+def kernel_workspace(points: int) -> np.ndarray:
+    """Room for the temporaries of kernel calls on up to ``points`` points:
+    ``WORKSPACE_ROWS`` flat float buffers, allocated once and reused by every
+    call that is given them."""
+    return np.empty((WORKSPACE_ROWS, points))
 
 
 def _coordinates(r):
@@ -76,59 +95,117 @@ def _coordinates(r):
     return r[..., 0], r[..., 1], r[..., 2]
 
 
-def _larmor_and_rabi_squared(r, cfg: TrapConfig):
+def _row(work, i, *operands):
+    """Row ``i`` of the workspace, viewed in the operands' broadcast shape."""
+    shape = np.broadcast(*operands).shape
+    return work[i, :math.prod(shape)].reshape(shape)
+
+
+def _mul(a, b, work, i):
+    """a * b: a fresh result, or written into row ``i`` of ``work``."""
+    if work is None:
+        return a * b
+    return np.multiply(a, b, out=_row(work, i, a, b))
+
+
+def _add(a, b, work, i):
+    """a + b: a fresh result, or written into row ``i`` of ``work``."""
+    if work is None:
+        return a + b
+    return np.add(a, b, out=_row(work, i, a, b))
+
+
+def _reciprocal(a, work, i):
+    """1 / a: a fresh result, or written into row ``i`` of ``work``."""
+    if work is None:
+        return 1.0 / a
+    return np.divide(1.0, a, out=_row(work, i, a))
+
+
+def _sqrt(a, work, i):
+    """sqrt(a): a fresh result, or written into row ``i`` of ``work``."""
+    if work is None:
+        return np.sqrt(a)
+    return np.sqrt(a, out=_row(work, i, a))
+
+
+def _select(mask, a, b, work, i):
+    """np.where(mask, a, b): a fresh result, or written into row ``i`` of
+    ``work``, which may hold ``b`` already."""
+    if work is None:
+        return np.where(mask, a, b)
+    out = _row(work, i, mask, a, b)
+    np.copyto(out, b)
+    np.copyto(out, a, where=mask)
+    return out
+
+
+def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     """(omega_0, |Omega|^2) at the positions ``r`` in either form, with R and
     n computed once.
 
-    The temporaries the kernel owns are updated in place, never its inputs;
-    each takes the shape of all the points, so an in-place update never has
-    to broadcast into a smaller operand. The components of u are computed
-    with their signs flipped, which IEEE arithmetic does exactly, and are
-    only ever squared, so the results are bit for bit those of the
-    out-of-place expressions.
+    Without a workspace each temporary is a fresh array (a numpy scalar for
+    one point); given one, each is written into a row of ``work``, viewed in
+    its own shape, and the two results are views of it. The rows hold: 0 w;
+    1 R, then 1/R, n_z and u_z; 2 omega_0; 3 n_x; 4 n_y, then u_y; 5 n.a;
+    6 each term added into n.a and u; 7 u_x, then |Omega|^2. Before n is
+    formed, rows 3-7 hold the partial sums of R^2 and the rescued
+    coordinates. Only a call on points with R below 2^-500 m, the centre
+    among them, takes the rescue, the centre's mask and the two selections:
+    in a grid fill, the block that holds the centre.
+
+    The temporaries are updated in place, never the inputs. The components of
+    u are computed with their signs flipped, which IEEE arithmetic does
+    exactly, and are only ever squared, so the results are bit for bit those
+    of the out-of-place expressions, with or without a workspace.
     """
     x, y, z = _coordinates(r)
     rf = cfg.rf
     ax, ay, az, by, bz = rf.amplitude_parts
-    w = -2.0 * z
-    rad = np.sqrt(x * x + y * y + w * w)
-    larmor = cfg.atom.g_F * MU_B * cfg.quad.gradient * rad
+    w = _mul(-2.0, z, work, 0)
+    rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 5)
+    rad = _sqrt(_add(rad, _mul(w, w, work, 3), work, 1), work, 1)
+    larmor = _mul(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, work, 2)
     larmor /= HBAR
     tiny = 2.0**-500
-    if (rad < tiny).any():
+    centre = None
+    if rad.size and rad.min() < tiny:
         # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
         # underflows to 0; scaling by a power of two is exact, so such a
         # point keeps its own direction (and the centre stays at 0)
-        scale = np.where(rad < tiny, 2.0**600, 1.0)
-        x, y, w = x * scale, y * scale, w * scale
-        rad = np.sqrt(x * x + y * y + w * w)
-    centre = rad == 0.0
-    inv = 1.0 / np.where(centre, 1.0, rad)
-    nx, ny = x * inv, y * inv
+        scale = _select(rad < tiny, 2.0**600, 1.0, work, 3)
+        x, y, w = _mul(x, scale, work, 5), _mul(y, scale, work, 6), _mul(w, scale, work, 7)
+        rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 3)
+        rad = _sqrt(_add(rad, _mul(w, w, work, 4), work, 1), work, 1)
+        centre = rad == 0.0
+        rad = _select(centre, 1.0, rad, work, 1)
+    inv = _reciprocal(rad, work, 1)
+    nx, ny = _mul(x, inv, work, 3), _mul(y, inv, work, 4)
     inv *= w  # 1/R is not needed again
     nz = inv
-    na = nx * ax
-    na += ny * ay
-    na += nz * az
+    na = _mul(nx, ax, work, 5)
+    na += _mul(ny, ay, work, 6)
+    na += _mul(nz, az, work, 6)
     # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
-    ux = na * nx
+    ux = _mul(na, nx, work, 7)
     ux -= ax
-    ux -= ny * bz
-    ux += nz * by
-    uy = na * ny
+    ux -= _mul(ny, bz, work, 6)
+    ux += _mul(nz, by, work, 6)
+    uy = _mul(na, ny, work, 4)  # n_y is not needed again
     uy -= ay
-    uy += nx * bz
-    uz = na * nz
+    uy += _mul(nx, bz, work, 6)
+    uz = _mul(na, nz, work, 1)  # nor n_z
     uz -= az
-    uz -= nx * by
+    uz -= _mul(nx, by, work, 6)
     ux *= ux
     uy *= uy
     ux += uy
     uz *= uz
     ux += uz
-    t = np.where(centre, rf.b_x**2 + rf.b_y**2, ux)
+    if centre is not None:
+        ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, work, 7)
     pref = coupling_prefactor(cfg)
-    return larmor, (pref * pref) * t
+    return larmor, _mul(pref * pref, ux, work, 7)
 
 
 def larmor_frequency(r, cfg: TrapConfig):
@@ -151,23 +228,28 @@ def rabi_frequency(r, cfg: TrapConfig):
     return np.sqrt(rabi_squared(r, cfg))
 
 
-def dressed_potential(r, cfg: TrapConfig):
+def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
     """Adiabatic potential V [J] at position(s) ``r``.
 
     ``r`` is an (..., 3) array of positions, or a tuple ``(x, y, z)`` of
     coordinate arrays that broadcast together, such as the axes that
     ``np.meshgrid(..., sparse=True)`` returns; V has their broadcast shape.
     Both forms give the same bits for the same positions.
+
+    ``work``, from :func:`kernel_workspace` with room for the points, holds
+    every temporary of the call; ``out``, an array of the points' shape,
+    receives V. Given both, the call allocates nothing the size of the
+    points. Either way V has the same bits.
     """
-    larmor, om2 = _larmor_and_rabi_squared(r, cfg)
+    larmor, om2 = _larmor_and_rabi_squared(r, cfg, work)
     larmor -= cfg.rf.omega  # -delta, only ever squared
     larmor *= larmor
     larmor += om2
     del om2  # one chunk-sized array fewer alive through the sqrt
-    v = np.sqrt(larmor)
+    v = np.sqrt(larmor) if out is None else np.sqrt(larmor, out=out)
     v *= cfg.atom.m_F * HBAR
     if cfg.gravity_on:
-        v += cfg.atom.mass * G_ACCEL * _coordinates(r)[1]
+        v += _mul(cfg.atom.mass * G_ACCEL, _coordinates(r)[1], work, 3)
     return v
 
 

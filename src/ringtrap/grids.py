@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dressed import dressed_potential
+from .dressed import dressed_potential, kernel_workspace
 from .fields import TrapConfig
 
 #: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
@@ -149,9 +149,11 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     The grid is filled block by block (:func:`node_blocks`): the kernel
     takes each block's three axis slices, which broadcast to its nodes, so
     no positions or per-node index array is built and no kernel call exceeds
-    ``_CHUNK`` nodes. The fill is deterministic for fixed inputs. Grids
-    beyond ``MAX_GRID_BYTES`` are rejected; shrink dims or split the
-    region.
+    ``_CHUNK`` nodes. One kernel workspace, allocated once per fill, holds
+    every block's temporaries, and V is written straight into the block's
+    slice of the grid, so no block allocates. The fill is deterministic for
+    fixed inputs. Grids beyond ``MAX_GRID_BYTES`` are rejected; shrink dims
+    or split the region.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or any(n < 1 for n in dims):
@@ -172,11 +174,12 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     axes = [o + s * np.arange(n) for o, s, n in zip(origin, spacing, dims)]
 
     vals = np.empty(dims)
+    work = kernel_workspace(min(_CHUNK, vals.size))
     for box in node_blocks(dims):
-        vals[box] = dressed_potential(
+        dressed_potential(
             (axes[0][box[0], None, None],
              axes[1][None, box[1], None],
              axes[2][None, None, box[2]]),
-            cfg,
+            cfg, work=work, out=vals[box],
         )
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

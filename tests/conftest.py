@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -69,15 +71,25 @@ def grid_global_min(cfg, lo, hi, n=161):
 def count_kernel_calls(monkeypatch, module):
     """Route ``module.dressed_potential`` through a counter; returns the list
     of point-array shapes it is called with. A tuple of coordinate arrays
-    counts as the (..., 3) array of the points it broadcasts to."""
+    counts as the (..., 3) array of the points it broadcasts to. Any further
+    arguments, such as a workspace and an output array, pass through."""
     calls = []
 
-    def counted(r, cfg):
+    def counted(r, cfg, *args, **kwargs):
         calls.append(np.broadcast(*r).shape + (3,) if isinstance(r, tuple) else np.shape(r))
-        return dressed_potential(r, cfg)
+        return dressed_potential(r, cfg, *args, **kwargs)
 
     monkeypatch.setattr(module, "dressed_potential", counted)
     return calls
+
+
+def traced_growth(step):
+    """Run ``step()`` under tracemalloc, which must be tracing; return its
+    result and its peak above what was held when it started."""
+    tracemalloc.reset_peak()
+    held, _ = tracemalloc.get_traced_memory()
+    result = step()
+    return result, tracemalloc.get_traced_memory()[1] - held
 
 
 @pytest.fixture

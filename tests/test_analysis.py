@@ -248,9 +248,9 @@ def test_plane_profile_makes_two_kernel_calls(name, monkeypatch):
     kernel = ringtrap.dressed._larmor_and_rabi_squared
     shapes = []
 
-    def counted(r, cfg):
+    def counted(r, cfg, *args):
         shapes.append(np.shape(r))
-        return kernel(r, cfg)
+        return kernel(r, cfg, *args)
 
     monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
     azimuthal_profile(reference_configs()[name], n_phi=256)
@@ -334,9 +334,9 @@ def test_band_profile_makes_two_kernel_calls_per_pass(name, monkeypatch):
     kernel = ringtrap.dressed._larmor_and_rabi_squared
     shapes = []
 
-    def counted(r, cfg):
+    def counted(r, cfg, *args):
         shapes.append(np.shape(r))
-        return kernel(r, cfg)
+        return kernel(r, cfg, *args)
 
     monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
     azimuthal_profile(reference_configs()[name], n_phi=256, z_band_factor=0.3)

@@ -17,7 +17,7 @@ from ringtrap import (
     resonance_radius,
 )
 from ringtrap.constants import G_ACCEL, HBAR, MU_B
-from ringtrap.dressed import coupling_prefactor
+from ringtrap.dressed import WORKSPACE_ROWS, coupling_prefactor
 
 from conftest import B07, count_kernel_calls, make_trap, reference_configs
 
@@ -251,6 +251,15 @@ def test_coordinate_tuple_matches_stacked_positions_property(
         from_stack = np.asarray(fn(stacked, cfg))
         assert from_tuple.shape == from_stack.shape == stacked.shape[:-1]
         assert from_tuple.tobytes() == from_stack.tobytes()
+    # so does a call that keeps its temporaries in a workspace, whatever the
+    # workspace held before, and writes V into the array it is given
+    n = stacked.size // 3
+    work = np.full((WORKSPACE_ROWS, n + 5), np.nan)
+    out = np.empty(stacked.shape[:-1])
+    for r in (coords, stacked):
+        v = dressed_potential(r, cfg, work=work, out=out)
+        assert v is out
+        assert out.tobytes() == np.asarray(dressed_potential(stacked, cfg)).tobytes()
 
 
 # -- dressed potential -------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from ringtrap import (
     sample_grid,
 )
 from ringtrap.constants import HBAR, RB87
-from ringtrap.grids import _CHUNK
+from ringtrap.dressed import kernel_workspace
+from ringtrap.grids import _CHUNK, node_blocks
 
 from conftest import (
     B07,
     count_kernel_calls,
     make_trap,
+    reference_configs,
+    traced_growth,
     whole_array_integral,
     whole_array_projection,
 )
@@ -143,6 +147,81 @@ def test_fill_matches_divmod_oracle(monkeypatch, cfg, region, dims):
     assert all(shape[-1] == 3 for shape in calls)
     assert max(sizes) <= _CHUNK
     assert sum(sizes) == math.prod(dims)
+
+
+def centred_region(dims, pitch=2.0**-17):
+    """A box whose nodes are whole numbers of ``pitch`` from the axes, so
+    that the trap centre is a node."""
+    return tuple(
+        (-(n // 2) * pitch, (n - 1 - n // 2) * pitch) if n > 1 else (0.0, 0.0)
+        for n in dims
+    )
+
+
+@pytest.mark.parametrize(
+    "dims, block",
+    [
+        ((41, 41, 33), (24, 41, 33)),  # a run of whole x-slabs
+        ((2, 600, 600), (1, 54, 600)),  # z-rows of one slab
+        ((1, 1, 300_000), (1, 1, _CHUNK)),  # a segment of one z-row
+    ],
+)
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_centre_node_in_each_kind_of_block(name, dims, block):
+    # the block that holds the centre takes the rescue and the centre's
+    # coupling inside the workspace: no floating-point error, and the bits of
+    # one kernel call on the stacked positions of every node
+    cfg = reference_configs()[name]
+    with np.errstate(all="raise"):
+        grid = sample_grid(cfg, centred_region(dims), dims)
+        stacked = dressed_potential(grid.node_positions(), cfg)
+    centre = [int(np.flatnonzero(axis == 0.0)[0]) for axis in grid.axes()]
+    box = next(
+        box for box in node_blocks(dims)
+        if all(i in range(n)[s] for i, n, s in zip(centre, dims, box))
+    )
+    assert tuple(len(range(n)[s]) for n, s in zip(dims, box)) == block
+    assert grid.values.tobytes() == stacked.tobytes()
+
+
+def test_fill_grows_by_one_workspace_whatever_its_block_count(fig2b):
+    # 4 and 40 blocks of one x-slab each, both grids holding the centre:
+    # beyond its own values a fill holds the workspace plus, in the centre's
+    # block, one mask of a byte per node and numpy's ufunc buffers, all far
+    # below one block of float temporaries
+    block = 8 * 127 * 257
+    growth = []
+    tracemalloc.start()
+    try:
+        for n in (4, 40):
+            dims = (n, 127, 257)
+            grid, grown = traced_growth(lambda: sample_grid(fig2b, centred_region(dims), dims))
+            assert all(0.0 in axis for axis in grid.axes())
+            growth.append(grown - grid.values.nbytes)
+    finally:
+        tracemalloc.stop()
+    workspace = kernel_workspace(_CHUNK).nbytes
+    assert all(workspace <= g < workspace + block for g in growth)
+    # nothing accumulates per block: the fills differ by a few small objects
+    assert abs(growth[1] - growth[0]) < 16 << 10
+
+
+@pytest.mark.parametrize("gravity", [False, True])
+def test_kernel_call_with_a_workspace_allocates_less_than_a_block(gravity):
+    # a whole-slab block holding the centre, which takes the rescue: every
+    # block-sized temporary is in the workspace and V goes into ``out``
+    cfg = make_trap(b_x=B07, b_z=2e-5, beta=0.3, gravity=gravity)
+    y, z = ((np.arange(n) - n // 2) * 2.0**-17 for n in (127, 257))
+    coords = (np.zeros((1, 1, 1)), y[None, :, None], z[None, None, :])
+    work = kernel_workspace(_CHUNK)
+    out = np.empty((1, 127, 257))
+    tracemalloc.start()
+    try:
+        _, grown = traced_growth(lambda: dressed_potential(coords, cfg, work=work, out=out))
+    finally:
+        tracemalloc.stop()
+    assert grown < out.nbytes
+    assert out.tobytes() == dressed_potential(coords, cfg).tobytes()
 
 
 # image-workload grid, planes, a z line, a slab over _CHUNK, collapsed axes,

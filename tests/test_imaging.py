@@ -32,6 +32,7 @@ from conftest import (
     imaging_region,
     reference_configs,
     synth_image,
+    traced_growth,
     whole_array_integral,
     whole_array_projection,
 )
@@ -136,15 +137,6 @@ def test_density_and_projection_match_whole_array_code(name, monkeypatch):
     assert np.array_equal(img.values, whole_array_projection(grid, 0.5))
 
 
-def _traced_growth(step):
-    """Run ``step()`` under tracemalloc; return its result and its peak above
-    what was held when it started."""
-    tracemalloc.reset_peak()
-    held, _ = tracemalloc.get_traced_memory()
-    result = step()
-    return result, tracemalloc.get_traced_memory()[1] - held
-
-
 def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path):
     # the image workload's 311 x 311 x 33 grid: the density peaks at its own
     # 25.5 MB plus one block, and the projection and the CSV export add at
@@ -153,14 +145,14 @@ def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path):
     region, dims = imaging_region(fig2b)
     tracemalloc.start()
     try:
-        dens, grown = _traced_growth(lambda: thermal_density(fig2b, T20, region, dims))
+        dens, grown = traced_growth(lambda: thermal_density(fig2b, T20, region, dims))
         assert grown <= dens.values.nbytes + block
         # validating a grid builds no per-node mask
-        _, grown = _traced_growth(lambda: dataclasses.replace(dens))
+        _, grown = traced_growth(lambda: dataclasses.replace(dens))
         assert grown < 1 << 20
-        img, grown = _traced_growth(lambda: column_density(dens))
+        img, grown = traced_growth(lambda: column_density(dens))
         assert grown <= block
-        _, grown = _traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
+        _, grown = traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
         assert grown <= block
     finally:
         tracemalloc.stop()
@@ -403,7 +395,7 @@ def test_grid_binary_export_copies_no_grid(fig2b, tmp_path):
     grid = sample_grid(fig2b, ((-3e-4, 3e-4),) * 3, (161, 161, 41))
     tracemalloc.start()
     try:
-        _, grown = _traced_growth(
+        _, grown = traced_growth(
             lambda: export_grid_binary(grid, tmp_path / "g.f64", tmp_path / "g.hdr")
         )
     finally:
