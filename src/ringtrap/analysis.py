@@ -52,6 +52,12 @@ MIN_CLASSIFY_AZIMUTHS = 64
 #: (the z = 0 plane is the one slope 0): slope nodes, passes
 PROFILE_ZOOM = (97, 12)
 
+#: kernel points per call that a batch of profile frequencies may fill, so
+#: that a batch stays cache-sized: up to 64 frequencies at 256 azimuths in
+#: the plane, and one frequency at a time in a z band (2 * 97 slopes per
+#: azimuth), where larger batches measured slower
+PROFILE_BATCH_POINTS = 2**14
+
 #: meshes the sphere search evaluates per kernel call: step, step / 2 and
 #: step / 4 (``minimize._compass``)
 SPHERE_MESH_LEVELS = 3
@@ -133,7 +139,7 @@ def _lowest(rays):
     return np.take_along_axis(rays, k[None, None], axis=1)[:, 0]
 
 
-def _ray_floor(cfg, u):
+def _ray_floor(cfg, u, r0=None):
     """Closed-form floor of V along the rays r = R u, R >= 0, through the
     points ``u`` = (n_x, n_y, -n_z / 2) (..., 3) of unit field directions n:
     the radius R*, the floor V* and the Rabi coupling |Omega|.
@@ -145,9 +151,13 @@ def _ray_floor(cfg, u):
     where V* = c r0 + E sqrt(1 - c^2 / A^2). Otherwise the ray has no floor:
     R* = +inf where V falls without end (c <= -A) and -inf where it rises
     from the centre (c >= A). V* is the floor only where 0 < R* < inf.
+
+    ``r0`` is the resonance radius, by default that of ``cfg``; an array
+    that broadcasts with the rays gives each ray the r0 of its own dressing
+    frequency, as only r0 depends on it.
     """
     atom = cfg.atom
-    r0 = resonance_radius(cfg)
+    r0 = resonance_radius(cfg) if r0 is None else r0
     a = atom.m_F * atom.g_F * MU_B * cfg.quad.gradient
     rabis = np.sqrt(rabi_squared(u.reshape(-1, 3), cfg)).reshape(u.shape[:-1])
     e = atom.m_F * HBAR * rabis
@@ -158,9 +168,15 @@ def _ray_floor(cfg, u):
     return radius, c * r0 + e * root / a, rabis
 
 
-def _valley_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
-    """Valley floor over rho in [rho_min, rho_max] and |z| <= z_band: radii,
-    z, potentials, rabis.
+def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega):
+    """Valley floor of each column over rho in [rho_min, rho_max] and
+    |z| <= z_band: radii, z, potentials, rabis.
+
+    A column is one (dressing frequency, azimuth) pair, and the columns
+    form an (F, n_phi) array: ``cosp`` and ``sinp`` (n_phi,) give the
+    azimuths, and ``r0`` (the resonance radius), the window ``rho_min``,
+    ``rho_max``, ``z_band`` and ``omega`` (F, 1) belong to the frequencies.
+    The rf amplitudes are those of ``cfg``, whose own omega is not used.
 
     Along a ray of slope s = z / rho at azimuth phi the field direction
     n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and V
@@ -171,28 +187,33 @@ def _valley_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
     s = 0. A z band zooms s over [-z_band / rho_min, 0] and
     [0, z_band / rho_min] by ``PROFILE_ZOOM`` and keeps the lowest ray seen;
     s = 0 is a node of the first pass, so the band floor is never above the
-    plane floor.
+    plane floor. Every column is computed with the operations of its own,
+    so a column's floor has the same bits in any batch.
     """
-    n_s, passes = PROFILE_ZOOM if z_band > 0 else (1, 1)
+    band = bool(np.any(z_band > 0))
+    n_s, passes = PROFILE_ZOOM if band else (1, 1)
     s_max = z_band / rho_min
-    # slope windows on axes (half, azimuth): each sign of z is zoomed on its
-    # own, as the valleys at +-z mirror each other up to the polarisation
-    # cross terms, too close in V for a coarse pass to rank
-    halves = [-s_max, 0.0, 0.0, s_max] if z_band > 0 else [0.0, 0.0]
-    s_lo, s_hi = np.array(halves).reshape(2, -1, 1)
+    zero = np.zeros_like(s_max)
+    # slope windows on axes (half, frequency, azimuth): each sign of z is
+    # zoomed on its own, as the valleys at +-z mirror each other up to the
+    # polarisation cross terms, too close in V for a coarse pass to rank
+    halves = [-s_max, zero, zero, s_max] if band else [zero, zero]
+    s_lo, s_hi = np.reshape(halves, (2, -1) + s_max.shape)
     lo, hi = s_lo, s_hi  # the first pass shares its slopes across azimuths
-    frac = (np.arange(n_s) / max(n_s - 1, 1))[:, None, None]
+    frac = (np.arange(n_s) / max(n_s - 1, 1)).reshape(-1, 1, 1, 1)
+    shape = (n_s, len(s_lo), len(r0), len(cosp))
+    omega = np.broadcast_to(omega, shape).reshape(-1)  # one per kernel point
     best = None  # s, rho, z, V, |Omega| of each window's lowest ray so far
     for _ in range(passes):
-        s = lo + (hi - lo) * frac  # (slope, half, azimuth or 1); +0.0 in the plane
+        # (slope, half, frequency, azimuth or 1); +0.0 in the plane
+        s = lo + (hi - lo) * frac
         inv_q = 1.0 / np.hypot(1.0, 2.0 * s)  # 1 / q: exactly 1 in the plane
-        shape = (n_s, len(s_lo), len(cosp))
         pts = np.empty(shape + (3,))
         for k, coord in enumerate((cosp, sinp, s)):  # the ray points at R = 1
             np.multiply(coord, inv_q, out=pts[..., k])
-        radius, _, rabis = _ray_floor(cfg, pts)
+        radius, _, rabis = _ray_floor(cfg, pts, r0)
         radii = np.minimum(np.maximum(radius * inv_q, rho_min), rho_max)
-        if z_band > 0:
+        if band:
             # the ray leaves the band at rho = z_band / |s|, kept >= rho_min
             # and |z| <= z_band against rounding
             abs_s = np.abs(s)
@@ -202,8 +223,8 @@ def _valley_floor(cfg, cosp, sinp, rho_min, rho_max, z_band):
         else:  # the plane's rays stay in it
             z = np.zeros_like(radii)
         pts[..., 0], pts[..., 1], pts[..., 2] = radii * cosp, radii * sinp, z
-        v = dressed_potential(pts.reshape(-1, 3), cfg).reshape(shape)
-        if passes == 1:  # the plane: one ray per azimuth
+        v = dressed_potential(pts.reshape(-1, 3), cfg, omega=omega).reshape(shape)
+        if passes == 1:  # the plane: one ray per column
             return radii[0, 0], z[0, 0], v[0, 0], rabis[0, 0]
         lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v, rabis)))
         best = lowest if best is None else np.where(lowest[3] < best[3], lowest, best)
@@ -220,7 +241,8 @@ def azimuthal_profile(
     n_phi: int = 64,
     rho_factors: tuple[float, float] = (0.2, 3.0),
     z_band_factor: float = 0.0,
-) -> AzimuthalProfile:
+    omegas=None,
+):
     """Minimise V over the radial(-axial) window at each azimuth.
 
     For every azimuth phi the potential is minimised over
@@ -233,28 +255,47 @@ def azimuthal_profile(
     the plane is one such ray per azimuth (two kernel calls of ``n_phi``
     points); a z band zooms over the ray slope for all azimuths in lockstep
     (two kernel calls per pass of ``PROFILE_ZOOM``).
+
+    Given a sequence ``omegas``, returns the list of the profiles of
+    ``cfg.with_rf(omega=w)`` for each w, each with the bits of its own call,
+    from one batch of (frequency, azimuth) columns: in the plane, two kernel
+    calls of ``len(omegas) * n_phi`` points. A batch takes as many
+    frequencies as fit in ``PROFILE_BATCH_POINTS`` kernel points per call,
+    and at least one.
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
     if z_band_factor < 0:
         raise ValueError("z_band_factor must be non-negative")
     _check_rho_factors(rho_factors)
-    r0 = resonance_radius(cfg)
+    ws = np.array([cfg.rf.omega] if omegas is None else omegas, dtype=float)
+    if not np.all((ws > 0) & (ws < np.inf)):
+        raise ValueError("dressing frequencies must be positive and finite")
+    r0 = resonance_radius(cfg, ws)
     # np.linspace(0, 2 pi, n_phi, endpoint=False) bit for bit, at half its cost
     phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    radii, z, potentials, rabis = _valley_floor(
-        cfg, np.cos(phis), np.sin(phis),
-        rho_factors[0] * r0, rho_factors[1] * r0, z_band_factor * r0,
-    )
-    return AzimuthalProfile(
-        azimuths=phis,
-        radii=radii,
-        z=z,
-        potentials=potentials,
-        rabis=rabis,
-        energy_scale=cfg.atom.m_F * HBAR * cfg.rf.omega,
-        resonance_radius=r0,
-    )
+    cosp, sinp = np.cos(phis), np.sin(phis)
+    rays = 2 * PROFILE_ZOOM[0] if z_band_factor > 0 else 1
+    per_batch = max(1, PROFILE_BATCH_POINTS // (rays * n_phi))
+    profiles = []
+    for start in range(0, len(ws), per_batch):
+        w, r = ws[start:start + per_batch], r0[start:start + per_batch]
+        col = r[:, None]  # one row of columns per frequency
+        floors = _valley_floor(
+            cfg, cosp, sinp, col, rho_factors[0] * col, rho_factors[1] * col,
+            z_band_factor * col, w[:, None],
+        )
+        for f, (radii, z, potentials, rabis) in enumerate(zip(*floors)):
+            profiles.append(AzimuthalProfile(
+                azimuths=phis,
+                radii=radii,
+                z=z,
+                potentials=potentials,
+                rabis=rabis,
+                energy_scale=cfg.atom.m_F * HBAR * float(w[f]),
+                resonance_radius=float(r[f]),
+            ))
+    return profiles[0] if omegas is None else profiles
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +701,17 @@ class SweepPoint:
     error: str | None = None
 
 
+def _failed_row(omega: float, err: Exception) -> SweepPoint:
+    return SweepPoint(
+        omega=omega,
+        resonance_radius=None,
+        numeric_radius=None,
+        barrier_height=None,
+        geometry=None,
+        error=f"{type(err).__name__}: {err}",
+    )
+
+
 def frequency_sweep(
     cfg: TrapConfig,
     omegas,
@@ -673,8 +725,15 @@ def frequency_sweep(
 
     ``amplitudes`` optionally overrides (b_x, b_y, b_z) per frequency
     (user-supplied antenna response table, tesla). The rho window and the
-    z band scale with each row's own resonance radius. A failure at one
-    frequency is recorded on its row; the sweep continues.
+    z band scale with each row's own resonance radius. A row whose rf
+    parameters are invalid records its error; the sweep continues.
+
+    Rows that share an amplitude triple (every row, without a table) are
+    profiled in one :func:`azimuthal_profile` call: in the plane, two kernel
+    calls of (rows x ``n_phi``) points for the whole group, split into
+    batches of at most ``PROFILE_BATCH_POINTS``. Each row has the bits of a
+    profile of its own. The profile raises only on what the group shares,
+    so its error is recorded on every row of the group.
     """
     omegas = [float(w) for w in omegas]
     if not omegas:
@@ -687,7 +746,8 @@ def frequency_sweep(
     if amplitudes is not None and len(amplitudes) != len(omegas):
         raise ValueError("amplitudes table must match the frequency list length")
 
-    rows = []
+    rows = [None] * len(omegas)
+    groups = {}  # amplitude triple -> (config of its first row, row indices)
     for i, w in enumerate(omegas):
         changes = {"omega": w}
         if amplitudes is not None:
@@ -695,29 +755,29 @@ def frequency_sweep(
             changes.update(b_x=float(bx), b_y=float(by), b_z=float(bz))
         try:
             cfg_i = cfg.with_rf(**changes)
-            profile = azimuthal_profile(
-                cfg_i, n_phi=n_phi, rho_factors=rho_factors, z_band_factor=z_band_factor
+        except (RingtrapError, ValueError) as err:  # per-row failure; keep sweeping
+            rows[i] = _failed_row(w, err)
+            continue
+        rf = cfg_i.rf
+        groups.setdefault((rf.b_x, rf.b_y, rf.b_z), (cfg_i, []))[1].append(i)
+
+    for cfg_g, members in groups.values():
+        try:
+            profiles = azimuthal_profile(
+                cfg_g, n_phi=n_phi, rho_factors=rho_factors,
+                z_band_factor=z_band_factor, omegas=[omegas[i] for i in members],
             )
-            cls = classify_geometry(profile, tolerances)
-            rows.append(
-                SweepPoint(
-                    omega=w,
+            for i, profile in zip(members, profiles):
+                cls = classify_geometry(profile, tolerances)
+                rows[i] = SweepPoint(
+                    omega=omegas[i],
                     resonance_radius=profile.resonance_radius,
                     numeric_radius=profile.numeric_radius(),
                     barrier_height=profile.barrier_height(),
                     geometry=cls.geometry,
                     low_confidence=cls.low_confidence,
                 )
-            )
-        except (RingtrapError, ValueError) as err:  # per-row failure; keep sweeping
-            rows.append(
-                SweepPoint(
-                    omega=w,
-                    resonance_radius=None,
-                    numeric_radius=None,
-                    barrier_height=None,
-                    geometry=None,
-                    error=f"{type(err).__name__}: {err}",
-                )
-            )
+        except (RingtrapError, ValueError) as err:  # the whole group failed
+            for i in members:
+                rows[i] = _failed_row(omegas[i], err)
     return rows

@@ -71,9 +71,12 @@ def coupling_prefactor(cfg: TrapConfig) -> float:
     return cfg.atom.g_F * MU_B / (2.0 * HBAR)
 
 
-def resonance_radius(cfg: TrapConfig) -> float:
-    """z=0 radius of the zero-detuning shell: hbar*omega/(g_F mu_B B_q)."""
-    return HBAR * cfg.rf.omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
+def resonance_radius(cfg: TrapConfig, omega=None):
+    """z=0 radius of the zero-detuning shell: hbar*omega/(g_F mu_B B_q), at
+    the dressing frequency ``omega`` (by default ``cfg.rf.omega``; an array
+    gives one radius per frequency)."""
+    omega = cfg.rf.omega if omega is None else omega
+    return HBAR * omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
 
 
 def kernel_workspace(points: int) -> np.ndarray:
@@ -169,7 +172,9 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     larmor /= HBAR
     tiny = 2.0**-500
     centre = None
-    if rad.size and rad.min() < tiny:
+    # one point's R is a numpy scalar, compared directly: its .min() costs
+    # more than the rest of the check
+    if rad < tiny if rad.ndim == 0 else rad.size and rad.min() < tiny:
         # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
         # underflows to 0; scaling by a power of two is exact, so such a
         # point keeps its own direction (and the centre stays at 0)
@@ -228,7 +233,7 @@ def rabi_frequency(r, cfg: TrapConfig):
     return np.sqrt(rabi_squared(r, cfg))
 
 
-def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
+def dressed_potential(r, cfg: TrapConfig, work=None, out=None, omega=None):
     """Adiabatic potential V [J] at position(s) ``r``.
 
     ``r`` is an (..., 3) array of positions, or a tuple ``(x, y, z)`` of
@@ -236,13 +241,17 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
     ``np.meshgrid(..., sparse=True)`` returns; V has their broadcast shape.
     Both forms give the same bits for the same positions.
 
+    ``omega`` is the dressing frequency, by default ``cfg.rf.omega``; an
+    array that broadcasts to the points' shape gives each point its own, and
+    each point's V has the bits of a call with ``cfg.with_rf(omega=w)``.
+
     ``work``, from :func:`kernel_workspace` with room for the points, holds
     every temporary of the call; ``out``, an array of the points' shape,
     receives V. Given both, the call allocates nothing the size of the
     points. Either way V has the same bits.
     """
     larmor, om2 = _larmor_and_rabi_squared(r, cfg, work)
-    larmor -= cfg.rf.omega  # -delta, only ever squared
+    larmor -= cfg.rf.omega if omega is None else omega  # -delta, only ever squared
     larmor *= larmor
     larmor += om2
     del om2  # one chunk-sized array fewer alive through the sqrt

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import ringtrap.dressed
 from ringtrap import (
     QuadrupoleConfig,
     RB87,
@@ -81,6 +82,22 @@ def count_kernel_calls(monkeypatch, module):
 
     monkeypatch.setattr(module, "dressed_potential", counted)
     return calls
+
+
+def count_coupling_calls(monkeypatch):
+    """Route ``dressed._larmor_and_rabi_squared``, the body that every kernel
+    entry point (``dressed_potential``, ``rabi_squared``, ...) runs once per
+    call, through a counter; returns the list of point-array shapes it is
+    called with."""
+    kernel = ringtrap.dressed._larmor_and_rabi_squared
+    shapes = []
+
+    def counted(r, cfg, *args):
+        shapes.append(np.shape(r))
+        return kernel(r, cfg, *args)
+
+    monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
+    return shapes
 
 
 def traced_growth(step):

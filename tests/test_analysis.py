@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,14 @@ from ringtrap import (
     resonance_radius,
     trap_frequencies,
 )
-from ringtrap.analysis import _escape_depth, _field_direction, _ray_floor, shell_minimum
+from ringtrap.analysis import (
+    PROFILE_BATCH_POINTS,
+    SweepPoint,
+    _escape_depth,
+    _field_direction,
+    _ray_floor,
+    shell_minimum,
+)
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
 from ringtrap.errors import ConvergenceError, NotAMinimumError
 from ringtrap.minimize import MIN_MESH_STEP, MinimizationResult, find_minimum, sphere_moves
@@ -26,6 +34,7 @@ from conftest import (
     B07,
     B02,
     OMEGA_15MHZ,
+    count_coupling_calls,
     count_kernel_calls,
     grid_global_min,
     make_trap,
@@ -245,14 +254,7 @@ def test_plane_radii_are_resonance_radius_without_gravity(name):
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_plane_profile_makes_two_kernel_calls(name, monkeypatch):
-    kernel = ringtrap.dressed._larmor_and_rabi_squared
-    shapes = []
-
-    def counted(r, cfg, *args):
-        shapes.append(np.shape(r))
-        return kernel(r, cfg, *args)
-
-    monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
+    shapes = count_coupling_calls(monkeypatch)
     azimuthal_profile(reference_configs()[name], n_phi=256)
     assert len(shapes) <= 2
     assert all(shape == (256, 3) for shape in shapes)
@@ -331,14 +333,7 @@ def test_band_profile_below_zoom_and_plane_property(
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_band_profile_makes_two_kernel_calls_per_pass(name, monkeypatch):
-    kernel = ringtrap.dressed._larmor_and_rabi_squared
-    shapes = []
-
-    def counted(r, cfg, *args):
-        shapes.append(np.shape(r))
-        return kernel(r, cfg, *args)
-
-    monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)
+    shapes = count_coupling_calls(monkeypatch)
     azimuthal_profile(reference_configs()[name], n_phi=256, z_band_factor=0.3)
     n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
     assert len(shapes) == 2 * passes
@@ -511,8 +506,8 @@ def test_sweep_single_row_matches_direct(fig2a):
     rows = frequency_sweep(fig2a, [OMEGA_15MHZ])
     prof = azimuthal_profile(fig2a)
     assert len(rows) == 1
-    assert rows[0].numeric_radius == pytest.approx(prof.numeric_radius(), rel=1e-12)
-    assert rows[0].barrier_height == pytest.approx(prof.barrier_height(), rel=1e-12)
+    assert rows[0].numeric_radius == prof.numeric_radius()
+    assert rows[0].barrier_height == prof.barrier_height()
     assert rows[0].geometry is Geometry.DOUBLE_WELL
 
 
@@ -563,6 +558,88 @@ def test_sweep_rejects_empty_and_negative(fig2b):
         frequency_sweep(fig2b, [])
     with pytest.raises(ValueError):
         frequency_sweep(fig2b, [-1.0])
+
+
+#: sweep frequencies of the batched-sweep tests, 0.5 to 3 MHz
+SWEEP_OMEGAS = [2 * np.pi * 1e6 * f for f in (0.5, 0.9, 1.5, 2.2, 3.0)]
+
+
+def one_row_at_a_time(cfg, omegas, amplitudes=None, **profile_args):
+    """The sweep rows as profiled one frequency at a time, each from
+    ``azimuthal_profile`` of its own config and ``classify_geometry``."""
+    rows = []
+    for i, w in enumerate(omegas):
+        changes = {"omega": w}
+        if amplitudes is not None:
+            changes.update(zip(("b_x", "b_y", "b_z"), amplitudes[i]))
+        prof = azimuthal_profile(cfg.with_rf(**changes), **profile_args)
+        cls = classify_geometry(prof)
+        rows.append(SweepPoint(
+            omega=w,
+            resonance_radius=prof.resonance_radius,
+            numeric_radius=prof.numeric_radius(),
+            barrier_height=prof.barrier_height(),
+            geometry=cls.geometry,
+            low_confidence=cls.low_confidence,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("band", [0.0, 0.3])
+@pytest.mark.parametrize("gravity", [False, True])
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c"])
+def test_batched_sweep_rows_equal_one_row_at_a_time(name, gravity, band):
+    cfg = dataclasses.replace(reference_configs()[name], gravity_on=gravity)
+    rows = frequency_sweep(cfg, SWEEP_OMEGAS, n_phi=64, z_band_factor=band)
+    assert rows == one_row_at_a_time(cfg, SWEEP_OMEGAS, n_phi=64, z_band_factor=band)
+
+
+@pytest.mark.parametrize("band", [0.0, 0.3])
+def test_batched_sweep_amplitude_table_equals_one_row_at_a_time(fig2b, band):
+    # rows 0 and 2 share a triple, row 1 has its own
+    amps = [(B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0)]
+    omegas = SWEEP_OMEGAS[:3]
+    rows = frequency_sweep(fig2b, omegas, amplitudes=amps, n_phi=64, z_band_factor=band)
+    expected = one_row_at_a_time(fig2b, omegas, amps, n_phi=64, z_band_factor=band)
+    assert rows == expected
+    assert rows[0].geometry is rows[2].geometry is Geometry.SYMMETRIC_RING
+    assert rows[1].geometry is not Geometry.SYMMETRIC_RING
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_plane_sweep_makes_two_kernel_calls_per_amplitude_group(name, monkeypatch):
+    cfg = reference_configs()[name]
+    shapes = count_coupling_calls(monkeypatch)
+    frequency_sweep(cfg, SWEEP_OMEGAS, n_phi=256)
+    assert shapes == [(len(SWEEP_OMEGAS) * 256, 3)] * 2
+    shapes.clear()
+    amps = [(B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0)]
+    frequency_sweep(cfg, SWEEP_OMEGAS, amplitudes=amps, n_phi=256)
+    assert shapes == [(3 * 256, 3)] * 2 + [(2 * 256, 3)] * 2
+
+
+def test_sweep_batches_are_bounded_by_the_point_budget(fig2c, monkeypatch):
+    per_batch = PROFILE_BATCH_POINTS // 256
+    omegas = list(2 * np.pi * 1e6 * np.linspace(0.5, 3.0, per_batch + 6))
+    shapes = count_coupling_calls(monkeypatch)
+    rows = frequency_sweep(fig2c, omegas, n_phi=256)
+    assert shapes == [(per_batch * 256, 3)] * 2 + [(6 * 256, 3)] * 2
+    monkeypatch.undo()
+    assert rows == one_row_at_a_time(fig2c, omegas, n_phi=256)
+
+
+def test_band_sweep_profiles_one_frequency_per_batch(fig2c, monkeypatch):
+    # a band row is 2 * 97 slopes per azimuth, above the budget at n_phi = 64
+    n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
+    shapes = count_coupling_calls(monkeypatch)
+    frequency_sweep(fig2c, SWEEP_OMEGAS[:2], n_phi=64, z_band_factor=0.3)
+    assert shapes == [(n_slopes * 2 * 64, 3)] * (2 * passes * 2)
+
+
+def test_profile_of_several_frequencies_rejects_a_bad_one(fig2b):
+    for bad in (0.0, -OMEGA_15MHZ, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dressing frequencies"):
+            azimuthal_profile(fig2b, omegas=[OMEGA_15MHZ, bad])
 
 
 # -- analyze_trap ------------------------------------------------------------

@@ -202,6 +202,17 @@ def test_underflowing_radius_keeps_its_direction(fig2a):
         assert rabi_squared(np.zeros(3), cfg) == pytest.approx(centre, rel=1e-15)
 
 
+def test_underflowing_single_point_keeps_its_direction():
+    # one point's R is a numpy scalar, whose rescue check compares it directly
+    directions = np.random.default_rng(7).normal(size=(8, 3))
+    directions[:3] = np.eye(3)
+    for cfg in reference_configs().values():
+        for d in directions:
+            coupling = rabi_squared(d, cfg)
+            assert np.ndim(coupling) == 0
+            assert rabi_squared(d * 2.0**-520, cfg) == coupling
+
+
 _coordinate = st.one_of(
     st.builds(lambda m, e: m * 1e-3 * 10.0**e, st.floats(-1, 1), st.floats(-9, -3)),
     st.builds(lambda m: m * 2.0**-520, st.floats(-1, 1)),  # R below 2^-500 m
@@ -260,6 +271,35 @@ def test_coordinate_tuple_matches_stacked_positions_property(
         v = dressed_potential(r, cfg, work=work, out=out)
         assert v is out
         assert out.tobytes() == np.asarray(dressed_potential(stacked, cfg)).tobytes()
+
+
+@given(
+    st.tuples(_amplitude, _amplitude, _amplitude),
+    st.tuples(_phase, _phase),
+    st.booleans(),
+    st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=1, max_size=6),
+    st.lists(st.floats(2 * np.pi * 1e5, 2 * np.pi * 1e7), min_size=6, max_size=6),
+)
+def test_per_point_omega_matches_a_config_per_point_property(
+    amps, phases, gravity, points, omegas
+):
+    # each point's V with its own omega has the bits of a call on that point
+    # with a config at that omega, in either position form, with or without
+    # a workspace
+    bx, by, bz = amps
+    cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=phases[0], beta=phases[1],
+                    gravity=gravity)
+    pts = _read_only(points)
+    omega = _read_only(omegas[:len(pts)])
+    expected = np.array([
+        dressed_potential(p, cfg.with_rf(omega=w)) for p, w in zip(pts, omega)
+    ])
+    work = np.full((WORKSPACE_ROWS, len(pts) + 3), np.nan)
+    out = np.empty(len(pts))
+    for r in (pts, tuple(pts.T)):
+        assert dressed_potential(r, cfg, omega=omega).tobytes() == expected.tobytes()
+        v = dressed_potential(r, cfg, work=work, out=out, omega=omega)
+        assert v is out and out.tobytes() == expected.tobytes()
 
 
 # -- dressed potential -------------------------------------------------------
