@@ -46,7 +46,6 @@ from .imaging import (
     column_density,
     extract_diameter_profile,
     measure_ring_radius,
-    thermal_density,
 )
 from .minimize import MinimizationResult, find_minimum, pattern_search
 from .units import convert_units

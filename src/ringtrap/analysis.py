@@ -192,26 +192,30 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega):
     """
     band = bool(np.any(z_band > 0))
     n_s, passes = PROFILE_ZOOM if band else (1, 1)
-    s_max = z_band / rho_min
-    zero = np.zeros_like(s_max)
     # slope windows on axes (half, frequency, azimuth): each sign of z is
     # zoomed on its own, as the valleys at +-z mirror each other up to the
-    # polarisation cross terms, too close in V for a coarse pass to rank
+    # polarisation cross terms, too close in V for a coarse pass to rank.
+    # The plane is the one slope 0 of every frequency, so its ray points, and
+    # the coupling on them, carry no frequency axis.
+    s_max = z_band / rho_min
+    zero = np.zeros_like(s_max if band else s_max[:1])
     halves = [-s_max, zero, zero, s_max] if band else [zero, zero]
-    s_lo, s_hi = np.reshape(halves, (2, -1) + s_max.shape)
+    s_lo, s_hi = np.reshape(halves, (2, -1) + zero.shape)
     lo, hi = s_lo, s_hi  # the first pass shares its slopes across azimuths
     frac = (np.arange(n_s) / max(n_s - 1, 1)).reshape(-1, 1, 1, 1)
     shape = (n_s, len(s_lo), len(r0), len(cosp))
     omega = np.broadcast_to(omega, shape).reshape(-1)  # one per kernel point
     best = None  # s, rho, z, V, |Omega| of each window's lowest ray so far
     for _ in range(passes):
-        # (slope, half, frequency, azimuth or 1); +0.0 in the plane
+        # (slope, half, frequency or 1, azimuth or 1); +0.0 in the plane
         s = lo + (hi - lo) * frac
         inv_q = 1.0 / np.hypot(1.0, 2.0 * s)  # 1 / q: exactly 1 in the plane
-        pts = np.empty(shape + (3,))
+        pts = np.empty(np.broadcast_shapes(s.shape, cosp.shape) + (3,))
         for k, coord in enumerate((cosp, sinp, s)):  # the ray points at R = 1
             np.multiply(coord, inv_q, out=pts[..., k])
-        radius, _, rabis = _ray_floor(cfg, pts, r0)
+        radius, _, rabis = _ray_floor(cfg, pts, r0)  # r0 broadcasts
+        if pts.shape[:-1] != shape:  # the plane: V needs a point per column
+            pts = np.empty(shape + (3,))
         radii = np.minimum(np.maximum(radius * inv_q, rho_min), rho_max)
         if band:
             # the ray leaves the band at rho = z_band / |s|, kept >= rho_min
@@ -225,7 +229,7 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega):
         pts[..., 0], pts[..., 1], pts[..., 2] = radii * cosp, radii * sinp, z
         v = dressed_potential(pts.reshape(-1, 3), cfg, omega=omega).reshape(shape)
         if passes == 1:  # the plane: one ray per column
-            return radii[0, 0], z[0, 0], v[0, 0], rabis[0, 0]
+            return radii[0, 0], z[0, 0], v[0, 0], np.broadcast_to(rabis, shape)[0, 0]
         lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v, rabis)))
         best = lowest if best is None else np.where(lowest[3] < best[3], lowest, best)
         # shrink each slope window to 2.5 cells around its lowest ray

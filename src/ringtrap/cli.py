@@ -23,7 +23,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, RingtrapError
 from .grids import node_blocks, sample_grid
 from .image_io import export_grid_binary, export_image_binary, export_image_csv
-from .imaging import add_noise, column_density, measure_ring_radius, thermal_density
+from .imaging import add_noise, column_density, measure_ring_radius
 from .units import convert_units
 
 EXIT_OK = 0
@@ -180,16 +180,9 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
     cfg = rc.trap()
     r0 = resonance_radius(cfg)
     region, dims = rc.image_grid(r0)
-    # the density is passed on and not kept: its 8 B per node are freed
-    # before the noise, the export and the fits run
     image = column_density(
-        thermal_density(
-            cfg,
-            temperature=rc.get("imaging", "temperature_uk") * 1e-6,
-            region=region,
-            dims=dims,
-            atom_number=rc.get("imaging", "atom_number"),
-        ),
+        cfg, rc.get("imaging", "temperature_uk") * 1e-6, region, dims,
+        atom_number=rc.get("imaging", "atom_number"),
         od_scale=rc.get("imaging", "od_scale"),
     )
     noise = rc.get("imaging", "noise_frac")

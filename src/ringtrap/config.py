@@ -105,13 +105,6 @@ _SCHEMA = {
 _RANGE_KEYS = ("freq_mhz_start", "freq_mhz_stop", "freq_mhz_count")
 
 
-def _check_grid_budget(section: str, dims) -> None:
-    try:
-        check_grid_budget(dims)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {err}") from None
-
-
 def _parse_value(section: str, key: str, raw: str, spec: _Key):
     raw = raw.strip()
     where = f"[{section}] {key}"
@@ -256,7 +249,10 @@ class RunConfig:
                 raise ConfigError(
                     f"[analysis] grid_n{ax}={n} needs a non-empty grid_{ax} range"
                 )
-        _check_grid_budget("analysis", dims)
+        try:
+            check_grid_budget(dims)
+        except ValueError as err:
+            raise ConfigError(f"[analysis] {err}") from None
         return dims
 
     def image_grid(self, r0: float):
@@ -269,7 +265,13 @@ class RunConfig:
         n_half = int(math.ceil(self.get("imaging", "xy_halfwidth_factor") * r0 / pixel))
         extent = n_half * pixel
         dims = (2 * n_half + 1, 2 * n_half + 1, self.get("imaging", "nz"))
-        _check_grid_budget("imaging", dims)
+        try:
+            check_grid_budget(dims)
+        except ValueError:  # the image holds no grid, but keeps the node limit
+            raise ConfigError(
+                f"[imaging] grid of {math.prod(dims)} nodes exceeds the node limit, "
+                "which bounds the image's run time and the slab run it holds"
+            ) from None
         return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
 
     def sweep_frequencies_mhz(self) -> list:

@@ -91,7 +91,8 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
     Levenberg-damped Gauss-Newton update until the relative cost decrease
     falls below 1e-10 or 200 iterations. Singular normal equations trigger
     damped retries (damping x10, up to 8 times); if all fail, the fit
-    errors out. A fit whose centres collapse within one sample spacing is
+    errors out. A step to a non-finite parameter or cost fails like one that
+    raises the cost. A fit whose centres collapse within one sample spacing is
     flagged ``degenerate``.
     """
     x = np.asarray(positions, dtype=float)
@@ -128,8 +129,11 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
         p_new = p + step
         p_new[2] = max(abs(p_new[2]), spacing / 10.0)  # widths stay positive
         p_new[5] = max(abs(p_new[5]), spacing / 10.0)
-        resid_new = two_gaussian(x, p_new) - y
-        cost_new = float(resid_new @ resid_new)
+        cost_new = np.inf  # an overflowing or nan cost fails too
+        if np.all(np.isfinite(p_new)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid_new = two_gaussian(x, p_new) - y
+                cost_new = float(resid_new @ resid_new)
         if cost_new < cost:
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             p, resid, cost = p_new, resid_new, cost_new

@@ -13,12 +13,13 @@ from .fields import TrapConfig
 #: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
 #: blocks are runs of whole x-slabs, split into z-rows or z-runs only where
 #: one slab holds more nodes. 2^15 nodes keep the kernel's temporaries (a few
-#: MB) in cache and bound the working set of every pass to one block.
+#: MB) in cache and bound the working set of the fill, and of the image's
+#: pass over slab runs, to one block (one slab where one slab is larger).
 _CHUNK = 1 << 15
 
-#: refuse grids beyond this many bytes: 10^8 nodes. The fill, the integral
-#: and the projection each work one block at a time, so a grid costs 8 B per
-#: node plus one block.
+#: refuse grids beyond this many bytes: 10^8 nodes. A sampled grid costs 8 B
+#: per node plus one block. The image holds no grid, only one slab run: for
+#: its grid the limit bounds the run time and that run.
 MAX_GRID_BYTES = 8 * (100_000_000 + _CHUNK)
 
 
@@ -40,8 +41,7 @@ class ScalarGrid:
 
     ``origin`` is the coordinate of node (0,0,0), ``spacing`` the node pitch
     per axis and ``dims`` the node counts. An axis with ``dims == 1`` is
-    collapsed (planar or line grids); its spacing is stored as 1.0 and it is
-    skipped by :meth:`integral`.
+    collapsed (planar or line grids); its spacing is stored as 1.0.
     """
 
     origin: tuple
@@ -79,27 +79,6 @@ class ScalarGrid:
         mesh = np.meshgrid(*ax, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def integral(self) -> float:
-        """Trapezoidal integral over all non-collapsed axes.
-
-        Integrates over z, then y, one run of whole x-slabs at a time
-        (:func:`slab_runs`), then over the one value per x node. Each row
-        sums as it would over the whole array, so the result does not depend
-        on the block size, and the temporaries never exceed one block.
-        """
-        per_x = np.empty(self.dims[0])
-        for run in slab_runs(self.dims):
-            out = self.values[run]
-            for axis in (2, 1):
-                if self.dims[axis] > 1:
-                    out = np.trapezoid(out, dx=self.spacing[axis], axis=axis)
-                else:
-                    out = np.squeeze(out, axis=axis)
-            per_x[run] = out
-        if self.dims[0] > 1:
-            return float(np.trapezoid(per_x, dx=self.spacing[0]))
-        return float(per_x[0])
-
     def min_position(self) -> np.ndarray:
         """Coordinates of the smallest value (first occurrence)."""
         idx = np.unravel_index(int(np.argmin(self.values)), self.dims)
@@ -135,26 +114,10 @@ def node_blocks(dims):
             )
 
 
-def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
-    """Evaluate the dressed potential on every node of a rectangular grid.
-
-    Parameters
-    ----------
-    region : three (min, max) pairs
-        Axis-aligned box in meters. An axis with one node collapses to the
-        midpoint of its interval.
-    dims : three ints
-        Node counts; at least 2 on non-collapsed axes.
-
-    The grid is filled block by block (:func:`node_blocks`): the kernel
-    takes each block's three axis slices, which broadcast to its nodes, so
-    no positions or per-node index array is built and no kernel call exceeds
-    ``_CHUNK`` nodes. One kernel workspace, allocated once per fill, holds
-    every block's temporaries, and V is written straight into the block's
-    slice of the grid, so no block allocates. The fill is deterministic for
-    fixed inputs. Grids beyond ``MAX_GRID_BYTES`` are rejected; shrink dims
-    or split the region.
-    """
+def grid_axes(region, dims):
+    """``(dims, origin, spacing, axes)`` of the grid of ``dims`` nodes over
+    ``region``, as :func:`sample_grid` takes them; ``axes`` are the node
+    coordinates of :meth:`ScalarGrid.axes`."""
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise ValueError("dims must be three positive integers")
@@ -170,16 +133,40 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
             raise ValueError("region must have positive extent on multi-node axes")
         origin.append(lo)
         spacing.append((hi - lo) / (n - 1))
-    # the node coordinates ScalarGrid.axes() reports, so positions reconstruct exactly
     axes = [o + s * np.arange(n) for o, s, n in zip(origin, spacing, dims)]
+    return dims, origin, spacing, axes
 
-    vals = np.empty(dims)
-    work = kernel_workspace(min(_CHUNK, vals.size))
-    for box in node_blocks(dims):
+
+def fill_potential(cfg: TrapConfig, axes, out, work) -> None:
+    """Write V at the nodes of the grid of node coordinates ``axes`` into
+    ``out`` one :func:`node_blocks` box at a time: the kernel takes each
+    box's three axis slices, which broadcast to its nodes, its temporaries go
+    into the workspace ``work``, and V straight into ``out``, so no box
+    allocates. A node's V has the same bits in any grid that holds it."""
+    for box in node_blocks(out.shape):
         dressed_potential(
             (axes[0][box[0], None, None],
              axes[1][None, box[1], None],
              axes[2][None, None, box[2]]),
-            cfg, work=work, out=vals[box],
+            cfg, work=work, out=out[box],
         )
+
+
+def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
+    """Evaluate the dressed potential on every node of a rectangular grid.
+
+    Parameters
+    ----------
+    region : three (min, max) pairs
+        Axis-aligned box in meters. An axis with one node collapses to the
+        midpoint of its interval.
+    dims : three ints
+        Node counts; at least 2 on non-collapsed axes.
+
+    The grid is filled by :func:`fill_potential` through one kernel
+    workspace. Grids beyond ``MAX_GRID_BYTES`` are rejected.
+    """
+    dims, origin, spacing, axes = grid_axes(region, dims)
+    vals = np.empty(dims)
+    fill_potential(cfg, axes, vals, kernel_workspace(min(_CHUNK, vals.size)))
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

@@ -2,9 +2,9 @@
 
 A thermal cloud in the dressed trap is modelled with a Boltzmann density
 n(r) ~ exp(-(V - V_min)/k_B T), projected along the quadrupole axis z into a
-column density map, and the ring radius is measured the way it is done on
-real absorption images: two-Gaussian fits to diameter profiles through the
-cloud centroid, averaged over directions.
+column density map in one pass with no 3-D grid, and the ring radius is
+measured the way it is done on real absorption images: two-Gaussian fits to
+diameter profiles through the cloud centroid, averaged over directions.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import K_B
+from .dressed import kernel_workspace
 from .errors import MeasurementError
 from .fields import TrapConfig
 from .gaussfit import FitError, fit_two_gaussians
-from .grids import ScalarGrid, sample_grid, slab_runs
+from .grids import _CHUNK, fill_potential, grid_axes, slab_runs
 
 
 @dataclass(frozen=True)
@@ -74,63 +75,61 @@ class SyntheticImage:
         return (w0, w1)
 
 
-def thermal_density(
-    cfg: TrapConfig, temperature: float, region, dims, atom_number: float = 1e5
-) -> ScalarGrid:
-    """Boltzmann density n(r) = N exp(-(V - V_min)/k_B T) / Z on a grid.
+def column_density(
+    cfg: TrapConfig, temperature: float, region, dims, atom_number: float = 1e5,
+    od_scale: float = 1.0,
+) -> SyntheticImage:
+    """Absorption image of a thermal cloud: the Boltzmann density
+    N exp(-(V - V_min)/k_B T) / Z on the grid of ``dims`` nodes over
+    ``region``, z-projected by the trapezoid rule and scaled by ``od_scale``.
+    Z makes the image's own (y, x) trapezoid integral ``atom_number``; the
+    region is the trap truncation. Pixels must be square, and nz >= 2.
 
-    Normalised so the trapezoidal integral over the grid equals
-    ``atom_number``. The grid region doubles as the trap truncation: only
-    population inside it is modelled.
-
-    The potential grid is made here and does not escape before it is
-    turned into the density in place: the density keeps the one grid array
-    the fill allocates. The fill and the normalising integral each work one
-    block at a time, so the peak is 8 B per node plus one block.
+    One pass, no 3-D array: for each run of whole x-slabs (``slab_runs``) V
+    fills one reused block, each node is weighted against the run's least
+    V_run, and the block is z-integrated into its image rows, lifted at the
+    end to the common floor V_min by exp(-(V_run - V_min)/k_B T). The pass
+    holds the image, one block and one kernel workspace.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
     if atom_number < 0:
         raise ValueError("atom number must be non-negative")
-    grid = sample_grid(cfg, region, dims)  # ScalarGrid rejects non-finite values
-    w = grid.values
-    w -= w.min()
-    w /= -(K_B * temperature)
-    np.exp(w, out=w)  # weights in [0, 1]
-    norm = grid.integral()
+    dims, origin, spacing, axes = grid_axes(region, dims)
+    if dims[2] < 2:
+        raise ValueError("projection axis is collapsed; nothing to integrate")
+    if not math.isclose(spacing[0], spacing[1], rel_tol=1e-12):
+        raise ValueError("image pixels must be square; grid spacings differ")
+    kt = K_B * temperature
+    runs = list(slab_runs(dims))
+    block = np.empty((axes[0][runs[0]].size,) + dims[1:])
+    work = kernel_workspace(min(_CHUNK, block.size))
+    img = np.empty(dims[:2])
+    floors = np.empty(len(runs))
+    for k, run in enumerate(runs):
+        w = block[: axes[0][run].size]
+        fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work)
+        # min and max propagate NaN and reach any inf, with no per-node mask
+        floors[k] = w.min()
+        if not (math.isfinite(floors[k]) and math.isfinite(w.max())):
+            raise ValueError("grid values must all be finite")
+        w -= floors[k]
+        w /= -kt
+        np.exp(w, out=w)  # weights in [0, 1]
+        w[..., :: dims[2] - 1] *= 0.5  # the trapezoid rule's end weights
+        w.sum(axis=2, out=img[run])
+    for run, lift in zip(runs, spacing[2] * np.exp((floors - floors.min()) / -kt)):
+        img[run] *= lift
+    # the trapezoid rule along y, then x, with no image-sized temporary
+    rows = img.sum(axis=1) - 0.5 * (img[:, 0] + img[:, -1])
+    norm = float(np.trapezoid(rows, dx=spacing[0])) * spacing[1]
     if norm <= 0:
         raise ValueError("density normalisation integral vanished")
     scale = atom_number / norm
     if not math.isfinite(scale):
         raise ValueError("density scale atom_number / integral is not finite")
-    w *= scale
-    return grid
-
-
-def column_density(density: ScalarGrid, od_scale: float = 1.0) -> SyntheticImage:
-    """Project a 3D density along z by trapezoidal integration.
-
-    The x and y spacings must agree (square pixels). With the density
-    normalised by :func:`thermal_density`, the image integral equals the
-    atom number to machine precision. Each run of x-slabs (:func:`slab_runs`)
-    is projected into the image in turn, so only one block of temporaries
-    is held on top of the image.
-    """
-    if density.dims[2] < 2:
-        raise ValueError("projection axis is collapsed; nothing to integrate")
-    p0, p1 = density.spacing[0], density.spacing[1]
-    if not math.isclose(p0, p1, rel_tol=1e-12):
-        raise ValueError("image pixels must be square; grid spacings differ")
-    img = np.empty(density.dims[:2])
-    for run in slab_runs(density.dims):
-        img[run] = np.trapezoid(density.values[run], dx=density.spacing[2], axis=2)
-    img *= od_scale
-    return SyntheticImage(
-        pixel_size=p0,
-        values=img,
-        origin=density.origin[:2],
-        od_scale=od_scale,
-    )
+    img *= scale * od_scale
+    return SyntheticImage(spacing[0], img, tuple(origin[:2]), od_scale)
 
 
 def add_noise(image: SyntheticImage, sigma_frac: float, seed: int = 0) -> SyntheticImage:
@@ -215,8 +214,11 @@ def measure_ring_radius(
 
     For each of ``n_diameters`` equally spaced angles in [0, pi), the profile
     through the image centroid is fit with a sum of two Gaussians and the
-    half peak-to-peak centre separation gives one radius. Degenerate or
-    failed fits are excluded (and reported); if every diameter fails, a
+    half peak-to-peak centre separation gives one radius. A fit counts if it
+    converged with its centres apart, both lobes of positive amplitude, both
+    centres inside the sampled profile and both widths finite, positive and
+    shorter than it; other diameters are excluded with their reasons. With
+    fewer than two diameters left the image shows no ring, and a
     :class:`MeasurementError` is raised. ``radius`` is the mean of the
     per-diameter radii and ``uncertainty`` their standard deviation.
     """
@@ -235,15 +237,21 @@ def measure_ring_radius(
             continue
         if fit.degenerate:
             excluded.append((angle, "degenerate: centers collapsed"))
-            continue
-        if not fit.converged:
+        elif not fit.converged:
             excluded.append((angle, "fit did not converge"))
-            continue
-        rms = math.sqrt(fit.cost / t.size) / max(float(prof.max()), 1e-300)
-        fits.append(DiameterFit(angle=angle, radius=fit.separation / 2.0, residual=rms))
-    if not fits:
+        elif not all(a > 0 for a in fit.params[::3]):
+            excluded.append((angle, "a lobe has no positive amplitude"))
+        elif not all(t[0] <= c <= t[-1] for c in fit.centers):
+            excluded.append((angle, "a center lies outside the profile"))
+        elif not all(0 < w < t[-1] - t[0] for w in fit.params[2::3]):
+            excluded.append((angle, "a width is not positive and shorter than the profile"))
+        else:
+            rms = math.sqrt(fit.cost / t.size) / max(float(prof.max()), 1e-300)
+            fits.append(DiameterFit(angle=angle, radius=fit.separation / 2.0, residual=rms))
+    if len(fits) < 2:
         raise MeasurementError(
-            "all diameter fits failed: " + "; ".join(r for _, r in excluded)
+            f"no ring: {len(fits)} of {n_diameters} diameter fits accepted; "
+            + "; ".join(r for _, r in excluded)
         )
     radii = np.array([f.radius for f in fits])
     return RadiusMeasurement(

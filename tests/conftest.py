@@ -9,12 +9,14 @@ from ringtrap import (
     QuadrupoleConfig,
     RB87,
     RfConfig,
+    SyntheticImage,
     TrapConfig,
     column_density,
     dressed_potential,
     resonance_radius,
-    thermal_density,
+    sample_grid,
 )
+from ringtrap.constants import K_B
 
 # property tests draw the same examples on every run and have no deadline:
 # the suite must be deterministic and must not fail on a slow shared machine
@@ -137,7 +139,7 @@ def imaging_region(cfg, pixel=PIXEL, half_xy_factor=1.8, half_z_factor=0.1, nz=3
 
 
 def whole_array_integral(grid):
-    """ScalarGrid.integral as it was before it ran in slab runs: one
+    """Trapezoidal integral of a grid over all its non-collapsed axes: one
     trapezoid pass per axis over the whole array."""
     out = grid.values
     for axis in (2, 1, 0):
@@ -148,14 +150,46 @@ def whole_array_integral(grid):
     return float(out)
 
 
-def whole_array_projection(density, od_scale=1.0):
-    """The values of column_density as it was before it ran in slab runs:
-    one trapezoid pass along z over the whole array, then scaled."""
-    img = np.trapezoid(density.values, dx=density.spacing[2], axis=2)
-    return img * od_scale
+#: largest difference of the one-pass image from the two-stage oracle,
+#: relative to the image maximum, per z node. Each node's weight exp(-x)
+#: takes an exponent x = (V - V_ref)/k_B T rounded to within a few ulps of
+#: x, so its error is at most a few eps * x e^-x <= a few eps of the peak
+#: weight 1; a column adds nz such weights, and the run's lift and the
+#: normalisation round a few times more. No physics tolerance is involved.
+ORACLE_EPS_PER_Z_NODE = 4 * np.finfo(float).eps
+
+
+def oracle_tolerance(img, nz):
+    """The rounding bound of ``ORACLE_EPS_PER_Z_NODE`` for an image of a
+    grid of ``nz`` z nodes."""
+    return ORACLE_EPS_PER_Z_NODE * nz * img.values.max()
+
+
+def two_stage_image(cfg, temperature, region, dims, atom_number=1e5, od_scale=1.0):
+    """The image made in two stages through a whole 3-D grid, as
+    ``column_density`` made it before it ran in one pass: the potential grid
+    of ``sample_grid``, then :func:`two_stage_projection`."""
+    return two_stage_projection(
+        sample_grid(cfg, region, dims), temperature, atom_number, od_scale
+    )
+
+
+def two_stage_projection(grid, temperature, atom_number=1e5, od_scale=1.0):
+    """The second stage of :func:`two_stage_image`: the potential ``grid``
+    turned into the Boltzmann density exp(-(V - V_min)/k_B T) in place,
+    normalised by its 3-D trapezoid integral to ``atom_number``, then
+    trapezoid-projected along z and scaled by ``od_scale``."""
+    w = grid.values
+    w -= w.min()
+    w /= -(K_B * temperature)
+    np.exp(w, out=w)
+    w *= atom_number / whole_array_integral(grid)
+    img = np.trapezoid(w, dx=grid.spacing[2], axis=2) * od_scale
+    return SyntheticImage(
+        pixel_size=grid.spacing[0], values=img, origin=grid.origin[:2], od_scale=od_scale
+    )
 
 
 def synth_image(cfg, temperature=20e-6, atoms=1e5, pixel=PIXEL):
     region, dims = imaging_region(cfg, pixel=pixel)
-    dens = thermal_density(cfg, temperature, region, dims, atom_number=atoms)
-    return column_density(dens)
+    return column_density(cfg, temperature, region, dims, atom_number=atoms)

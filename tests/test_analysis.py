@@ -609,13 +609,15 @@ def test_batched_sweep_amplitude_table_equals_one_row_at_a_time(fig2b, band):
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_plane_sweep_makes_two_kernel_calls_per_amplitude_group(name, monkeypatch):
     cfg = reference_configs()[name]
+    # per group: the coupling on the plane's 256 ray directions, which do
+    # not depend on the frequency, then V on every (frequency, azimuth) column
     shapes = count_coupling_calls(monkeypatch)
     frequency_sweep(cfg, SWEEP_OMEGAS, n_phi=256)
-    assert shapes == [(len(SWEEP_OMEGAS) * 256, 3)] * 2
+    assert shapes == [(256, 3), (len(SWEEP_OMEGAS) * 256, 3)]
     shapes.clear()
     amps = [(B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0)]
     frequency_sweep(cfg, SWEEP_OMEGAS, amplitudes=amps, n_phi=256)
-    assert shapes == [(3 * 256, 3)] * 2 + [(2 * 256, 3)] * 2
+    assert shapes == [(256, 3), (3 * 256, 3), (256, 3), (2 * 256, 3)]
 
 
 def test_sweep_batches_are_bounded_by_the_point_budget(fig2c, monkeypatch):
@@ -623,7 +625,7 @@ def test_sweep_batches_are_bounded_by_the_point_budget(fig2c, monkeypatch):
     omegas = list(2 * np.pi * 1e6 * np.linspace(0.5, 3.0, per_batch + 6))
     shapes = count_coupling_calls(monkeypatch)
     rows = frequency_sweep(fig2c, omegas, n_phi=256)
-    assert shapes == [(per_batch * 256, 3)] * 2 + [(6 * 256, 3)] * 2
+    assert shapes == [(256, 3), (per_batch * 256, 3), (256, 3), (6 * 256, 3)]
     monkeypatch.undo()
     assert rows == one_row_at_a_time(fig2c, omegas, n_phi=256)
 

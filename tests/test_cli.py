@@ -1,13 +1,13 @@
 import json
 import math
-import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ringtrap.cli
 import ringtrap.grids
-from ringtrap import measure_ring_radius, rabi_frequency, sample_grid, thermal_density
+from ringtrap import rabi_frequency, resonance_radius, sample_grid
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from ringtrap.config import load_config
 from ringtrap.grids import node_blocks
@@ -308,25 +308,74 @@ def test_image_outputs_and_measurement(ini, tmp_path):
     assert rep["n_diameters_used"] == "8"
 
 
-def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
-    # the density's 8 B per node are most of an image run's memory, and only
-    # the projection needs them
-    refs = []
+NO_RING = """
+[quadrupole]
+gradient_g_per_cm = 34.47
 
-    def density(*args, **kwargs):
-        grid = thermal_density(*args, **kwargs)
-        refs.append(weakref.ref(grid))
-        return grid
+[rf]
+bx_g = 0.1
+by_g = 0
+bz_g = 0
+freq_mhz = 1.6122687
 
-    def measure(image, **kwargs):
-        assert refs[0]() is None
-        return measure_ring_radius(image, **kwargs)
+[gravity]
+enabled = true
 
-    monkeypatch.setattr(ringtrap.cli, "thermal_density", density)
-    monkeypatch.setattr(ringtrap.cli, "measure_ring_radius", measure)
-    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "im"),
-            "--set", "imaging.xy_halfwidth_factor=1.2"]
-    assert main(argv) == EXIT_OK
+[imaging]
+temperature_uk = 0.3
+"""
+
+
+def test_cloud_without_a_ring_exits_3(tmp_path, capsys):
+    # at 0.3 uK gravity holds the atoms in one spot at the bottom of the
+    # shell; the two-Gaussian fits found lobes far outside their profiles
+    # (radius 6.3e+168 um) and the run reported them with exit 0
+    ini = tmp_path / "spot.ini"
+    ini.write_text(NO_RING)
+    out = tmp_path / "spot"
+    assert main(["image", "--config", str(ini), "--out", str(out)]) == EXIT_NUMERIC
+    assert "no ring" in capsys.readouterr().err
+    assert not (out / "radius.txt").exists()
+
+
+@settings(max_examples=12)
+@given(
+    gradient=st.floats(30.0, 150.0),
+    freq=st.floats(1.0, 3.0),
+    amplitude=st.floats(0.05, 1.0),
+    circular=st.booleans(),
+    gravity=st.booleans(),
+    log_t=st.floats(-1.0, 2.0),
+)
+def test_image_reports_a_ring_inside_the_image_or_exits_3(
+    tmp_path_factory, gradient, freq, amplitude, circular, gravity, log_t
+):
+    # 0.1-100 uK, linear or circular rf, with and without gravity, on coarse
+    # pixels of about r0 / 15 and 5 z nodes
+    overrides = [
+        f"quadrupole.gradient_g_per_cm={gradient!r}",
+        f"rf.freq_mhz={freq!r}",
+        f"rf.bx_g={amplitude!r}",
+        f"rf.by_g={amplitude if circular else 0.0!r}",
+        f"gravity.enabled={str(gravity).lower()}",
+        f"imaging.temperature_uk={10.0**log_t!r}",
+        "imaging.nz=5",
+    ]
+    tmp = tmp_path_factory.mktemp("prop")
+    ini = tmp / "run.ini"
+    ini.write_text(BASE)
+    r0 = resonance_radius(load_config(ini, overrides=overrides).trap())
+    overrides.append(f"imaging.pixel_um={r0 * 1e6 / 15!r}")
+    argv = ["image", "--config", str(ini), "--out", str(tmp / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    code = main(argv)
+    assert code in (EXIT_OK, EXIT_NUMERIC)
+    if code == EXIT_OK:
+        rep = read_report(tmp / "out" / "radius.txt")
+        (_, half_width), _, _ = load_config(ini, overrides=overrides).image_grid(r0)[0]
+        assert 0 <= float(rep["radius_um"]) * 1e-6 <= half_width
+        assert math.isfinite(float(rep["uncertainty_um"]))
 
 
 def test_analysis_window_knobs_flow_through(ini, tmp_path):
@@ -405,12 +454,15 @@ def test_numeric_error_exit_code(ini, tmp_path):
     assert code == EXIT_NUMERIC
 
 
-def test_grid_node_cap_is_a_config_error(ini, tmp_path):
+def test_grid_node_cap_is_a_config_error(ini, tmp_path, capsys):
     big = ["--set", "analysis.grid_nx=20000", "--set", "analysis.grid_ny=20000"]
     argv = ["potential", "--config", str(ini), "--out", str(tmp_path / "p")]
     assert main(argv + big) == EXIT_CONFIG
+    assert "8 B per node" in capsys.readouterr().err
     argv = ["image", "--config", str(ini), "--out", str(tmp_path / "i")]
     assert main(argv + ["--set", "imaging.pixel_um=0.01"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[imaging]" in err and "node limit" in err and "8 B per node" not in err
 
 
 def test_invalid_seed_and_non_text_config_are_config_errors(ini, tmp_path):

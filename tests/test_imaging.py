@@ -13,11 +13,11 @@ from ringtrap import (
     dressed_potential,
     measure_ring_radius,
     resonance_radius,
-    thermal_density,
 )
 from ringtrap.constants import K_B
+from ringtrap.dressed import WORKSPACE_ROWS
 from ringtrap.errors import MeasurementError
-from ringtrap.grids import ScalarGrid, sample_grid
+from ringtrap.grids import _CHUNK, ScalarGrid, sample_grid
 from ringtrap.image_io import (
     export_grid_binary,
     export_image_binary,
@@ -30,55 +30,61 @@ from ringtrap.image_io import (
 from conftest import (
     PIXEL,
     imaging_region,
+    oracle_tolerance,
     reference_configs,
     synth_image,
     traced_growth,
-    whole_array_integral,
-    whole_array_projection,
+    two_stage_image,
 )
 
 T20 = 20e-6
 
 
-# -- thermal density ---------------------------------------------------------
+# -- the image of a thermal cloud -------------------------------------------
 
 def test_density_ratio_is_boltzmann(fig2b):
+    # the ratio of two pixels is that of their z-trapezoids of exp(-V/k_B T),
+    # with V evaluated at their nodes by the kernel
     r0 = resonance_radius(fig2b)
-    region = ((-1.5 * r0, 1.5 * r0), (-1.5 * r0, 1.5 * r0), (-0.1 * r0, 0.1 * r0))
-    dens = thermal_density(fig2b, T20, region, (41, 41, 9), atom_number=1.0)
-    pts = dens.node_positions()
-    v = dressed_potential(pts.reshape(-1, 3), fig2b).reshape(dens.dims)
-    i1, i2 = (5, 7, 3), (20, 31, 6)
-    got = dens.values[i1] / dens.values[i2]
-    expected = np.exp(-(v[i1] - v[i2]) / (K_B * T20))
-    assert got == pytest.approx(expected, rel=1e-12)
+    pixel = 3 * r0 / 40
+    region = ((-20 * pixel, 20 * pixel),) * 2 + ((-0.1 * r0, 0.1 * r0),)
+    img = column_density(fig2b, T20, region, (41, 41, 9), atom_number=1.0)
+    xs, ys = img.coords()
+    zs = np.linspace(-0.1 * r0, 0.1 * r0, 9)
+
+    def column(i, j):
+        v = dressed_potential(np.stack([np.full(9, xs[i]), np.full(9, ys[j]), zs], -1), fig2b)
+        return np.trapezoid(np.exp(-v / (K_B * T20)), zs)
+
+    (i1, j1), (i2, j2) = (5, 7), (20, 31)
+    got = img.values[i1, j1] / img.values[i2, j2]
+    assert got == pytest.approx(column(i1, j1) / column(i2, j2), rel=1e-12)
 
 
 def test_density_normalised_to_atom_number(fig2b):
+    # the image's own (y, x) trapezoid integral is the atom number
     region, dims = imaging_region(fig2b)
-    dens = thermal_density(fig2b, T20, region, dims, atom_number=12345.0)
-    assert dens.integral() == pytest.approx(12345.0, rel=1e-12)
+    img = column_density(fig2b, T20, region, dims, atom_number=12345.0)
+    assert img.integral() == pytest.approx(12345.0, rel=1e-12)
 
 
 def test_cold_cloud_concentrates_in_wells(fig2a):
     # at 0.1 uK the cloud collapses into the two conical wells on the x axis;
-    # a slab grid fine enough to resolve k_B*T/|grad V| (~1 um) shows < 1e-3
-    # of the mass above 15 k_B*T (conical-well tail bound: Gamma(3,15)/2 ~ 4e-5)
+    # a slab grid fine enough to resolve k_B*T/|grad V| (~1 um) puts < 1e-3
+    # of the atoms in columns whose every node lies above 15 k_B*T
+    # (conical-well tail bound: Gamma(3,15)/2 ~ 4e-5)
     r0 = resonance_radius(fig2a)
     temperature = 0.1e-6
-    margin = 2.5e-5
-    region = ((-r0 - margin, r0 + margin), (-1e-5, 1e-5), (-6e-6, 6e-6))
+    pixel = 2 * (r0 + 2.5e-5) / 600
+    region = ((-300 * pixel, 300 * pixel), (-13 * pixel, 13 * pixel), (-6e-6, 6e-6))
     dims = (601, 27, 15)
-    dens = thermal_density(fig2a, temperature, region, dims, atom_number=1.0)
-    pts = dens.node_positions().reshape(-1, 3)
-    v = dressed_potential(pts, fig2a)
-    outside = (v - v.min()) > 15 * K_B * temperature
-    weights = dens.values.reshape(-1)
-    # direct integral oracle on the same grid (plain node masses)
-    frac_outside = weights[outside].sum() / weights.sum()
+    img = column_density(fig2a, temperature, region, dims, atom_number=1.0)
+    v = sample_grid(fig2a, region, dims).values
+    outside = v.min(axis=2) - v.min() > 15 * K_B * temperature
+    frac_outside = img.values[outside].sum() / img.values.sum()
     assert frac_outside < 1e-3
     # both wells carry population: the distribution is symmetric in x
-    half = weights.reshape(dims)[: dims[0] // 2].sum() / weights.sum()
+    half = img.values[:300].sum() / img.values.sum()
     assert half == pytest.approx(0.5, abs=1e-6)
 
 
@@ -91,67 +97,77 @@ def test_density_azimuthally_uniform_circular(fig2b):
     assert (w.max() - w.min()) / w.max() < 1e-6
 
 
-def test_density_fills_the_sampled_grid_in_place(fig2b, monkeypatch):
-    filled = []
-
-    def capture(*args):
-        grid = sample_grid(*args)
-        filled.append(grid.values)
-        return grid
-
-    monkeypatch.setattr(ringtrap.imaging, "sample_grid", capture)
-    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
-    dens = thermal_density(fig2b, T20, region, dims)
-    assert np.shares_memory(dens.values, filled[0])
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_density_and_projection_match_whole_array_code(name):
+    # the one pass against the two-stage whole-grid code it replaced, on the
+    # benchmark-size grid
+    cfg = reference_configs()[name]
+    region, dims = imaging_region(cfg)
+    img = column_density(cfg, T20, region, dims, od_scale=0.5)
+    oracle = two_stage_image(cfg, T20, region, dims, od_scale=0.5)
+    assert (img.pixel_size, img.origin, img.od_scale) == (
+        oracle.pixel_size, oracle.origin, oracle.od_scale
+    )
+    assert np.abs(img.values - oracle.values).max() <= oracle_tolerance(oracle, dims[2])
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_density_matches_out_of_place_oracle(name):
-    # the out-of-place formula the in-place transform replaced, bit for bit
+    # the textbook formula, out of place on the whole grid: V of every node
+    # position by the kernel's (..., 3) form, its Boltzmann weights, their
+    # z-trapezoids, normalised by the (y, x) trapezoid
     cfg = reference_configs()[name]
     region, dims = imaging_region(cfg, pixel=4 * PIXEL, nz=9)
-    dens = thermal_density(cfg, T20, region, dims, atom_number=3e4)
-    grid = sample_grid(cfg, region, dims)
-    v = grid.values
-    weight = np.exp(-(v - v.min()) / (K_B * T20))
-    norm = ScalarGrid(grid.origin, grid.spacing, grid.dims, weight).integral()
-    assert np.array_equal(dens.values, weight * (3e4 / norm))
+    img = column_density(cfg, T20, region, dims, atom_number=3e4)
+    axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(region, dims)]
+    v = dressed_potential(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1), cfg)
+    columns = np.trapezoid(np.exp(-(v - v.min()) / (K_B * T20)), axes[2], axis=2)
+    oracle = columns * 3e4 / np.trapezoid(np.trapezoid(columns, axes[1]), axes[0])
+    assert np.abs(img.values - oracle).max() <= oracle_tolerance(img, dims[2])
 
 
-@pytest.mark.parametrize("name", sorted(reference_configs()))
-def test_density_and_projection_match_whole_array_code(name, monkeypatch):
-    # thermal_density and column_density as they were before the fill, the
-    # integral and the projection ran in blocks of at most _CHUNK nodes
-    cfg = reference_configs()[name]
-    region, dims = imaging_region(cfg)
-    dens = thermal_density(cfg, T20, region, dims)
-    img = column_density(dens, od_scale=0.5)
-    monkeypatch.setattr(ringtrap.grids, "_CHUNK", 1 << 18)
-    grid = sample_grid(cfg, region, dims)
-    w = grid.values
-    w -= w.min()
-    w /= -(K_B * T20)
-    np.exp(w, out=w)
-    w *= 1e5 / whole_array_integral(grid)
-    assert np.array_equal(dens.values, w)
-    assert np.array_equal(img.values, whole_array_projection(grid, 0.5))
+@pytest.mark.parametrize("nz, chunk", [(2, None), (9, 500)])
+def test_one_pass_matches_oracle_on_thin_and_wide_slabs(fig2c, monkeypatch, nz, chunk):
+    # nz = 2, where the z trapezoid halves every node; and blocks smaller
+    # than one 79 x 9 slab, where slab_runs yields one slab per run and the
+    # fill splits it into z-rows
+    region, dims = imaging_region(fig2c, pixel=4 * PIXEL, nz=nz)
+    if chunk is not None:
+        monkeypatch.setattr(ringtrap.grids, "_CHUNK", chunk)
+        assert all(r.stop - r.start == 1 for r in ringtrap.grids.slab_runs(dims))
+    img = column_density(fig2c, T20, region, dims)
+    oracle = two_stage_image(fig2c, T20, region, dims)
+    assert np.abs(img.values - oracle.values).max() <= oracle_tolerance(oracle, nz)
+
+
+def test_one_pass_fills_the_bits_of_the_sampled_grid(fig2b, monkeypatch):
+    # each slab run is filled with the V that sample_grid gives its nodes
+    filled = []
+
+    def capture(cfg, axes, out, work):
+        ringtrap.grids.fill_potential(cfg, axes, out, work)
+        filled.append(out.copy())
+
+    monkeypatch.setattr(ringtrap.imaging, "fill_potential", capture)
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    column_density(fig2b, T20, region, dims)
+    grid = sample_grid(fig2b, region, dims)
+    assert np.concatenate(filled).tobytes() == grid.values.tobytes()
 
 
 def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path):
-    # the image workload's 311 x 311 x 33 grid: the density peaks at its own
-    # 25.5 MB plus one block, and the projection and the CSV export add at
-    # most one block to what is held when they start
-    block = 8 << 20
+    # the image workload's 311 x 311 x 33 grid (25.5 MB as a 3-D array): the
+    # one pass grows by the image, one block of whole x-slabs and the kernel
+    # workspace, and by numpy's iterator buffers inside a kernel call
+    # (~135 KB), which stay below one more block; the CSV export adds at
+    # most one block to what is held when it starts
     region, dims = imaging_region(fig2b)
+    block = 8 * (_CHUNK // (dims[1] * dims[2])) * dims[1] * dims[2]
+    workspace = WORKSPACE_ROWS * block
     tracemalloc.start()
     try:
-        dens, grown = traced_growth(lambda: thermal_density(fig2b, T20, region, dims))
-        assert grown <= dens.values.nbytes + block
-        # validating a grid builds no per-node mask
-        _, grown = traced_growth(lambda: dataclasses.replace(dens))
-        assert grown < 1 << 20
-        img, grown = traced_growth(lambda: column_density(dens))
-        assert grown <= block
+        img, grown = traced_growth(lambda: column_density(fig2b, T20, region, dims))
+        assert grown <= img.values.nbytes + 2 * block + workspace
         _, grown = traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
         assert grown <= block
     finally:
@@ -160,31 +176,44 @@ def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path):
 
 def test_non_finite_density_rejected(fig2b):
     region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    with pytest.raises(ValueError, match="not finite"):
+        column_density(fig2b, T20, region, dims, atom_number=1e300)
+
+
+def test_non_finite_potential_rejected(fig2b, monkeypatch):
+    def fill(cfg, axes, out, work):
+        out[...] = 0.0
+        if axes[0][0] > 0:
+            out[-1, -1, -1] = np.inf
+
+    monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
     with pytest.raises(ValueError, match="finite"):
-        thermal_density(fig2b, T20, region, dims, atom_number=1e300)
+        column_density(fig2b, T20, region, dims)
 
 
 def test_zero_temperature_rejected(fig2b):
     with pytest.raises(ValueError):
-        thermal_density(fig2b, 0.0, ((-1, 1), (-1, 1), (-1, 1)), (5, 5, 5))
+        column_density(fig2b, 0.0, ((-1, 1), (-1, 1), (-1, 1)), (5, 5, 5))
+    with pytest.raises(ValueError, match="atom number"):
+        column_density(fig2b, T20, ((-1, 1), (-1, 1), (-1, 1)), (5, 5, 5), atom_number=-1.0)
 
 
-# -- column density ----------------------------------------------------------
-
-def test_column_density_uniform_box():
-    grid = ScalarGrid(
-        origin=(0, 0, 0), spacing=(1e-6, 1e-6, 2e-6), dims=(8, 8, 5),
-        values=np.full((8, 8, 5), 3.0),
+def test_column_density_uniform_box(fig2b, monkeypatch):
+    # a flat potential: every column is the z extent, so the image is the
+    # uniform areal density N / (Lx Ly) whatever the z spacing
+    monkeypatch.setattr(
+        ringtrap.imaging, "fill_potential", lambda cfg, axes, out, work: out.fill(-3e-28)
     )
-    img = column_density(grid)
-    np.testing.assert_allclose(img.values, 3.0 * 2e-6 * 4, rtol=1e-14)
+    region = ((0, 7e-6), (0, 7e-6), (0, 8e-6))
+    img = column_density(fig2b, T20, region, (8, 8, 5), atom_number=49.0)
+    np.testing.assert_allclose(img.values, 1e12, rtol=1e-14)
 
 
 def test_column_density_conserves_atom_number(fig2b):
     region, dims = imaging_region(fig2b)
-    dens = thermal_density(fig2b, T20, region, dims, atom_number=5e4)
-    img = column_density(dens)
-    assert img.integral() == pytest.approx(5e4, rel=1e-9)
+    img = column_density(fig2b, T20, region, dims, atom_number=5e4, od_scale=0.25)
+    assert img.integral() == pytest.approx(5e4 * 0.25, rel=1e-12)
 
 
 def test_annulus_peaks_at_resonance_radius(fig2b):
@@ -200,13 +229,10 @@ def test_annulus_peaks_at_resonance_radius(fig2b):
 def test_projection_axis_validation(fig2b):
     # images are projected along z: a collapsed z axis has nothing to integrate
     region, dims = imaging_region(fig2b, nz=1)
-    dens = thermal_density(fig2b, T20, region, dims)
     with pytest.raises(ValueError, match="collapsed"):
-        column_density(dens)
-    box = ScalarGrid(origin=(0, 0, 0), spacing=(1e-6, 2e-6, 1e-6), dims=(4, 4, 3),
-                     values=np.ones((4, 4, 3)))
+        column_density(fig2b, T20, region, dims)
     with pytest.raises(ValueError, match="square"):
-        column_density(box)
+        column_density(fig2b, T20, ((0, 3e-6), (0, 6e-6), (0, 2e-6)), (4, 4, 3))
 
 
 # -- radius measurement ------------------------------------------------------
@@ -262,8 +288,7 @@ def test_noise_seed_determinism(fig2b):
 
 def test_zero_atom_image_measurement_errors(fig2b):
     region, dims = imaging_region(fig2b)
-    dens = thermal_density(fig2b, T20, region, dims, atom_number=0.0)
-    img = column_density(dens)
+    img = column_density(fig2b, T20, region, dims, atom_number=0.0)
     assert img.values.max() == 0.0
     with pytest.raises(MeasurementError):
         measure_ring_radius(img, n_diameters=4)
