@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import ringtrap.cli
 import ringtrap.grids
+import ringtrap.imaging
 from ringtrap import rabi_frequency, resonance_radius, sample_grid
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from ringtrap.config import load_config
-from ringtrap.grids import node_blocks
+from ringtrap.grids import fill_potential, node_blocks
 from ringtrap.image_io import import_grid_binary
+from ringtrap.imaging import measure_ring_radius
 from ringtrap.units import convert_units
 
 BASE = """
@@ -306,6 +309,26 @@ def test_image_outputs_and_measurement(ini, tmp_path):
     rep = read_report(out / "radius.txt")
     assert float(rep["radius_um"]) == pytest.approx(214.343, abs=5.0)
     assert rep["n_diameters_used"] == "8"
+
+
+def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
+    # the one pass's block of density weights and its kernel workspace are
+    # most of an image run's memory, and only the projection needs them
+    refs = []
+
+    def fill(cfg, axes, out, work):
+        refs.extend(weakref.ref(a) for a in (out if out.base is None else out.base, work))
+        return fill_potential(cfg, axes, out, work)
+
+    def measure(image, **kwargs):
+        assert refs and all(ref() is None for ref in refs)
+        return measure_ring_radius(image, **kwargs)
+
+    monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
+    monkeypatch.setattr(ringtrap.cli, "measure_ring_radius", measure)
+    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "im"),
+            "--set", "imaging.xy_halfwidth_factor=1.2"]
+    assert main(argv) == EXIT_OK
 
 
 NO_RING = """
