@@ -47,7 +47,7 @@ from .imaging import (
     extract_diameter_profile,
     measure_ring_radius,
 )
-from .minimize import MinimizationResult, find_minimum, pattern_search
+from .minimize import MinimizationResult, find_minimum
 from .units import convert_units
 
 __version__ = "0.1.0"

@@ -126,7 +126,8 @@ class AzimuthalProfile:
         return float(self.radii.mean())
 
 
-def _check_rho_factors(rho_factors):
+def check_rho_factors(rho_factors):
+    """Raise ValueError unless the rho window factors satisfy 0 < lower < upper."""
     if not 0 < rho_factors[0] < rho_factors[1]:
         raise ValueError(
             f"rho window factors must satisfy 0 < lower < upper, got {tuple(rho_factors)}"
@@ -271,7 +272,7 @@ def azimuthal_profile(
         raise ValueError("n_phi must be at least 8")
     if z_band_factor < 0:
         raise ValueError("z_band_factor must be non-negative")
-    _check_rho_factors(rho_factors)
+    check_rho_factors(rho_factors)
     ws = np.array([cfg.rf.omega] if omegas is None else omegas, dtype=float)
     if not np.all((ws > 0) & (ws < np.inf)):
         raise ValueError("dressing frequencies must be positive and finite")
@@ -746,7 +747,7 @@ def frequency_sweep(
         raise ValueError("sweep frequencies must be positive")
     if n_phi < MIN_CLASSIFY_AZIMUTHS:
         raise ValueError(f"sweep classification requires n_phi >= {MIN_CLASSIFY_AZIMUTHS}")
-    _check_rho_factors(rho_factors)
+    check_rho_factors(rho_factors)
     if amplitudes is not None and len(amplitudes) != len(omegas):
         raise ValueError("amplitudes table must match the frequency list length")
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import MIN_CLASSIFY_AZIMUTHS, ClassifierTolerances
+from .analysis import MIN_CLASSIFY_AZIMUTHS, ClassifierTolerances, check_rho_factors
 from .constants import SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
-from .grids import check_grid_budget
+from .grids import check_node_limit
 from .units import convert_units
 
 
@@ -103,6 +103,14 @@ _SCHEMA = {
 }
 
 _RANGE_KEYS = ("freq_mhz_start", "freq_mhz_stop", "freq_mhz_count")
+
+
+def _check_in(section: str, check, value) -> None:
+    """Run a library input check; its ValueError is a ConfigError of ``section``."""
+    try:
+        check(value)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {err}") from None
 
 
 def _parse_value(section: str, key: str, raw: str, spec: _Key):
@@ -225,11 +233,10 @@ class RunConfig:
         )
 
     def rho_factors(self) -> tuple:
-        lo = self.get("analysis", "rho_min_factor")
-        hi = self.get("analysis", "rho_max_factor")
-        if not hi > lo:
-            raise ConfigError("[analysis] rho_max_factor must exceed rho_min_factor")
-        return (lo, hi)
+        factors = (self.get("analysis", "rho_min_factor"),
+                   self.get("analysis", "rho_max_factor"))
+        _check_in("analysis", check_rho_factors, factors)
+        return factors
 
     def grid_region(self):
         mm = 1e-3
@@ -249,10 +256,7 @@ class RunConfig:
                 raise ConfigError(
                     f"[analysis] grid_n{ax}={n} needs a non-empty grid_{ax} range"
                 )
-        try:
-            check_grid_budget(dims)
-        except ValueError as err:
-            raise ConfigError(f"[analysis] {err}") from None
+        _check_in("analysis", check_node_limit, dims)
         return dims
 
     def image_grid(self, r0: float):
@@ -265,13 +269,7 @@ class RunConfig:
         n_half = int(math.ceil(self.get("imaging", "xy_halfwidth_factor") * r0 / pixel))
         extent = n_half * pixel
         dims = (2 * n_half + 1, 2 * n_half + 1, self.get("imaging", "nz"))
-        try:
-            check_grid_budget(dims)
-        except ValueError:  # the image holds no grid, but keeps the node limit
-            raise ConfigError(
-                f"[imaging] grid of {math.prod(dims)} nodes exceeds the node limit, "
-                "which bounds the image's run time and the slab run it holds"
-            ) from None
+        _check_in("imaging", check_node_limit, dims)
         return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
 
     def sweep_frequencies_mhz(self) -> list:

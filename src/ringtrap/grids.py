@@ -17,21 +17,18 @@ from .fields import TrapConfig
 #: pass over slab runs, to one block (one slab where one slab is larger).
 _CHUNK = 1 << 15
 
-#: refuse grids beyond this many bytes: 10^8 nodes. A sampled grid costs 8 B
-#: per node plus one block. The image holds no grid, only one slab run: for
-#: its grid the limit bounds the run time and that run.
-MAX_GRID_BYTES = 8 * (100_000_000 + _CHUNK)
+#: refuse grids of more nodes: 800 MB as a sampled grid of float64; the
+#: image, which holds only one slab run, takes time linear in its nodes
+MAX_GRID_NODES = 100_000_000
 
 
-def check_grid_budget(dims) -> None:
-    """Raise ValueError for a grid of ``dims`` beyond ``MAX_GRID_BYTES``."""
+def check_node_limit(dims) -> None:
+    """Raise ValueError for a grid of ``dims`` beyond ``MAX_GRID_NODES``."""
     n_nodes = math.prod(dims)
-    need = 8 * (n_nodes + _CHUNK)
-    if need > MAX_GRID_BYTES:
+    if n_nodes > MAX_GRID_NODES:
         raise ValueError(
-            f"grid of {n_nodes} nodes exceeds the node limit: it needs "
-            f"{need} B of a {MAX_GRID_BYTES} B budget (8 B per node plus one "
-            f"{_CHUNK}-node block); reduce dims or sample the region in pieces"
+            f"grid of {n_nodes} nodes exceeds the node limit of {MAX_GRID_NODES}; "
+            "reduce dims or sample the region in pieces"
         )
 
 
@@ -121,7 +118,7 @@ def grid_axes(region, dims):
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or any(n < 1 for n in dims):
         raise ValueError("dims must be three positive integers")
-    check_grid_budget(dims)
+    check_node_limit(dims)
     origin, spacing = [], []
     for (lo, hi), n in zip(region, dims):
         lo, hi = float(lo), float(hi)
@@ -137,12 +134,19 @@ def grid_axes(region, dims):
     return dims, origin, spacing, axes
 
 
+def fill_workspace(shape) -> np.ndarray:
+    """The kernel workspace for :func:`fill_potential` into an array of
+    ``shape``: room for its largest :func:`node_blocks` box."""
+    return kernel_workspace(min(_CHUNK, math.prod(shape)))
+
+
 def fill_potential(cfg: TrapConfig, axes, out, work) -> None:
     """Write V at the nodes of the grid of node coordinates ``axes`` into
     ``out`` one :func:`node_blocks` box at a time: the kernel takes each
     box's three axis slices, which broadcast to its nodes, its temporaries go
-    into the workspace ``work``, and V straight into ``out``, so no box
-    allocates. A node's V has the same bits in any grid that holds it."""
+    into the workspace ``work`` (:func:`fill_workspace`), and V straight into
+    ``out``, so no box allocates. A node's V has the same bits in any grid
+    that holds it."""
     for box in node_blocks(out.shape):
         dressed_potential(
             (axes[0][box[0], None, None],
@@ -164,9 +168,9 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
         Node counts; at least 2 on non-collapsed axes.
 
     The grid is filled by :func:`fill_potential` through one kernel
-    workspace. Grids beyond ``MAX_GRID_BYTES`` are rejected.
+    workspace. Grids beyond ``MAX_GRID_NODES`` are rejected.
     """
     dims, origin, spacing, axes = grid_axes(region, dims)
     vals = np.empty(dims)
-    fill_potential(cfg, axes, vals, kernel_workspace(min(_CHUNK, vals.size)))
+    fill_potential(cfg, axes, vals, fill_workspace(dims))
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

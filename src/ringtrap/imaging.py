@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import K_B
-from .dressed import kernel_workspace
 from .errors import MeasurementError
 from .fields import TrapConfig
 from .gaussfit import FitError, fit_two_gaussians
-from .grids import _CHUNK, fill_potential, grid_axes, slab_runs
+from .grids import fill_potential, fill_workspace, grid_axes, slab_runs
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ def column_density(
     kt = K_B * temperature
     runs = list(slab_runs(dims))
     block = np.empty((axes[0][runs[0]].size,) + dims[1:])
-    work = kernel_workspace(min(_CHUNK, block.size))
+    work = fill_workspace(block.shape)
     img = np.empty(dims[:2])
     floors = np.empty(len(runs))
     for k, run in enumerate(runs):
@@ -216,8 +215,9 @@ def measure_ring_radius(
     through the image centroid is fit with a sum of two Gaussians and the
     half peak-to-peak centre separation gives one radius. A fit counts if it
     converged with its centres apart, both lobes of positive amplitude, both
-    centres inside the sampled profile and both widths finite, positive and
-    shorter than it; other diameters are excluded with their reasons. With
+    centres inside the sampled profile and the lobes resolved, their centre
+    separation above the sum of their widths (which keeps each width shorter
+    than the profile); other diameters are excluded with their reasons. With
     fewer than two diameters left the image shows no ring, and a
     :class:`MeasurementError` is raised. ``radius`` is the mean of the
     per-diameter radii and ``uncertainty`` their standard deviation.
@@ -243,8 +243,8 @@ def measure_ring_radius(
             excluded.append((angle, "a lobe has no positive amplitude"))
         elif not all(t[0] <= c <= t[-1] for c in fit.centers):
             excluded.append((angle, "a center lies outside the profile"))
-        elif not all(0 < w < t[-1] - t[0] for w in fit.params[2::3]):
-            excluded.append((angle, "a width is not positive and shorter than the profile"))
+        elif not fit.separation > fit.params[2] + fit.params[5]:
+            excluded.append((angle, "lobes not resolved: widths sum to the separation or more"))
         else:
             rms = math.sqrt(fit.cost / t.size) / max(float(prof.max()), 1e-300)
             fits.append(DiameterFit(angle=angle, radius=fit.separation / 2.0, residual=rms))

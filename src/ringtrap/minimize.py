@@ -20,7 +20,6 @@ import numpy as np
 
 from .constants import G_ACCEL
 from .dressed import (
-    _check_fd_step,
     dressed_potential,
     potential_gradient,
     potential_hessian,
@@ -117,32 +116,15 @@ def _compass(f, moves, x, fx, step, it, evals, min_step, max_iter, levels=1):
     return x, fx, it, evals, False
 
 
-def pattern_search(f, x0, step0, min_step, bounds=None, max_iter=10_000):
-    """Compass search: step along +-x, +-y, +-z; halve the mesh on failure.
-
-    ``f`` is batched: it maps (k, 3) points to (k,) values, and each
-    iteration evaluates its six candidates in one call. Returns
-    ``(x, fx, iterations, evals, hit_cap)``, where ``evals`` counts points.
-    Deterministic: ties are broken by fixed direction order, moves go to the
-    best improving neighbour.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    if bounds is not None:
-        bounds = tuple(np.asarray(b, dtype=float) for b in bounds)
-        x = np.clip(x, bounds[0], bounds[1])
-    fx = float(f(x[None, :])[0])
-    return _compass(f, _box_moves(bounds), x, fx, float(step0), 0, 1, min_step, max_iter)
-
-
-def _newton_polish(cfg, x, bounds, h, grad_target, max_steps=12):
+def _newton_polish(cfg, x, bounds, grad_target, max_steps=12):
     """Damped Newton refinement; accepts steps that shrink the gradient."""
-    g = potential_gradient(x, cfg, h)
+    g = potential_gradient(x, cfg)
     gn = float(np.linalg.norm(g))
     for _ in range(max_steps):
         if gn < grad_target:
             break
         try:
-            hess = potential_hessian(x, cfg, h)
+            hess = potential_hessian(x, cfg)
             step = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
             break
@@ -153,7 +135,7 @@ def _newton_polish(cfg, x, bounds, h, grad_target, max_steps=12):
                 cand = np.clip(cand, bounds[0], bounds[1])
             if np.array_equal(cand, x):  # step vanished or clipped away
                 break
-            g_new = potential_gradient(cand, cfg, h)
+            g_new = potential_gradient(cand, cfg)
             gn_new = float(np.linalg.norm(g_new))
             if gn_new < gn:
                 x, g, gn = cand, g_new, gn_new
@@ -173,7 +155,7 @@ def on_box_face(x, bounds) -> bool:
 
 def staged_search(
     cfg: TrapConfig, f, moves, x0, step0, min_step, point, bounds=None,
-    max_iter: int = 10_000, h: float = 1e-7, levels: int = 1,
+    max_iter: int = 10_000, levels: int = 1,
 ) -> MinimizationResult:
     """Two-stage compass search of the batched objective ``f`` over search
     states ``x`` that ``point(x)`` maps to 3-D positions; ``f(x)`` must be V
@@ -196,10 +178,7 @@ def staged_search(
     ------
     ConvergenceError
         Iteration cap exceeded; the best iterate rides on the exception.
-    ValueError
-        ``h`` is not a valid finite-difference step.
     """
-    _check_fd_step(h)
     grad_target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
     open_coupling = lambda r: rabi_frequency(r, cfg) > SMOOTH_RABI_FRACTION * cfg.rf.omega
 
@@ -213,7 +192,7 @@ def staged_search(
         f, moves, x, fx, step0, 0, 1, coarse_step, max_iter, levels
     )
     if not hit_cap and open_coupling(point(x)):
-        rn, grad_norm = _newton_polish(cfg, point(x), bounds, h, grad_target)
+        rn, grad_norm = _newton_polish(cfg, point(x), bounds, grad_target)
         if grad_norm < grad_target and not on_box_face(rn, bounds):
             fn = float(dressed_potential(rn, cfg))
             if fn <= fx:
@@ -237,10 +216,10 @@ def staged_search(
 
     smooth = open_coupling(r)
     if smooth:
-        r, grad_norm = _newton_polish(cfg, r, bounds, h, grad_target)
+        r, grad_norm = _newton_polish(cfg, r, bounds, grad_target)
         fx = float(dressed_potential(r, cfg))
     else:
-        grad_norm = float(np.linalg.norm(potential_gradient(r, cfg, h)))
+        grad_norm = float(np.linalg.norm(potential_gradient(r, cfg)))
 
     stationary = grad_norm < grad_target
     return MinimizationResult(
@@ -260,15 +239,16 @@ def find_minimum(
     start,
     bounds=None,
     max_iter: int = 10_000,
-    h: float = 1e-7,
 ) -> MinimizationResult:
     """Locate a local minimum of the dressed potential near ``start``.
 
     ``staged_search`` over positions, in ``bounds`` when given: the compass
     steps along +-x, +-y, +-z from a mesh of a twentieth of the resonance
     radius, which spans the valley comfortably, down to ``MIN_MESH_STEP``,
-    with the Newton exit at (r0 / 20) / 2**9 ~ 1e-4 r0. Raises what
-    ``staged_search`` raises.
+    with the Newton exit at (r0 / 20) / 2**9 ~ 1e-4 r0. The polish and the
+    stationarity test take ``potential_gradient`` and ``potential_hessian``
+    with their own finite-difference step. Raises what ``staged_search``
+    raises.
     """
     x = np.asarray(start, dtype=float).copy()
     if bounds is not None:
@@ -276,5 +256,5 @@ def find_minimum(
         x = np.clip(x, bounds[0], bounds[1])
     return staged_search(
         cfg, lambda r: dressed_potential(r, cfg), _box_moves(bounds), x,
-        resonance_radius(cfg) / 20.0, MIN_MESH_STEP, lambda r: r, bounds, max_iter, h,
+        resonance_radius(cfg) / 20.0, MIN_MESH_STEP, lambda r: r, bounds, max_iter,
     )

@@ -350,15 +350,20 @@ temperature_uk = 0.3
 
 
 def test_cloud_without_a_ring_exits_3(tmp_path, capsys):
-    # at 0.3 uK gravity holds the atoms in one spot at the bottom of the
-    # shell; the two-Gaussian fits found lobes far outside their profiles
-    # (radius 6.3e+168 um) and the run reported them with exit 0
+    # gravity holds the atoms in one spot at the bottom of the shell. At
+    # 0.3 uK the two-Gaussian fits found lobes far outside their profiles
+    # (radius 6.3e+168 um); at 1 and 3 uK they found overlapping lobes
+    # (17 +- 19 and 28 +- 30 um, against r0 = 668 um). Each run reported
+    # them with exit 0
     ini = tmp_path / "spot.ini"
     ini.write_text(NO_RING)
-    out = tmp_path / "spot"
-    assert main(["image", "--config", str(ini), "--out", str(out)]) == EXIT_NUMERIC
-    assert "no ring" in capsys.readouterr().err
-    assert not (out / "radius.txt").exists()
+    for temperature in ("0.3", "1.0", "3.0"):
+        out = tmp_path / f"spot-{temperature}"
+        argv = ["image", "--config", str(ini), "--out", str(out),
+                "--set", f"imaging.temperature_uk={temperature}"]
+        assert main(argv) == EXIT_NUMERIC
+        assert "no ring" in capsys.readouterr().err
+        assert not (out / "radius.txt").exists()
 
 
 @settings(max_examples=12)
@@ -481,11 +486,13 @@ def test_grid_node_cap_is_a_config_error(ini, tmp_path, capsys):
     big = ["--set", "analysis.grid_nx=20000", "--set", "analysis.grid_ny=20000"]
     argv = ["potential", "--config", str(ini), "--out", str(tmp_path / "p")]
     assert main(argv + big) == EXIT_CONFIG
-    assert "8 B per node" in capsys.readouterr().err
+    assert "[analysis] grid of 400000000 nodes exceeds the node limit of 100000000" in (
+        capsys.readouterr().err
+    )
     argv = ["image", "--config", str(ini), "--out", str(tmp_path / "i")]
     assert main(argv + ["--set", "imaging.pixel_um=0.01"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "[imaging]" in err and "node limit" in err and "8 B per node" not in err
+    assert "[imaging] grid of" in err and "exceeds the node limit of 100000000" in err
 
 
 def test_invalid_seed_and_non_text_config_are_config_errors(ini, tmp_path):

@@ -224,7 +224,7 @@ def test_load_raises_only_config_error_and_echo_round_trips(tmp_path_factory, ru
 
 
 def test_analysis_grid_budget_fails_the_load(tmp_path):
-    # 10^8 nodes fit the byte budget, one more node does not; the check
+    # 10^8 nodes fit the node limit, one more node does not; the check
     # runs when the config loads, for every subcommand
     grid = "\n[analysis]\ngrid_z_max_mm = 1.0\ngrid_nx = 10000\ngrid_ny = 10000\n"
     rc = load_config(write(tmp_path, MINIMAL + grid + "grid_nz = 1\n"))

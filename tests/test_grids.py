@@ -72,11 +72,10 @@ def test_collapsed_axis_uses_midpoint(fig2a):
 def test_node_count_guard(fig2a):
     with pytest.raises(ValueError, match="node limit"):
         sample_grid(fig2a, ((0, 1), (0, 1), (0, 1)), (1000, 1000, 1000))
-    # the byte budget, 8 B per node plus one block: 10^8 nodes fit, one more
-    # does not
-    ringtrap.grids.check_grid_budget((10**4, 10**4, 1))
-    with pytest.raises(ValueError, match="node limit"):
-        ringtrap.grids.check_grid_budget((10**8 + 1, 1, 1))
+    # 10^8 nodes fit the node limit, one more does not
+    ringtrap.grids.check_node_limit((10**4, 10**4, 1))
+    with pytest.raises(ValueError, match="node limit of 100000000"):
+        ringtrap.grids.check_node_limit((10**8 + 1, 1, 1))
 
 
 def test_grid_validation():

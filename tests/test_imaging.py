@@ -126,15 +126,17 @@ def test_density_matches_out_of_place_oracle(name):
     assert np.abs(img.values - oracle).max() <= oracle_tolerance(img, dims[2])
 
 
-@pytest.mark.parametrize("nz, chunk", [(2, None), (9, 500)])
+@pytest.mark.parametrize("nz, chunk", [(2, None), (9, 500), (9, 2**17)])
 def test_one_pass_matches_oracle_on_thin_and_wide_slabs(fig2c, monkeypatch, nz, chunk):
-    # nz = 2, where the z trapezoid halves every node; and blocks smaller
-    # than one 79 x 9 slab, where slab_runs yields one slab per run and the
-    # fill splits it into z-rows
+    # nz = 2, where the z trapezoid halves every node; blocks smaller than
+    # one 79 x 9 slab, where slab_runs yields one slab per run and the fill
+    # splits it into z-rows; and blocks larger than the default, where one
+    # slab run covers the whole grid and the workspace must grow with it
     region, dims = imaging_region(fig2c, pixel=4 * PIXEL, nz=nz)
     if chunk is not None:
         monkeypatch.setattr(ringtrap.grids, "_CHUNK", chunk)
-        assert all(r.stop - r.start == 1 for r in ringtrap.grids.slab_runs(dims))
+        per_run = 1 if chunk < dims[1] * dims[2] else dims[0]
+        assert all(len(range(dims[0])[r]) == per_run for r in ringtrap.grids.slab_runs(dims))
     img = column_density(fig2c, T20, region, dims)
     oracle = two_stage_image(fig2c, T20, region, dims)
     assert np.abs(img.values - oracle.values).max() <= oracle_tolerance(oracle, nz)

@@ -6,13 +6,11 @@ from ringtrap import (
     azimuthal_profile,
     dressed_potential,
     find_minimum,
-    pattern_search,
     potential_gradient,
     rabi_frequency,
     resonance_radius,
 )
 from ringtrap.constants import G_ACCEL, RB87
-from ringtrap.dressed import _check_fd_step
 from ringtrap.errors import ConvergenceError
 from ringtrap.minimize import (
     MIN_MESH_STEP,
@@ -27,21 +25,6 @@ from conftest import B07, count_kernel_calls, make_trap, reference_configs
 
 def torus_box(r0, xy=2.0, z=0.45):
     return (np.array([-xy * r0, -xy * r0, -z * r0]), np.array([xy * r0, xy * r0, z * r0]))
-
-
-def test_pattern_search_quadratic_bowl():
-    f = lambda r: (r[..., 0] - 1.0) ** 2 + 2 * (r[..., 1] + 0.5) ** 2 + 0.3 * r[..., 2] ** 2
-    x, fx, _, _, cap = pattern_search(f, np.zeros(3), step0=0.5, min_step=1e-10)
-    assert not cap
-    np.testing.assert_allclose(x, [1.0, -0.5, 0.0], atol=1e-8)
-
-
-def test_pattern_search_respects_bounds():
-    f = lambda r: np.sum(r**2, axis=-1)
-    bounds = (np.array([0.5, -1, -1]), np.array([2.0, 1, 1]))
-    x, _, _, _, _ = pattern_search(f, np.array([1.5, 0.5, 0.5]), 0.25, 1e-9, bounds)
-    assert x[0] >= 0.5 - 1e-15
-    np.testing.assert_allclose(x, [0.5, 0.0, 0.0], atol=1e-8)
 
 
 def test_gravity_ring_minimum_is_stationary():
@@ -118,27 +101,6 @@ def test_axis_start_converges(fig2a):
     np.testing.assert_allclose(on.position, off.position, rtol=0, atol=1e-9 * r0)
 
 
-@pytest.mark.parametrize("h", [1e-10, -1.0])
-def test_invalid_fd_step_raises(fig2a, h):
-    # the step is checked before the search, so the error reaches the caller
-    # on both the cusp path and the Newton-polish path
-    r0 = resonance_radius(fig2a)
-    with pytest.raises(ValueError, match="finite-difference step"):
-        find_minimum(fig2a, [0.9 * r0, 0.05 * r0, 0.0], bounds=torus_box(r0), h=h)
-    cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
-    with pytest.raises(ValueError, match="finite-difference step"):
-        find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=torus_box(r0), h=h)
-
-
-def test_invalid_fd_step_rejected_before_search(monkeypatch):
-    calls = count_kernel_calls(monkeypatch, ringtrap.minimize)
-    cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
-    r0 = resonance_radius(cfg)
-    with pytest.raises(ValueError, match="finite-difference step"):
-        find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=torus_box(r0), h=-1.0)
-    assert calls == []
-
-
 def test_pattern_search_one_kernel_call_per_iteration(fig2a, monkeypatch):
     # the cusp minimum skips the Newton polish, so every minimiser-level kernel
     # call belongs to the pattern search: one start point, then 6 per iteration
@@ -179,10 +141,9 @@ def one_stage_pattern_search(f, x0, step0, min_step, bounds=None, max_iter=10_00
     return x, fx, it, evals, False
 
 
-def one_stage_find_minimum(cfg, start, bounds=None, max_iter=10_000, h=1e-7):
+def one_stage_find_minimum(cfg, start, bounds=None, max_iter=10_000):
     """The single-stage search: compass search straight down to
     MIN_MESH_STEP, then the Newton polish where the coupling is open."""
-    _check_fd_step(h)
     if bounds is not None:
         bounds = tuple(np.asarray(b, dtype=float) for b in bounds)
 
@@ -202,10 +163,10 @@ def one_stage_find_minimum(cfg, start, bounds=None, max_iter=10_000, h=1e-7):
     smooth = rabi_frequency(x, cfg) > SMOOTH_RABI_FRACTION * cfg.rf.omega
     grad_target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
     if smooth:
-        x, grad_norm = _newton_polish(cfg, x, bounds, h, grad_target)
+        x, grad_norm = _newton_polish(cfg, x, bounds, grad_target)
         fx = float(f(x))
     else:
-        grad_norm = float(np.linalg.norm(potential_gradient(x, cfg, h)))
+        grad_norm = float(np.linalg.norm(potential_gradient(x, cfg)))
 
     stationary = grad_norm < grad_target
     return MinimizationResult(
@@ -294,17 +255,6 @@ def test_iteration_cap_in_fine_stage_after_failed_newton(fig2b, monkeypatch):
     assert not best.converged
 
 
-@pytest.mark.parametrize("max_iter", [10_000, 7])
-def test_pattern_search_matches_one_loop(max_iter):
-    f = lambda r: (r[..., 0] - 1.0) ** 2 + 2 * (r[..., 1] + 0.5) ** 2 + 0.3 * r[..., 2] ** 2
-    bounds = (np.array([-2.0, -0.3, -1.0]), np.array([0.8, 1.0, 1.0]))
-    for b in (None, bounds):
-        got = pattern_search(f, np.full(3, 0.1), 0.5, 1e-10, b, max_iter)
-        want = one_stage_pattern_search(f, np.full(3, 0.1), 0.5, 1e-10, b, max_iter)
-        assert np.array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
-
-
 @pytest.mark.parametrize("refusal", ["on_face", "higher", "not_stationary"])
 def test_refused_newton_point_falls_back_to_fine_stage(refusal, monkeypatch):
     # the first polish (from the coarse mesh) is replaced by one returning a
@@ -314,10 +264,10 @@ def test_refused_newton_point_falls_back_to_fine_stage(refusal, monkeypatch):
     start, box = analyze_start(cfg)
     calls = []
 
-    def polish(cfg, x, bounds, h, grad_target, max_steps=12):
+    def polish(cfg, x, bounds, grad_target, max_steps=12):
         calls.append(x)
         if len(calls) > 1:
-            return _newton_polish(cfg, x, bounds, h, grad_target, max_steps)
+            return _newton_polish(cfg, x, bounds, grad_target, max_steps)
         if refusal == "on_face":
             return np.array([x[0], x[1], box[1][2]]), 0.0
         if refusal == "higher":  # the ring-plane start lies above the coarse iterate
