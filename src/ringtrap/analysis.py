@@ -35,7 +35,7 @@ from .dressed import (
     rabi_squared,
     resonance_radius,
 )
-from .errors import ConvergenceError, NotAMinimumError, RingtrapError
+from .errors import ConvergenceError, NotAMinimumError
 from .fields import TrapConfig
 from .minimize import (
     MIN_MESH_STEP,
@@ -124,6 +124,14 @@ class AzimuthalProfile:
     def numeric_radius(self) -> float:
         """Azimuth-averaged radial coordinate of the valley floor [m]."""
         return float(self.radii.mean())
+
+
+def check_frequencies(omegas):
+    """Raise ValueError unless ``omegas`` holds at least one dressing
+    frequency and every one is positive and finite."""
+    ws = np.asarray(omegas, dtype=float)
+    if not (ws.size and np.all((ws > 0) & (ws < np.inf))):
+        raise ValueError("dressing frequencies must be one or more, positive and finite")
 
 
 def check_rho_factors(rho_factors):
@@ -274,8 +282,7 @@ def azimuthal_profile(
         raise ValueError("z_band_factor must be non-negative")
     check_rho_factors(rho_factors)
     ws = np.array([cfg.rf.omega] if omegas is None else omegas, dtype=float)
-    if not np.all((ws > 0) & (ws < np.inf)):
-        raise ValueError("dressing frequencies must be positive and finite")
+    check_frequencies(ws)
     r0 = resonance_radius(cfg, ws)
     # np.linspace(0, 2 pi, n_phi, endpoint=False) bit for bit, at half its cost
     phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
@@ -333,7 +340,6 @@ class ClassifierTolerances:
 class Classification:
     geometry: Geometry
     low_confidence: bool = False
-    n_minima: int = 0
     minima_indices: tuple = ()
 
 
@@ -392,7 +398,6 @@ def classify_geometry(
     return Classification(
         geometry=geometry,
         low_confidence=geometry_halved is not geometry,
-        n_minima=len(minima),
         minima_indices=tuple(minima),
     )
 
@@ -698,23 +703,11 @@ def analyze_trap(
 @dataclass(frozen=True)
 class SweepPoint:
     omega: float
-    resonance_radius: float | None
-    numeric_radius: float | None
-    barrier_height: float | None
-    geometry: Geometry | None
+    resonance_radius: float
+    numeric_radius: float
+    barrier_height: float
+    geometry: Geometry
     low_confidence: bool = False
-    error: str | None = None
-
-
-def _failed_row(omega: float, err: Exception) -> SweepPoint:
-    return SweepPoint(
-        omega=omega,
-        resonance_radius=None,
-        numeric_radius=None,
-        barrier_height=None,
-        geometry=None,
-        error=f"{type(err).__name__}: {err}",
-    )
 
 
 def frequency_sweep(
@@ -730,59 +723,50 @@ def frequency_sweep(
 
     ``amplitudes`` optionally overrides (b_x, b_y, b_z) per frequency
     (user-supplied antenna response table, tesla). The rho window and the
-    z band scale with each row's own resonance radius. A row whose rf
-    parameters are invalid records its error; the sweep continues.
+    z band scale with each row's own resonance radius. Every input is
+    checked before any row is profiled: a frequency that is not positive
+    and finite, or an amplitude row that ``RfConfig`` rejects, raises
+    ``ValueError``, and the sweep returns no partial result.
 
     Rows that share an amplitude triple (every row, without a table) are
     profiled in one :func:`azimuthal_profile` call: in the plane, two kernel
     calls of (rows x ``n_phi``) points for the whole group, split into
     batches of at most ``PROFILE_BATCH_POINTS``. Each row has the bits of a
-    profile of its own. The profile raises only on what the group shares,
-    so its error is recorded on every row of the group.
+    profile of its own.
     """
     omegas = [float(w) for w in omegas]
-    if not omegas:
-        raise ValueError("sweep requires at least one frequency")
-    if any(w <= 0 for w in omegas):
-        raise ValueError("sweep frequencies must be positive")
+    check_frequencies(omegas)
     if n_phi < MIN_CLASSIFY_AZIMUTHS:
         raise ValueError(f"sweep classification requires n_phi >= {MIN_CLASSIFY_AZIMUTHS}")
     check_rho_factors(rho_factors)
-    if amplitudes is not None and len(amplitudes) != len(omegas):
-        raise ValueError("amplitudes table must match the frequency list length")
+    if amplitudes is None:
+        groups = [(cfg, range(len(omegas)))]
+    else:
+        if len(amplitudes) != len(omegas):
+            raise ValueError("amplitudes table must match the frequency list length")
+        by_triple = {}  # amplitude triple -> row indices, in order of first use
+        for i, triple in enumerate(amplitudes):
+            by_triple.setdefault(tuple(float(b) for b in triple), []).append(i)
+        # one config per group, each checked by RfConfig before any profile
+        groups = [
+            (cfg.with_rf(b_x=bx, b_y=by, b_z=bz), members)
+            for (bx, by, bz), members in by_triple.items()
+        ]
 
     rows = [None] * len(omegas)
-    groups = {}  # amplitude triple -> (config of its first row, row indices)
-    for i, w in enumerate(omegas):
-        changes = {"omega": w}
-        if amplitudes is not None:
-            bx, by, bz = amplitudes[i]
-            changes.update(b_x=float(bx), b_y=float(by), b_z=float(bz))
-        try:
-            cfg_i = cfg.with_rf(**changes)
-        except (RingtrapError, ValueError) as err:  # per-row failure; keep sweeping
-            rows[i] = _failed_row(w, err)
-            continue
-        rf = cfg_i.rf
-        groups.setdefault((rf.b_x, rf.b_y, rf.b_z), (cfg_i, []))[1].append(i)
-
-    for cfg_g, members in groups.values():
-        try:
-            profiles = azimuthal_profile(
-                cfg_g, n_phi=n_phi, rho_factors=rho_factors,
-                z_band_factor=z_band_factor, omegas=[omegas[i] for i in members],
+    for cfg_g, members in groups:
+        profiles = azimuthal_profile(
+            cfg_g, n_phi=n_phi, rho_factors=rho_factors,
+            z_band_factor=z_band_factor, omegas=[omegas[i] for i in members],
+        )
+        for i, profile in zip(members, profiles):
+            cls = classify_geometry(profile, tolerances)
+            rows[i] = SweepPoint(
+                omega=omegas[i],
+                resonance_radius=profile.resonance_radius,
+                numeric_radius=profile.numeric_radius(),
+                barrier_height=profile.barrier_height(),
+                geometry=cls.geometry,
+                low_confidence=cls.low_confidence,
             )
-            for i, profile in zip(members, profiles):
-                cls = classify_geometry(profile, tolerances)
-                rows[i] = SweepPoint(
-                    omega=omegas[i],
-                    resonance_radius=profile.resonance_radius,
-                    numeric_radius=profile.numeric_radius(),
-                    barrier_height=profile.barrier_height(),
-                    geometry=cls.geometry,
-                    low_confidence=cls.low_confidence,
-                )
-        except (RingtrapError, ValueError) as err:  # the whole group failed
-            for i in members:
-                rows[i] = _failed_row(omegas[i], err)
     return rows

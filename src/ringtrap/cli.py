@@ -3,9 +3,9 @@ sweeps and synthetic images, all driven by one INI config.
 
 Every subcommand writes a resolved-config echo next to its outputs and is
 deterministic: identical configs produce byte-identical files. Exit codes:
-0 success, 2 configuration error (:class:`ConfigError`, raised before any
-computation), 3 numerical failure (any other package error or
-``ValueError``), 4 I/O error.
+0 success, 2 configuration error (:class:`ConfigError`, raised when the
+config loads, before any computation or output), 3 numerical failure (any
+other package error or ``ValueError``), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
     return EXIT_OK
 
 
-def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
+def run_sweep(rc: RunConfig, outdir: Path) -> int:
     cfg = rc.trap()
     freqs_mhz = rc.sweep_frequencies_mhz()
-    amplitudes = rc.sweep_amplitudes_t(freqs_mhz, config_dir)
+    amplitudes = rc.sweep_amplitudes_t(freqs_mhz)
     omegas = [convert_units(f, "MHz", "rad/s") for f in freqs_mhz]
     rows = frequency_sweep(
         cfg,
@@ -160,18 +160,16 @@ def run_sweep(rc: RunConfig, outdir: Path, config_dir: Path) -> int:
         tolerances=rc.classifier_tolerances(),
     )
     um = 1e6
+    # the error column stays, always empty: readers of sweep.csv use it
     lines = ["freq_MHz,r_resonance_um,r_numeric_um,barrier_uK,geometry,error"]
     for f_mhz, row in zip(freqs_mhz, rows):
-        if row.error is None:
-            lines.append(
-                f"{f_mhz!r},"
-                f"{row.resonance_radius * um!r},"
-                f"{row.numeric_radius * um!r},"
-                f"{convert_units(row.barrier_height, 'J', 'uK')!r},"
-                f"{row.geometry},"
-            )
-        else:
-            lines.append(f"{f_mhz!r},,,,,{row.error}")
+        lines.append(
+            f"{f_mhz!r},"
+            f"{row.resonance_radius * um!r},"
+            f"{row.numeric_radius * um!r},"
+            f"{convert_units(row.barrier_height, 'J', 'uK')!r},"
+            f"{row.geometry},"
+        )
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -256,7 +254,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return run_analyze(rc, outdir)
         if args.command == "sweep":
-            return run_sweep(rc, outdir, Path(args.config).resolve().parent)
+            return run_sweep(rc, outdir)
         return run_image(rc, outdir)
     except ConfigError as err:
         print(f"ringtrap: config error: {err}", file=sys.stderr)

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .analysis import MIN_CLASSIFY_AZIMUTHS, ClassifierTolerances, check_rho_factors
+from .analysis import (
+    MIN_CLASSIFY_AZIMUTHS,
+    ClassifierTolerances,
+    check_frequencies,
+    check_rho_factors,
+    resonance_radius,
+)
 from .constants import SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
-from .grids import check_node_limit
+from .grids import MAX_GRID_NODES, check_node_limit
 from .units import convert_units
 
 
@@ -30,6 +36,11 @@ def _positive(v):
 
 def _non_negative(v):
     return v >= 0
+
+
+#: most frequencies a range sweep may have: the list is built when the config
+#: loads, for every subcommand
+MAX_SWEEP_FREQUENCIES = 10_000
 
 
 class _Key(NamedTuple):
@@ -92,7 +103,7 @@ _SCHEMA = {
     "sweep": {
         "freq_mhz_start": _Key(float, 0.5, _positive),
         "freq_mhz_stop": _Key(float, 3.0, _positive),
-        "freq_mhz_count": _Key(int, 11, lambda v: v >= 1),
+        "freq_mhz_count": _Key(int, 11, lambda v: 1 <= v <= MAX_SWEEP_FREQUENCIES),
         "freq_mhz_list": _Key(str, ""),
         "amplitude_table": _Key(str, ""),
     },
@@ -162,6 +173,7 @@ class RunConfig:
 
     values: dict
     provided: frozenset  # (section, key) pairs the user set explicitly
+    path: Path  # the config file; a relative amplitude_table is found beside it
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -266,7 +278,9 @@ class RunConfig:
         """
         pixel = self.get("imaging", "pixel_um") * 1e-6
         half_z = self.get("imaging", "z_halfwidth_factor") * r0
-        n_half = int(math.ceil(self.get("imaging", "xy_halfwidth_factor") * r0 / pixel))
+        half = self.get("imaging", "xy_halfwidth_factor") * r0 / pixel
+        # capped, so an infinite half-width still fails the node limit below
+        n_half = math.ceil(min(half, MAX_GRID_NODES))
         extent = n_half * pixel
         dims = (2 * n_half + 1, 2 * n_half + 1, self.get("imaging", "nz"))
         _check_in("imaging", check_node_limit, dims)
@@ -294,22 +308,20 @@ class RunConfig:
             else:
                 step = (stop - start) / (count - 1)
                 freqs = [start + k * step for k in range(count)]
-        if not freqs:
-            raise ConfigError("[sweep] frequency list is empty")
-        if any(f <= 0 for f in freqs):
-            raise ConfigError("[sweep] frequencies must be positive")
+        omegas = [convert_units(f, "MHz", "rad/s") for f in freqs]
+        _check_in("sweep", check_frequencies, omegas)  # the sweep's own rule
         return freqs
 
-    def sweep_amplitudes_t(self, freqs_mhz, base_dir: Path):
+    def sweep_amplitudes_t(self, freqs_mhz):
         """Per-frequency (bx, by, bz) rf amplitudes in tesla from the optional
         ``amplitude_table`` (rows ``freq_MHz,bx_G,by_G,bz_G``, one per sweep
-        frequency, in order), or None when no table is configured."""
+        frequency, in order; a relative path is taken from the config file's
+        directory), or None when no table is configured."""
         path_str = self.get("sweep", "amplitude_table").strip()
         if not path_str:
             return None
-        path = Path(path_str)
-        if not path.is_absolute():
-            path = base_dir / path
+        # an absolute path_str replaces the directory
+        path = self.path.resolve().parent / path_str
         if not path.exists():
             raise ConfigError(f"[sweep] amplitude_table not found: {path}")
         try:
@@ -391,7 +403,7 @@ class RunConfig:
         return "\n".join(lines)
 
 
-def _validated(values: dict, provided: set) -> RunConfig:
+def _validated(values: dict, provided: set, path: Path) -> RunConfig:
     for section, keys in _SCHEMA.items():
         for key, spec in keys.items():
             val = values[section][key]
@@ -399,11 +411,14 @@ def _validated(values: dict, provided: set) -> RunConfig:
                 continue
             if spec.check is not None and not spec.check(val):
                 raise ConfigError(f"[{section}] {key}={val!r} is out of range")
-    rc = RunConfig(values=values, provided=frozenset(provided))
-    # a bad token or grid fails the load, not the run that uses it; the
-    # imaging grid's size depends on the atom, so image_grid checks it
+    rc = RunConfig(values=values, provided=frozenset(provided), path=path)
+    # every builder runs here, so a config is valid for every subcommand or
+    # fails the load, before any output is written
     rc.output_formats()
     rc.grid_dims()
+    rc.rho_factors()
+    rc.image_grid(resonance_radius(rc.trap()))
+    rc.sweep_amplitudes_t(rc.sweep_frequencies_mhz())
     return rc
 
 
@@ -461,4 +476,4 @@ def load_config(path, overrides=None) -> RunConfig:
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"--set targets unknown key {section}.{key}")
         _assign(values, provided, section, key, raw)
-    return _validated(values, provided)
+    return _validated(values, provided, path)

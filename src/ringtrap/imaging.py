@@ -184,13 +184,13 @@ def _bilinear(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     )
 
 
-def extract_diameter_profile(image: SyntheticImage, angle: float, center=None):
+def extract_diameter_profile(image: SyntheticImage, angle: float, center):
     """Sample the image along a line through ``center`` at ``angle``.
 
     Returns (signed distance from the centre [m], value) arrays with one
     sample per pixel pitch, clipped to the image interior.
     """
-    c0, c1 = center if center is not None else image.centroid()
+    c0, c1 = center
     a0, a1 = image.coords()
     u0, u1 = math.cos(angle), math.sin(angle)
     # longest reach that keeps every sample inside the image
@@ -206,25 +206,24 @@ def extract_diameter_profile(image: SyntheticImage, angle: float, center=None):
     return t, _bilinear(image.values, i, j)
 
 
-def measure_ring_radius(
-    image: SyntheticImage, n_diameters: int = 8, center=None
-) -> RadiusMeasurement:
+def measure_ring_radius(image: SyntheticImage, n_diameters: int = 8) -> RadiusMeasurement:
     """Ring radius by the diameter method.
 
     For each of ``n_diameters`` equally spaced angles in [0, pi), the profile
     through the image centroid is fit with a sum of two Gaussians and the
     half peak-to-peak centre separation gives one radius. A fit counts if it
     converged with its centres apart, both lobes of positive amplitude, both
-    centres inside the sampled profile and the lobes resolved, their centre
+    centres inside the sampled profile, the lobes resolved, their centre
     separation above the sum of their widths (which keeps each width shorter
-    than the profile); other diameters are excluded with their reasons. With
+    than the profile), and each lobe at least one sample (pixel) wide; other
+    diameters are excluded with their reasons. With
     fewer than two diameters left the image shows no ring, and a
     :class:`MeasurementError` is raised. ``radius`` is the mean of the
     per-diameter radii and ``uncertainty`` their standard deviation.
     """
     if n_diameters < 2:
         raise ValueError("need at least 2 diameters")
-    ctr = center if center is not None else image.centroid()
+    ctr = image.centroid()
     fits = []
     excluded = []
     for k in range(n_diameters):
@@ -245,6 +244,8 @@ def measure_ring_radius(
             excluded.append((angle, "a center lies outside the profile"))
         elif not fit.separation > fit.params[2] + fit.params[5]:
             excluded.append((angle, "lobes not resolved: widths sum to the separation or more"))
+        elif min(fit.params[2], fit.params[5]) < image.pixel_size:
+            excluded.append((angle, "a lobe is narrower than one sample"))
         else:
             rms = math.sqrt(fit.cost / t.size) / max(float(prof.max()), 1e-300)
             fits.append(DiameterFit(angle=angle, radius=fit.separation / 2.0, residual=rms))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import ringtrap.analysis
 import ringtrap.dressed
+import ringtrap.fields
 from ringtrap import (
     Geometry,
     analyze_trap,
@@ -511,20 +512,6 @@ def test_sweep_single_row_matches_direct(fig2a):
     assert rows[0].geometry is Geometry.DOUBLE_WELL
 
 
-def test_sweep_per_row_failure_recorded(fig2b):
-    omegas = [OMEGA_15MHZ, 2 * OMEGA_15MHZ]
-    amps = [(B07, B07, 0.0), (-1.0e-4, 0.0, 0.0)]  # invalid amplitude on row 2
-    rows = frequency_sweep(fig2b, omegas, amplitudes=amps)
-    assert rows[0].error is None and rows[0].geometry is Geometry.SYMMETRIC_RING
-    assert rows[1].error is not None and rows[1].geometry is None
-
-
-def test_sweep_non_finite_amplitude_is_a_row_error(fig2b):
-    rows = frequency_sweep(fig2b, [OMEGA_15MHZ], amplitudes=[(float("nan"), 0.0, 0.0)])
-    assert rows[0].error.startswith("ValueError: ")
-    assert rows[0].geometry is None and rows[0].barrier_height is None
-
-
 def test_sweep_z_band_scales_with_each_row_resonance_radius(fig2c):
     # the band is a fraction of each row's own r0, as the rho window is
     omegas = [0.5 * fig2c.rf.omega, 2.0 * fig2c.rf.omega]
@@ -550,14 +537,44 @@ def test_sweep_zero_amplitude_center_trap(fig2b):
     rows = frequency_sweep(fig2b, omegas, amplitudes=amps, n_phi=64)
     assert rows[0].geometry is Geometry.SYMMETRIC_RING
     assert rows[1].geometry is Geometry.CENTER_TRAP
-    assert all(r.error is None for r in rows)
 
 
-def test_sweep_rejects_empty_and_negative(fig2b):
-    with pytest.raises(ValueError):
-        frequency_sweep(fig2b, [])
-    with pytest.raises(ValueError):
-        frequency_sweep(fig2b, [-1.0])
+def test_sweep_rejects_empty_and_negative(fig2b, monkeypatch):
+    # every input is checked before the first kernel call: a bad row raises,
+    # even behind a valid group, and no row is profiled or returned
+    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    two = [OMEGA_15MHZ, 2 * OMEGA_15MHZ]
+    for omegas, amps in (
+        ([], None),
+        ([-1.0], None),
+        ([0.0], None),
+        ([OMEGA_15MHZ, math.nan], None),
+        ([OMEGA_15MHZ, math.inf], None),
+        (two, [(B07, B07, 0.0), (-1.0e-4, 0.0, 0.0)]),
+        (two, [(B07, B07, 0.0), (math.nan, 0.0, 0.0)]),
+    ):
+        with pytest.raises(ValueError):
+            frequency_sweep(fig2b, omegas, amplitudes=amps)
+    assert calls == []
+
+
+def test_sweep_builds_one_config_per_amplitude_group(fig2b, monkeypatch):
+    built = []
+    with_rf = ringtrap.fields.TrapConfig.with_rf
+
+    def counted(cfg, **changes):
+        built.append(changes)
+        return with_rf(cfg, **changes)
+
+    monkeypatch.setattr(ringtrap.fields.TrapConfig, "with_rf", counted)
+    omegas = list(2 * np.pi * 1e6 * np.linspace(0.5, 3.0, 41))
+    frequency_sweep(fig2b, omegas)
+    assert built == []  # no table: the one group is the config itself
+    amps = [(B07, B07, 0.0), (B07, 0.0, B02)] * 20 + [(B07, B07, 0.0)]
+    frequency_sweep(fig2b, omegas, amplitudes=amps)
+    assert built == [
+        {"b_x": B07, "b_y": B07, "b_z": 0.0}, {"b_x": B07, "b_y": 0.0, "b_z": B02}
+    ]
 
 
 #: sweep frequencies of the batched-sweep tests, 0.5 to 3 MHz

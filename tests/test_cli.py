@@ -285,6 +285,7 @@ def test_invalid_amplitude_table_entry_rejected_at_load(ini, tmp_path, bad):
     )
     assert code == EXIT_CONFIG
     assert not (out / "sweep.csv").exists()
+    assert not (out / "resolved.ini").exists()
 
 
 def test_amplitude_table_frequency_mismatch_is_a_config_error(ini, tmp_path):
@@ -349,18 +350,29 @@ temperature_uk = 0.3
 """
 
 
+#: a cold spot on coarse pixels (r0 = 978 um, 65.1 um pixels, 5 z nodes):
+#: its 22.5 and 157.5 degree fits found lobes 0.126 and 0.751 pixels wide
+NARROW_LOBES = [
+    "quadrupole.gradient_g_per_cm=35.2", "rf.bx_g=0.98", "rf.freq_mhz=2.41",
+    "imaging.temperature_uk=0.32", "imaging.pixel_um=65.1", "imaging.nz=5",
+]
+
+
 def test_cloud_without_a_ring_exits_3(tmp_path, capsys):
     # gravity holds the atoms in one spot at the bottom of the shell. At
     # 0.3 uK the two-Gaussian fits found lobes far outside their profiles
     # (radius 6.3e+168 um); at 1 and 3 uK they found overlapping lobes
-    # (17 +- 19 and 28 +- 30 um, against r0 = 668 um). Each run reported
-    # them with exit 0
+    # (17 +- 19 and 28 +- 30 um, against r0 = 668 um); on coarse pixels
+    # they found lobes narrower than a pixel (58 um, against r0 = 978 um).
+    # Each run reported them with exit 0
     ini = tmp_path / "spot.ini"
     ini.write_text(NO_RING)
-    for temperature in ("0.3", "1.0", "3.0"):
-        out = tmp_path / f"spot-{temperature}"
-        argv = ["image", "--config", str(ini), "--out", str(out),
-                "--set", f"imaging.temperature_uk={temperature}"]
+    cases = [[f"imaging.temperature_uk={t}"] for t in ("0.3", "1.0", "3.0")]
+    for k, overrides in enumerate(cases + [NARROW_LOBES]):
+        out = tmp_path / f"spot-{k}"
+        argv = ["image", "--config", str(ini), "--out", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
         assert main(argv) == EXIT_NUMERIC
         assert "no ring" in capsys.readouterr().err
         assert not (out / "radius.txt").exists()
@@ -443,13 +455,26 @@ def test_analyze_coupling_test_at_reported_minimum(ini, tmp_path):
     assert rep["coupling_dominated"] == want_flag
 
 
-def test_classification_azimuth_limit_checked_at_load(ini, tmp_path):
-    out = tmp_path / "np"
-    code = main(
-        ["analyze", "--config", str(ini), "--out", str(out), "--set", "analysis.n_phi=32"]
-    )
-    assert code == EXIT_CONFIG
-    assert not (out / "resolved.ini").exists()
+@pytest.mark.parametrize("override", [
+    "analysis.n_phi=32",
+    "atom.species=Xx",
+    "sweep.freq_mhz_list=1.0, abc",
+    "sweep.freq_mhz_list=1.0, nan",
+    "sweep.freq_mhz_list=1.0, nan, inf",
+    "sweep.amplitude_table=missing.csv",
+    "sweep.freq_mhz_count=1000000000000",
+    "imaging.pixel_um=0.01",
+    "imaging.xy_halfwidth_factor=1e308",
+], ids=["n_phi", "species", "freq-token", "freq-nan", "freq-nan-inf", "table", "freq-count",
+        "image-nodes", "image-inf"])
+def test_classification_azimuth_limit_checked_at_load(ini, tmp_path, override):
+    # every builder runs when the config loads: a config that one subcommand
+    # cannot use fails every subcommand, before any output is written
+    for command in ("analyze", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(ini), "--out", str(out),
+                     "--set", override]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 def test_image_od_scale_scales_pixels(ini, tmp_path):

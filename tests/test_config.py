@@ -96,15 +96,13 @@ def test_species_custom_requires_constants(tmp_path):
 
 
 def test_species_preset_conflicts_with_explicit(tmp_path):
-    rc = load_config(write(tmp_path, "[atom]\nspecies = Rb87\nm_f = 1\n"))
     with pytest.raises(ConfigError, match="conflict"):
-        rc.atom()
+        load_config(write(tmp_path, "[atom]\nspecies = Rb87\nm_f = 1\n"))
 
 
 def test_unknown_species_rejected(tmp_path):
-    rc = load_config(write(tmp_path, "[atom]\nspecies = unobtainium\n"))
     with pytest.raises(ConfigError, match="unknown species"):
-        rc.atom()
+        load_config(write(tmp_path, "[atom]\nspecies = unobtainium\n"))
 
 
 def test_unit_round_trip_fidelity(tmp_path):
@@ -130,13 +128,13 @@ def test_amplitude_table_loaded_and_validated(tmp_path):
     table = tmp_path / "amps.csv"
     table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n2.0,0,0,0\n")
     rc = load_config(write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0, 2.0\namplitude_table = amps.csv\n"))
-    rows = rc.sweep_amplitudes_t([1.0, 2.0], tmp_path)
+    rows = rc.sweep_amplitudes_t([1.0, 2.0])
     assert rows == [(0.7e-4, 0.7e-4, 0.0), (0.0, 0.0, 0.0)]
     with pytest.raises(ConfigError, match="rows"):
-        rc.sweep_amplitudes_t([1.0, 2.0, 3.0], tmp_path)
+        rc.sweep_amplitudes_t([1.0, 2.0, 3.0])
     with pytest.raises(ConfigError, match="does not match"):
-        rc.sweep_amplitudes_t([1.0, 2.5], tmp_path)
-    assert load_config(write(tmp_path, MINIMAL)).sweep_amplitudes_t([1.0], tmp_path) is None
+        rc.sweep_amplitudes_t([1.0, 2.5])
+    assert load_config(write(tmp_path, MINIMAL)).sweep_amplitudes_t([1.0]) is None
 
 
 def test_echo_deterministic(tmp_path):

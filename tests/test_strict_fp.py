@@ -25,7 +25,7 @@ def test_pipelines_raise_no_fp_error(name, band_factor):
             cfg, [0.5 * cfg.rf.omega, cfg.rf.omega], z_band_factor=band_factor
         )
     assert np.isfinite(analysis.ring_radius) and np.isfinite(analysis.depth)
-    assert all(row.error is None for row in rows)
+    assert all(np.isfinite(row.barrier_height) for row in rows)
 
 
 @pytest.mark.parametrize("grid", ["map", "image"])
