@@ -550,11 +550,34 @@ def test_sweep_rejects_empty_and_negative(fig2b, monkeypatch):
         ([0.0], None),
         ([OMEGA_15MHZ, math.nan], None),
         ([OMEGA_15MHZ, math.inf], None),
-        (two, [(B07, B07, 0.0), (-1.0e-4, 0.0, 0.0)]),
-        (two, [(B07, B07, 0.0), (math.nan, 0.0, 0.0)]),
+        (two, [(B07, B07, 0.0)]),
     ):
         with pytest.raises(ValueError):
             frequency_sweep(fig2b, omegas, amplitudes=amps)
+    assert calls == []
+
+
+def test_sweep_per_row_failure_recorded(fig2b, monkeypatch):
+    # a bad row is recorded as a ValueError naming it, raised before the
+    # valid row ahead of it is profiled: the sweep returns no error rows
+    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    omegas = [OMEGA_15MHZ, 2 * OMEGA_15MHZ]
+    amps = [(B07, B07, 0.0), (-1.0e-4, 0.0, 0.0)]  # invalid amplitude on row 2
+    with pytest.raises(ValueError, match="non-negative"):
+        frequency_sweep(fig2b, omegas, amplitudes=amps)
+    assert calls == []
+
+
+def test_sweep_non_finite_amplitude_is_a_row_error(fig2b, monkeypatch):
+    # a NaN amplitude is a bad input: it raises before any kernel call
+    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    with pytest.raises(ValueError, match="finite"):
+        frequency_sweep(fig2b, [OMEGA_15MHZ], amplitudes=[(float("nan"), 0.0, 0.0)])
+    with pytest.raises(ValueError, match="finite"):
+        frequency_sweep(
+            fig2b, [OMEGA_15MHZ, 2 * OMEGA_15MHZ],
+            amplitudes=[(B07, B07, 0.0), (math.nan, 0.0, 0.0)],
+        )
     assert calls == []
 
 
