@@ -12,10 +12,11 @@ azimuthal profile of that valley separates the geometries: a flat profile is
 a symmetric ring, coupling-closed zeros pinch the ring into a double well,
 and an azimuthally modulated but open valley is an asymmetric ring.
 
-The same closed form turns the 3-D minimum into a 2-D question: a local
-minimum of V is a local minimum of the ray floor over the unit sphere of
-field directions, which ``shell_minimum`` descends from the profile
-minimum's direction, with no box and no window.
+The same closed form turns the 3-D minimum into a 2-D question: the minimum
+of V is the minimum of the ray floor over the unit sphere of field
+directions, with no box and no window. ``shell_minimum`` takes it from the
+coupling holes, where |Omega| closes, in closed form and, under gravity,
+from a map of directions polished by a tangent-plane Newton iteration.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .minimize import (
     MIN_MESH_STEP,
     SMOOTH_RABI_FRACTION,
     MinimizationResult,
-    sphere_moves,
-    staged_search,
+    capped_search,
+    polished_result,
 )
 
 #: fewest profile azimuths the geometry classifier accepts
@@ -58,9 +59,33 @@ PROFILE_ZOOM = (97, 12)
 #: azimuth), where larger batches measured slower
 PROFILE_BATCH_POINTS = 2**14
 
-#: meshes the sphere search evaluates per kernel call: step, step / 2 and
-#: step / 4 (``minimize._compass``)
-SPHERE_MESH_LEVELS = 3
+#: the map of field directions ``shell_minimum`` starts from under gravity:
+#: latitudes, set half a row off each pole, and azimuths. Its 2,112 rays are
+#: fewer than the 4,800 points of ``_escape_depth``'s scan, so the map does
+#: not set the memory peak of a run
+SHELL_MAP = (33, 64)
+
+#: angle [rad] of the tangent-plane finite differences of the shell polish
+#: and of the neighbours that test a coupling hole for a local minimum
+SHELL_PROBE_ANGLE = 1e-6
+
+#: the shell polish stops a candidate once its step is shorter than this
+#: [rad], (2 pi / 64) / 2**9: 4e-8 m on a ring of 214 um, from where the
+#: 3-D Newton polish converges
+SHELL_STEP_TOL = 2.0 * np.pi / 64 / 2**9
+
+#: Newton iterations on the secular equation of a trust-region step that
+#: meets its radius: from the left the iteration rises monotonically to the
+#: root, and converges quadratically
+_SECULAR_ITERATIONS = 6
+
+#: angle [rad] from a coupling hole that is no minimum at which the shell
+#: polish starts downhill from it
+HOLE_DOWNHILL = 1e-3
+
+#: shell minima within this fraction of m_F hbar omega of the lowest tie;
+#: the one whose direction is nearest the start wins
+SHELL_TIE_FRACTION = 1e-12
 
 #: maps a unit field direction n to the point (n_x, n_y, -n_z / 2) at R = 1
 #: of its ray
@@ -422,11 +447,12 @@ def trap_frequencies(cfg: TrapConfig, minimum) -> TrapFrequencies:
     eigenvalue is paired to the axis its eigenvector aligns with best, and
     omega_i = sqrt(lambda_i / m). An azimuthal frequency below
     ``FLAT_PHI_FRACTION * omega_rho`` is reported as exactly zero (flat ring
-    direction).
+    direction); so is a negative eigenvalue within rounding (1e-9 of the
+    largest in size) of zero.
 
     Raises :class:`NotAMinimumError` at coupling-closed cusp points (the
     potential is conical there, not harmonic) and for negative curvature
-    along rho-hat or z-hat.
+    along any axis beyond that rounding: a saddle is not a trap.
     """
     r = np.asarray(minimum, dtype=float)
     omega = cfg.rf.omega
@@ -455,9 +481,9 @@ def trap_frequencies(cfg: TrapConfig, minimum) -> TrapFrequencies:
     lam_rho, lam_phi, lam_z = by_axis[0], by_axis[1], by_axis[2]
 
     neg_tol = 1e-9 * float(np.abs(lam).max())
-    if lam_rho < -neg_tol or lam_z < -neg_tol:
+    if lam.min() < -neg_tol:
         raise NotAMinimumError(
-            f"negative curvature (lambda_rho={lam_rho:.3e}, "
+            f"negative curvature (lambda_rho={lam_rho:.3e}, lambda_phi={lam_phi:.3e}, "
             f"lambda_z={lam_z:.3e} J/m^2); point is not a harmonic minimum"
         )
     m = cfg.atom.mass
@@ -571,38 +597,332 @@ def _field_direction(r) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def shell_minimum(
-    cfg: TrapConfig, start, step0: float, max_iter: int = 10_000
-) -> MinimizationResult:
-    """Local minimum of V over all space, searched on the sphere of field
-    directions from the unit direction ``start``.
+def _shell_floor(cfg, n):
+    """R*, V* [J] and |Omega| on the rays of the unit field directions ``n``
+    (..., 3); V* is +inf on a ray whose floor lies behind the centre or that
+    has none."""
+    radius, v, rabis = _ray_floor(cfg, n * _RAY)
+    return radius, np.where((radius > 0) & (radius < np.inf), v, np.inf), rabis
+
+
+def _coupling_holes(cfg) -> np.ndarray:
+    """The unit field directions (k, 3) where |Omega| is least on the sphere.
+
+    |Omega|^2 / C^2 = |a|^2 + |b|^2 - n.P n + 2 n.w, with P = a a^T + b b^T
+    and w = b x a, which P maps to 0. With P's largest eigenpair (p1, e1),
+    the least value on |n| = 1 is at n = -w / p1 +- sqrt(1 - |w|^2 / p1^2) e1.
+    |w|^2 = p1 p2 <= p1^2, so the coupling closes there: at two holes, which
+    merge into -w / |w| for circular polarisation (p1 = p2). Linear rf
+    (b = 0) has its holes at +-a / |a|. Where the rf vanishes (P = 0) no
+    direction stands out and none is returned.
+    """
+    parts = np.array(cfg.rf.amplitude_parts)
+    big = np.abs(parts).max()
+    if big == 0:
+        return np.empty((0, 3))
+    ax, ay, az, by, bz = parts / big  # the holes do not depend on the scale
+    a, b = np.array([ax, ay, az]), np.array([0.0, by, bz])
+    # a product of parts below ~1e-154 of the largest may underflow to 0,
+    # which moves nothing
+    with np.errstate(under="ignore"):
+        w = np.array([by * az - bz * ay, bz * ax, -by * ax])  # b x a
+        p, e = np.linalg.eigh(np.outer(a, a) + np.outer(b, b))
+        side = math.sqrt(max(1.0 - (w @ w) / (p[-1] * p[-1]), 0.0))
+    holes = -w / p[-1] + np.array([[side], [-side]]) * e[:, -1]
+    return holes / np.sqrt((holes * holes).sum(axis=1, keepdims=True))
+
+
+def _frames(n) -> np.ndarray:
+    """Orthonormal bases (k, 3, 3) with rows (n, t1, t2) at the unit vectors
+    ``n`` (k, 3), by the branchless construction of Duff et al. (2017), so
+    that no chart and no pole enters the polish."""
+    x, y, z = n.T
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    basis = np.empty((len(n), 3, 3))
+    basis[:, 0] = n
+    basis[:, 1, 0] = 1.0 + sign * x * x * a
+    basis[:, 1, 1] = sign * b
+    basis[:, 1, 2] = -sign * x
+    basis[:, 2, 0] = b
+    basis[:, 2, 1] = sign + y * y * a
+    basis[:, 2, 2] = -y
+    return basis
+
+
+def _turn(basis, coeffs) -> np.ndarray:
+    """The unit directions n + s1 t1 + s2 t2 for ``coeffs`` rows (1, s1, s2)
+    on ``basis`` (k, 3, 3): (k, m, 3) for coefficients (m, 3) or (k, m, 3)."""
+    d = np.matmul(coeffs, basis)
+    return d / np.sqrt((d * d).sum(axis=-1, keepdims=True))
+
+
+#: coefficients on (n, t1, t2) of the 9-direction stencil: the centre, then
+#: -+t1, -+t2 and the four diagonals at SHELL_PROBE_ANGLE
+_STENCIL = np.column_stack([np.ones(9), SHELL_PROBE_ANGLE * np.array(
+    [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]]
+)])
+
+#: weights (9, 5) that take the stencil's values to their central
+#: differences: the gradient (g1, g2) and the Hessian (h11, h12, h22)
+_DIFFERENCES = np.array([
+    [0, 1, -1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, -1, 0, 0, 0, 0],
+    [-2, 1, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0.25, -0.25, -0.25, 0.25],
+    [-2, 0, 0, 1, 1, 0, 0, 0, 0],
+]).T / np.array([2 * SHELL_PROBE_ANGLE] * 2 + [SHELL_PROBE_ANGLE**2] * 3)
+
+
+def _probe(cfg, n, scale):
+    """The stencil around each unit direction of ``n`` (k, 3), in one kernel
+    call: the bases of ``_frames``, then at the centres R*, V* [J] and
+    |Omega|, and the central-difference gradient (k, 2) and Hessian entries
+    (h11, h12, h22) (k, 3) of V* / ``scale`` in the tangent frame. Where a
+    stencil ray has no floor the centre's V* is +inf and the differences
+    are 0."""
+    basis = _frames(n)
+    radius, v, rabis = _shell_floor(cfg, _turn(basis, _STENCIL))
+    ok = np.isfinite(v).all(axis=1)
+    diffs = np.where(ok[:, None], v, 0.0) @ _DIFFERENCES
+    diffs /= scale
+    value = np.where(ok, v[:, 0], np.inf)
+    return basis, radius[:, 0], value, rabis[:, 0], diffs[:, :2], diffs[:, 2:]
+
+
+def _hole_cones(around, scale):
+    """Which coupling holes are local minima of V*, from the stencil values
+    ``around`` (k, 9) [J] at each, and the tangent direction (k, 2) of the
+    steepest descent from each, relative to its cone.
+
+    At a hole V* is a cone with a tilt: V*(p + d t) = V*(p) + d (|t|_K + g.t)
+    to first order in the tangent offset d t, where |t|_K^2 = t.K t. The
+    stencil gives g from its odd part and K from its even part along t1, t2
+    and t1 + t2. The hole is a local minimum when the tilt never beats the
+    cone, max over t of -g.t / |t|_K = |g|_{K^-1} <= 1, that is
+    g.adj(K) g <= det K with K positive definite; the most negative tilt is
+    along -K^-1 g. A cone that closes quadratically (circular rf) has K of
+    order d^2 and is a minimum only without tilt.
+    """
+    d = (around[:, 1:] - around[:, :1]) / scale  # +-t1, +-t2, diagonals
+    q1, q2, qd = (d[:, 0] + d[:, 1]) / 2, (d[:, 2] + d[:, 3]) / 2, (d[:, 4] + d[:, 7]) / 2
+    g1, g2 = (d[:, 0] - d[:, 1]) / 2, (d[:, 2] - d[:, 3]) / 2
+    k11, k22 = q1 * q1, q2 * q2
+    k12 = (qd * qd - k11 - k22) / 2
+    det = k11 * k22 - k12 * k12
+    down = np.column_stack([k12 * g2 - k22 * g1, k12 * g1 - k11 * g2])  # -adj(K) g
+    minimum = np.isfinite(around).all(axis=1) & (det > 0) & (-(down[:, 0] * g1 + down[:, 1] * g2) <= det)
+    return minimum, np.where((det > 0)[:, None], down, -np.column_stack([g1, g2]))
+
+
+def _trust_steps(grad, curv, radius):
+    """Steps (k, 2) that minimise the model g.s + s.H s / 2 over |s| <=
+    ``radius`` (the trust-region subproblem of More and Sorensen), and their
+    lengths.
+
+    In the eigenbasis of H, eigenvalues mu_lo <= mu_hi, the step is
+    s_i(lam) = -g_i / (mu_i + lam). Where H is positive definite and the
+    Newton step s(0) fits, it is the step. Otherwise lam > max(0, -mu_lo)
+    solves |s(lam)| = radius, by Newton's method on 1 / |s| - 1 / radius from
+    the left; the upper part of the step is s_hi(lam), and the lower part
+    takes the rest of the radius, downhill. That also solves the hard case,
+    where g has no part along the lower eigenvector and lam = -mu_lo.
+    """
+    h11, h12, h22 = curv.T
+    mid, half = (h11 + h22) / 2, np.hypot((h11 - h22) / 2, h12)
+    mu = np.column_stack([mid - half, mid + half])
+    psi = 0.5 * np.arctan2(2.0 * h12, h11 - h22)  # the upper eigenvector's angle
+    cos, sin = np.cos(psi), np.sin(psi)
+    g = np.column_stack([cos * grad[:, 1] - sin * grad[:, 0],
+                         cos * grad[:, 0] + sin * grad[:, 1]])
+    convex = mu[:, 0] > 0
+    step = -g / np.where(convex[:, None], mu, 1.0)
+    boundary = ~convex | ((step * step).sum(axis=1) > radius * radius)
+    if boundary.any():
+        g, mu, r = g[boundary], mu[boundary], radius[boundary, None]
+        lam = np.maximum(0.0, np.abs(g[:, :1]) / r - mu[:, :1])
+        # mu + lam stays above rounding of the model's own scale
+        floor = 1e-15 * (np.abs(mu).max(axis=1, keepdims=True) + np.abs(g).max(axis=1, keepdims=True) / r)
+        g2 = g * g
+        for _ in range(_SECULAR_ITERATIONS):
+            inv = 1.0 / np.maximum(mu + lam, floor)
+            s2 = (g2 * inv * inv).sum(axis=1, keepdims=True)
+            miss = np.sqrt(s2) / r - 1.0
+            if np.all(miss <= 1e-3):  # from the left, |s| >= r throughout
+                break
+            slope = (g2 * inv * inv * inv).sum(axis=1, keepdims=True)
+            lam = lam + np.where(slope > 0, s2 * miss, 0.0) / np.where(slope > 0, slope, 1.0)
+        # the step meets the radius: its upper part follows lam, and its
+        # lower part, downhill, takes the rest of the radius
+        r = r[:, 0]
+        upper = np.clip(-g[:, 1] / np.maximum(mu[:, 1] + lam[:, 0], floor[:, 0]), -r, r)
+        lower = np.sqrt(r * r - upper * upper)
+        step[boundary] = np.column_stack([np.where(g[:, 0] > 0, -lower, lower), upper])
+    step = np.column_stack([cos * step[:, 1] - sin * step[:, 0],
+                            sin * step[:, 1] + cos * step[:, 0]])
+    return step, np.sqrt((step * step).sum(axis=1))
+
+
+def _polish_on_shell(cfg, n, tol, max_iter, holes=np.empty((0, 3))):
+    """Polish the unit directions ``n`` (k, 3) together toward local minima
+    of V*: a Newton iteration in each one's tangent plane with a trust
+    radius, one kernel call of 9 directions per candidate per iteration
+    (``_probe``). A trial is taken when V* falls, and the radius then grows
+    to twice the step; otherwise the radius shrinks to a quarter of it, which
+    also ends a descent into the cusp of a coupling hole. A candidate stops
+    once its step is shorter than ``tol`` [rad]. The last ``len(holes)``
+    candidates start beside those holes, and each stops once it is more than
+    a row of the map from its hole: from there the map resolves the descent.
+
+    Returns the directions, R*, V* [J] and |Omega| there, the iterations,
+    the directions evaluated, and whether ``max_iter`` stopped the polish
+    first.
+    """
+    scale = cfg.atom.m_F * HBAR * cfg.rf.omega
+    state = _probe(cfg, n, scale)  # basis, R*, V*, |Omega|, gradient, Hessian
+    basis, _, value, _, grad, curv = state
+    active = np.isfinite(value)
+    row = np.pi / SHELL_MAP[0]
+    trust = np.full(len(n), row)
+    tethered = slice(len(n) - len(holes), len(n))
+    it, evals = 0, 9 * len(n)
+    while True:
+        step, length = _trust_steps(grad, curv, trust)
+        active &= length >= tol
+        active[tethered] &= (basis[tethered, 0] * holes).sum(axis=1) >= math.cos(row)
+        if not active.any() or it == max_iter:
+            return (basis[:, 0],) + state[1:4] + (it, evals, bool(active.any()))
+        it += 1
+        k = np.flatnonzero(active)
+        coeffs = np.column_stack([np.ones(len(k)), step[k]])[:, None]
+        trial = _turn(basis[k], coeffs)[:, 0]
+        got = _probe(cfg, trial, scale)
+        evals += 9 * len(k)
+        better = got[2] < value[k]
+        trust[k] = np.where(better, np.maximum(trust[k], 2.0 * length[k]), 0.25 * length[k])
+        for kept, new in zip(state, got):
+            kept[k[better]] = new[better]
+
+
+def _map_minima(v) -> np.ndarray:
+    """Mask of the nodes of the direction map ``v`` (latitude, azimuth) that
+    are finite and no higher than any of their 8 neighbours: equal to the
+    least value of their 3 x 3 block, taken along azimuth, then along
+    latitude. Across a pole the next row is the same row, half a turn on."""
+    lats, azimuths = v.shape
+    wrap = np.empty((lats, azimuths + 2))
+    wrap[:, 1:-1], wrap[:, 0], wrap[:, -1] = v, v[:, -1], v[:, 0]
+    rows = np.empty((lats + 2, azimuths))
+    np.minimum(np.minimum(wrap[:, :-2], wrap[:, 1:-1]), wrap[:, 2:], out=rows[1:-1])
+    turn = azimuths // 2
+    for pole, row in ((0, 1), (-1, -2)):
+        rows[pole, :turn], rows[pole, turn:] = rows[row, turn:], rows[row, :turn]
+    low = np.minimum(np.minimum(rows[:-2], rows[1:-1]), rows[2:])
+    return (v == low) & np.isfinite(v)
+
+
+def _map_directions(lats: int, azimuths: int) -> np.ndarray:
+    """Unit directions (lats * azimuths, 3), latitude by azimuth, on a map
+    whose rows sit half a row off the poles."""
+    theta = (np.arange(lats) + 0.5) * (np.pi / lats)
+    phi = np.arange(azimuths) * (2.0 * np.pi / azimuths)
+    sin_t = np.sin(theta)[:, None]
+    return np.stack(
+        np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)[:, None]),
+        axis=-1,
+    ).reshape(-1, 3)
+
+
+_SHELL_DIRECTIONS = _map_directions(*SHELL_MAP)
+
+
+def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationResult:
+    """Global minimum of V over all space, found on the sphere of field
+    directions; ties go to the direction nearest the unit vector ``start``.
 
     Every ray of fixed field direction n has the closed-form floor V*(n) of
-    ``_ray_floor``, so a local minimum of V is a local minimum of V* on the
-    unit sphere, at R*(n) (n_x, n_y, -n_z / 2). The search is
-    ``minimize.staged_search`` over n: compass moves of ``step0`` rad and
-    less in a tangent frame at the current n (``sphere_moves``), a coarse
-    stage of ``COARSE_MESH_HALVINGS`` halvings, the unbounded 3-D Newton exit
-    where the coupling is open, and otherwise a fine stage down to
-    ``MIN_MESH_STEP / r0`` rad, which moves the point by about
-    ``MIN_MESH_STEP``. Each iteration tries ``SPHERE_MESH_LEVELS`` meshes
-    in one kernel call; ``f_evals`` counts the directions evaluated. The
-    caller must know that V is bounded below (no gravity, or kappa > 1):
-    otherwise V* falls toward the rays that have no floor, where R* grows
-    without bound.
-    """
-    def floor(n):
-        radius, v, _ = _ray_floor(cfg, n * _RAY)
-        # a ray whose floor lies behind the centre, or that has none, is
-        # never stepped onto
-        return np.where((radius > 0) & (radius < np.inf), v, np.inf)
+    ``_ray_floor`` at R*(n) (n_x, n_y, -n_z / 2), so the minimum of V is the
+    minimum of V* on the unit sphere. V* is smooth except at the coupling
+    holes (``_coupling_holes``), where |Omega| closes and V* has a conical
+    cusp. Without gravity V* = m_F hbar |Omega|, so the holes are the global
+    minima and no search is needed. With gravity the candidates are the holes
+    whose cone the gravity tilt does not beat (``_hole_cones``, from a
+    stencil at ``SHELL_PROBE_ANGLE``), and the local minima of V* on a
+    ``SHELL_MAP`` of directions, polished together by ``_polish_on_shell``
+    with a start ``HOLE_DOWNHILL`` downhill of each other hole. The map and
+    the holes' stencils take one kernel call. Map minima are taken whatever
+    their coupling: with nearly circular rf, |Omega| closes quadratically at
+    its holes, and gravity can hold a smooth minimum where it is below
+    0.01 omega.
 
-    point = lambda n: _ray_floor(cfg, n * _RAY)[0] * n * _RAY
-    return staged_search(
-        cfg, floor, sphere_moves, np.asarray(start, dtype=float), step0,
-        MIN_MESH_STEP / resonance_radius(cfg), point, max_iter=max_iter,
-        levels=SPHERE_MESH_LEVELS,
-    )
+    The lowest candidate wins; those within ``SHELL_TIE_FRACTION`` of
+    m_F hbar omega of it tie, and the one whose direction is nearest
+    ``start`` wins. Its point ends in ``minimize.polished_result``, the 3-D
+    Newton polish and stationarity test where the coupling is open.
+    ``iterations`` counts the polish iterations, each one kernel call, and
+    ``f_evals`` the directions evaluated. The caller must know that V is
+    bounded below (no gravity, or kappa > 1): otherwise V* falls toward the
+    rays that have no floor, where R* grows without bound.
+
+    Raises
+    ------
+    ConvergenceError
+        More than ``max_iter`` polish iterations; the lowest candidate so far
+        rides on the exception.
+    """
+    start = np.asarray(start, dtype=float)
+    holes = _coupling_holes(cfg)
+    if not len(holes):  # the rf vanishes: every direction is a hole
+        holes = start[None, :]
+    it, evals, capped = 0, len(holes), False
+    if not cfg.gravity_on:
+        cands = (holes,) + _shell_floor(cfg, holes)
+        polished = np.zeros(len(holes), dtype=bool)
+    else:
+        directions = _SHELL_DIRECTIONS
+        m = len(directions)
+        basis = _frames(holes)
+        around = _turn(basis, _STENCIL).reshape(-1, 3)
+        floors = _shell_floor(cfg, np.concatenate([directions, around]))
+        evals = len(around) + m
+        around = floors[1][m:].reshape(len(holes), -1)
+        kept, down = _hole_cones(around, cfg.atom.m_F * HBAR * cfg.rf.omega)
+        # from a hole that is no minimum the polish also starts downhill: a
+        # minimum that hugs its cusp can lie between the map's nodes
+        down = down[~kept]
+        size = np.sqrt((down * down).sum(axis=1, keepdims=True))
+        down = np.divide(HOLE_DOWNHILL * down, size, out=np.zeros_like(down), where=size > 0)
+        downhill = _turn(basis[~kept], np.column_stack([np.ones(len(down)), down])[:, None])
+        starts = _map_minima(floors[1][:m].reshape(SHELL_MAP)).reshape(-1)
+        *found, it, more, capped = _polish_on_shell(
+            cfg, np.concatenate([directions[starts], downhill[:, 0]]), SHELL_STEP_TOL,
+            max_iter, holes[~kept],
+        )
+        evals += more
+        # the holes' rows are the centres of their stencils
+        at_holes = [holes] + [f[m::len(_STENCIL)] for f in floors]
+        cands = tuple(np.concatenate([h[kept], f]) for h, f in zip(at_holes, found))
+        polished = np.arange(len(cands[0])) >= kept.sum()
+    values = cands[2]
+    tie = SHELL_TIE_FRACTION * cfg.atom.m_F * HBAR * cfg.rf.omega
+    near = values <= values.min() + tie
+    best = int(np.argmax(np.where(near, cands[0] @ start, -np.inf)))
+    n, radius, value, rabi = (c[best:best + 1] for c in cands)
+    if polished[best] and not capped and rabi[0] <= SMOOTH_RABI_FRACTION * cfg.rf.omega:
+        # no 3-D polish follows where the coupling is closed, so a polished
+        # minimum there goes on to the fine precision, MIN_MESH_STEP of
+        # position
+        *found, more_it, more, capped = _polish_on_shell(
+            cfg, n, MIN_MESH_STEP / resonance_radius(cfg), max_iter - it
+        )
+        (n, radius, value, rabi), it, evals = found, it + more_it, evals + more
+    r, value = radius[0] * n[0] * _RAY, float(value[0])
+    if capped:
+        raise capped_search(
+            f"shell polish stopped at its cap of {max_iter} iterations", r, value, it, evals
+        )
+    return polished_result(cfg, r, value, it, evals)
 
 
 def analyze_trap(
@@ -614,13 +934,13 @@ def analyze_trap(
 ) -> RingAnalysis:
     """Profile, classify and harmonically characterise one trap config.
 
-    The profile minimum (the first listed minimum) is refined by
-    ``shell_minimum``: the result is a local minimum of V over all space,
-    reached by descent from that minimum's field direction, and may lie
-    outside the rho window and the z band. The escape depth is measured from
-    it. With gravity on and kappa <= 1, V has no bound minimum: nothing is
-    refined, a note says so, and the depth is measured from the profile
-    minimum.
+    ``shell_minimum`` refines the minimum to the global minimum of V over
+    all space, the lowest point of the dressed shell, where cold atoms
+    settle; of tied minima it takes the one nearest the field direction of
+    the profile minimum (the first listed minimum). It may lie outside the
+    rho window and the z band. The escape depth is measured from it. With
+    gravity on and kappa <= 1, V has no bound minimum: nothing is refined, a
+    note says so, and the depth is measured from the profile minimum.
     """
     r0 = resonance_radius(cfg)
     profile = azimuthal_profile(
@@ -652,9 +972,7 @@ def analyze_trap(
         )
     elif cls.geometry is not Geometry.CENTER_TRAP:
         try:
-            result = shell_minimum(
-                cfg, _field_direction(minima[0][0]), 2.0 * np.pi / n_phi
-            )
+            result = shell_minimum(cfg, _field_direction(minima[0][0]))
         except ConvergenceError as err:
             notes.append(f"minimum refinement did not converge: {err}")
             result = err.best

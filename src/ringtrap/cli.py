@@ -11,6 +11,7 @@ other package error or ``ValueError``), 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -217,7 +218,11 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process:
+    parsing leaves it unchanged, and building it costs more than a small
+    run's computation. Not built at import, which stays cheap."""
     parser = argparse.ArgumentParser(
         prog="ringtrap",
         description="rf-dressed quadrupole trap potentials and ring analysis",

@@ -228,14 +228,14 @@ class RunConfig:
                     self.get("quadrupole", "gradient_g_per_cm"), "G/cm", "T/m"
                 )
             )
+            return TrapConfig(
+                atom=self.atom(),
+                quad=quad,
+                rf=rf,
+                gravity_on=self.get("gravity", "enabled"),
+            )
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        return TrapConfig(
-            atom=self.atom(),
-            quad=quad,
-            rf=rf,
-            gravity_on=self.get("gravity", "enabled"),
-        )
 
     def classifier_tolerances(self) -> ClassifierTolerances:
         return ClassifierTolerances(

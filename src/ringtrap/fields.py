@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import AtomSpecies
+from .constants import MU_B, AtomSpecies
 
 
 def _reduce_phase(phi: float) -> float:
@@ -85,12 +85,21 @@ class TrapConfig:
     """Full parameter set of one rf-dressed quadrupole trap.
 
     When ``gravity_on``, the potential includes +m*g*y (pull toward -y).
+    The gradient must be large enough that g_F mu_B B_q, the Zeeman energy
+    slope that every length scale divides by, does not underflow to zero.
     """
 
     atom: AtomSpecies
     quad: QuadrupoleConfig
     rf: RfConfig
     gravity_on: bool = True
+
+    def __post_init__(self):
+        if not self.atom.g_F * MU_B * self.quad.gradient > 0:
+            raise ValueError(
+                f"quadrupole gradient {self.quad.gradient!r} T/m is too small: "
+                "g_F mu_B B_q underflows to zero"
+            )
 
     def with_rf(self, **changes) -> "TrapConfig":
         """Copy of this config with rf parameters replaced."""

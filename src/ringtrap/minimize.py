@@ -1,19 +1,19 @@
 """Local minimisation of the dressed potential.
 
 The potential develops conical (cusp-like) valleys wherever the rf coupling
-closes, so the primary engine is a derivative-free compass pattern search.
-``staged_search`` runs it in two stages on any space of search states that
-maps onto 3-D positions: to a coarse mesh first; where the coupling is open
-(|Omega| > 0.01 omega) there a damped Newton polish in 3-D takes over, and
-only when that does not end at a stationary point does the search continue
-to its fine mesh. ``find_minimum`` searches positions in an optional box
-(``_box_moves``); ``analysis.shell_minimum`` searches field directions on the
-unit sphere (``sphere_moves``).
+closes, so the box search's engine is a derivative-free compass pattern
+search. ``staged_search`` runs it in two stages on any space of search
+states that maps onto 3-D positions: to a coarse mesh first; where the
+coupling is open (|Omega| > 0.01 omega) there a damped Newton polish in 3-D
+takes over, and only when that does not end at a stationary point does the
+search continue to its fine mesh. ``find_minimum`` searches positions in an
+optional box (``_box_moves``). ``polished_result``, the end of every search
+and of ``analysis.shell_minimum``, polishes a smooth end point in 3-D and
+tests it for stationarity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,58 +61,31 @@ class MinimizationResult:
 
 def _box_moves(bounds):
     """Compass moves of one mesh step along +-x, +-y, +-z, clipped to
-    ``bounds`` when given: ``moves(x, step)`` -> (..., 6, 3) candidates for
-    each ``step`` of shape (...,) + (1, 1)."""
+    ``bounds`` when given: ``moves(x, step)`` -> the (6, 3) candidates."""
     axes = np.vstack([np.eye(3), -np.eye(3)])
     if bounds is None:
         return lambda x, step: x + step * axes
     return lambda x, step: np.clip(x + step * axes, bounds[0], bounds[1])
 
 
-def sphere_moves(n, step):
-    """Compass moves from the unit vector ``n`` along +-t1, +-t2 of a tangent
-    frame at ``n``, renormalised: (..., 4, 3) unit candidates at an angle of
-    atan(step) rad for each ``step`` of shape (...,) + (1, 1). The frame is
-    built at each point, from the axis least aligned with ``n``, so no chart
-    and no pole enters the search."""
-    k = np.argmin(np.abs(n))
-    t1 = -n[k] * n
-    t1[k] += 1.0  # that axis, made tangent
-    t1 /= math.sqrt(t1 @ t1)
-    (x, y, z), (a, b, c) = n.tolist(), t1.tolist()
-    t2 = np.array([y * c - z * b, z * a - x * c, x * b - y * a])  # n x t1
-    # every move is orthogonal to n and of length step
-    return (n + step * np.array([t1, t2, -t1, -t2])) / np.hypot(1.0, step)
-
-
-def _compass(f, moves, x, fx, step, it, evals, min_step, max_iter, levels=1):
+def _compass(f, moves, x, fx, step, it, evals, min_step, max_iter):
     """Compass iterations from ``x`` (value ``fx``) on a mesh of ``step``
-    until the mesh is at most ``min_step``. The counts ``it`` and ``evals``
-    carry on, so a continued search obeys the same cap. Returns
-    ``(x, fx, iterations, evals, hit_cap)``.
-
-    An iteration evaluates the moves on up to ``levels`` meshes, step,
-    step / 2, ..., those above ``min_step``, in one call of ``f`` and takes
-    the first mesh with an improving move. A failed mesh leaves ``x`` where
-    it is, so the path is the one-mesh path, in fewer iterations."""
+    until the mesh is at most ``min_step``: each evaluates the moves in one
+    call of ``f``, takes the best if it improves and halves the mesh if not.
+    The counts ``it`` and ``evals`` carry on, so a continued search obeys the
+    same cap. Returns ``(x, fx, iterations, evals, hit_cap)``."""
     while step > min_step:
         it += 1
         if it > max_iter:
             return x, fx, it, evals, True
-        meshes = [step]
-        while len(meshes) < levels and 0.5 * meshes[-1] > min_step:
-            meshes.append(0.5 * meshes[-1])
-        cands = moves(x, np.array(meshes)[:, None, None]).reshape(-1, len(x))
+        cands = moves(x, step)
         vals = f(cands)
         evals += len(cands)
-        per = len(cands) // len(meshes)
-        for j, mesh in enumerate(meshes):
-            k = j * per + int(np.argmin(vals[j * per:(j + 1) * per]))
-            if vals[k] < fx:
-                x, fx, step = cands[k].copy(), float(vals[k]), mesh
-                break
+        k = int(np.argmin(vals))
+        if vals[k] < fx:
+            x, fx = cands[k].copy(), float(vals[k])
         else:
-            step = 0.5 * meshes[-1]
+            step *= 0.5
     return x, fx, it, evals, False
 
 
@@ -155,7 +128,7 @@ def on_box_face(x, bounds) -> bool:
 
 def staged_search(
     cfg: TrapConfig, f, moves, x0, step0, min_step, point, bounds=None,
-    max_iter: int = 10_000, levels: int = 1,
+    max_iter: int = 10_000,
 ) -> MinimizationResult:
     """Two-stage compass search of the batched objective ``f`` over search
     states ``x`` that ``point(x)`` maps to 3-D positions; ``f(x)`` must be V
@@ -166,13 +139,12 @@ def staged_search(
     there (|Omega| > 0.01 omega), a 3-D Newton polish from its point aims the
     central-difference gradient below ``1e-8 * m * g``; its point is the
     result if it gets there, off the faces of ``bounds`` and no higher than
-    the coarse iterate. Otherwise the search continues to ``min_step`` and is
-    polished where the coupling is open. At coupling-closed cusp minima the
+    the coarse iterate. Otherwise the search continues to ``min_step`` and
+    ends in ``polished_result``. At coupling-closed cusp minima the
     potential is conical and the gradient criterion is unattainable, so
     convergence there is by mesh size alone (``smooth=False`` flags it).
     ``iterations``, ``f_evals`` and ``max_iter`` count the compass search of
-    both stages, not the polish; ``levels`` meshes are evaluated per
-    iteration (``_compass``), which moves the counts and not the path.
+    both stages, not the polish.
 
     Raises
     ------
@@ -189,7 +161,7 @@ def staged_search(
     # nothing left to do)
     coarse_step = max(step0 / 2**COARSE_MESH_HALVINGS, min_step)
     x, fx, it, evals, hit_cap = _compass(
-        f, moves, x, fx, step0, 0, 1, coarse_step, max_iter, levels
+        f, moves, x, fx, step0, 0, 1, coarse_step, max_iter
     )
     if not hit_cap and open_coupling(point(x)):
         rn, grad_norm = _newton_polish(cfg, point(x), bounds, grad_target)
@@ -202,35 +174,50 @@ def staged_search(
                 )
     if not hit_cap:
         x, fx, it, evals, hit_cap = _compass(
-            f, moves, x, fx, coarse_step, it, evals, min_step, max_iter, levels
+            f, moves, x, fx, coarse_step, it, evals, min_step, max_iter
         )
-    r = point(x)
     if hit_cap:
-        raise ConvergenceError(
-            f"pattern search exceeded {max_iter} iterations",
-            best=MinimizationResult(
-                position=r, value=fx, converged=False, stationary=False,
-                smooth=False, grad_norm=None, iterations=it, f_evals=evals,
-            ),
+        raise capped_search(
+            f"pattern search exceeded {max_iter} iterations", point(x), fx, it, evals
         )
+    return polished_result(cfg, point(x), fx, it, evals, bounds)
 
-    smooth = open_coupling(r)
+
+def capped_search(message, r, value, iterations, f_evals) -> ConvergenceError:
+    """The error of a search stopped by its iteration cap at ``r``, its best
+    point so far, of value ``value``: the point rides on it as ``best``."""
+    return ConvergenceError(message, best=MinimizationResult(
+        position=r, value=value, converged=False, stationary=False,
+        smooth=False, grad_norm=None, iterations=iterations, f_evals=f_evals,
+    ))
+
+
+def polished_result(
+    cfg: TrapConfig, r, value, iterations, f_evals, bounds=None
+) -> MinimizationResult:
+    """The converged result of a search that ended at ``r``, of value
+    ``value``. Where the coupling is open (|Omega| > 0.01 omega), a 3-D
+    Newton polish, clipped to ``bounds`` when given, aims the
+    central-difference gradient below ``1e-8 * m * g`` and the value is V at
+    its point; at a coupling-closed cusp the point and value stay, and the
+    gradient is only measured. ``stationary`` says whether the gradient is
+    below that target."""
+    grad_target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
+    smooth = rabi_frequency(r, cfg) > SMOOTH_RABI_FRACTION * cfg.rf.omega
     if smooth:
         r, grad_norm = _newton_polish(cfg, r, bounds, grad_target)
-        fx = float(dressed_potential(r, cfg))
+        value = float(dressed_potential(r, cfg))
     else:
         grad_norm = float(np.linalg.norm(potential_gradient(r, cfg)))
-
-    stationary = grad_norm < grad_target
     return MinimizationResult(
         position=r,
-        value=fx,
+        value=value,
         converged=True,
-        stationary=stationary,
+        stationary=grad_norm < grad_target,
         smooth=bool(smooth),
         grad_norm=grad_norm,
-        iterations=it,
-        f_evals=evals,
+        iterations=iterations,
+        f_evals=f_evals,
     )
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import ringtrap.analysis
 import ringtrap.dressed
@@ -22,14 +22,20 @@ from ringtrap import (
 from ringtrap.analysis import (
     PROFILE_BATCH_POINTS,
     SweepPoint,
+    _coupling_holes,
     _escape_depth,
     _field_direction,
+    _frames,
+    _map_minima,
     _ray_floor,
+    _shell_floor,
+    _trust_steps,
+    _turn,
     shell_minimum,
 )
-from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
+from ringtrap.constants import G_ACCEL, HBAR, K_B, MU_B, RB87
 from ringtrap.errors import ConvergenceError, NotAMinimumError
-from ringtrap.minimize import MIN_MESH_STEP, MinimizationResult, find_minimum, sphere_moves
+from ringtrap.minimize import MIN_MESH_STEP, MinimizationResult, find_minimum
 
 from conftest import (
     B07,
@@ -746,11 +752,10 @@ def test_escape_depth_matches_per_ray_oracle(name, monkeypatch):
 
 CUSP_NOTE = "coupling-closed (cusp) minimum; harmonic frequencies undefined"
 
-#: where the descent ends near fig2b's pole hole, in units of r0: there
+#: how near fig2b's pole hole its refinement ends, in units of r0: there
 #: |Omega| = C B theta^2 / 2 to leading order in the angle theta from the
-#: pole, and the kernel's cancellation resolves |Omega| to ~1e-16 of C B, so
-#: theta, and with it the point, is resolved to ~1e-8 (the worst seen is
-#: 1.7e-8)
+#: pole, so near circular polarisation the hole moves by ~sqrt(eps) ~ 1e-8
+#: rad with the rounding of its closed form
 POLE_TOLERANCE = 5e-8
 
 
@@ -772,7 +777,7 @@ def test_flat_ring_descent_is_start_independent(fig2b):
     r0 = resonance_radius(fig2b)
     prof = azimuthal_profile(fig2b, n_phi=64)
     ends = [
-        shell_minimum(fig2b, np.array([math.cos(p), math.sin(p), 0.0]), 2 * np.pi / 64)
+        shell_minimum(fig2b, np.array([math.cos(p), math.sin(p), 0.0]))
         for p in prof.azimuths
     ]
     pole = np.array([0.0, 0.0, 0.5 * r0])
@@ -794,8 +799,9 @@ def linear_hole(cfg, start):
     return float(_ray_floor(cfg, u)[0]) * u, towards
 
 
-#: a descent into a conical hole ends within one fine mesh, MIN_MESH_STEP
-#: of position, along each of its two tangent axes
+#: how near a conical hole the refinement ends: the fine mesh of a search,
+#: MIN_MESH_STEP of position, along each of its two tangent axes; the
+#: closed form lands within rounding of it
 HOLE_TOLERANCE = 2 * MIN_MESH_STEP
 
 
@@ -840,17 +846,191 @@ def test_shell_minimum_not_above_box_search_or_grid(name):
         assert v <= oracle + 1e-12 * abs(oracle)
 
 
-@pytest.mark.parametrize("name", sorted(reference_configs()))
-def test_mesh_levels_keep_the_one_mesh_path(name, monkeypatch):
-    # trying step, step / 2 and step / 4 in one call ends where trying one
-    # mesh per iteration does, bit for bit, in fewer iterations
-    cfg = reference_configs()[name]
-    start = _field_direction(analyze_trap(cfg).minima[0][0])
-    got = shell_minimum(cfg, start, 2 * np.pi / 64)
-    monkeypatch.setattr(ringtrap.analysis, "SPHERE_MESH_LEVELS", 1)
-    one = shell_minimum(cfg, start, 2 * np.pi / 64)
-    assert np.array_equal(got.position, one.position) and got.value == one.value
-    assert got.iterations < one.iterations
+#: linear x rf plus an axial part 60 degrees out of phase, under gravity:
+#: straight below the centre V* has a saddle, and its global minimum is a
+#: coupling hole
+SADDLE_CONFIG = make_trap(b_x=B07, b_z=B07, beta=np.radians(60), gravity=True)
+
+#: that saddle [m], a stationary point of V
+SADDLE_POINT = np.array([-3.988811051987621e-20, -0.00021714080170483102, 0.0])
+
+
+def dense_shell_minimum(cfg, lats, azimuths):
+    """Least V* [J] over a latitude-azimuth map of field directions whose
+    rows sit half a row off the poles, about 60 rows per kernel call."""
+    theta = (np.arange(lats) + 0.5) * (np.pi / lats)
+    phi = np.arange(azimuths) * (2.0 * np.pi / azimuths)
+    best = np.inf
+    for rows in np.array_split(theta, max(1, lats // 60)):
+        sin_t = np.sin(rows)[:, None]
+        n = np.stack(np.broadcast_arrays(
+            sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(rows)[:, None]
+        ), axis=-1)
+        best = min(best, float(_shell_floor(cfg, n)[1].min()))
+    return best
+
+
+def test_saddle_config_reports_the_global_minimum():
+    # the lowest point of the dressed shell is the hole at n = -(1, 1, 1) / sqrt 3,
+    # at -12.69 uK; a 721 x 1440 map of directions reads -12.68 uK
+    cfg = SADDLE_CONFIG
+    got = analyze_trap(cfg)
+    assert got.minimum.value / K_B * 1e6 == pytest.approx(-12.6853, abs=1e-4)
+    np.testing.assert_allclose(
+        got.minimum.position * 1e6, [-123.7511, -123.7511, 61.8756], rtol=0, atol=1e-4
+    )
+    assert got.notes == (CUSP_NOTE,) and got.omega_phi is None
+    tol = 1e-12 * RB87.m_F * HBAR * cfg.rf.omega
+    assert got.minimum.value <= dense_shell_minimum(cfg, 721, 1440) + tol
+
+
+def test_trap_frequencies_reject_a_saddle():
+    lam = np.linalg.eigvalsh(ringtrap.dressed.potential_hessian(SADDLE_POINT, SADDLE_CONFIG))
+    assert lam[0] == pytest.approx(-3.06e-21, rel=1e-2)  # along phi
+    with pytest.raises(NotAMinimumError, match="lambda_phi=-3.06"):
+        trap_frequencies(SADDLE_CONFIG, SADDLE_POINT)
+
+
+#: how far V* at the point ``shell_minimum`` reports may lie above the least
+#: V* of the oracles, in units of m_F hbar omega. The 3-D Newton polish of a
+#: smooth minimum stops where the central difference of step 1e-7 m
+#: vanishes, up to ~1e-8 m off the minimum along its softest direction, from
+#: where a neighbour 1e-6 rad away reads up to ~5e-11 lower
+SHELL_ORACLE_TOLERANCE = 1e-10
+
+
+#: angles of 0 or at least 1e-6 rad in size: the kernel's squares of the
+#: sine of a phase of 1e-193 rad, or of a start component of 1e-311,
+#: underflow, and underflow raises in this test
+ANGLES = st.one_of(st.just(0.0), st.floats(1e-6, np.pi), st.floats(-np.pi, -1e-6))
+
+
+@given(
+    amps=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-6, 1.5e-4))] * 3),
+    phases=st.tuples(ANGLES, ANGLES),
+    gradient=st.floats(0.2, 2.0),
+    gravity=st.booleans(),
+    polar=ANGLES.map(abs),
+    azimuth=ANGLES,
+)
+def test_shell_minimum_is_the_global_minimum_property(
+    amps, phases, gradient, gravity, polar, azimuth
+):
+    # kappa >= 1.3 under gravity, so V is bounded below
+    assume(any(amps))
+    cfg = make_trap(*amps, *phases, gradient=gradient, gravity=gravity)
+    start = np.array([math.sin(polar) * math.cos(azimuth),
+                      math.sin(polar) * math.sin(azimuth), math.cos(polar)])
+    with np.errstate(all="raise"):
+        got = shell_minimum(cfg, start)
+    n = _field_direction(got.position)
+    v = _shell_floor(cfg, n[None])[1][0]
+    tol = SHELL_ORACLE_TOLERANCE * RB87.m_F * HBAR * cfg.rf.omega
+    assert v <= dense_shell_minimum(cfg, 91, 180) + tol
+    ring = np.arange(16) * (np.pi / 8)
+    coeffs = np.column_stack([np.ones(16), 1e-6 * np.cos(ring), 1e-6 * np.sin(ring)])
+    assert v <= _shell_floor(cfg, _turn(_frames(n[None]), coeffs))[1].min() + tol
+
+
+@pytest.mark.parametrize("rf, pole", [
+    (dict(b_x=B07, b_z=B02), False),  # b = 0 exactly
+    (dict(b_x=B07, b_y=B02, alpha=np.pi), False),  # b_y = B02 sin(pi) ~ 2.4e-21 T
+    (dict(b_x=B07, b_y=B07, alpha=-np.pi / 2), True),  # circular: |w| = p1
+    (dict(b_x=B07, b_z=B07, alpha=0.3, beta=-np.pi / 2), True),  # circular in xz
+])
+def test_coupling_holes_edge_cases(rf, pole):
+    cfg = make_trap(**rf)
+    with np.errstate(all="raise"):
+        holes = _coupling_holes(cfg)
+    np.testing.assert_allclose(np.linalg.norm(holes, axis=1), 1.0, rtol=0, atol=1e-15)
+    ax, ay, az, by, bz = cfg.rf.amplitude_parts
+    a, b = np.array([ax, ay, az]), np.array([0.0, by, bz])
+    if pole:
+        # the two holes merge into -w / |w|, up to sqrt(eps) of the eigenpair
+        w = np.cross(b, a)
+        np.testing.assert_allclose(holes, [-w / np.linalg.norm(w)] * 2, rtol=0, atol=1e-7)
+    else:
+        # linear rf: +-a / |a|
+        np.testing.assert_allclose(
+            np.abs(holes @ a), np.linalg.norm(a), rtol=1e-15
+        )
+        assert holes[0] @ holes[1] == pytest.approx(-1.0, abs=1e-15)
+    # the coupling closes there, to the kernel's rounding
+    rabi = ringtrap.dressed.rabi_frequency(holes * [1.0, 1.0, -0.5], cfg)
+    scale = ringtrap.dressed.coupling_prefactor(cfg) * math.hypot(*np.concatenate([a, b]))
+    assert np.all(rabi <= 1e-14 * scale)
+
+
+def test_zero_rf_holes_are_the_start():
+    cfg = make_trap(gravity=False)
+    assert len(_coupling_holes(cfg)) == 0
+    start = np.array([0.6, 0.0, 0.8])
+    got = shell_minimum(cfg, start)
+    np.testing.assert_allclose(_field_direction(got.position), start, rtol=0, atol=1e-15)
+    assert not got.smooth
+
+
+def test_frames_are_orthonormal_everywhere():
+    # the poles, the equator, signed zeros and a generic direction
+    n = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, -0.0],
+                  [0.6, -0.48, 0.64], [-1e-17, 0.0, -1.0]])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    with np.errstate(all="raise"):
+        basis = _frames(n)
+    np.testing.assert_array_equal(basis[:, 0], n)
+    for b in basis:
+        np.testing.assert_allclose(b @ b.T, np.eye(3), rtol=0, atol=4e-16)
+
+
+def eight_neighbour_minima(v):
+    """The map's local minima, a node at a time: no neighbour lower, where
+    the row across a pole is the same row half a turn on."""
+    lats, azimuths = v.shape
+    low = np.zeros(v.shape, dtype=bool)
+    for i in range(lats):
+        for j in range(azimuths):
+            around = []
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    row, col = i + di, j + dj
+                    if row < 0 or row == lats:
+                        row, col = i, col + azimuths // 2
+                    around.append(v[row, col % azimuths])
+            low[i, j] = np.isfinite(v[i, j]) and v[i, j] <= min(around)
+    return low
+
+
+def test_map_minima_match_the_eight_neighbour_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        v = rng.integers(0, 4, size=(33, 64)).astype(float)
+        v[rng.random(v.shape) < 0.05] = np.inf
+        np.testing.assert_array_equal(_map_minima(v), eight_neighbour_minima(v))
+
+
+def test_trust_steps_solve_the_trust_region_subproblem():
+    # oracle: the model on 20,000 points of the boundary circle, and the
+    # Newton step where it fits and the Hessian is positive definite
+    rng = np.random.default_rng(11)
+    k = 300
+    grad = rng.normal(size=(k, 2)) * 10.0 ** rng.uniform(-6, 1, (k, 1))
+    curv = rng.normal(size=(k, 3)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    grad[:20, 0], curv[:20] = 0.0, [-1.0, 0.0, 2.0]  # the hard case
+    radius = 10.0 ** rng.uniform(-4, 0, k)
+    with np.errstate(all="raise"):
+        step, length = _trust_steps(grad, curv, radius)
+    np.testing.assert_allclose(length, np.linalg.norm(step, axis=1), rtol=1e-15)
+    assert np.all(length <= radius * (1 + 1e-15))
+    model = lambda s, g, c: g @ s + 0.5 * (c[0] * s[0] ** 2 + 2 * c[1] * s[0] * s[1] + c[2] * s[1] ** 2)
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 20_000))
+    for g, c, r, s in zip(grad, curv, radius, step):
+        best = model(r * np.array([circle.real, circle.imag]), g, c).min()
+        hess = np.array([[c[0], c[1]], [c[1], c[2]]])
+        if np.all(np.linalg.eigvalsh(hess) > 0):
+            newton = -np.linalg.solve(hess, g)
+            if np.linalg.norm(newton) <= r:
+                best = min(best, model(newton, g, c))
+        assert model(s, g, c) <= best + 1e-12 * abs(best)
 
 
 def test_ray_floor_is_the_minimum_along_each_ray():
@@ -878,33 +1058,23 @@ def test_ray_floor_is_the_minimum_along_each_ray():
         assert bool(has_floor.all()) == (cfg is not strong)
 
 
-def test_sphere_moves_are_unit_tangent_moves():
-    for n in ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.6, -0.48, 0.64]):
-        n = np.array(n)
-        moves = sphere_moves(n, 1e-3)
-        np.testing.assert_allclose(np.linalg.norm(moves, axis=1), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(moves @ n, 1.0 / math.hypot(1.0, 1e-3), rtol=0, atol=1e-15)
-        # the four moves span the tangent plane: opposite pairs, orthogonal axes
-        steps = moves - n / math.hypot(1.0, 1e-3)
-        np.testing.assert_allclose(steps[:2], -steps[2:], rtol=0, atol=1e-15)
-        assert abs(steps[0] @ steps[1]) <= 1e-18
-
-
-def test_shell_minimum_iteration_cap_raises_with_best(fig2b, monkeypatch):
-    start = np.array([1.0, 0.0, 0.0])
+def test_shell_minimum_iteration_cap_raises_with_best(monkeypatch):
+    # the saddle config's polish takes more than two iterations
+    cfg = SADDLE_CONFIG
+    start = np.array([0.0, -1.0, 0.0])
     with pytest.raises(ConvergenceError) as exc:
-        shell_minimum(fig2b, start, 2 * np.pi / 64, max_iter=5)
+        shell_minimum(cfg, start, max_iter=2)
     best = exc.value.best
-    assert best.iterations == 6 and not best.converged
+    assert best.iterations == 2 and not best.converged
     assert np.isfinite(best.value) and np.all(np.isfinite(best.position))
     # analyze_trap notes the failure and measures the depth from the best point
-    def capped(cfg, start, step0):
-        return shell_minimum(cfg, start, step0, max_iter=5)
+    def capped(cfg, start):
+        return shell_minimum(cfg, start, max_iter=2)
 
     monkeypatch.setattr(ringtrap.analysis, "shell_minimum", capped)
-    got = analyze_trap(fig2b)
+    got = analyze_trap(cfg)
     assert got.notes[0].startswith("minimum refinement did not converge")
-    assert got.minimum.iterations == 6 and got.refined_minimum is None
+    assert got.minimum.iterations == 2 and got.refined_minimum is None
 
 
 @pytest.mark.parametrize("shape", ["circular", "linear"])
@@ -929,7 +1099,7 @@ def test_analyze_ring_radius_positive(fig2b):
 
 # analyze_trap on the reference configs with its defaults; (x, y, z) m, V J,
 # azimuth rad. The gravity ring's refined point, depth and frequencies are
-# those of the one-stage box search, which the sphere search meets within
+# those of the one-stage box search, which the shell search meets within
 # the tolerances of test_reference_analysis_pinned
 _REFERENCE_ANALYSES = {
     "fig2a": dict(
@@ -944,36 +1114,36 @@ _REFERENCE_ANALYSES = {
         refined=(0.0002143432050427971, 0.0, 0.0),
         omega_over_rabi=math.inf,
         coupling_dominated=False,
-        iterations=9,
+        iterations=0,
         notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
     ),
     "fig2b": dict(
         geometry=Geometry.SYMMETRIC_RING,
         ring_radius=0.0002143432050427971,
         barrier_height=8.96831017167883e-44,
-        depth=2.0722535037198915e-27,
+        depth=2.0722535037199532e-27,
         omegas=(None, None, None),
         minima=[((0.00021331108392455867, 2.1009308007367626e-05, 0.0),
                  3.2459035274049993e-28, 0.09817477042468103)],
-        refined=(-1.3918642364121237e-12, -1.721539527275524e-12, 0.0001071716025213987),
+        refined=(0.0, 0.0, 0.00010717160252139855),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
-        iterations=48,
+        iterations=0,
         notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
     ),
     "fig2c": dict(
         geometry=Geometry.ASYMMETRIC_RING,
         ring_radius=0.0002143432050427971,
         barrier_height=2.4483896163859514e-28,
-        depth=1.4781553560197638e-27,
+        depth=1.4781553528435062e-27,
         omegas=(None, None, None),
         minima=[((0.0002143432050427971, 0.0, 0.0), 9.274010078300001e-29, 0.0),
                 ((-0.0002143432050427971, 2.6249471997464628e-20, 0.0),
                  9.274010078300001e-29, 3.141592653589793)],
-        refined=(0.00020609612478533795, 0.0, -2.944230330869583e-05),
+        refined=(0.00020609612466273666, 0.0, -2.9442303523248097e-05),
         omega_over_rabi=21.434320504279707,
         coupling_dominated=False,
-        iterations=18,
+        iterations=0,
         notes=("coupling-closed (cusp) minimum; harmonic frequencies undefined",),
     ),
     "gravity": dict(
@@ -987,7 +1157,7 @@ _REFERENCE_ANALYSES = {
         refined=(-4.0366991435830814e-20, -0.000147842364609883, 7.829111471728347e-05),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
-        iterations=15,
+        iterations=1,
         notes=(),
     ),
 }
@@ -995,10 +1165,9 @@ _REFERENCE_ANALYSES = {
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_ANALYSES))
 def test_reference_analysis_pinned(name):
-    # only the gravity ring's refinement takes the Newton exit from the
-    # coarse mesh, which moves its point by ~1e-11 r0 against the one-stage
-    # search: its depth and frequencies may move by 1e-8 relative, every
-    # other number is exact
+    # only the gravity ring's refinement ends in the 3-D Newton polish, which
+    # lands ~1e-11 r0 from the one-stage box search's point: its depth and
+    # frequencies may move by 1e-8 relative, every other number is exact
     want = _REFERENCE_ANALYSES[name]
     cfg = reference_configs()[name]
     got = analyze_trap(cfg)
@@ -1017,7 +1186,8 @@ def test_reference_analysis_pinned(name):
     assert got.criteria.omega_over_rabi == want["omega_over_rabi"]
     assert got.criteria.coupling_dominated is want["coupling_dominated"]
     assert got.criteria.gravity_negligible is True
-    # the sphere search's iterations, each of SPHERE_MESH_LEVELS meshes
+    # the shell polish's iterations: none without gravity, where the
+    # minimum is a coupling hole
     assert got.minimum.iterations == want["iterations"]
     omegas = (got.omega_rho, got.omega_z, got.omega_phi)
     if name == "gravity":

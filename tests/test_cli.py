@@ -498,6 +498,32 @@ def test_config_error_exit_code(tmp_path):
     assert main(["potential", "--config", str(missing), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["potential", "analyze", "sweep", "image"])
+def test_underflowing_gradient_is_a_config_error(ini, tmp_path, capsys, command):
+    # g_F mu_B B_q of 1e-300 G/cm underflows to 0, which every length scale
+    # divides by
+    out = tmp_path / "tiny"
+    argv = [command, "--config", str(ini), "--out", str(out),
+            "--set", "quadrupole.gradient_g_per_cm=1e-300"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("ringtrap: config error: quadrupole gradient")
+    assert "underflows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_two_runs_in_one_process_keep_their_own_overrides(ini, tmp_path):
+    # the parser is built once per process; each call parses its own --set
+    one, two = tmp_path / "one", tmp_path / "two"
+    argv = ["analyze", "--config", str(ini)]
+    assert main(argv + ["--out", str(one), "--set", "rf.freq_mhz=1.25"]) == EXIT_OK
+    assert main(argv + ["--out", str(two), "--set", "rf.by_g=0"]) == EXIT_OK
+    first, second = (load_config(d / "resolved.ini") for d in (one, two))
+    assert (first.get("rf", "freq_mhz"), first.get("rf", "by_g")) == (1.25, 0.7)
+    assert (second.get("rf", "freq_mhz"), second.get("rf", "by_g")) == (1.5, 0.0)
+    assert ringtrap.cli._build_parser.cache_info().currsize == 1
+
+
 def test_numeric_error_exit_code(ini, tmp_path):
     # zero atoms -> empty image -> measurement failure -> exit 3
     out = tmp_path / "z"
