@@ -31,6 +31,7 @@ import numpy as np
 from .constants import G_ACCEL, HBAR, MU_B
 from .dressed import (
     dressed_potential,
+    kernel_workspace,
     potential_hessian,
     rabi_frequency,
     rabi_squared,
@@ -58,6 +59,12 @@ PROFILE_ZOOM = (97, 12)
 #: the plane, and one frequency at a time in a z band (2 * 97 slopes per
 #: azimuth), where larger batches measured slower
 PROFILE_BATCH_POINTS = 2**14
+
+#: kernel points per call above which a profile's V calls share one kernel
+#: workspace: fresh temporaries cost less in smaller calls, and from ~9,000
+#: points (72 KB each) glibc hands them back after each call and page-faults
+#: them in again
+PROFILE_WORKSPACE_POINTS = 2**13
 
 #: the map of field directions ``shell_minimum`` starts from under gravity:
 #: latitudes, set half a row off each pole, and azimuths. Its 2,112 rays are
@@ -123,7 +130,9 @@ class AzimuthalProfile:
 
     Entry i of each array belongs to azimuth ``azimuths[i]``: the floor sits
     at cylindrical (``radii[i]``, ``z[i]``) with potential ``potentials[i]``
-    [J] and Rabi coupling ``rabis[i]`` [rad/s].
+    [J] and Rabi coupling ``rabis[i]`` [rad/s]. The profiles of several
+    dressing frequencies stack as rows: the arrays are then (F, n_phi), and
+    ``energy_scale`` and ``resonance_radius`` hold one value per row.
     """
 
     azimuths: np.ndarray
@@ -142,13 +151,14 @@ class AzimuthalProfile:
         phi, rho = float(self.azimuths[i]), float(self.radii[i])
         return np.array([rho * math.cos(phi), rho * math.sin(phi), float(self.z[i])])
 
-    def barrier_height(self) -> float:
-        """Azimuthal max - min of the valley floor [J]."""
-        return float(self.potentials.max() - self.potentials.min())
+    def barrier_height(self):
+        """Azimuthal max - min of the valley floor [J]; a list over rows."""
+        return (self.potentials.max(axis=-1) - self.potentials.min(axis=-1)).tolist()
 
-    def numeric_radius(self) -> float:
-        """Azimuth-averaged radial coordinate of the valley floor [m]."""
-        return float(self.radii.mean())
+    def numeric_radius(self):
+        """Azimuth-averaged radial coordinate of the valley floor [m]; a list
+        over rows."""
+        return self.radii.mean(axis=-1).tolist()
 
 
 def check_frequencies(omegas):
@@ -202,15 +212,18 @@ def _ray_floor(cfg, u, r0=None):
     return radius, c * r0 + e * root / a, rabis
 
 
-def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega):
+def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega, work, out):
     """Valley floor of each column over rho in [rho_min, rho_max] and
-    |z| <= z_band: radii, z, potentials, rabis.
+    |z| <= z_band, written into ``out`` (4, F, n_phi): radii, z, potentials,
+    rabis.
 
     A column is one (dressing frequency, azimuth) pair, and the columns
     form an (F, n_phi) array: ``cosp`` and ``sinp`` (n_phi,) give the
     azimuths, and ``r0`` (the resonance radius), the window ``rho_min``,
     ``rho_max``, ``z_band`` and ``omega`` (F, 1) belong to the frequencies.
     The rf amplitudes are those of ``cfg``, whose own omega is not used.
+    Each V call takes flat coordinates and the kernel workspace ``work`` (or
+    None); in the plane it writes V straight into ``out``.
 
     Along a ray of slope s = z / rho at azimuth phi the field direction
     n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and V
@@ -247,10 +260,10 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega):
         pts = np.empty(np.broadcast_shapes(s.shape, cosp.shape) + (3,))
         for k, coord in enumerate((cosp, sinp, s)):  # the ray points at R = 1
             np.multiply(coord, inv_q, out=pts[..., k])
-        radius, _, rabis = _ray_floor(cfg, pts, r0)  # r0 broadcasts
-        if pts.shape[:-1] != shape:  # the plane: V needs a point per column
-            pts = np.empty(shape + (3,))
-        radii = np.minimum(np.maximum(radius * inv_q, rho_min), rho_max)
+        radii, rabis = _ray_floor(cfg, pts, r0)[::2]  # R* and |Omega|; r0 broadcasts
+        radii *= inv_q
+        np.maximum(radii, rho_min, out=radii)
+        np.minimum(radii, rho_max, out=radii)
         if band:
             # the ray leaves the band at rho = z_band / |s|, kept >= rho_min
             # and |z| <= z_band against rounding
@@ -258,20 +271,20 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega):
             np.divide(z_band, abs_s, out=radii, where=abs_s * radii > z_band)
             np.maximum(radii, rho_min, out=radii)
             z = np.copysign(np.minimum(abs_s * radii, z_band), s)
-        else:  # the plane's rays stay in it
-            z = np.zeros_like(radii)
-        pts[..., 0], pts[..., 1], pts[..., 2] = radii * cosp, radii * sinp, z
-        v = dressed_potential(pts.reshape(-1, 3), cfg, omega=omega).reshape(shape)
-        if passes == 1:  # the plane: one ray per column
-            return radii[0, 0], z[0, 0], v[0, 0], np.broadcast_to(rabis, shape)[0, 0]
-        lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v, rabis)))
+        x, y = (radii * cosp).reshape(-1), (radii * sinp).reshape(-1)
+        if not band:  # the plane: one ray per column, which stays in it
+            out[0], out[1], out[3] = radii[0, 0], 0.0, rabis[0, 0]
+            # out's rows are contiguous, so the flat V is a view of them
+            dressed_potential((x, y, 0.0), cfg, work, out[2].reshape(-1), omega=omega)
+            return
+        v = dressed_potential((x, y, z.reshape(-1)), cfg, work, omega=omega)
+        lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v.reshape(shape), rabis)))
         best = lowest if best is None else np.where(lowest[3] < best[3], lowest, best)
         # shrink each slope window to 2.5 cells around its lowest ray
         half = 2.5 * (hi - lo) / (n_s - 1)
         lo = np.maximum(best[0] - half, s_lo)
         hi = np.minimum(best[0] + half, s_hi)
-    _, radii, z, potentials, rabis = _lowest(best)
-    return radii, z, potentials, rabis
+    out[:] = _lowest(best)[1:]
 
 
 def azimuthal_profile(
@@ -294,12 +307,16 @@ def azimuthal_profile(
     points); a z band zooms over the ray slope for all azimuths in lockstep
     (two kernel calls per pass of ``PROFILE_ZOOM``).
 
-    Given a sequence ``omegas``, returns the list of the profiles of
-    ``cfg.with_rf(omega=w)`` for each w, each with the bits of its own call,
-    from one batch of (frequency, azimuth) columns: in the plane, two kernel
-    calls of ``len(omegas) * n_phi`` points. A batch takes as many
-    frequencies as fit in ``PROFILE_BATCH_POINTS`` kernel points per call,
-    and at least one.
+    Given a sequence ``omegas``, returns one profile whose rows are the
+    profiles of ``cfg.with_rf(omega=w)`` for each w, each with the bits of
+    its own call. The rows are computed in batches of (frequency, azimuth)
+    columns, as many frequencies as fit in ``PROFILE_BATCH_POINTS`` kernel
+    points per call and at least one. In the plane a batch is two kernel
+    calls: the coupling on the ``n_phi`` ray directions, which do not
+    depend on the frequency, and V on the batch's rows x ``n_phi`` floor
+    points. Above ``PROFILE_WORKSPACE_POINTS`` points per call every batch
+    reuses one kernel workspace, and the floors go straight into the
+    profile's arrays.
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
@@ -313,26 +330,21 @@ def azimuthal_profile(
     phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     cosp, sinp = np.cos(phis), np.sin(phis)
     rays = 2 * PROFILE_ZOOM[0] if z_band_factor > 0 else 1
-    per_batch = max(1, PROFILE_BATCH_POINTS // (rays * n_phi))
-    profiles = []
+    per_batch = min(len(ws), max(1, PROFILE_BATCH_POINTS // (rays * n_phi)))
+    points = per_batch * rays * n_phi
+    work = kernel_workspace(points) if points > PROFILE_WORKSPACE_POINTS else None
+    floors = np.empty((4, len(ws), n_phi))  # radii, z, potentials, rabis
     for start in range(0, len(ws), per_batch):
-        w, r = ws[start:start + per_batch], r0[start:start + per_batch]
-        col = r[:, None]  # one row of columns per frequency
-        floors = _valley_floor(
+        rows = slice(start, start + per_batch)
+        col = r0[rows, None]  # one row of columns per frequency
+        _valley_floor(
             cfg, cosp, sinp, col, rho_factors[0] * col, rho_factors[1] * col,
-            z_band_factor * col, w[:, None],
+            z_band_factor * col, ws[rows, None], work, floors[:, rows],
         )
-        for f, (radii, z, potentials, rabis) in enumerate(zip(*floors)):
-            profiles.append(AzimuthalProfile(
-                azimuths=phis,
-                radii=radii,
-                z=z,
-                potentials=potentials,
-                rabis=rabis,
-                energy_scale=cfg.atom.m_F * HBAR * float(w[f]),
-                resonance_radius=float(r[f]),
-            ))
-    return profiles[0] if omegas is None else profiles
+    scales = cfg.atom.m_F * HBAR * ws
+    if omegas is None:
+        return AzimuthalProfile(phis, *floors[:, 0], float(scales[0]), float(r0[0]))
+    return AzimuthalProfile(phis, *floors, scales, r0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,33 +380,48 @@ class Classification:
     minima_indices: tuple = ()
 
 
-def _local_minima_indices(pots: np.ndarray, depth_floor: float) -> list[int]:
-    """Indices of periodic local minima deeper than ``depth_floor``."""
-    prev = np.roll(pots, 1)
-    nxt = np.roll(pots, -1)
-    cand = np.where((pots < prev) & (pots <= nxt))[0]
-    vmax = pots.max()
-    return [int(i) for i in cand if vmax - pots[i] > depth_floor]
+#: the geometry of each outcome code of ``_classify_rows``, in rule order
+_GEOMETRIES = (Geometry.CENTER_TRAP, Geometry.SYMMETRIC_RING, Geometry.DOUBLE_WELL,
+               Geometry.ASYMMETRIC_RING)
 
 
-def _classify_once(profile: AzimuthalProfile, tol: ClassifierTolerances):
+def _classify_rows(profile: AzimuthalProfile, tol: ClassifierTolerances):
+    """The classifier's rules on every row of ``profile`` under ``tol`` and
+    ``tol.halved()`` at once, which broadcast on a leading axis; each
+    comparison is the one a row would make on its own.
+
+    Returns the codes (2, ...) into ``_GEOMETRIES`` per tolerance set and
+    row, and the masks (2, ..., n_phi) of the periodic local minima deeper
+    than the flat threshold (None when every row is a center trap or flat),
+    which count only where the code is 2 or 3.
+    """
     pots, rabis = profile.potentials, profile.rabis
-    omega_scale = profile.energy_scale / HBAR  # m_F * omega; rabi comparison scale
-    if rabis.max() < CENTER_TRAP_COUPLING * omega_scale:
-        return Geometry.CENTER_TRAP, []
-    span = float(pots.max() - pots.min())
-    if span < tol.rel_flat * profile.energy_scale:
-        return Geometry.SYMMETRIC_RING, []
-    minima = _local_minima_indices(pots, tol.rel_flat * profile.energy_scale)
-    if len(minima) == 2:
-        d1, d2 = (float(pots.max() - pots[i]) for i in minima)
-        depths_match = abs(d1 - d2) <= tol.match_depth * max(d1, d2)
-        closed = all(
-            rabis[i] <= tol.closure * rabis.max() for i in minima
+    scale = np.asarray(profile.energy_scale)[..., None]  # m_F hbar omega [J]
+    rel_flat, match, closure = np.array(
+        [[t.rel_flat, t.match_depth, t.closure] for t in (tol, tol.halved())]
+    ).T.reshape((3, 2) + (1,) * pots.ndim)
+    vmax = pots.max(axis=-1, keepdims=True)
+    rmax = rabis.max(axis=-1, keepdims=True)
+    flat = rel_flat * scale
+    code = np.where(
+        rmax < CENTER_TRAP_COUPLING * (scale / HBAR), 0,
+        np.where(vmax - pots.min(axis=-1, keepdims=True) < flat, 1, 3),
+    )
+    minima = None
+    if code.max() == 3:  # some row has azimuthal structure
+        depth = vmax - pots
+        ring = np.concatenate((pots[..., -1:], pots, pots[..., :1]), axis=-1)  # wraps
+        minima = (pots < ring[..., :-2]) & (pots <= ring[..., 2:]) & (depth > flat)
+        # |d1 - d2| <= match * max(d1, d2) of exactly two minima d1, d2
+        deep = np.where(minima, depth, 0.0).max(axis=-1, keepdims=True)
+        shallow = np.where(minima, depth, np.inf).min(axis=-1, keepdims=True)
+        double = (
+            (minima.sum(axis=-1, keepdims=True) == 2)
+            & (deep - shallow <= match * deep)
+            & (~minima | (rabis <= closure * rmax)).all(axis=-1, keepdims=True)
         )
-        if depths_match and closed:
-            return Geometry.DOUBLE_WELL, minima
-    return Geometry.ASYMMETRIC_RING, minima
+        code[double & (code == 3)] = 2
+    return code[..., 0], minima
 
 
 def classify_geometry(
@@ -411,19 +438,19 @@ def classify_geometry(
     whose minima can be depth-matched by symmetry.
 
     The classification is re-run with halved tolerances; disagreement sets
-    ``low_confidence``.
+    ``low_confidence``. This is ``_classify_rows``, the pass that classifies
+    every row of a sweep at once, on one row.
     """
     if len(profile) < MIN_CLASSIFY_AZIMUTHS:
         raise ValueError(
             f"classification requires a profile with >= {MIN_CLASSIFY_AZIMUTHS} azimuths"
         )
-    tol = tolerances or ClassifierTolerances()
-    geometry, minima = _classify_once(profile, tol)
-    geometry_halved, _ = _classify_once(profile, tol.halved())
+    codes, minima = _classify_rows(profile, tolerances or ClassifierTolerances())
+    code, code_halved = codes.tolist()
     return Classification(
-        geometry=geometry,
-        low_confidence=geometry_halved is not geometry,
-        minima_indices=tuple(minima),
+        geometry=_GEOMETRIES[code],
+        low_confidence=code_halved != code,
+        minima_indices=tuple(np.flatnonzero(minima[0]).tolist()) if code > 1 else (),
     )
 
 
@@ -1047,10 +1074,12 @@ def frequency_sweep(
     ``ValueError``, and the sweep returns no partial result.
 
     Rows that share an amplitude triple (every row, without a table) are
-    profiled in one :func:`azimuthal_profile` call: in the plane, two kernel
-    calls of (rows x ``n_phi``) points for the whole group, split into
-    batches of at most ``PROFILE_BATCH_POINTS``. Each row has the bits of a
-    profile of its own.
+    one array pass: one :func:`azimuthal_profile` call profiles them as the
+    rows of one profile, in batches of at most ``PROFILE_BATCH_POINTS``
+    kernel points (in the plane, two kernel calls per batch);
+    ``_classify_rows`` classifies all of them under both tolerance sets at
+    once; and the radii and barriers are row reductions. Each row has the
+    bits of a profile and a ``classify_geometry`` of its own.
     """
     omegas = [float(w) for w in omegas]
     check_frequencies(omegas)
@@ -1071,20 +1100,19 @@ def frequency_sweep(
             for (bx, by, bz), members in by_triple.items()
         ]
 
+    tol = tolerances or ClassifierTolerances()
     rows = [None] * len(omegas)
     for cfg_g, members in groups:
-        profiles = azimuthal_profile(
+        profile = azimuthal_profile(
             cfg_g, n_phi=n_phi, rho_factors=rho_factors,
             z_band_factor=z_band_factor, omegas=[omegas[i] for i in members],
         )
-        for i, profile in zip(members, profiles):
-            cls = classify_geometry(profile, tolerances)
+        codes, _ = _classify_rows(profile, tol)
+        for i, r0, radius, barrier, code, code_halved in zip(
+            members, profile.resonance_radius.tolist(), profile.numeric_radius(),
+            profile.barrier_height(), *codes.tolist(),
+        ):
             rows[i] = SweepPoint(
-                omega=omegas[i],
-                resonance_radius=profile.resonance_radius,
-                numeric_radius=profile.numeric_radius(),
-                barrier_height=profile.barrier_height(),
-                geometry=cls.geometry,
-                low_confidence=cls.low_confidence,
+                omegas[i], r0, radius, barrier, _GEOMETRIES[code], code_halved != code
             )
     return rows

@@ -147,12 +147,9 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_sweep(rc: RunConfig, outdir: Path) -> int:
-    cfg = rc.trap()
-    freqs_mhz = rc.sweep_frequencies_mhz()
-    amplitudes = rc.sweep_amplitudes_t(freqs_mhz)
-    omegas = [convert_units(f, "MHz", "rad/s") for f in freqs_mhz]
+    freqs_mhz, omegas, amplitudes = rc.sweep_inputs  # built by the load
     rows = frequency_sweep(
-        cfg,
+        rc.trap(),
         omegas,
         amplitudes=amplitudes,
         n_phi=rc.get("analysis", "n_phi"),
@@ -160,17 +157,17 @@ def run_sweep(rc: RunConfig, outdir: Path) -> int:
         z_band_factor=rc.get("analysis", "z_band_factor"),
         tolerances=rc.classifier_tolerances(),
     )
-    um = 1e6
+    # r_resonance_um, r_numeric_um, barrier_uK; b / j_per_uk rounds exactly
+    # as convert_units(b, "J", "uK") does
+    cols = np.array([(r.resonance_radius, r.numeric_radius, r.barrier_height) for r in rows])
+    cols[:, :2] *= 1e6
+    cols[:, 2] /= convert_units(1.0, "uK", "J")
     # the error column stays, always empty: readers of sweep.csv use it
     lines = ["freq_MHz,r_resonance_um,r_numeric_um,barrier_uK,geometry,error"]
-    for f_mhz, row in zip(freqs_mhz, rows):
-        lines.append(
-            f"{f_mhz!r},"
-            f"{row.resonance_radius * um!r},"
-            f"{row.numeric_radius * um!r},"
-            f"{convert_units(row.barrier_height, 'J', 'uK')!r},"
-            f"{row.geometry},"
-        )
+    lines.extend(
+        f"{f_mhz!r},{r0!r},{radius!r},{barrier!r},{row.geometry.value},"
+        for f_mhz, (r0, radius, barrier), row in zip(freqs_mhz, cols.tolist(), rows)
+    )
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -11,10 +11,13 @@ resolved echo of the full configuration with defaults materialised.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .analysis import (
     MIN_CLASSIFY_AZIMUTHS,
@@ -287,6 +290,16 @@ class RunConfig:
         return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
 
     def sweep_frequencies_mhz(self) -> list:
+        """The sweep frequencies [MHz]: the list, or the range."""
+        return list(self.sweep_inputs[0])
+
+    @functools.cached_property
+    def sweep_inputs(self) -> tuple:
+        """The sweep frequencies [MHz] (a tuple), the same as dressing
+        frequencies [rad/s] (a read-only array) and the per-frequency
+        (bx, by, bz) amplitudes [T] of ``sweep_amplitudes_t`` (a list, or
+        None). Each is read, converted and checked once per config: by the
+        load."""
         listed = self.get("sweep", "freq_mhz_list").strip()
         range_given = [k for k in _RANGE_KEYS if ("sweep", k) in self.provided]
         if listed and range_given:
@@ -308,9 +321,11 @@ class RunConfig:
             else:
                 step = (stop - start) / (count - 1)
                 freqs = [start + k * step for k in range(count)]
-        omegas = [convert_units(f, "MHz", "rad/s") for f in freqs]
+        # an array scales each value as convert_units scales one
+        omegas = convert_units(np.array(freqs), "MHz", "rad/s")
         _check_in("sweep", check_frequencies, omegas)  # the sweep's own rule
-        return freqs
+        omegas.setflags(write=False)
+        return tuple(freqs), omegas, self.sweep_amplitudes_t(freqs)
 
     def sweep_amplitudes_t(self, freqs_mhz):
         """Per-frequency (bx, by, bz) rf amplitudes in tesla from the optional
@@ -418,7 +433,7 @@ def _validated(values: dict, provided: set, path: Path) -> RunConfig:
     rc.grid_dims()
     rc.rho_factors()
     rc.image_grid(resonance_radius(rc.trap()))
-    rc.sweep_amplitudes_t(rc.sweep_frequencies_mhz())
+    rc.sweep_inputs
     return rc
 
 

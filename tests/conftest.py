@@ -90,12 +90,13 @@ def count_coupling_calls(monkeypatch):
     """Route ``dressed._larmor_and_rabi_squared``, the body that every kernel
     entry point (``dressed_potential``, ``rabi_squared``, ...) runs once per
     call, through a counter; returns the list of point-array shapes it is
-    called with."""
+    called with. A tuple of coordinate arrays counts as the (..., 3) array
+    of the points it broadcasts to."""
     kernel = ringtrap.dressed._larmor_and_rabi_squared
     shapes = []
 
     def counted(r, cfg, *args):
-        shapes.append(np.shape(r))
+        shapes.append(np.broadcast(*r).shape + (3,) if isinstance(r, tuple) else np.shape(r))
         return kernel(r, cfg, *args)
 
     monkeypatch.setattr(ringtrap.dressed, "_larmor_and_rabi_squared", counted)

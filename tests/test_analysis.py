@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,14 @@ from ringtrap import (
     trap_frequencies,
 )
 from ringtrap.analysis import (
+    _GEOMETRIES,
+    CENTER_TRAP_COUPLING,
     PROFILE_BATCH_POINTS,
+    AzimuthalProfile,
+    Classification,
+    ClassifierTolerances,
     SweepPoint,
+    _classify_rows,
     _coupling_holes,
     _escape_depth,
     _field_direction,
@@ -46,7 +53,9 @@ from conftest import (
     grid_global_min,
     make_trap,
     reference_configs,
+    traced_growth,
 )
+from ringtrap.dressed import WORKSPACE_ROWS
 
 
 # -- resonance radius --------------------------------------------------------
@@ -394,6 +403,87 @@ def test_classify_requires_64_azimuths(fig2a):
         classify_geometry(prof)
 
 
+def classify_once(pots, rabis, energy_scale, tol):
+    """The classifier's rules on one profile row, azimuth by azimuth: the
+    geometry and the minima indices."""
+    if rabis.max() < CENTER_TRAP_COUPLING * (energy_scale / HBAR):
+        return Geometry.CENTER_TRAP, []
+    flat = tol.rel_flat * energy_scale
+    if float(pots.max() - pots.min()) < flat:
+        return Geometry.SYMMETRIC_RING, []
+    n, vmax = len(pots), pots.max()
+    minima = [
+        i for i in range(n)
+        if pots[i] < pots[i - 1] and pots[i] <= pots[(i + 1) % n] and vmax - pots[i] > flat
+    ]
+    if len(minima) == 2:
+        d1, d2 = (float(vmax - pots[i]) for i in minima)
+        depths_match = abs(d1 - d2) <= tol.match_depth * max(d1, d2)
+        closed = all(rabis[i] <= tol.closure * rabis.max() for i in minima)
+        if depths_match and closed:
+            return Geometry.DOUBLE_WELL, minima
+    return Geometry.ASYMMETRIC_RING, minima
+
+
+#: tolerances whose thresholds fall exactly on the dyadic rows drawn below
+#: (flat 4 levels, matched depths within 1/8, closure 1/4 of the largest
+#: coupling), and the default ones
+CLASSIFIER_TOLERANCES = [ClassifierTolerances(2**-4, 2**-3, 2**-2), ClassifierTolerances()]
+
+
+@st.composite
+def classifier_rows(draw, n_phi):
+    """One profile row in units of its energy scale / 64 and of omega: a
+    row of levels 0 to at most 4, with ties and plateaus; two wells on a
+    level of 32 (at the ends of the row, where it wraps, or anywhere; depths
+    on both sides of the match threshold, couplings on both sides of
+    closure); or a row whose largest coupling sits at the centre-trap
+    threshold."""
+    scale = draw(st.sampled_from([0.25, 1.0, 4.0]))  # m_F hbar omega [J]
+    unit, omega = scale / 64, scale / HBAR
+    top = draw(st.integers(0, 4))  # spans on both sides of the flat threshold
+    levels = st.lists(st.integers(0, top), min_size=n_phi, max_size=n_phi)
+    kind = draw(st.sampled_from(["levels", "wells", "centre"]))
+    if kind == "wells":
+        pots, rabis = np.full(n_phi, 32.0), np.full(n_phi, 16.0)
+        at = st.sampled_from([0, n_phi - 1]) | st.integers(0, n_phi - 1)
+        i, j = draw(st.lists(at, min_size=2, max_size=2, unique=True))
+        deep = draw(st.sampled_from([8, 16, 24, 32]) | st.integers(8, 32))
+        pots[i], pots[j] = 32 - deep, 32 - deep + draw(st.integers(0, 5))
+        rabis[i], rabis[j] = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        return pots * unit, rabis * omega, scale
+    pots = np.array(draw(levels), dtype=float) * unit
+    if kind == "levels":
+        return pots, np.array(draw(st.lists(st.integers(0, 8), min_size=n_phi, max_size=n_phi))) * omega, scale
+    threshold = CENTER_TRAP_COUPLING * omega
+    rabis = np.full(n_phi, threshold / 2)
+    rabis[draw(st.integers(0, n_phi - 1))] = draw(st.sampled_from(
+        [threshold, np.nextafter(threshold, 0.0), np.nextafter(threshold, np.inf)]
+    ))
+    return pots, rabis, scale
+
+
+@given(st.data(), st.sampled_from([64, 65]), st.sampled_from(CLASSIFIER_TOLERANCES))
+def test_batched_classifier_equals_per_row_rules(data, n_phi, tol):
+    rows = data.draw(st.lists(classifier_rows(n_phi), min_size=1, max_size=5))
+    pots, rabis, scales = (np.array(part) for part in zip(*rows))
+    blank = np.zeros_like(pots)
+    phis = np.arange(n_phi) * (2 * np.pi / n_phi)
+    profile = AzimuthalProfile(phis, blank, blank, pots, rabis, scales, scales)
+    codes, minima = _classify_rows(profile, tol)
+    for f, (row_pots, row_rabis, scale) in enumerate(rows):
+        geometry, indices = classify_once(row_pots, row_rabis, scale, tol)
+        halved, _ = classify_once(row_pots, row_rabis, scale, tol.halved())
+        assert (_GEOMETRIES[codes[0, f]], _GEOMETRIES[codes[1, f]]) == (geometry, halved)
+        got = np.flatnonzero(minima[0, f]).tolist() if codes[0, f] > 1 else []
+        assert got == indices
+        # classify_geometry is the same pass on one row
+        row = AzimuthalProfile(phis, blank[f], blank[f], row_pots, row_rabis, scale, scale)
+        assert classify_geometry(row, tol) == Classification(
+            geometry, halved is not geometry, tuple(indices)
+        )
+
+
 # -- trap frequencies --------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -674,6 +764,22 @@ def test_sweep_batches_are_bounded_by_the_point_budget(fig2c, monkeypatch):
     assert shapes == [(256, 3), (per_batch * 256, 3), (256, 3), (6 * 256, 3)]
     monkeypatch.undo()
     assert rows == one_row_at_a_time(fig2c, omegas, n_phi=256)
+
+
+def test_warm_sweep_grows_by_one_workspace_and_ten_row_arrays(fig2b):
+    # the 41 x 256 sweep: beyond one kernel workspace, the profile's four
+    # (41, 256) arrays, and the ray radii, x, y and omega of the V call (or
+    # the floor radius and its closed-form value before it); the rest, such
+    # as the 256 ray directions, takes less than one more such array
+    omegas = list(2 * np.pi * 1e6 * np.linspace(0.5, 3.0, 41))
+    frequency_sweep(fig2b, omegas, n_phi=256)
+    block = 41 * 256 * 8
+    tracemalloc.start()
+    try:
+        _, grown = traced_growth(lambda: frequency_sweep(fig2b, omegas, n_phi=256))
+    finally:
+        tracemalloc.stop()
+    assert grown <= WORKSPACE_ROWS * block + 10 * block
 
 
 def test_band_sweep_profiles_one_frequency_per_batch(fig2c, monkeypatch):
