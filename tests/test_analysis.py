@@ -41,6 +41,7 @@ from ringtrap.analysis import (
     shell_minimum,
 )
 from ringtrap.constants import G_ACCEL, HBAR, K_B, MU_B, RB87
+from ringtrap.dressed import WORKSPACE_ROWS
 from ringtrap.errors import ConvergenceError, NotAMinimumError
 from ringtrap.minimize import MIN_MESH_STEP, MinimizationResult, find_minimum
 
@@ -55,7 +56,6 @@ from conftest import (
     reference_configs,
     traced_growth,
 )
-from ringtrap.dressed import WORKSPACE_ROWS
 
 
 # -- resonance radius --------------------------------------------------------
@@ -454,7 +454,8 @@ def classifier_rows(draw, n_phi):
         return pots * unit, rabis * omega, scale
     pots = np.array(draw(levels), dtype=float) * unit
     if kind == "levels":
-        return pots, np.array(draw(st.lists(st.integers(0, 8), min_size=n_phi, max_size=n_phi))) * omega, scale
+        rabis = draw(st.lists(st.integers(0, 8), min_size=n_phi, max_size=n_phi))
+        return pots, np.array(rabis) * omega, scale
     threshold = CENTER_TRAP_COUPLING * omega
     rabis = np.full(n_phi, threshold / 2)
     rabis[draw(st.integers(0, n_phi - 1))] = draw(st.sampled_from(
