@@ -6,6 +6,7 @@ from .analysis import (
     ClassifierTolerances,
     CriteriaReport,
     Geometry,
+    MinimizationResult,
     RingAnalysis,
     SweepPoint,
     TrapFrequencies,
@@ -47,7 +48,6 @@ from .imaging import (
     extract_diameter_profile,
     measure_ring_radius,
 )
-from .minimize import MinimizationResult, find_minimum
 from .units import convert_units
 
 __version__ = "0.1.0"

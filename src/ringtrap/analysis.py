@@ -16,7 +16,9 @@ The same closed form turns the 3-D minimum into a 2-D question: the minimum
 of V is the minimum of the ray floor over the unit sphere of field
 directions, with no box and no window. ``shell_minimum`` takes it from the
 coupling holes, where |Omega| closes, in closed form and, under gravity,
-from a map of directions polished by a tangent-plane Newton iteration.
+from a map of directions polished by a tangent-plane Newton iteration; a
+smooth winner ends in Newton steps that bring the gradient of V, given by
+the envelope theorem, below 1e-8 m g.
 """
 
 from __future__ import annotations
@@ -39,13 +41,6 @@ from .dressed import (
 )
 from .errors import ConvergenceError, NotAMinimumError
 from .fields import TrapConfig
-from .minimize import (
-    MIN_MESH_STEP,
-    SMOOTH_RABI_FRACTION,
-    MinimizationResult,
-    capped_search,
-    polished_result,
-)
 
 #: fewest profile azimuths the geometry classifier accepts
 MIN_CLASSIFY_AZIMUTHS = 64
@@ -66,6 +61,17 @@ PROFILE_BATCH_POINTS = 2**14
 #: them in again
 PROFILE_WORKSPACE_POINTS = 2**13
 
+#: fraction of the dressing frequency below which a point counts as
+#: coupling-closed (cusp): it has no gradient and no harmonic expansion
+SMOOTH_RABI_FRACTION = 0.01
+
+#: stationarity threshold on the gradient norm, in units of m*g
+STATIONARY_GRAD_FACTOR = 1e-8
+
+#: a polished minimum where the coupling is closed is polished on until its
+#: step is below this [m] of position, MIN_MESH_STEP / r0 in angle
+MIN_MESH_STEP = 1e-12
+
 #: the map of field directions ``shell_minimum`` starts from under gravity:
 #: latitudes, set half a row off each pole, and azimuths. Its 2,112 rays are
 #: fewer than the 4,800 points of ``_escape_depth``'s scan, so the map does
@@ -78,7 +84,7 @@ SHELL_PROBE_ANGLE = 1e-6
 
 #: the shell polish stops a candidate once its step is shorter than this
 #: [rad], (2 pi / 64) / 2**9: 4e-8 m on a ring of 214 um, from where the
-#: 3-D Newton polish converges
+#: Newton finish in the winner's tangent plane converges
 SHELL_STEP_TOL = 2.0 * np.pi / 64 / 2**9
 
 #: Newton iterations on the secular equation of a trust-region step that
@@ -579,6 +585,20 @@ def criteria_report(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class MinimizationResult:
+    """Outcome of the search for the minimum of the potential."""
+
+    position: np.ndarray
+    value: float
+    converged: bool  # the search ended within its iteration cap
+    stationary: bool  # gradient norm below 1e-8 * m * g
+    smooth: bool  # coupling open at the minimum; harmonic analysis valid
+    grad_norm: float | None  # None where the coupling is closed
+    iterations: int
+    f_evals: int
+
+
+@dataclass(frozen=True)
 class RingAnalysis:
     """Complete geometry analysis of one trap configuration."""
 
@@ -832,6 +852,54 @@ def _polish_on_shell(cfg, n, tol, max_iter, holes=np.empty((0, 3))):
             kept[k[better]] = new[better]
 
 
+def _floor_gradient(probe, scale):
+    """|grad V| [N] at the ray floor of each centre of ``probe`` (a
+    ``_probe`` of V* / ``scale``), by the envelope theorem: at r = R* u(n),
+    u = D n with D = diag(1, 1, -1/2), the closed form gives dV/dR = 0, so
+    grad V . u = 0, and turning n along the tangent t_i gives
+    grad V . (R* D t_i) = dV*/ds_i. With (n, t1, t2) orthonormal the
+    solution is grad V = D^-1 (g1 t1 + g2 t2) / R*. A centre without a
+    floor, or with a stencil ray that has none, reads +inf."""
+    basis, radius, value, _, grad, _ = probe
+    tangent = np.matmul(grad[:, None], basis[:, 1:])[:, 0] / _RAY
+    norm = np.sqrt((tangent * tangent).sum(axis=1)) * (scale / radius)
+    return np.where(np.isfinite(value), norm, np.inf)
+
+
+def _finish_on_shell(cfg, n, target):
+    """Newton steps in the tangent plane from the unit direction ``n``
+    (1, 3), each taken, halved up to seven times, only when the gradient of
+    V at the ray floor (``_floor_gradient``) shrinks: near the minimum V*
+    falls by less than its own rounding, so its fall tells nothing. Stops
+    below ``target`` [N], after 12 steps, where the Hessian is not
+    positive definite, or when no halving helps. Returns the last
+    ``_probe``, its gradient norm and the trials, probes after the first;
+    each probe is one kernel call of 9 directions."""
+    scale = cfg.atom.m_F * HBAR * cfg.rf.omega
+    probe = _probe(cfg, n, scale)
+    norm = _floor_gradient(probe, scale)[0]
+    trials = 0
+    for _ in range(12):
+        if norm < target:
+            break
+        basis, (g1, g2), (h11, h12, h22) = probe[0], probe[4][0], probe[5][0]
+        det = h11 * h22 - h12 * h12
+        if not (h11 > 0 and det > 0):
+            break
+        step = np.array([1.0, (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det])
+        for _ in range(8):
+            got = _probe(cfg, _turn(basis, step[None])[:, 0], scale)
+            trials += 1
+            got_norm = _floor_gradient(got, scale)[0]
+            if got_norm < norm:
+                probe, norm = got, got_norm
+                break
+            step[1:] *= 0.5
+        else:
+            break
+    return probe, float(norm), trials
+
+
 def _map_minima(v) -> np.ndarray:
     """Mask of the nodes of the direction map ``v`` (latitude, azimuth) that
     are finite and no higher than any of their 8 neighbours: equal to the
@@ -885,12 +953,18 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
 
     The lowest candidate wins; those within ``SHELL_TIE_FRACTION`` of
     m_F hbar omega of it tie, and the one whose direction is nearest
-    ``start`` wins. Its point ends in ``minimize.polished_result``, the 3-D
-    Newton polish and stationarity test where the coupling is open.
-    ``iterations`` counts the polish iterations, each one kernel call, and
-    ``f_evals`` the directions evaluated. The caller must know that V is
-    bounded below (no gravity, or kappa > 1): otherwise V* falls toward the
-    rays that have no floor, where R* grows without bound.
+    ``start`` wins. A polished winner where the coupling is closed
+    (|Omega| <= ``SMOOTH_RABI_FRACTION`` omega) is polished on to
+    ``MIN_MESH_STEP`` of position. Where the coupling is open the winner
+    ends in ``_finish_on_shell``, which takes the gradient of V below
+    ``STATIONARY_GRAD_FACTOR`` m g; ``stationary`` says whether it got
+    there. At a coupling-closed winner V has a cusp and no gradient:
+    ``grad_norm`` is None, ``stationary`` False and ``smooth`` False.
+    ``iterations`` counts the polish iterations and the finish's trials,
+    each one kernel call, and ``f_evals`` the directions evaluated. The
+    caller must know that V is bounded below (no gravity, or kappa > 1):
+    otherwise V* falls toward the rays that have no floor, where R* grows
+    without bound.
 
     Raises
     ------
@@ -936,20 +1010,32 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
     near = values <= values.min() + tie
     best = int(np.argmax(np.where(near, cands[0] @ start, -np.inf)))
     n, radius, value, rabi = (c[best:best + 1] for c in cands)
-    if polished[best] and not capped and rabi[0] <= SMOOTH_RABI_FRACTION * cfg.rf.omega:
-        # no 3-D polish follows where the coupling is closed, so a polished
-        # minimum there goes on to the fine precision, MIN_MESH_STEP of
-        # position
+    smooth_rabi = SMOOTH_RABI_FRACTION * cfg.rf.omega
+    if polished[best] and not capped and rabi[0] <= smooth_rabi:
+        # no Newton finish follows where the coupling is closed, so a
+        # polished minimum there goes on to the fine precision, MIN_MESH_STEP
+        # of position
         *found, more_it, more, capped = _polish_on_shell(
             cfg, n, MIN_MESH_STEP / resonance_radius(cfg), max_iter - it
         )
         (n, radius, value, rabi), it, evals = found, it + more_it, evals + more
-    r, value = radius[0] * n[0] * _RAY, float(value[0])
+    smooth = bool(rabi[0] > smooth_rabi) and not capped
+    target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
+    grad_norm = None
+    if smooth:
+        probe, grad_norm, trials = _finish_on_shell(cfg, n, target)
+        n, radius, value = probe[0][:, 0], probe[1], probe[2]
+        it, evals = it + trials, evals + len(_STENCIL) * (1 + trials)
+    result = MinimizationResult(
+        position=radius[0] * n[0] * _RAY, value=float(value[0]), converged=not capped,
+        stationary=smooth and grad_norm < target, smooth=smooth, grad_norm=grad_norm,
+        iterations=it, f_evals=evals,
+    )
     if capped:
-        raise capped_search(
-            f"shell polish stopped at its cap of {max_iter} iterations", r, value, it, evals
+        raise ConvergenceError(
+            f"shell polish stopped at its cap of {max_iter} iterations", best=result
         )
-    return polished_result(cfg, r, value, it, evals)
+    return result
 
 
 def analyze_trap(
@@ -965,9 +1051,12 @@ def analyze_trap(
     all space, the lowest point of the dressed shell, where cold atoms
     settle; of tied minima it takes the one nearest the field direction of
     the profile minimum (the first listed minimum). It may lie outside the
-    rho window and the z band. The escape depth is measured from it. With
-    gravity on and kappa <= 1, V has no bound minimum: nothing is refined, a
-    note says so, and the depth is measured from the profile minimum.
+    rho window and the z band. The escape depth is measured from it. Where
+    it is smooth and stationary (its Newton finish took the gradient of V
+    below 1e-8 m g) it is ``refined_minimum``, and the harmonic frequencies
+    are taken there. With gravity on and kappa <= 1, V has no bound
+    minimum: nothing is refined, a note says so, and the depth is measured
+    from the profile minimum.
     """
     r0 = resonance_radius(cfg)
     profile = azimuthal_profile(

@@ -165,52 +165,55 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     x, y, z = _coordinates(r)
     rf = cfg.rf
     ax, ay, az, by, bz = rf.amplitude_parts
-    w = _mul(-2.0, z, work, 0)
-    rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 5)
-    rad = _sqrt(_add(rad, _mul(w, w, work, 3), work, 1), work, 1)
-    larmor = _mul(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, work, 2)
-    larmor /= HBAR
-    tiny = 2.0**-500
-    centre = None
-    # one point's R is a numpy scalar, compared directly: its .min() costs
-    # more than the rest of the check
-    if rad < tiny if rad.ndim == 0 else rad.size and rad.min() < tiny:
-        # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
-        # underflows to 0; scaling by a power of two is exact, so such a
-        # point keeps its own direction (and the centre stays at 0)
-        scale = _select(rad < tiny, 2.0**600, 1.0, work, 3)
-        x, y, w = _mul(x, scale, work, 5), _mul(y, scale, work, 6), _mul(w, scale, work, 7)
-        rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 3)
-        rad = _sqrt(_add(rad, _mul(w, w, work, 4), work, 1), work, 1)
-        centre = rad == 0.0
-        rad = _select(centre, 1.0, rad, work, 1)
-    inv = _reciprocal(rad, work, 1)
-    nx, ny = _mul(x, inv, work, 3), _mul(y, inv, work, 4)
-    inv *= w  # 1/R is not needed again
-    nz = inv
-    na = _mul(nx, ax, work, 5)
-    na += _mul(ny, ay, work, 6)
-    na += _mul(nz, az, work, 6)
-    # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
-    ux = _mul(na, nx, work, 7)
-    ux -= ax
-    ux -= _mul(ny, bz, work, 6)
-    ux += _mul(nz, by, work, 6)
-    uy = _mul(na, ny, work, 4)  # n_y is not needed again
-    uy -= ay
-    uy += _mul(nx, bz, work, 6)
-    uz = _mul(na, nz, work, 1)  # nor n_z
-    uz -= az
-    uz -= _mul(nx, by, work, 6)
-    ux *= ux
-    uy *= uy
-    ux += uy
-    uz *= uz
-    ux += uz
-    if centre is not None:
-        ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, work, 7)
-    pref = coupling_prefactor(cfg)
-    return larmor, _mul(pref * pref, ux, work, 7)
+    # a coordinate hundreds of decades below another underflows in the
+    # squares and products of its part, to a 0 that changes nothing
+    with np.errstate(under="ignore"):
+        w = _mul(-2.0, z, work, 0)
+        rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 5)
+        rad = _sqrt(_add(rad, _mul(w, w, work, 3), work, 1), work, 1)
+        larmor = _mul(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, work, 2)
+        larmor /= HBAR
+        tiny = 2.0**-500
+        centre = None
+        # one point's R is a numpy scalar, compared directly: its .min() costs
+        # more than the rest of the check
+        if rad < tiny if rad.ndim == 0 else rad.size and rad.min() < tiny:
+            # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
+            # underflows to 0; scaling by a power of two is exact, so such a
+            # point keeps its own direction (and the centre stays at 0)
+            scale = _select(rad < tiny, 2.0**600, 1.0, work, 3)
+            x, y, w = _mul(x, scale, work, 5), _mul(y, scale, work, 6), _mul(w, scale, work, 7)
+            rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 3)
+            rad = _sqrt(_add(rad, _mul(w, w, work, 4), work, 1), work, 1)
+            centre = rad == 0.0
+            rad = _select(centre, 1.0, rad, work, 1)
+        inv = _reciprocal(rad, work, 1)
+        nx, ny = _mul(x, inv, work, 3), _mul(y, inv, work, 4)
+        inv *= w  # 1/R is not needed again
+        nz = inv
+        na = _mul(nx, ax, work, 5)
+        na += _mul(ny, ay, work, 6)
+        na += _mul(nz, az, work, 6)
+        # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
+        ux = _mul(na, nx, work, 7)
+        ux -= ax
+        ux -= _mul(ny, bz, work, 6)
+        ux += _mul(nz, by, work, 6)
+        uy = _mul(na, ny, work, 4)  # n_y is not needed again
+        uy -= ay
+        uy += _mul(nx, bz, work, 6)
+        uz = _mul(na, nz, work, 1)  # nor n_z
+        uz -= az
+        uz -= _mul(nx, by, work, 6)
+        ux *= ux
+        uy *= uy
+        ux += uy
+        uz *= uz
+        ux += uz
+        if centre is not None:
+            ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, work, 7)
+        pref = coupling_prefactor(cfg)
+        return larmor, _mul(pref * pref, ux, work, 7)
 
 
 def larmor_frequency(r, cfg: TrapConfig):

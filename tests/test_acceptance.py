@@ -10,11 +10,11 @@ import pytest
 from ringtrap import (
     Geometry,
     add_noise,
+    analyze_trap,
     azimuthal_profile,
     classify_geometry,
     criteria_report,
     dressed_potential,
-    find_minimum,
     frequency_sweep,
     measure_ring_radius,
     potential_gradient,
@@ -23,6 +23,7 @@ from ringtrap import (
     resonance_radius,
     trap_frequencies,
 )
+from ringtrap.analysis import _field_direction, shell_minimum
 from ringtrap.cli import EXIT_OK, main
 from ringtrap.config import load_config
 from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
@@ -35,7 +36,15 @@ from ringtrap.image_io import (
 )
 from ringtrap.units import convert_units
 
-from conftest import B07, B02, PIXEL, grid_global_min, make_trap, synth_image
+from conftest import (
+    B07,
+    B02,
+    PIXEL,
+    grid_global_min,
+    make_trap,
+    richardson_gradient,
+    synth_image,
+)
 
 GRAD_100_GCM = 1.0  # T/m
 
@@ -97,13 +106,10 @@ def test_criterion_2_fig2_regime_classification():
 def test_criterion_3_quasi_2d_confinement():
     """omega_z/omega_rho > 1 at the ring minimum with a clean Hessian."""
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
-    r0 = resonance_radius(cfg)
-    box = (
-        np.array([-2 * r0, -2 * r0, -0.45 * r0]),
-        np.array([2 * r0, 2 * r0, 0.45 * r0]),
-    )
-    res = find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=box)
-    grad_norm = float(np.linalg.norm(potential_gradient(res.position, cfg)))
+    res = analyze_trap(cfg).minimum
+    # the Richardson extrapolant of the step-1e-7 m central difference: the
+    # plain difference is biased by ~6e-29 N across the narrow dressed valley
+    grad_norm = float(np.linalg.norm(richardson_gradient(res.position, cfg, 1e-7)))
     grad_bound = 1e-8 * RB87.mass * G_ACCEL
     freqs = trap_frequencies(cfg, res.position)
     eigs_ok = all(l >= 0 for l in freqs.eigenvalues)
@@ -214,11 +220,16 @@ def test_criterion_6_oracle_equivalence():
         lo = np.array([-1.35 * r0, -1.35 * r0, -0.45 * r0])
         hi = np.array([1.35 * r0, 1.35 * r0, 0.45 * r0])
         v_grid, pos_grid, cell_var = grid_global_min(cfg, lo, hi)
-        res = find_minimum(cfg, pos_grid, bounds=(lo, hi))
+        res = shell_minimum(cfg, _field_direction(pos_grid))
         gap = v_grid - res.value
-        good = res.value <= v_grid + 1e-45 and gap <= cell_var
+        # the search spans all space: its minimum must lie inside the grid
+        inside = np.all(np.abs(res.position) <= hi)
+        good = res.value <= v_grid + 1e-45 and gap <= cell_var and inside
         ok &= good
-        details.append(f"{name}: grid-optimizer gap {gap:.2e} <= cell var {cell_var:.2e}")
+        details.append(
+            f"{name}: grid-optimizer gap {gap:.2e} <= cell var {cell_var:.2e}, "
+            f"z / r0 = {res.position[2] / r0:.3f}"
+        )
     report(6, ok, "; ".join(details))
 
 

@@ -23,17 +23,21 @@ from ringtrap import (
 from ringtrap.analysis import (
     _GEOMETRIES,
     CENTER_TRAP_COUPLING,
+    MIN_MESH_STEP,
     PROFILE_BATCH_POINTS,
     AzimuthalProfile,
     Classification,
     ClassifierTolerances,
+    MinimizationResult,
     SweepPoint,
     _classify_rows,
     _coupling_holes,
     _escape_depth,
     _field_direction,
+    _floor_gradient,
     _frames,
     _map_minima,
+    _probe,
     _ray_floor,
     _shell_floor,
     _trust_steps,
@@ -43,7 +47,6 @@ from ringtrap.analysis import (
 from ringtrap.constants import G_ACCEL, HBAR, K_B, MU_B, RB87
 from ringtrap.dressed import WORKSPACE_ROWS
 from ringtrap.errors import ConvergenceError, NotAMinimumError
-from ringtrap.minimize import MIN_MESH_STEP, MinimizationResult, find_minimum
 
 from conftest import (
     B07,
@@ -54,6 +57,7 @@ from conftest import (
     grid_global_min,
     make_trap,
     reference_configs,
+    richardson_gradient,
     traced_growth,
 )
 
@@ -490,9 +494,7 @@ def test_batched_classifier_equals_per_row_rules(data, n_phi, tol):
 @pytest.fixture(scope="module")
 def gravity_ring_minimum():
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
-    r0 = resonance_radius(cfg)
-    box = (np.array([-2 * r0, -2 * r0, -0.45 * r0]), np.array([2 * r0, 2 * r0, 0.45 * r0]))
-    res = find_minimum(cfg, [1e-9, -1.05 * r0, 0.0], bounds=box)
+    res = shell_minimum(cfg, _field_direction([1e-9, -1.05, 0.0]))
     return cfg, res
 
 
@@ -906,9 +908,9 @@ def linear_hole(cfg, start):
     return float(_ray_floor(cfg, u)[0]) * u, towards
 
 
-#: how near a conical hole the refinement ends: the fine mesh of a search,
-#: MIN_MESH_STEP of position, along each of its two tangent axes; the
-#: closed form lands within rounding of it
+#: how near a conical hole the refinement ends: the fine precision of the
+#: shell polish, MIN_MESH_STEP of position, along each of its two tangent
+#: axes; the closed form lands within rounding of it
 HOLE_TOLERANCE = 2 * MIN_MESH_STEP
 
 
@@ -936,20 +938,17 @@ def test_linear_rf_descent_ends_in_the_hole_along_a_property(amps, phases, gradi
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_shell_minimum_not_above_box_search_or_grid(name):
-    # oracles: criterion 6's brute-force grid and find_minimum from the same
-    # start in the box analyze_trap searched before; V at the found point is
-    # not above either, up to the rounding of the gravity ring's Newton point
+    # oracles: criterion 6's brute-force grid over its box, and the search
+    # started from the grid's lowest node, as criterion 6 starts it; V at
+    # the point analyze_trap found is not above either, up to rounding
     cfg = reference_configs()[name]
     r0 = resonance_radius(cfg)
     analysis = analyze_trap(cfg)
     v = float(dressed_potential(analysis.minimum.position, cfg))
-    start = analysis.minima[0][0]
-    box = (np.array([-3.2 * r0, -3.2 * r0, -0.45 * r0]),
-           np.array([3.2 * r0, 3.2 * r0, 0.45 * r0]))
     lo = np.array([-1.35 * r0, -1.35 * r0, -0.45 * r0])
-    v_grid, _, _ = grid_global_min(cfg, lo, -lo)
-    v_box = find_minimum(cfg, start, bounds=box).value
-    for oracle in (v_grid, v_box):
+    v_grid, node, _ = grid_global_min(cfg, lo, -lo)
+    from_node = shell_minimum(cfg, _field_direction(node)).position
+    for oracle in (v_grid, float(dressed_potential(from_node, cfg))):
         assert v <= oracle + 1e-12 * abs(oracle)
 
 
@@ -999,16 +998,16 @@ def test_trap_frequencies_reject_a_saddle():
 
 
 #: how far V* at the point ``shell_minimum`` reports may lie above the least
-#: V* of the oracles, in units of m_F hbar omega. The 3-D Newton polish of a
-#: smooth minimum stops where the central difference of step 1e-7 m
-#: vanishes, up to ~1e-8 m off the minimum along its softest direction, from
-#: where a neighbour 1e-6 rad away reads up to ~5e-11 lower
-SHELL_ORACLE_TOLERANCE = 1e-10
+#: V* of the oracles, in units of m_F hbar omega. The Newton finish of a
+#: smooth minimum stops once the gradient is below 1e-8 m g, from where a
+#: neighbour 1e-6 rad away reads lower by at most a few 1e-15
+SHELL_ORACLE_TOLERANCE = 1e-12
 
 
-#: angles of 0 or at least 1e-6 rad in size: the kernel's squares of the
-#: sine of a phase of 1e-193 rad, or of a start component of 1e-311,
-#: underflow, and underflow raises in this test
+#: angles of 0 or at least 1e-6 rad in size: the squares of the parts of a
+#: phase of 1e-193 rad underflow in the search on the sphere, and the sine
+#: of a subnormal phase in ``RfConfig.amplitude_parts``; underflow raises in
+#: this test
 ANGLES = st.one_of(st.just(0.0), st.floats(1e-6, np.pi), st.floats(-np.pi, -1e-6))
 
 
@@ -1113,6 +1112,24 @@ def test_map_minima_match_the_eight_neighbour_oracle():
         v = rng.integers(0, 4, size=(33, 64)).astype(float)
         v[rng.random(v.shape) < 0.05] = np.inf
         np.testing.assert_array_equal(_map_minima(v), eight_neighbour_minima(v))
+
+
+def test_floor_gradient_matches_richardson_differences():
+    # oracle: the Richardson extrapolant of central differences of V in 3-D,
+    # at the ray floors of directions up to 0.14 rad from the gravity ring's
+    # minimum, where the gradient is far above both methods' rounding
+    cfg = reference_configs()["gravity"]
+    scale = RB87.m_F * HBAR * cfg.rf.omega
+    rng = np.random.default_rng(7)
+    centre = _field_direction(analyze_trap(cfg).minimum.position)
+    offsets = rng.uniform(-0.1, 0.1, (12, 2))
+    n = _turn(_frames(centre[None]), np.column_stack([np.ones(12), offsets]))[0]
+    probe = _probe(cfg, n, scale)
+    got = _floor_gradient(probe, scale)
+    for k, direction in enumerate(n):
+        r = probe[1][k] * direction * np.array([1.0, 1.0, -0.5])
+        want = np.linalg.norm(richardson_gradient(r, cfg, 1e-8))
+        assert got[k] == pytest.approx(want, rel=1e-6)
 
 
 def test_trust_steps_solve_the_trust_region_subproblem():
@@ -1257,14 +1274,14 @@ _REFERENCE_ANALYSES = {
         geometry=Geometry.ASYMMETRIC_RING,
         ring_radius=0.00021434320504279712,
         barrier_height=6.067012289354637e-28,
-        depth=6.184932073065382e-28,
-        omegas=(314.41393635187404, 4183.979557550116, 257.5547006893306),
+        depth=6.18522203696721e-28,
+        omegas=(314.411109594408, 4184.126199264274, 257.5549350428417),
         minima=[((-4.0366991435830814e-20, -0.00021974766636898024, 0.0),
                  1.7437917372758596e-29, 4.71238898038469)],
-        refined=(-4.0366991435830814e-20, -0.000147842364609883, 7.829111471728347e-05),
+        refined=(-6.791161473551125e-15, -0.00014783928098396201, 7.829252414139514e-05),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
-        iterations=1,
+        iterations=2,
         notes=(),
     ),
 }
@@ -1272,9 +1289,10 @@ _REFERENCE_ANALYSES = {
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_ANALYSES))
 def test_reference_analysis_pinned(name):
-    # only the gravity ring's refinement ends in the 3-D Newton polish, which
-    # lands ~1e-11 r0 from the one-stage box search's point: its depth and
-    # frequencies may move by 1e-8 relative, every other number is exact
+    # only the gravity ring's refinement ends in a Newton finish, whose point
+    # is the root of difference quotients that rounding can move: it may
+    # move by 1e-10 r0, and its depth and frequencies by 1e-8 relative;
+    # every other number is exact
     want = _REFERENCE_ANALYSES[name]
     cfg = reference_configs()[name]
     got = analyze_trap(cfg)
@@ -1293,8 +1311,9 @@ def test_reference_analysis_pinned(name):
     assert got.criteria.omega_over_rabi == want["omega_over_rabi"]
     assert got.criteria.coupling_dominated is want["coupling_dominated"]
     assert got.criteria.gravity_negligible is True
-    # the shell polish's iterations: none without gravity, where the
-    # minimum is a coupling hole
+    # the shell polish's iterations and the finish's trials: none without
+    # gravity, where the minimum is a coupling hole; one of each on the
+    # gravity ring
     assert got.minimum.iterations == want["iterations"]
     omegas = (got.omega_rho, got.omega_z, got.omega_phi)
     if name == "gravity":

@@ -1,8 +1,9 @@
 """The reference pipelines raise no floating-point warning.
 
 ``analyze_trap`` and ``frequency_sweep`` run on the four reference configs,
-in the z = 0 plane and with a z band, and ``sample_grid`` fills grids that
-hold the trap centre, under ``np.errstate(all="raise")``: any division by
+in the z = 0 plane and with a z band, ``sample_grid`` fills grids that hold
+the trap centre, and the kernel takes points whose coordinates differ by
+hundreds of decades, under ``np.errstate(all="raise")``: any division by
 zero, overflow, underflow or invalid operation (such as the 0/0 of a
 zero-width z window, or 1/R at the centre) fails the test.
 """
@@ -10,7 +11,7 @@ zero-width z window, or 1/R at the centre) fails the test.
 import numpy as np
 import pytest
 
-from ringtrap import analyze_trap, frequency_sweep, sample_grid
+from ringtrap import analyze_trap, dressed_potential, frequency_sweep, sample_grid
 
 from conftest import imaging_region, reference_configs
 
@@ -42,3 +43,14 @@ def test_grid_fill_through_the_centre_raises_no_fp_error(name, grid):
     with np.errstate(all="raise"):
         filled = sample_grid(cfg, region, dims)
     assert all(0.0 in axis for axis in filled.axes())  # the trap centre is a node
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_kernel_at_disparate_coordinates_raises_no_fp_error(name):
+    # the square of the 1e-200 m coordinate's part of the coupling
+    # underflows to 0, which changes nothing
+    cfg = reference_configs()[name]
+    with np.errstate(all="raise"):
+        v = dressed_potential([1e-200, 1e-4, 0.0], cfg)
+    assert v == dressed_potential([0.0, 1e-4, 0.0], cfg)
+
