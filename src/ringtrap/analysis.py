@@ -189,10 +189,11 @@ def _lowest(rays):
     return np.take_along_axis(rays, k[None, None], axis=1)[:, 0]
 
 
-def _ray_floor(cfg, u, r0=None):
+def _ray_floor(cfg, u, r0=None, potential=True):
     """Closed-form floor of V along the rays r = R u, R >= 0, through the
     points ``u`` = (n_x, n_y, -n_z / 2) (..., 3) of unit field directions n:
-    the radius R*, the floor V* and the Rabi coupling |Omega|.
+    the radius R*, the floor V* (None unless ``potential``) and the Rabi
+    coupling |Omega|.
 
     Along such a ray the field direction is n, so E = m_F hbar |Omega(n)| is
     fixed, and V = sqrt(A^2 (R - r0)^2 + E^2) + c R with
@@ -215,7 +216,7 @@ def _ray_floor(cfg, u, r0=None):
     bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
     root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
     radius = np.where(bound, r0 - c * e / (a * root), np.copysign(np.inf, -c))
-    return radius, c * r0 + e * root / a, rabis
+    return radius, c * r0 + e * root / a if potential else None, rabis
 
 
 def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega, work, out):
@@ -266,7 +267,7 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega, work, ou
         pts = np.empty(np.broadcast_shapes(s.shape, cosp.shape) + (3,))
         for k, coord in enumerate((cosp, sinp, s)):  # the ray points at R = 1
             np.multiply(coord, inv_q, out=pts[..., k])
-        radii, rabis = _ray_floor(cfg, pts, r0)[::2]  # R* and |Omega|; r0 broadcasts
+        radii, _, rabis = _ray_floor(cfg, pts, r0, potential=False)  # r0 broadcasts
         radii *= inv_q
         np.maximum(radii, rho_min, out=radii)
         np.minimum(radii, rho_max, out=radii)
@@ -667,16 +668,16 @@ def _coupling_holes(cfg) -> np.ndarray:
     big = np.abs(parts).max()
     if big == 0:
         return np.empty((0, 3))
-    ax, ay, az, by, bz = parts / big  # the holes do not depend on the scale
-    a, b = np.array([ax, ay, az]), np.array([0.0, by, bz])
-    # a product of parts below ~1e-154 of the largest may underflow to 0,
-    # which moves nothing
+    # a part, or a product of parts below ~1e-154 of the largest, may
+    # underflow to 0, which moves nothing
     with np.errstate(under="ignore"):
+        ax, ay, az, by, bz = parts / big  # the holes do not depend on the scale
+        a, b = np.array([ax, ay, az]), np.array([0.0, by, bz])
         w = np.array([by * az - bz * ay, bz * ax, -by * ax])  # b x a
         p, e = np.linalg.eigh(np.outer(a, a) + np.outer(b, b))
         side = math.sqrt(max(1.0 - (w @ w) / (p[-1] * p[-1]), 0.0))
-    holes = -w / p[-1] + np.array([[side], [-side]]) * e[:, -1]
-    return holes / np.sqrt((holes * holes).sum(axis=1, keepdims=True))
+        holes = -w / p[-1] + np.array([[side], [-side]]) * e[:, -1]
+        return holes / np.sqrt((holes * holes).sum(axis=1, keepdims=True))
 
 
 def _frames(n) -> np.ndarray:
@@ -973,69 +974,73 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
         rides on the exception.
     """
     start = np.asarray(start, dtype=float)
-    holes = _coupling_holes(cfg)
-    if not len(holes):  # the rf vanishes: every direction is a hole
-        holes = start[None, :]
-    it, evals, capped = 0, len(holes), False
-    if not cfg.gravity_on:
-        cands = (holes,) + _shell_floor(cfg, holes)
-        polished = np.zeros(len(holes), dtype=bool)
-    else:
-        directions = _SHELL_DIRECTIONS
-        m = len(directions)
-        basis = _frames(holes)
-        around = _turn(basis, _STENCIL).reshape(-1, 3)
-        floors = _shell_floor(cfg, np.concatenate([directions, around]))
-        evals = len(around) + m
-        around = floors[1][m:].reshape(len(holes), -1)
-        kept, down = _hole_cones(around, cfg.atom.m_F * HBAR * cfg.rf.omega)
-        # from a hole that is no minimum the polish also starts downhill: a
-        # minimum that hugs its cusp can lie between the map's nodes
-        down = down[~kept]
-        size = np.sqrt((down * down).sum(axis=1, keepdims=True))
-        down = np.divide(HOLE_DOWNHILL * down, size, out=np.zeros_like(down), where=size > 0)
-        downhill = _turn(basis[~kept], np.column_stack([np.ones(len(down)), down])[:, None])
-        starts = _map_minima(floors[1][:m].reshape(SHELL_MAP)).reshape(-1)
-        *found, it, more, capped = _polish_on_shell(
-            cfg, np.concatenate([directions[starts], downhill[:, 0]]), SHELL_STEP_TOL,
-            max_iter, holes[~kept],
+    # the components of directions hundreds of decades apart, such as those
+    # of an rf phase of 1e-193 rad, underflow in their squares and products
+    # to a 0 that moves nothing
+    with np.errstate(under="ignore"):
+        holes = _coupling_holes(cfg)
+        if not len(holes):  # the rf vanishes: every direction is a hole
+            holes = start[None, :]
+        it, evals, capped = 0, len(holes), False
+        if not cfg.gravity_on:
+            cands = (holes,) + _shell_floor(cfg, holes)
+            polished = np.zeros(len(holes), dtype=bool)
+        else:
+            directions = _SHELL_DIRECTIONS
+            m = len(directions)
+            basis = _frames(holes)
+            around = _turn(basis, _STENCIL).reshape(-1, 3)
+            floors = _shell_floor(cfg, np.concatenate([directions, around]))
+            evals = len(around) + m
+            around = floors[1][m:].reshape(len(holes), -1)
+            kept, down = _hole_cones(around, cfg.atom.m_F * HBAR * cfg.rf.omega)
+            # from a hole that is no minimum the polish also starts downhill: a
+            # minimum that hugs its cusp can lie between the map's nodes
+            down = down[~kept]
+            size = np.sqrt((down * down).sum(axis=1, keepdims=True))
+            down = np.divide(HOLE_DOWNHILL * down, size, out=np.zeros_like(down), where=size > 0)
+            downhill = _turn(basis[~kept], np.column_stack([np.ones(len(down)), down])[:, None])
+            starts = _map_minima(floors[1][:m].reshape(SHELL_MAP)).reshape(-1)
+            *found, it, more, capped = _polish_on_shell(
+                cfg, np.concatenate([directions[starts], downhill[:, 0]]), SHELL_STEP_TOL,
+                max_iter, holes[~kept],
+            )
+            evals += more
+            # the holes' rows are the centres of their stencils
+            at_holes = [holes] + [f[m::len(_STENCIL)] for f in floors]
+            cands = tuple(np.concatenate([h[kept], f]) for h, f in zip(at_holes, found))
+            polished = np.arange(len(cands[0])) >= kept.sum()
+        values = cands[2]
+        tie = SHELL_TIE_FRACTION * cfg.atom.m_F * HBAR * cfg.rf.omega
+        near = values <= values.min() + tie
+        best = int(np.argmax(np.where(near, cands[0] @ start, -np.inf)))
+        n, radius, value, rabi = (c[best:best + 1] for c in cands)
+        smooth_rabi = SMOOTH_RABI_FRACTION * cfg.rf.omega
+        if polished[best] and not capped and rabi[0] <= smooth_rabi:
+            # no Newton finish follows where the coupling is closed, so a
+            # polished minimum there goes on to the fine precision, MIN_MESH_STEP
+            # of position
+            *found, more_it, more, capped = _polish_on_shell(
+                cfg, n, MIN_MESH_STEP / resonance_radius(cfg), max_iter - it
+            )
+            (n, radius, value, rabi), it, evals = found, it + more_it, evals + more
+        smooth = bool(rabi[0] > smooth_rabi) and not capped
+        target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
+        grad_norm = None
+        if smooth:
+            probe, grad_norm, trials = _finish_on_shell(cfg, n, target)
+            n, radius, value = probe[0][:, 0], probe[1], probe[2]
+            it, evals = it + trials, evals + len(_STENCIL) * (1 + trials)
+        result = MinimizationResult(
+            position=radius[0] * n[0] * _RAY, value=float(value[0]), converged=not capped,
+            stationary=smooth and grad_norm < target, smooth=smooth, grad_norm=grad_norm,
+            iterations=it, f_evals=evals,
         )
-        evals += more
-        # the holes' rows are the centres of their stencils
-        at_holes = [holes] + [f[m::len(_STENCIL)] for f in floors]
-        cands = tuple(np.concatenate([h[kept], f]) for h, f in zip(at_holes, found))
-        polished = np.arange(len(cands[0])) >= kept.sum()
-    values = cands[2]
-    tie = SHELL_TIE_FRACTION * cfg.atom.m_F * HBAR * cfg.rf.omega
-    near = values <= values.min() + tie
-    best = int(np.argmax(np.where(near, cands[0] @ start, -np.inf)))
-    n, radius, value, rabi = (c[best:best + 1] for c in cands)
-    smooth_rabi = SMOOTH_RABI_FRACTION * cfg.rf.omega
-    if polished[best] and not capped and rabi[0] <= smooth_rabi:
-        # no Newton finish follows where the coupling is closed, so a
-        # polished minimum there goes on to the fine precision, MIN_MESH_STEP
-        # of position
-        *found, more_it, more, capped = _polish_on_shell(
-            cfg, n, MIN_MESH_STEP / resonance_radius(cfg), max_iter - it
-        )
-        (n, radius, value, rabi), it, evals = found, it + more_it, evals + more
-    smooth = bool(rabi[0] > smooth_rabi) and not capped
-    target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
-    grad_norm = None
-    if smooth:
-        probe, grad_norm, trials = _finish_on_shell(cfg, n, target)
-        n, radius, value = probe[0][:, 0], probe[1], probe[2]
-        it, evals = it + trials, evals + len(_STENCIL) * (1 + trials)
-    result = MinimizationResult(
-        position=radius[0] * n[0] * _RAY, value=float(value[0]), converged=not capped,
-        stationary=smooth and grad_norm < target, smooth=smooth, grad_norm=grad_norm,
-        iterations=it, f_evals=evals,
-    )
-    if capped:
-        raise ConvergenceError(
-            f"shell polish stopped at its cap of {max_iter} iterations", best=result
-        )
-    return result
+        if capped:
+            raise ConvergenceError(
+                f"shell polish stopped at its cap of {max_iter} iterations", best=result
+            )
+        return result
 
 
 def analyze_trap(

@@ -45,7 +45,7 @@ points; the result has the points' shape.
 Where the kernel's temporaries live: a call allocates them afresh, as numpy
 scalars for one point, unless it is given a workspace
 (:func:`kernel_workspace`). It then writes each temporary into a row of that
-workspace, viewed in the temporary's own shape, and ``dressed_potential``
+workspace, viewed in the points' shape, and ``dressed_potential``
 writes V into the ``out`` array it is given, so a call allocates nothing the
 size of its points. The grid fill passes one workspace to every block.
 """
@@ -104,40 +104,50 @@ def _row(work, i, *operands):
     return work[i, :math.prod(shape)].reshape(shape)
 
 
-def _mul(a, b, work, i):
-    """a * b: a fresh result, or written into row ``i`` of ``work``."""
-    if work is None:
-        return a * b
-    return np.multiply(a, b, out=_row(work, i, a, b))
+#: the outputs of :func:`_rows` without a workspace: every temporary is fresh
+_FRESH = ((None,) * WORKSPACE_ROWS, (None,) * 5)
 
 
-def _add(a, b, work, i):
-    """a + b: a fresh result, or written into row ``i`` of ``work``."""
-    if work is None:
-        return a + b
-    return np.add(a, b, out=_row(work, i, a, b))
+def _rows(work, x, y, z):
+    """The outputs of one kernel call's temporaries on the coordinates x, y
+    and z: the workspace's rows, each viewed once in the points' shape (0-d
+    for one point, never a numpy scalar), then rows 0, 3, 4, 5 and 3 in the
+    shapes of -2 z, x^2, y^2, x^2 + y^2 and 4 z^2, which coordinates given
+    as a tuple may make smaller."""
+    shape = np.broadcast(x, y, z).shape
+    size = math.prod(shape)
+    return (
+        tuple(row[:size].reshape(shape) for row in work),
+        (_row(work, 0, z), _row(work, 3, x), _row(work, 4, y), _row(work, 5, x, y),
+         _row(work, 3, z)),
+    )
 
 
-def _reciprocal(a, work, i):
-    """1 / a: a fresh result, or written into row ``i`` of ``work``."""
-    if work is None:
-        return 1.0 / a
-    return np.divide(1.0, a, out=_row(work, i, a))
+def _mul(a, b, out):
+    """a * b: a fresh result, or written into ``out``."""
+    return a * b if out is None else np.multiply(a, b, out=out)
 
 
-def _sqrt(a, work, i):
-    """sqrt(a): a fresh result, or written into row ``i`` of ``work``."""
-    if work is None:
-        return np.sqrt(a)
-    return np.sqrt(a, out=_row(work, i, a))
+def _add(a, b, out):
+    """a + b: a fresh result, or written into ``out``."""
+    return a + b if out is None else np.add(a, b, out=out)
 
 
-def _select(mask, a, b, work, i):
-    """np.where(mask, a, b): a fresh result, or written into row ``i`` of
-    ``work``, which may hold ``b`` already."""
-    if work is None:
+def _reciprocal(a, out):
+    """1 / a: a fresh result, or written into ``out``."""
+    return 1.0 / a if out is None else np.divide(1.0, a, out=out)
+
+
+def _sqrt(a, out):
+    """sqrt(a): a fresh result, or written into ``out``."""
+    return np.sqrt(a) if out is None else np.sqrt(a, out=out)
+
+
+def _select(mask, a, b, out):
+    """np.where(mask, a, b): a fresh result, or written into ``out``, which
+    may hold ``b`` already."""
+    if out is None:
         return np.where(mask, a, b)
-    out = _row(work, i, mask, a, b)
     np.copyto(out, b)
     np.copyto(out, a, where=mask)
     return out
@@ -148,8 +158,10 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     n computed once.
 
     Without a workspace each temporary is a fresh array (a numpy scalar for
-    one point); given one, each is written into a row of ``work``, viewed in
-    its own shape, and the two results are views of it. The rows hold: 0 w;
+    one point); given one, each is written into a row of ``work``, and the
+    two results are views of it. The rows are viewed in the points' shape
+    once per call (``_rows``); only the first few temporaries, of the
+    coordinates alone, take a row in their own shape. The rows hold: 0 w;
     1 R, then 1/R, n_z and u_z; 2 omega_0; 3 n_x; 4 n_y, then u_y; 5 n.a;
     6 each term added into n.a and u; 7 u_x, then |Omega|^2. Before n is
     formed, rows 3-7 hold the partial sums of R^2 and the rescued
@@ -163,15 +175,17 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     of the out-of-place expressions, with or without a workspace.
     """
     x, y, z = _coordinates(r)
+    rows, small = _FRESH if work is None else _rows(work, x, y, z)
+    w_row, xx_row, yy_row, sum_row, ww_row = small
     rf = cfg.rf
     ax, ay, az, by, bz = rf.amplitude_parts
     # a coordinate hundreds of decades below another underflows in the
     # squares and products of its part, to a 0 that changes nothing
     with np.errstate(under="ignore"):
-        w = _mul(-2.0, z, work, 0)
-        rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 5)
-        rad = _sqrt(_add(rad, _mul(w, w, work, 3), work, 1), work, 1)
-        larmor = _mul(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, work, 2)
+        w = _mul(-2.0, z, w_row)
+        rad = _add(_mul(x, x, xx_row), _mul(y, y, yy_row), sum_row)
+        rad = _sqrt(_add(rad, _mul(w, w, ww_row), rows[1]), rows[1])
+        larmor = _mul(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, rows[2])
         larmor /= HBAR
         tiny = 2.0**-500
         centre = None
@@ -181,39 +195,39 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
             # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
             # underflows to 0; scaling by a power of two is exact, so such a
             # point keeps its own direction (and the centre stays at 0)
-            scale = _select(rad < tiny, 2.0**600, 1.0, work, 3)
-            x, y, w = _mul(x, scale, work, 5), _mul(y, scale, work, 6), _mul(w, scale, work, 7)
-            rad = _add(_mul(x, x, work, 3), _mul(y, y, work, 4), work, 3)
-            rad = _sqrt(_add(rad, _mul(w, w, work, 4), work, 1), work, 1)
+            scale = _select(rad < tiny, 2.0**600, 1.0, rows[3])
+            x, y, w = _mul(x, scale, rows[5]), _mul(y, scale, rows[6]), _mul(w, scale, rows[7])
+            rad = _add(_mul(x, x, rows[3]), _mul(y, y, rows[4]), rows[3])
+            rad = _sqrt(_add(rad, _mul(w, w, rows[4]), rows[1]), rows[1])
             centre = rad == 0.0
-            rad = _select(centre, 1.0, rad, work, 1)
-        inv = _reciprocal(rad, work, 1)
-        nx, ny = _mul(x, inv, work, 3), _mul(y, inv, work, 4)
+            rad = _select(centre, 1.0, rad, rows[1])
+        inv = _reciprocal(rad, rows[1])
+        nx, ny = _mul(x, inv, rows[3]), _mul(y, inv, rows[4])
         inv *= w  # 1/R is not needed again
         nz = inv
-        na = _mul(nx, ax, work, 5)
-        na += _mul(ny, ay, work, 6)
-        na += _mul(nz, az, work, 6)
+        na = _mul(nx, ax, rows[5])
+        na += _mul(ny, ay, rows[6])
+        na += _mul(nz, az, rows[6])
         # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
-        ux = _mul(na, nx, work, 7)
+        ux = _mul(na, nx, rows[7])
         ux -= ax
-        ux -= _mul(ny, bz, work, 6)
-        ux += _mul(nz, by, work, 6)
-        uy = _mul(na, ny, work, 4)  # n_y is not needed again
+        ux -= _mul(ny, bz, rows[6])
+        ux += _mul(nz, by, rows[6])
+        uy = _mul(na, ny, rows[4])  # n_y is not needed again
         uy -= ay
-        uy += _mul(nx, bz, work, 6)
-        uz = _mul(na, nz, work, 1)  # nor n_z
+        uy += _mul(nx, bz, rows[6])
+        uz = _mul(na, nz, rows[1])  # nor n_z
         uz -= az
-        uz -= _mul(nx, by, work, 6)
+        uz -= _mul(nx, by, rows[6])
         ux *= ux
         uy *= uy
         ux += uy
         uz *= uz
         ux += uz
         if centre is not None:
-            ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, work, 7)
+            ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, rows[7])
         pref = coupling_prefactor(cfg)
-        return larmor, _mul(pref * pref, ux, work, 7)
+        return larmor, _mul(pref * pref, ux, rows[7])
 
 
 def larmor_frequency(r, cfg: TrapConfig):
@@ -261,7 +275,8 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None, omega=None):
     v = np.sqrt(larmor) if out is None else np.sqrt(larmor, out=out)
     v *= cfg.atom.m_F * HBAR
     if cfg.gravity_on:
-        v += _mul(cfg.atom.mass * G_ACCEL, _coordinates(r)[1], work, 3)
+        y = _coordinates(r)[1]
+        v += _mul(cfg.atom.mass * G_ACCEL, y, None if work is None else _row(work, 3, y))
     return v
 
 

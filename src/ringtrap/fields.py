@@ -70,14 +70,17 @@ class RfConfig:
     def amplitude_parts(self) -> tuple:
         """(a_x, a_y, a_z, b_y, b_z): the real part a and imaginary part b of
         the complex amplitude (B_x, B_y e^{i alpha}, B_z e^{i beta}), whose
-        b_x is 0. Computed once per config, not once per kernel call."""
-        return (
-            self.b_x,
-            self.b_y * np.cos(self.alpha),
-            self.b_z * np.cos(self.beta),
-            self.b_y * np.sin(self.alpha),
-            self.b_z * np.sin(self.beta),
-        )
+        b_x is 0. Computed once per config, not once per kernel call. The
+        sine of a subnormal phase, and its product with an amplitude, may
+        underflow, to a part that changes nothing."""
+        with np.errstate(under="ignore"):
+            return (
+                self.b_x,
+                self.b_y * np.cos(self.alpha),
+                self.b_z * np.cos(self.beta),
+                self.b_y * np.sin(self.alpha),
+                self.b_z * np.sin(self.beta),
+            )
 
 
 @dataclass(frozen=True)

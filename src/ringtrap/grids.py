@@ -13,12 +13,13 @@ from .fields import TrapConfig
 #: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
 #: blocks are runs of whole x-slabs, split into z-rows or z-runs only where
 #: one slab holds more nodes. 2^15 nodes keep the kernel's temporaries (a few
-#: MB) in cache and bound the working set of the fill, and of the image's
-#: pass over slab runs, to one block (one slab where one slab is larger).
+#: MB) in cache and bound the working set of the fill, and of each worker of
+#: the image's pass over slab runs, to one block (one slab where one slab is
+#: larger).
 _CHUNK = 1 << 15
 
 #: refuse grids of more nodes: 800 MB as a sampled grid of float64; the
-#: image, which holds only one slab run, takes time linear in its nodes
+#: image, which holds one slab run per worker, takes time linear in its nodes
 MAX_GRID_NODES = 100_000_000
 
 

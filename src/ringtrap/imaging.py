@@ -9,7 +9,10 @@ diameter profiles through the cloud centroid, averaged over directions.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +77,47 @@ class SyntheticImage:
         return (w0, w1)
 
 
+def _workers(n_items: int) -> int:
+    """Threads for ``n_items`` independent items: one per CPU this process
+    may run on, and at most one per item."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_items))
+
+
+def _run_parts(task, n_items: int) -> None:
+    """Call ``task`` on contiguous parts of ``range(n_items)``, one part per
+    worker (:func:`_workers`): the caller runs part 0 itself, and every other
+    part runs on a thread of its own, in a copy of the caller's context, so
+    that ``np.errstate`` holds there too. A part stops at its first
+    exception; once every thread is joined, the exception of the
+    lowest-numbered failing part is raised."""
+    n = _workers(n_items)
+    parts = [range(n_items * i // n, n_items * (i + 1) // n) for i in range(n)]
+    errors = [None] * n
+
+    def run(i):
+        try:
+            task(parts[i])
+        except BaseException as err:
+            errors[i] = err
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        for i in range(1, n)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def column_density(
     cfg: TrapConfig, temperature: float, region, dims, atom_number: float = 1e5,
     od_scale: float = 1.0,
@@ -87,8 +131,11 @@ def column_density(
     One pass, no 3-D array: for each run of whole x-slabs (``slab_runs``) V
     fills one reused block, each node is weighted against the run's least
     V_run, and the block is z-integrated into its image rows, lifted at the
-    end to the common floor V_min by exp(-(V_run - V_min)/k_B T). The pass
-    holds the image, one block and one kernel workspace.
+    end to the common floor V_min by exp(-(V_run - V_min)/k_B T). The runs
+    are split into contiguous parts, one per available CPU (``_run_parts``),
+    and each part holds a block and a kernel workspace of its own; every run
+    is computed as in one serial pass, so the image has the same bits for
+    any number of workers.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
@@ -101,22 +148,29 @@ def column_density(
         raise ValueError("image pixels must be square; grid spacings differ")
     kt = K_B * temperature
     runs = list(slab_runs(dims))
-    block = np.empty((axes[0][runs[0]].size,) + dims[1:])
-    work = fill_workspace(block.shape)
     img = np.empty(dims[:2])
     floors = np.empty(len(runs))
-    for k, run in enumerate(runs):
-        w = block[: axes[0][run].size]
-        fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work)
-        # min and max propagate NaN and reach any inf, with no per-node mask
-        floors[k] = w.min()
-        if not (math.isfinite(floors[k]) and math.isfinite(w.max())):
-            raise ValueError("grid values must all be finite")
-        w -= floors[k]
-        w /= -kt
-        np.exp(w, out=w)  # weights in [0, 1]
-        w[..., :: dims[2] - 1] *= 0.5  # the trapezoid rule's end weights
-        w.sum(axis=2, out=img[run])
+
+    def project(part):
+        # the runs ``part`` through a block and a workspace of their own;
+        # each writes only its image rows and its floor
+        block = np.empty((axes[0][runs[0]].size,) + dims[1:])
+        work = fill_workspace(block.shape)
+        for k in part:
+            run = runs[k]
+            w = block[: axes[0][run].size]
+            fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work)
+            # min and max propagate NaN and reach any inf, with no per-node mask
+            floors[k] = w.min()
+            if not (math.isfinite(floors[k]) and math.isfinite(w.max())):
+                raise ValueError("grid values must all be finite")
+            w -= floors[k]
+            w /= -kt
+            np.exp(w, out=w)  # weights in [0, 1]
+            w[..., :: dims[2] - 1] *= 0.5  # the trapezoid rule's end weights
+            w.sum(axis=2, out=img[run])
+
+    _run_parts(project, len(runs))
     for run, lift in zip(runs, spacing[2] * np.exp((floors - floors.min()) / -kt)):
         img[run] *= lift
     # the trapezoid rule along y, then x, with no image-sized temporary

@@ -1004,11 +1004,14 @@ def test_trap_frequencies_reject_a_saddle():
 SHELL_ORACLE_TOLERANCE = 1e-12
 
 
-#: angles of 0 or at least 1e-6 rad in size: the squares of the parts of a
-#: phase of 1e-193 rad underflow in the search on the sphere, and the sine
-#: of a subnormal phase in ``RfConfig.amplitude_parts``; underflow raises in
-#: this test
-ANGLES = st.one_of(st.just(0.0), st.floats(1e-6, np.pi), st.floats(-np.pi, -1e-6))
+#: angles of any size up to pi, 0 and tiny ones among them: the squares of
+#: the parts of a phase of 1e-193 rad underflow in the search on the sphere,
+#: and the sine of a subnormal phase in ``RfConfig.amplitude_parts``, to a 0
+#: that changes nothing; underflow raises in this test
+ANGLES = st.one_of(
+    st.just(0.0), st.floats(1e-6, np.pi), st.floats(-np.pi, -1e-6),
+    st.floats(-1e-150, 1e-150),
+)
 
 
 @given(

@@ -143,37 +143,145 @@ def test_one_pass_matches_oracle_on_thin_and_wide_slabs(fig2c, monkeypatch, nz, 
 
 
 def test_one_pass_fills_the_bits_of_the_sampled_grid(fig2b, monkeypatch):
-    # each slab run is filled with the V that sample_grid gives its nodes
+    # each slab run is filled with the V that sample_grid gives its nodes;
+    # workers fill their runs in any order, so the blocks are put in the
+    # order of their first x node
     filled = []
 
     def capture(cfg, axes, out, work):
         ringtrap.grids.fill_potential(cfg, axes, out, work)
-        filled.append(out.copy())
+        filled.append((axes[0][0], out.copy()))
 
     monkeypatch.setattr(ringtrap.imaging, "fill_potential", capture)
     region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
     column_density(fig2b, T20, region, dims)
     grid = sample_grid(fig2b, region, dims)
-    assert np.concatenate(filled).tobytes() == grid.values.tobytes()
+    blocks = [block for _, block in sorted(filled, key=lambda item: item[0])]
+    assert np.concatenate(blocks).tobytes() == grid.values.tobytes()
 
 
-def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path):
-    # the image workload's 311 x 311 x 33 grid (25.5 MB as a 3-D array): the
-    # one pass grows by the image, one block of whole x-slabs and the kernel
-    # workspace, and by numpy's iterator buffers inside a kernel call
-    # (~135 KB), which stay below one more block; the CSV export adds at
-    # most one block to what is held when it starts
+def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path, monkeypatch):
+    # the image workload's 311 x 311 x 33 grid (25.5 MB as a 3-D array): on
+    # one worker the one pass grows by the image, one block of whole
+    # x-slabs and the kernel workspace, and by numpy's iterator buffers
+    # inside a kernel call (~135 KB), which stay below one more block; each
+    # further worker adds its own block, buffers and workspace. The CSV
+    # export adds at most one block to what is held when it starts
     region, dims = imaging_region(fig2b)
     block = 8 * (_CHUNK // (dims[1] * dims[2])) * dims[1] * dims[2]
     workspace = WORKSPACE_ROWS * block
     tracemalloc.start()
     try:
-        img, grown = traced_growth(lambda: column_density(fig2b, T20, region, dims))
-        assert grown <= img.values.nbytes + 2 * block + workspace
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n, k=workers: min(k, n))
+            img, grown = traced_growth(lambda: column_density(fig2b, T20, region, dims))
+            assert grown <= img.values.nbytes + workers * (2 * block + workspace)
         _, grown = traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
         assert grown <= block
     finally:
         tracemalloc.stop()
+
+
+# -- the pass on several workers ----------------------------------------------
+
+def _slab_runs_of(dims):
+    return [range(dims[0])[run] for run in ringtrap.grids.slab_runs(dims)]
+
+
+def test_workers_one_per_available_cpu_and_at_most_one_per_run(monkeypatch):
+    monkeypatch.setattr(ringtrap.imaging.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert [ringtrap.imaging._workers(n) for n in (1, 2, 3, 104)] == [1, 2, 3, 3]
+    # where the affinity call is missing, every CPU counts
+    monkeypatch.delattr(ringtrap.imaging.os, "sched_getaffinity")
+    monkeypatch.setattr(ringtrap.imaging.os, "cpu_count", lambda: 5)
+    assert ringtrap.imaging._workers(104) == 5
+    monkeypatch.setattr(ringtrap.imaging.os, "cpu_count", lambda: None)
+    assert ringtrap.imaging._workers(104) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3, 50])
+def test_image_bits_do_not_depend_on_the_worker_count(fig2b, monkeypatch, workers):
+    # seven slab runs, the last 21 of 31 slabs; 50 workers are capped at 7
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    runs = _slab_runs_of(dims)
+    assert len(runs) == 7 and 0 < len(runs[-1]) < len(runs[0])
+    monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n: 1)
+    serial = column_density(fig2b, T20, region, dims, atom_number=3e4, od_scale=0.5)
+    threads = []
+    start = ringtrap.imaging.threading.Thread.start
+
+    def counted(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(ringtrap.imaging.threading.Thread, "start", counted)
+    monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n: min(workers, n))
+    img = column_density(fig2b, T20, region, dims, atom_number=3e4, od_scale=0.5)
+    assert len(threads) == min(workers, len(runs)) - 1
+    assert img.values.tobytes() == serial.values.tobytes()
+    assert (img.pixel_size, img.origin, img.od_scale) == (
+        serial.pixel_size, serial.origin, serial.od_scale
+    )
+
+
+def test_non_finite_potential_in_a_later_worker_rejected(fig2b, monkeypatch):
+    # V = 0 but for an inf in the last run, which the third worker fills
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    xs = ringtrap.grids.grid_axes(region, dims)[3][0]
+    last = _slab_runs_of(dims)[-1]
+
+    def fill(cfg, axes, out, work):
+        out[...] = 0.0
+        if axes[0][0] >= xs[last[0]]:
+            out[-1, -1, -1] = np.inf
+
+    monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n: min(3, n))
+    monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
+    with pytest.raises(ValueError, match="grid values must all be finite"):
+        column_density(fig2b, T20, region, dims)
+
+
+def test_first_failing_part_raises(fig2b, monkeypatch):
+    # parts 1 and 2 of three both fail; part 1's error is raised, every time
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    xs = ringtrap.grids.grid_axes(region, dims)[3][0]
+    runs = _slab_runs_of(dims)  # parts of runs 0-1, 2-3 and 4-6
+
+    def fill(cfg, axes, out, work):
+        out[...] = 0.0
+        if axes[0][0] >= xs[runs[2][0]]:
+            raise RuntimeError(f"run at x = {axes[0][0]!r}")
+
+    monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n: min(3, n))
+    monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
+    for _ in range(5):
+        with pytest.raises(RuntimeError) as err:
+            column_density(fig2b, T20, region, dims)
+        assert str(err.value) == f"run at x = {xs[runs[2][0]]!r}"
+
+
+def test_errstate_reaches_every_worker(fig2b, monkeypatch):
+    # a division by zero only in the last run, which a worker thread fills,
+    # raises under the caller's errstate as in the serial pass
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    xs = ringtrap.grids.grid_axes(region, dims)[3][0]
+    last = _slab_runs_of(dims)[-1]
+
+    def fill(cfg, axes, out, work):
+        out[...] = 0.0
+        if axes[0][0] >= xs[last[0]]:
+            np.divide(1.0, out[:1, :1, :1], out=out[:1, :1, :1])
+
+    monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n: min(2, n))
+    monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
+    with np.errstate(divide="raise"):
+        with pytest.raises(FloatingPointError, match="divide by zero"):
+            column_density(fig2b, T20, region, dims)
+    # without it the inf reaches the finiteness check
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            column_density(fig2b, T20, region, dims)
 
 
 def test_non_finite_density_rejected(fig2b):

@@ -5,15 +5,17 @@ in the z = 0 plane and with a z band, ``sample_grid`` fills grids that hold
 the trap centre, and the kernel takes points whose coordinates differ by
 hundreds of decades, under ``np.errstate(all="raise")``: any division by
 zero, overflow, underflow or invalid operation (such as the 0/0 of a
-zero-width z window, or 1/R at the centre) fails the test.
+zero-width z window, or 1/R at the centre) fails the test. So do rf phases
+so small that the sine parts of the amplitude underflow.
 """
 
 import numpy as np
 import pytest
 
 from ringtrap import analyze_trap, dressed_potential, frequency_sweep, sample_grid
+from ringtrap.analysis import shell_minimum
 
-from conftest import imaging_region, reference_configs
+from conftest import B07, imaging_region, make_trap, reference_configs
 
 
 @pytest.mark.parametrize("band_factor", [0.0, 1e-6, 0.3, 2.0])
@@ -54,3 +56,19 @@ def test_kernel_at_disparate_coordinates_raises_no_fp_error(name):
         v = dressed_potential([1e-200, 1e-4, 0.0], cfg)
     assert v == dressed_potential([0.0, 1e-4, 0.0], cfg)
 
+
+
+@pytest.mark.parametrize("gravity", [False, True])
+@pytest.mark.parametrize("alpha", [1.6e-193, 1.1e-308])
+def test_tiny_rf_phase_raises_no_fp_error(alpha, gravity):
+    # the squares of the ~1e-197 T sine part underflow on the sphere of
+    # field directions, and a subnormal phase's sine underflows itself; the
+    # 0 they give changes nothing, so the trap is that of phase 0
+    with np.errstate(all="raise"):
+        cfg = make_trap(b_x=B07, b_y=B07, alpha=alpha, gravity=gravity)
+        analysis = analyze_trap(cfg)
+        got = shell_minimum(cfg, np.array([0.6, 0.0, 0.8]))
+    plain = make_trap(b_x=B07, b_y=B07, gravity=gravity)
+    expected = shell_minimum(plain, np.array([0.6, 0.0, 0.8]))
+    np.testing.assert_allclose(got.position, expected.position, rtol=1e-12, atol=1e-15)
+    assert analysis.geometry == analyze_trap(plain).geometry
