@@ -33,7 +33,6 @@ import numpy as np
 from .constants import G_ACCEL, HBAR, MU_B
 from .dressed import (
     dressed_potential,
-    kernel_workspace,
     potential_hessian,
     rabi_frequency,
     rabi_squared,
@@ -49,17 +48,12 @@ MIN_CLASSIFY_AZIMUTHS = 64
 #: (the z = 0 plane is the one slope 0): slope nodes, passes
 PROFILE_ZOOM = (97, 12)
 
-#: kernel points per call that a batch of profile frequencies may fill, so
-#: that a batch stays cache-sized: up to 64 frequencies at 256 azimuths in
-#: the plane, and one frequency at a time in a z band (2 * 97 slopes per
-#: azimuth), where larger batches measured slower
+#: entries of each closed-form array (one per ray and frequency) that a
+#: batch of profile frequencies may fill, so that a batch stays cache-sized:
+#: up to 64 frequencies at 256 azimuths in the plane, and one frequency at a
+#: time in a z band (2 * 97 slopes per azimuth), where larger batches
+#: measured slower
 PROFILE_BATCH_POINTS = 2**14
-
-#: kernel points per call above which a profile's V calls share one kernel
-#: workspace: fresh temporaries cost less in smaller calls, and from ~9,000
-#: points (72 KB each) glibc hands them back after each call and page-faults
-#: them in again
-PROFILE_WORKSPACE_POINTS = 2**13
 
 #: fraction of the dressing frequency below which a point counts as
 #: coupling-closed (cusp): it has no gradient and no harmonic expansion
@@ -189,11 +183,10 @@ def _lowest(rays):
     return np.take_along_axis(rays, k[None, None], axis=1)[:, 0]
 
 
-def _ray_floor(cfg, u, r0=None, potential=True):
+def _ray_floor(cfg, u, r0=None, window=None):
     """Closed-form floor of V along the rays r = R u, R >= 0, through the
     points ``u`` = (n_x, n_y, -n_z / 2) (..., 3) of unit field directions n:
-    the radius R*, the floor V* (None unless ``potential``) and the Rabi
-    coupling |Omega|.
+    the radius R*, the floor V* and the Rabi coupling |Omega|.
 
     Along such a ray the field direction is n, so E = m_F hbar |Omega(n)| is
     fixed, and V = sqrt(A^2 (R - r0)^2 + E^2) + c R with
@@ -206,6 +199,12 @@ def _ray_floor(cfg, u, r0=None, potential=True):
     ``r0`` is the resonance radius, by default that of ``cfg``; an array
     that broadcasts with the rays gives each ray the r0 of its own dressing
     frequency, as only r0 depends on it.
+
+    A ``window`` (k, lo, hi) of arrays that broadcast with the rays bounds
+    the cylindrical radius rho = k R of each ray to [lo, hi]. R* k is then
+    clipped to the window, and that rho and V at R = rho / k take the place
+    of R* and V*: V is convex in R, so this is the lowest V on the part of
+    the ray in the window, whether or not the ray has a floor.
     """
     atom = cfg.atom
     r0 = resonance_radius(cfg) if r0 is None else r0
@@ -216,29 +215,39 @@ def _ray_floor(cfg, u, r0=None, potential=True):
     bound = np.abs(c) < a  # the magnetic slope can hold the atom against c
     root = np.sqrt(np.where(bound, a * a - c * c, 1.0))
     radius = np.where(bound, r0 - c * e / (a * root), np.copysign(np.inf, -c))
-    return radius, c * r0 + e * root / a if potential else None, rabis
+    if window is None:
+        return radius, c * r0 + e * root / a, rabis
+    k, lo, hi = window
+    rho = radius * k
+    np.maximum(rho, lo, out=rho)
+    np.minimum(rho, hi, out=rho)
+    radius = rho / k  # R at the clipped rho
+    v = radius - r0  # then A (R - r0), then V, in place
+    v *= a
+    np.hypot(v, e, out=v)
+    if cfg.gravity_on:
+        v += c * radius
+    return rho, v, rabis
 
 
-def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega, work, out):
+def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, out):
     """Valley floor of each column over rho in [rho_min, rho_max] and
     |z| <= z_band, written into ``out`` (4, F, n_phi): radii, z, potentials,
     rabis.
 
     A column is one (dressing frequency, azimuth) pair, and the columns
     form an (F, n_phi) array: ``cosp`` and ``sinp`` (n_phi,) give the
-    azimuths, and ``r0`` (the resonance radius), the window ``rho_min``,
-    ``rho_max``, ``z_band`` and ``omega`` (F, 1) belong to the frequencies.
-    The rf amplitudes are those of ``cfg``, whose own omega is not used.
-    Each V call takes flat coordinates and the kernel workspace ``work`` (or
-    None); in the plane it writes V straight into ``out``.
+    azimuths, and ``r0`` (the resonance radius) and the window ``rho_min``,
+    ``rho_max`` and ``z_band`` (F, 1) belong to the frequencies. The rf
+    amplitudes are those of ``cfg``, whose own omega is not used.
 
     Along a ray of slope s = z / rho at azimuth phi the field direction
-    n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and V
-    has the closed-form floor of ``_ray_floor`` at R* = q rho. V is convex
-    in R, so clipping rho to the part of the window the ray crosses,
-    [rho_min, min(rho_max, z_band / |s|)], gives the constrained minimum
-    whether or not the ray has a floor. The z = 0 plane is the single ray
-    s = 0. A z band zooms s over [-z_band / rho_min, 0] and
+    n = (cos phi, sin phi, -2 s) / q, q = sqrt(1 + 4 s^2), is fixed, and
+    ``_ray_floor`` gives the lowest V in closed form over the part of the
+    window the ray crosses, rho in [rho_min, min(rho_max, z_band / |s|)],
+    from one kernel call of the coupling on the ray directions. The z = 0
+    plane is the single ray s = 0, whose n_phi directions carry no
+    frequency axis. A z band zooms s over [-z_band / rho_min, 0] and
     [0, z_band / rho_min] by ``PROFILE_ZOOM`` and keeps the lowest ray seen;
     s = 0 is a node of the first pass, so the band floor is never above the
     plane floor. Every column is computed with the operations of its own,
@@ -257,8 +266,6 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega, work, ou
     s_lo, s_hi = np.reshape(halves, (2, -1) + zero.shape)
     lo, hi = s_lo, s_hi  # the first pass shares its slopes across azimuths
     frac = (np.arange(n_s) / max(n_s - 1, 1)).reshape(-1, 1, 1, 1)
-    shape = (n_s, len(s_lo), len(r0), len(cosp))
-    omega = np.broadcast_to(omega, shape).reshape(-1)  # one per kernel point
     best = None  # s, rho, z, V, |Omega| of each window's lowest ray so far
     for _ in range(passes):
         # (slope, half, frequency or 1, azimuth or 1); +0.0 in the plane
@@ -267,25 +274,19 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, omega, work, ou
         pts = np.empty(np.broadcast_shapes(s.shape, cosp.shape) + (3,))
         for k, coord in enumerate((cosp, sinp, s)):  # the ray points at R = 1
             np.multiply(coord, inv_q, out=pts[..., k])
-        radii, _, rabis = _ray_floor(cfg, pts, r0, potential=False)  # r0 broadcasts
-        radii *= inv_q
-        np.maximum(radii, rho_min, out=radii)
-        np.minimum(radii, rho_max, out=radii)
-        if band:
-            # the ray leaves the band at rho = z_band / |s|, kept >= rho_min
-            # and |z| <= z_band against rounding
-            abs_s = np.abs(s)
-            np.divide(z_band, abs_s, out=radii, where=abs_s * radii > z_band)
-            np.maximum(radii, rho_min, out=radii)
-            z = np.copysign(np.minimum(abs_s * radii, z_band), s)
-        x, y = (radii * cosp).reshape(-1), (radii * sinp).reshape(-1)
         if not band:  # the plane: one ray per column, which stays in it
-            out[0], out[1], out[3] = radii[0, 0], 0.0, rabis[0, 0]
-            # out's rows are contiguous, so the flat V is a view of them
-            dressed_potential((x, y, 0.0), cfg, work, out[2].reshape(-1), omega=omega)
+            radii, v, rabis = _ray_floor(cfg, pts, r0, (inv_q, rho_min, rho_max))
+            out[0], out[1], out[2], out[3] = radii[0, 0], 0.0, v[0, 0], rabis[0, 0]
             return
-        v = dressed_potential((x, y, z.reshape(-1)), cfg, work, omega=omega)
-        lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v.reshape(shape), rabis)))
+        # the ray leaves the band at rho = z_band / |s|, kept >= rho_min
+        abs_s = np.abs(s)
+        leaves = abs_s * rho_max > z_band
+        rho_hi = np.where(leaves, z_band, rho_max)
+        np.divide(rho_hi, abs_s, out=rho_hi, where=leaves)
+        np.maximum(rho_hi, rho_min, out=rho_hi)
+        radii, v, rabis = _ray_floor(cfg, pts, r0, (inv_q, rho_min, rho_hi))
+        z = np.copysign(np.minimum(abs_s * radii, z_band), s)  # |z| <= z_band
+        lowest = _lowest(np.stack(np.broadcast_arrays(s, radii, z, v, rabis)))
         best = lowest if best is None else np.where(lowest[3] < best[3], lowest, best)
         # shrink each slope window to 2.5 cells around its lowest ray
         half = 2.5 * (hi - lo) / (n_s - 1)
@@ -310,19 +311,17 @@ def azimuthal_profile(
     wells and any azimuthal asymmetry live in, and the plane absorption
     images project onto. Along every ray of constant z / rho the field
     direction is fixed and V has a closed-form minimum (``_valley_floor``):
-    the plane is one such ray per azimuth (two kernel calls of ``n_phi``
-    points); a z band zooms over the ray slope for all azimuths in lockstep
-    (two kernel calls per pass of ``PROFILE_ZOOM``).
+    the plane is one such ray per azimuth (one kernel call of the coupling
+    on ``n_phi`` directions); a z band zooms over the ray slope for all
+    azimuths in lockstep (one kernel call per pass of ``PROFILE_ZOOM``).
 
     Given a sequence ``omegas``, returns one profile whose rows are the
     profiles of ``cfg.with_rf(omega=w)`` for each w, each with the bits of
     its own call. The rows are computed in batches of (frequency, azimuth)
-    columns, as many frequencies as fit in ``PROFILE_BATCH_POINTS`` kernel
-    points per call and at least one. In the plane a batch is two kernel
-    calls: the coupling on the ``n_phi`` ray directions, which do not
-    depend on the frequency, and V on the batch's rows x ``n_phi`` floor
-    points. Above ``PROFILE_WORKSPACE_POINTS`` points per call every batch
-    reuses one kernel workspace, and the floors go straight into the
+    columns, as many frequencies as keep a batch's closed-form arrays within
+    ``PROFILE_BATCH_POINTS`` entries, and at least one. In the plane a batch
+    is one kernel call, the coupling on the ``n_phi`` ray directions, which
+    do not depend on the frequency; its floors go straight into the
     profile's arrays.
     """
     if n_phi < 8:
@@ -338,15 +337,13 @@ def azimuthal_profile(
     cosp, sinp = np.cos(phis), np.sin(phis)
     rays = 2 * PROFILE_ZOOM[0] if z_band_factor > 0 else 1
     per_batch = min(len(ws), max(1, PROFILE_BATCH_POINTS // (rays * n_phi)))
-    points = per_batch * rays * n_phi
-    work = kernel_workspace(points) if points > PROFILE_WORKSPACE_POINTS else None
     floors = np.empty((4, len(ws), n_phi))  # radii, z, potentials, rabis
     for start in range(0, len(ws), per_batch):
         rows = slice(start, start + per_batch)
         col = r0[rows, None]  # one row of columns per frequency
         _valley_floor(
             cfg, cosp, sinp, col, rho_factors[0] * col, rho_factors[1] * col,
-            z_band_factor * col, ws[rows, None], work, floors[:, rows],
+            z_band_factor * col, floors[:, rows],
         )
     scales = cfg.atom.m_F * HBAR * ws
     if omegas is None:
@@ -608,7 +605,10 @@ class RingAnalysis:
     resonance_radius: float  # analytic zero-detuning radius [m]
     minima: tuple  # (position ndarray, V [J], azimuth [rad]), V ascending
     barrier_height: float  # azimuthal max - min of the valley [J]
-    depth: float  # saddle-limited escape estimate [J]
+    # the lowest first maximum of V above the minimum along the six
+    # axis-aligned rays from it [J]: it depends on the minimum's azimuth and
+    # the rays' reach, so it is no saddle height
+    depth: float
     omega_rho: float | None
     omega_z: float | None
     omega_phi: float | None
@@ -1056,7 +1056,8 @@ def analyze_trap(
     all space, the lowest point of the dressed shell, where cold atoms
     settle; of tied minima it takes the one nearest the field direction of
     the profile minimum (the first listed minimum). It may lie outside the
-    rho window and the z band. The escape depth is measured from it. Where
+    rho window and the z band. The depth, the lowest first maximum along
+    six axis rays (``_escape_depth``), is measured from it. Where
     it is smooth and stationary (its Newton finish took the gradient of V
     below 1e-8 m g) it is ``refined_minimum``, and the harmonic frequencies
     are taken there. With gravity on and kappa <= 1, V has no bound
@@ -1170,7 +1171,7 @@ def frequency_sweep(
     Rows that share an amplitude triple (every row, without a table) are
     one array pass: one :func:`azimuthal_profile` call profiles them as the
     rows of one profile, in batches of at most ``PROFILE_BATCH_POINTS``
-    kernel points (in the plane, two kernel calls per batch);
+    closed-form entries (in the plane, one kernel call per batch);
     ``_classify_rows`` classifies all of them under both tolerance sets at
     once; and the radii and barriers are row reductions. Each row has the
     bits of a profile and a ``classify_geometry`` of its own.

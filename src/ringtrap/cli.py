@@ -191,7 +191,10 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
     if "bin" in formats:
         export_image_binary(image, outdir / "image.u16", outdir / "image.hdr")
 
-    measurement = measure_ring_radius(image, n_diameters=rc.get("imaging", "n_diameters"))
+    # image coordinates are trap coordinates: the ring is centred on (0, 0)
+    measurement = measure_ring_radius(
+        image, (0.0, 0.0), n_diameters=rc.get("imaging", "n_diameters")
+    )
     um = 1e6
     lines = [
         f"radius_um: {measurement.radius * um!r}",

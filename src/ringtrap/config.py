@@ -289,10 +289,6 @@ class RunConfig:
         _check_in("imaging", check_node_limit, dims)
         return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
 
-    def sweep_frequencies_mhz(self) -> list:
-        """The sweep frequencies [MHz]: the list, or the range."""
-        return list(self.sweep_inputs[0])
-
     @functools.cached_property
     def sweep_inputs(self) -> tuple:
         """The sweep frequencies [MHz] (a tuple), the same as dressing
@@ -467,8 +463,10 @@ def load_config(path, overrides=None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    # no header can name the empty section, so a [DEFAULT] section is read
+    # as the unknown section it is, not merged into every other one
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), interpolation=None
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
     )
     try:
         with open(path) as fh:

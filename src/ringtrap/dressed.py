@@ -250,7 +250,7 @@ def rabi_frequency(r, cfg: TrapConfig):
     return np.sqrt(rabi_squared(r, cfg))
 
 
-def dressed_potential(r, cfg: TrapConfig, work=None, out=None, omega=None):
+def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
     """Adiabatic potential V [J] at position(s) ``r``.
 
     ``r`` is an (..., 3) array of positions, or a tuple ``(x, y, z)`` of
@@ -258,17 +258,13 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None, omega=None):
     ``np.meshgrid(..., sparse=True)`` returns; V has their broadcast shape.
     Both forms give the same bits for the same positions.
 
-    ``omega`` is the dressing frequency, by default ``cfg.rf.omega``; an
-    array that broadcasts to the points' shape gives each point its own, and
-    each point's V has the bits of a call with ``cfg.with_rf(omega=w)``.
-
     ``work``, from :func:`kernel_workspace` with room for the points, holds
     every temporary of the call; ``out``, an array of the points' shape,
     receives V. Given both, the call allocates nothing the size of the
     points. Either way V has the same bits.
     """
     larmor, om2 = _larmor_and_rabi_squared(r, cfg, work)
-    larmor -= cfg.rf.omega if omega is None else omega  # -delta, only ever squared
+    larmor -= cfg.rf.omega  # -delta, only ever squared
     larmor *= larmor
     larmor += om2
     del om2  # one chunk-sized array fewer alive through the sqrt

@@ -4,7 +4,7 @@ A thermal cloud in the dressed trap is modelled with a Boltzmann density
 n(r) ~ exp(-(V - V_min)/k_B T), projected along the quadrupole axis z into a
 column density map in one pass with no 3-D grid, and the ring radius is
 measured the way it is done on real absorption images: two-Gaussian fits to
-diameter profiles through the cloud centroid, averaged over directions.
+diameter profiles through the trap centre, averaged over directions.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ class SyntheticImage:
         """Trapezoidal integral over the image plane (atoms, if normalised)."""
         out = np.trapezoid(self.values, dx=self.pixel_size, axis=1)
         return float(np.trapezoid(out, dx=self.pixel_size, axis=0))
-
-    def centroid(self) -> tuple[float, float]:
-        total = float(self.values.sum())
-        if total <= 0:
-            raise MeasurementError("image is empty; no identifiable centroid")
-        c0, c1 = self.coords()
-        w0 = float((self.values.sum(axis=1) * c0).sum() / total)
-        w1 = float((self.values.sum(axis=0) * c1).sum() / total)
-        return (w0, w1)
 
 
 def _workers(n_items: int) -> int:
@@ -260,11 +251,15 @@ def extract_diameter_profile(image: SyntheticImage, angle: float, center):
     return t, _bilinear(image.values, i, j)
 
 
-def measure_ring_radius(image: SyntheticImage, n_diameters: int = 8) -> RadiusMeasurement:
-    """Ring radius by the diameter method.
+def measure_ring_radius(
+    image: SyntheticImage, center, n_diameters: int = 8
+) -> RadiusMeasurement:
+    """Ring radius by the diameter method, about the ring's centre ``center``
+    (c0, c1) in image coordinates: the trap axis, which gravity does not
+    move, unlike the cloud's centroid, which it pulls below the ring.
 
     For each of ``n_diameters`` equally spaced angles in [0, pi), the profile
-    through the image centroid is fit with a sum of two Gaussians and the
+    through ``center`` is fit with a sum of two Gaussians and the
     half peak-to-peak centre separation gives one radius. A fit counts if it
     converged with its centres apart, both lobes of positive amplitude, both
     centres inside the sampled profile, the lobes resolved, their centre
@@ -277,12 +272,11 @@ def measure_ring_radius(image: SyntheticImage, n_diameters: int = 8) -> RadiusMe
     """
     if n_diameters < 2:
         raise ValueError("need at least 2 diameters")
-    ctr = image.centroid()
     fits = []
     excluded = []
     for k in range(n_diameters):
         angle = k * math.pi / n_diameters
-        t, prof = extract_diameter_profile(image, angle, ctr)
+        t, prof = extract_diameter_profile(image, angle, center)
         try:
             fit = fit_two_gaussians(t, prof)
         except FitError as err:

@@ -238,13 +238,13 @@ def test_criterion_7_imaging_round_trip():
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2)
     r0 = resonance_radius(cfg)
     img = synth_image(cfg, temperature=20e-6, pixel=PIXEL)
-    clean = measure_ring_radius(img, n_diameters=8)
+    clean = measure_ring_radius(img, (0.0, 0.0), n_diameters=8)
     clean_err = abs(clean.radius - r0)
 
     errs = []
     for seed in range(100):
         noisy = add_noise(img, 0.01, seed=seed)
-        meas = measure_ring_radius(noisy, n_diameters=6)
+        meas = measure_ring_radius(noisy, (0.0, 0.0), n_diameters=6)
         errs.append(abs(meas.radius - r0))
     p95 = float(np.percentile(errs, 95))
     ok = clean_err <= 5e-6 and p95 <= 10e-6

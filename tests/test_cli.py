@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,9 +325,9 @@ def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
         refs.extend(weakref.ref(a) for a in (out if out.base is None else out.base, work))
         return fill_potential(cfg, axes, out, work)
 
-    def measure(image, **kwargs):
+    def measure(image, center, **kwargs):
         assert refs and all(ref() is None for ref in refs)
-        return measure_ring_radius(image, **kwargs)
+        return measure_ring_radius(image, center, **kwargs)
 
     monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
     monkeypatch.setattr(ringtrap.cli, "measure_ring_radius", measure)
@@ -378,6 +382,31 @@ def test_cloud_without_a_ring_exits_3(tmp_path, capsys):
         assert not (out / "radius.txt").exists()
 
 
+#: how far an exit-0 image radius may lie from r0, as a fraction of r0: 1.5
+#: pixels of r0 / 15. A lobe of a ring thinner than a pixel, or one skewed by
+#: a thermal width near r0 (100 uK at 30 G/cm), sits within about a pixel of
+#: the valley floor; 557 exit-0 runs of a 1,500-config scan of the property's
+#: ranges read 0.969-1.059 r0
+RADIUS_TOLERANCE = 0.1
+
+
+def test_gravity_ring_radius_is_measured_about_the_trap_centre(ini, tmp_path):
+    # gravity collects the atoms in the lower part of the ring: diameters
+    # through the cloud's centroid, well below the ring's centre, cut chords
+    # and read 0.819 r0
+    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "im")]
+    for item in (
+        "quadrupole.gradient_g_per_cm=100", "rf.freq_mhz=2.0", "rf.bx_g=0.5",
+        "rf.by_g=0.5", "rf.alpha_deg=-90", "gravity.enabled=true",
+        "imaging.temperature_uk=20", "imaging.nz=5",
+    ):
+        argv += ["--set", item]
+    assert main(argv) == EXIT_OK
+    rep = read_report(tmp_path / "im" / "radius.txt")
+    r0_um = float(rep["resonance_radius_um"])
+    assert abs(float(rep["radius_um"]) - r0_um) <= RADIUS_TOLERANCE * r0_um
+
+
 @settings(max_examples=12)
 @given(
     gradient=st.floats(30.0, 150.0),
@@ -413,8 +442,7 @@ def test_image_reports_a_ring_inside_the_image_or_exits_3(
     assert code in (EXIT_OK, EXIT_NUMERIC)
     if code == EXIT_OK:
         rep = read_report(tmp / "out" / "radius.txt")
-        (_, half_width), _, _ = load_config(ini, overrides=overrides).image_grid(r0)[0]
-        assert 0 <= float(rep["radius_um"]) * 1e-6 <= half_width
+        assert abs(float(rep["radius_um"]) * 1e-6 - r0) <= RADIUS_TOLERANCE * r0
         assert math.isfinite(float(rep["uncertainty_um"]))
 
 
@@ -585,6 +613,23 @@ def test_resolved_ini_reloads(ini, tmp_path, command):
         assert (second / path.name).read_bytes() == path.read_bytes()
 
 
-def test_console_entry_point():
-    from ringtrap.cli import entry
-    assert callable(entry)
+def test_console_entry_point(ini, tmp_path):
+    # the module run as a program, as the console script runs it: its exit
+    # status is main's return value
+    env = dict(os.environ)
+    src = str(Path(ringtrap.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "ringtrap.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    missing = run("analyze", "--config", str(tmp_path / "none.ini"))
+    assert missing.returncode == EXIT_CONFIG
+    assert "config file not found" in missing.stderr
+    out = tmp_path / "an"
+    done = run("analyze", "--config", str(ini), "--out", str(out))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert read_report(out / "analysis.txt")["geometry"] == "symmetric-ring"

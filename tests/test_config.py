@@ -46,6 +46,18 @@ def test_unknown_section_rejected(tmp_path):
         load_config(write(tmp_path, MINIMAL + "\n[antenna]\nturns = 10\n"))
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nn_phi = 128\n",  # loaded silently, with n_phi = 64
+    "[DEFAULT]\nfoo = 1\n[gravity]\nenabled = false\n",  # blamed on [gravity]
+    "[DEFAULT]\n" + MINIMAL,
+])
+def test_default_section_rejected(tmp_path, text):
+    # configparser reads [DEFAULT] as defaults for every other section,
+    # which no key of the schema is
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        load_config(write(tmp_path, text))
+
+
 def test_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(write(tmp_path, MINIMAL + "\n[gravity]\nstrength = 2\n"))
@@ -114,14 +126,14 @@ def test_unit_round_trip_fidelity(tmp_path):
 
 def test_sweep_frequency_list_and_range(tmp_path):
     rc = load_config(write(tmp_path, MINIMAL))
-    freqs = rc.sweep_frequencies_mhz()
+    freqs = rc.sweep_inputs[0]
     assert freqs[0] == 0.5 and freqs[-1] == 3.0 and len(freqs) == 11
     rc2 = load_config(write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0, 2.0\n"))
-    assert rc2.sweep_frequencies_mhz() == [1.0, 2.0]
+    assert rc2.sweep_inputs[0] == (1.0, 2.0)
     with pytest.raises(ConfigError, match="conflict"):
         load_config(
             write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0\nfreq_mhz_start = 0.5\n")
-        ).sweep_frequencies_mhz()
+        )
 
 
 def test_amplitude_table_loaded_and_validated(tmp_path):

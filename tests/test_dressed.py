@@ -280,35 +280,6 @@ def test_coordinate_tuple_matches_stacked_positions_property(
         assert out.tobytes() == np.asarray(dressed_potential(stacked, cfg)).tobytes()
 
 
-@given(
-    st.tuples(_amplitude, _amplitude, _amplitude),
-    st.tuples(_phase, _phase),
-    st.booleans(),
-    st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=1, max_size=6),
-    st.lists(st.floats(2 * np.pi * 1e5, 2 * np.pi * 1e7), min_size=6, max_size=6),
-)
-def test_per_point_omega_matches_a_config_per_point_property(
-    amps, phases, gravity, points, omegas
-):
-    # each point's V with its own omega has the bits of a call on that point
-    # with a config at that omega, in either position form, with or without
-    # a workspace
-    bx, by, bz = amps
-    cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=phases[0], beta=phases[1],
-                    gravity=gravity)
-    pts = _read_only(points)
-    omega = _read_only(omegas[:len(pts)])
-    expected = np.array([
-        dressed_potential(p, cfg.with_rf(omega=w)) for p, w in zip(pts, omega)
-    ])
-    work = np.full((WORKSPACE_ROWS, len(pts) + 3), np.nan)
-    out = np.empty(len(pts))
-    for r in (pts, tuple(pts.T)):
-        assert dressed_potential(r, cfg, omega=omega).tobytes() == expected.tobytes()
-        v = dressed_potential(r, cfg, work=work, out=out, omega=omega)
-        assert v is out and out.tobytes() == expected.tobytes()
-
-
 # -- dressed potential -------------------------------------------------------
 
 def test_potential_circular_ring_value(fig2b):

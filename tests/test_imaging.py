@@ -350,7 +350,7 @@ def test_projection_axis_validation(fig2b):
 def test_round_trip_all_three_regimes(fig2a, fig2b, fig2c):
     for cfg in (fig2a, fig2b, fig2c):
         r0 = resonance_radius(cfg)
-        meas = measure_ring_radius(synth_image(cfg), n_diameters=8)
+        meas = measure_ring_radius(synth_image(cfg), (0.0, 0.0), n_diameters=8)
         assert meas.radius == pytest.approx(r0, abs=2 * PIXEL)
 
 
@@ -363,16 +363,19 @@ def test_synthetic_two_gaussian_image_exact():
     rr = np.hypot(ii - c, jj - c)
     values = np.exp(-0.5 * ((rr - 100.0) / 10.0) ** 2)
     img = SyntheticImage(pixel_size=pix, values=values)
-    meas = measure_ring_radius(img, n_diameters=8)
+    meas = measure_ring_radius(img, (c, c), n_diameters=8)
     assert meas.radius == pytest.approx(100.0, abs=0.01)
     assert meas.uncertainty < 0.01
 
 
 def test_rotated_image_same_radius(fig2c):
     img = synth_image(fig2c)
-    rot = SyntheticImage(pixel_size=img.pixel_size, values=np.rot90(img.values).copy())
-    m1 = measure_ring_radius(img, n_diameters=8)
-    m2 = measure_ring_radius(rot, n_diameters=8)
+    # the image is square about the trap axis, so its turn keeps the origin
+    rot = SyntheticImage(
+        pixel_size=img.pixel_size, values=np.rot90(img.values).copy(), origin=img.origin
+    )
+    m1 = measure_ring_radius(img, (0.0, 0.0), n_diameters=8)
+    m2 = measure_ring_radius(rot, (0.0, 0.0), n_diameters=8)
     assert m2.radius == pytest.approx(m1.radius, abs=max(2 * m1.uncertainty, PIXEL))
 
 
@@ -401,11 +404,11 @@ def test_zero_atom_image_measurement_errors(fig2b):
     img = column_density(fig2b, T20, region, dims, atom_number=0.0)
     assert img.values.max() == 0.0
     with pytest.raises(MeasurementError):
-        measure_ring_radius(img, n_diameters=4)
+        measure_ring_radius(img, (0.0, 0.0), n_diameters=4)
 
 
 def test_measurement_mean_and_std_invariants(fig2b):
-    meas = measure_ring_radius(synth_image(fig2b), n_diameters=8)
+    meas = measure_ring_radius(synth_image(fig2b), (0.0, 0.0), n_diameters=8)
     radii = [f.radius for f in meas.per_diameter]
     assert meas.radius == pytest.approx(np.mean(radii), rel=1e-14)
     assert meas.uncertainty == pytest.approx(np.std(radii), rel=1e-12, abs=1e-18)
