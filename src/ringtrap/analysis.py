@@ -38,7 +38,7 @@ from .dressed import (
     rabi_squared,
     resonance_radius,
 )
-from .errors import ConvergenceError, NotAMinimumError
+from .errors import NotAMinimumError
 from .fields import TrapConfig
 
 #: fewest profile azimuths the geometry classifier accepts
@@ -54,6 +54,10 @@ PROFILE_ZOOM = (97, 12)
 #: time in a z band (2 * 97 slopes per azimuth), where larger batches
 #: measured slower
 PROFILE_BATCH_POINTS = 2**14
+
+#: most azimuths a valley profile may have: then one frequency's plane batch,
+#: a batch's smallest, fits within ``PROFILE_BATCH_POINTS`` entries
+MAX_PROFILE_AZIMUTHS = PROFILE_BATCH_POINTS
 
 #: fraction of the dressing frequency below which a point counts as
 #: coupling-closed (cusp): it has no gradient and no harmonic expansion
@@ -307,7 +311,8 @@ def azimuthal_profile(
     For every azimuth phi the potential is minimised over
     rho in [0.2, 3] * r0 (factors configurable, 0 < lower < upper) and
     |z| <= ``z_band_factor`` * r0, where r0 is the resonance radius of
-    ``cfg``. The default band is 0, the z = 0 plane: the plane the ring,
+    ``cfg``, on 8 to ``MAX_PROFILE_AZIMUTHS`` azimuths ``n_phi``. The
+    default band is 0, the z = 0 plane: the plane the ring,
     wells and any azimuthal asymmetry live in, and the plane absorption
     images project onto. Along every ray of constant z / rho the field
     direction is fixed and V has a closed-form minimum (``_valley_floor``):
@@ -326,6 +331,8 @@ def azimuthal_profile(
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
+    if n_phi > MAX_PROFILE_AZIMUTHS:
+        raise ValueError(f"n_phi must be at most {MAX_PROFILE_AZIMUTHS}")
     if z_band_factor < 0:
         raise ValueError("z_band_factor must be non-negative")
     check_rho_factors(rho_factors)
@@ -591,7 +598,7 @@ class MinimizationResult:
     converged: bool  # the search ended within its iteration cap
     stationary: bool  # gradient norm below 1e-8 * m * g
     smooth: bool  # coupling open at the minimum; harmonic analysis valid
-    grad_norm: float | None  # None where the coupling is closed
+    grad_norm: float | None  # None where the coupling is closed or the polish capped
     iterations: int
     f_evals: int
 
@@ -967,11 +974,11 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
     otherwise V* falls toward the rays that have no floor, where R* grows
     without bound.
 
-    Raises
-    ------
-    ConvergenceError
-        More than ``max_iter`` polish iterations; the lowest candidate so far
-        rides on the exception.
+    A polish stopped by its cap of ``max_iter`` iterations returns its
+    lowest candidate with ``converged`` False and ``iterations`` equal to
+    the cap. It takes no Newton finish: ``grad_norm`` is None and
+    ``stationary`` False, while ``smooth`` still says whether the coupling
+    is open there.
     """
     start = np.asarray(start, dtype=float)
     # the components of directions hundreds of decades apart, such as those
@@ -1024,23 +1031,18 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
                 cfg, n, MIN_MESH_STEP / resonance_radius(cfg), max_iter - it
             )
             (n, radius, value, rabi), it, evals = found, it + more_it, evals + more
-        smooth = bool(rabi[0] > smooth_rabi) and not capped
+        smooth = bool(rabi[0] > smooth_rabi)
         target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
         grad_norm = None
-        if smooth:
+        if smooth and not capped:
             probe, grad_norm, trials = _finish_on_shell(cfg, n, target)
             n, radius, value = probe[0][:, 0], probe[1], probe[2]
             it, evals = it + trials, evals + len(_STENCIL) * (1 + trials)
-        result = MinimizationResult(
+        return MinimizationResult(
             position=radius[0] * n[0] * _RAY, value=float(value[0]), converged=not capped,
-            stationary=smooth and grad_norm < target, smooth=smooth, grad_norm=grad_norm,
-            iterations=it, f_evals=evals,
+            stationary=grad_norm is not None and grad_norm < target, smooth=smooth,
+            grad_norm=grad_norm, iterations=it, f_evals=evals,
         )
-        if capped:
-            raise ConvergenceError(
-                f"shell polish stopped at its cap of {max_iter} iterations", best=result
-            )
-        return result
 
 
 def analyze_trap(
@@ -1060,9 +1062,10 @@ def analyze_trap(
     six axis rays (``_escape_depth``), is measured from it. Where
     it is smooth and stationary (its Newton finish took the gradient of V
     below 1e-8 m g) it is ``refined_minimum``, and the harmonic frequencies
-    are taken there. With gravity on and kappa <= 1, V has no bound
-    minimum: nothing is refined, a note says so, and the depth is measured
-    from the profile minimum.
+    are taken there. A search stopped at its iteration cap
+    (``converged`` False) is noted, and its lowest candidate kept. With
+    gravity on and kappa <= 1, V has no bound minimum: nothing is refined, a
+    note says so, and the depth is measured from the profile minimum.
     """
     r0 = resonance_radius(cfg)
     profile = azimuthal_profile(
@@ -1093,11 +1096,12 @@ def analyze_trap(
             "<= 1): the potential has no bound minimum to refine"
         )
     elif cls.geometry is not Geometry.CENTER_TRAP:
-        try:
-            result = shell_minimum(cfg, _field_direction(minima[0][0]))
-        except ConvergenceError as err:
-            notes.append(f"minimum refinement did not converge: {err}")
-            result = err.best
+        result = shell_minimum(cfg, _field_direction(minima[0][0]))
+        if not result.converged:
+            notes.append(
+                "minimum refinement did not converge: shell polish stopped at "
+                f"its cap of {result.iterations} iterations"
+            )
         if result.stationary and result.smooth:
             refined = result.position
             try:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
+    MAX_PROFILE_AZIMUTHS,
     MIN_CLASSIFY_AZIMUTHS,
     ClassifierTolerances,
     check_frequencies,
@@ -74,7 +75,7 @@ _SCHEMA = {
         "enabled": _Key(bool, True),
     },
     "analysis": {
-        "n_phi": _Key(int, 64, lambda v: v >= MIN_CLASSIFY_AZIMUTHS),
+        "n_phi": _Key(int, 64, lambda v: MIN_CLASSIFY_AZIMUTHS <= v <= MAX_PROFILE_AZIMUTHS),
         "rho_min_factor": _Key(float, 0.2, _positive),
         "rho_max_factor": _Key(float, 3.0, _positive),
         "z_band_factor": _Key(float, 0.0, _non_negative),

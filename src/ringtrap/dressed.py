@@ -42,8 +42,8 @@ block passes its three axis slices this way and builds no positions array.
 Both forms run through one kernel and give the same bits for the same
 points; the result has the points' shape.
 
-Where the kernel's temporaries live: a call allocates them afresh, as numpy
-scalars for one point, unless it is given a workspace
+Where the kernel's temporaries live: a call allocates them afresh, whatever
+the number of points, unless it is given a workspace
 (:func:`kernel_workspace`). It then writes each temporary into a row of that
 workspace, viewed in the points' shape, and ``dressed_potential``
 writes V into the ``out`` array it is given, so a call allocates nothing the
@@ -91,10 +91,6 @@ def _coordinates(r):
     if isinstance(r, tuple):
         return tuple(np.asarray(c, dtype=float) for c in r)
     r = np.asarray(r, dtype=float)
-    if r.ndim == 1:
-        # one point: numpy scalars' arithmetic is several times cheaper than
-        # 0-d arrays', and signals floating-point errors the same way
-        return r[0], r[1], r[2]
     return r[..., 0], r[..., 1], r[..., 2]
 
 
@@ -123,26 +119,6 @@ def _rows(work, x, y, z):
     )
 
 
-def _mul(a, b, out):
-    """a * b: a fresh result, or written into ``out``."""
-    return a * b if out is None else np.multiply(a, b, out=out)
-
-
-def _add(a, b, out):
-    """a + b: a fresh result, or written into ``out``."""
-    return a + b if out is None else np.add(a, b, out=out)
-
-
-def _reciprocal(a, out):
-    """1 / a: a fresh result, or written into ``out``."""
-    return 1.0 / a if out is None else np.divide(1.0, a, out=out)
-
-
-def _sqrt(a, out):
-    """sqrt(a): a fresh result, or written into ``out``."""
-    return np.sqrt(a) if out is None else np.sqrt(a, out=out)
-
-
 def _select(mask, a, b, out):
     """np.where(mask, a, b): a fresh result, or written into ``out``, which
     may hold ``b`` already."""
@@ -157,9 +133,10 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     """(omega_0, |Omega|^2) at the positions ``r`` in either form, with R and
     n computed once.
 
-    Without a workspace each temporary is a fresh array (a numpy scalar for
-    one point); given one, each is written into a row of ``work``, and the
-    two results are views of it. The rows are viewed in the points' shape
+    Each step is one numpy ufunc call whose ``out`` is a workspace row, or
+    None without a workspace, so that numpy allocates a fresh temporary: one
+    path for any number of points. Given a workspace, the two results are
+    views of it. The rows are viewed in the points' shape
     once per call (``_rows``); only the first few temporaries, of the
     coordinates alone, take a row in their own shape. The rows hold: 0 w;
     1 R, then 1/R, n_z and u_z; 2 omega_0; 3 n_x; 4 n_y, then u_y; 5 n.a;
@@ -182,43 +159,42 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
     # a coordinate hundreds of decades below another underflows in the
     # squares and products of its part, to a 0 that changes nothing
     with np.errstate(under="ignore"):
-        w = _mul(-2.0, z, w_row)
-        rad = _add(_mul(x, x, xx_row), _mul(y, y, yy_row), sum_row)
-        rad = _sqrt(_add(rad, _mul(w, w, ww_row), rows[1]), rows[1])
-        larmor = _mul(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, rows[2])
+        w = np.multiply(-2.0, z, w_row)
+        rad = np.add(np.multiply(x, x, xx_row), np.multiply(y, y, yy_row), sum_row)
+        rad = np.sqrt(np.add(rad, np.multiply(w, w, ww_row), rows[1]), rows[1])
+        larmor = np.multiply(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, rows[2])
         larmor /= HBAR
         tiny = 2.0**-500
         centre = None
-        # one point's R is a numpy scalar, compared directly: its .min() costs
-        # more than the rest of the check
-        if rad < tiny if rad.ndim == 0 else rad.size and rad.min() < tiny:
+        if rad.size and rad.min() < tiny:
             # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
             # underflows to 0; scaling by a power of two is exact, so such a
             # point keeps its own direction (and the centre stays at 0)
             scale = _select(rad < tiny, 2.0**600, 1.0, rows[3])
-            x, y, w = _mul(x, scale, rows[5]), _mul(y, scale, rows[6]), _mul(w, scale, rows[7])
-            rad = _add(_mul(x, x, rows[3]), _mul(y, y, rows[4]), rows[3])
-            rad = _sqrt(_add(rad, _mul(w, w, rows[4]), rows[1]), rows[1])
+            x, y = np.multiply(x, scale, rows[5]), np.multiply(y, scale, rows[6])
+            w = np.multiply(w, scale, rows[7])
+            rad = np.add(np.multiply(x, x, rows[3]), np.multiply(y, y, rows[4]), rows[3])
+            rad = np.sqrt(np.add(rad, np.multiply(w, w, rows[4]), rows[1]), rows[1])
             centre = rad == 0.0
             rad = _select(centre, 1.0, rad, rows[1])
-        inv = _reciprocal(rad, rows[1])
-        nx, ny = _mul(x, inv, rows[3]), _mul(y, inv, rows[4])
+        inv = np.divide(1.0, rad, rows[1])
+        nx, ny = np.multiply(x, inv, rows[3]), np.multiply(y, inv, rows[4])
         inv *= w  # 1/R is not needed again
         nz = inv
-        na = _mul(nx, ax, rows[5])
-        na += _mul(ny, ay, rows[6])
-        na += _mul(nz, az, rows[6])
+        na = np.multiply(nx, ax, rows[5])
+        na += np.multiply(ny, ay, rows[6])
+        na += np.multiply(nz, az, rows[6])
         # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
-        ux = _mul(na, nx, rows[7])
+        ux = np.multiply(na, nx, rows[7])
         ux -= ax
-        ux -= _mul(ny, bz, rows[6])
-        ux += _mul(nz, by, rows[6])
-        uy = _mul(na, ny, rows[4])  # n_y is not needed again
+        ux -= np.multiply(ny, bz, rows[6])
+        ux += np.multiply(nz, by, rows[6])
+        uy = np.multiply(na, ny, rows[4])  # n_y is not needed again
         uy -= ay
-        uy += _mul(nx, bz, rows[6])
-        uz = _mul(na, nz, rows[1])  # nor n_z
+        uy += np.multiply(nx, bz, rows[6])
+        uz = np.multiply(na, nz, rows[1])  # nor n_z
         uz -= az
-        uz -= _mul(nx, by, rows[6])
+        uz -= np.multiply(nx, by, rows[6])
         ux *= ux
         uy *= uy
         ux += uy
@@ -227,7 +203,7 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
         if centre is not None:
             ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, rows[7])
         pref = coupling_prefactor(cfg)
-        return larmor, _mul(pref * pref, ux, rows[7])
+        return larmor, np.multiply(pref * pref, ux, rows[7])
 
 
 def larmor_frequency(r, cfg: TrapConfig):
@@ -268,11 +244,11 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
     larmor *= larmor
     larmor += om2
     del om2  # one chunk-sized array fewer alive through the sqrt
-    v = np.sqrt(larmor) if out is None else np.sqrt(larmor, out=out)
+    v = np.sqrt(larmor, out=out)
     v *= cfg.atom.m_F * HBAR
     if cfg.gravity_on:
         y = _coordinates(r)[1]
-        v += _mul(cfg.atom.mass * G_ACCEL, y, None if work is None else _row(work, 3, y))
+        v += np.multiply(cfg.atom.mass * G_ACCEL, y, None if work is None else _row(work, 3, y))
     return v
 
 

@@ -13,17 +13,6 @@ class ConfigError(RingtrapError, ValueError):
     """Invalid, unknown, or out-of-range configuration input."""
 
 
-class ConvergenceError(RingtrapError, RuntimeError):
-    """An iterative numerical procedure failed to converge.
-
-    ``best`` carries the best iterate found so far, when available.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class NotAMinimumError(RingtrapError, ValueError):
     """The supplied point is not a harmonic local minimum."""
 

@@ -23,6 +23,7 @@ from ringtrap import (
 from ringtrap.analysis import (
     _GEOMETRIES,
     CENTER_TRAP_COUPLING,
+    MAX_PROFILE_AZIMUTHS,
     MIN_MESH_STEP,
     PROFILE_BATCH_POINTS,
     AzimuthalProfile,
@@ -45,7 +46,7 @@ from ringtrap.analysis import (
     shell_minimum,
 )
 from ringtrap.constants import G_ACCEL, HBAR, K_B, MU_B, RB87
-from ringtrap.errors import ConvergenceError, NotAMinimumError
+from ringtrap.errors import NotAMinimumError
 
 from conftest import (
     B07,
@@ -142,6 +143,17 @@ def test_profile_z_band_finds_lower_valley(fig2c):
 def test_profile_requires_min_azimuths(fig2a):
     with pytest.raises(ValueError):
         azimuthal_profile(fig2a, n_phi=4)
+
+
+def test_profile_rejects_more_azimuths_than_its_limit(fig2a):
+    # the config's limit; 10^12 azimuths would ask numpy for terabytes
+    with pytest.raises(ValueError, match=f"at most {MAX_PROFILE_AZIMUTHS}"):
+        azimuthal_profile(fig2a, n_phi=MAX_PROFILE_AZIMUTHS + 1)
+    with pytest.raises(ValueError, match=f"at most {MAX_PROFILE_AZIMUTHS}"):
+        azimuthal_profile(fig2a, n_phi=10**12)
+    assert azimuthal_profile(fig2a, n_phi=MAX_PROFILE_AZIMUTHS).radii.shape == (
+        MAX_PROFILE_AZIMUTHS,
+    )
 
 
 def plane_zoom_profile(cfg, n_phi, rho_factors):
@@ -272,7 +284,7 @@ def test_plane_radii_are_resonance_radius_without_gravity(name):
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
-def test_plane_profile_makes_two_kernel_calls(name, monkeypatch):
+def test_plane_profile_makes_one_kernel_call(name, monkeypatch):
     # one call: the coupling on the 256 ray directions; V along each ray is
     # its closed form
     shapes = count_coupling_calls(monkeypatch)
@@ -386,7 +398,7 @@ def test_profile_potential_is_the_kernel_at_its_position_property(
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
-def test_band_profile_makes_two_kernel_calls_per_pass(name, monkeypatch):
+def test_band_profile_makes_one_kernel_call_per_pass(name, monkeypatch):
     # one call per pass, the coupling on its ray directions: one slope
     # window per sign of z and azimuth
     shapes = count_coupling_calls(monkeypatch)
@@ -780,7 +792,7 @@ def test_batched_sweep_amplitude_table_equals_one_row_at_a_time(fig2b, band):
 
 
 @pytest.mark.parametrize("name", sorted(reference_configs()))
-def test_plane_sweep_makes_two_kernel_calls_per_amplitude_group(name, monkeypatch):
+def test_plane_sweep_makes_one_kernel_call_per_amplitude_group(name, monkeypatch):
     cfg = reference_configs()[name]
     # one call per group: the coupling on the plane's 256 ray directions,
     # which do not depend on the frequency
@@ -1230,13 +1242,11 @@ def test_ray_floor_is_the_minimum_along_each_ray():
         assert bool(has_floor.all()) == (cfg is not strong)
 
 
-def test_shell_minimum_iteration_cap_raises_with_best(monkeypatch):
+def test_shell_minimum_iteration_cap_returns_its_best_unconverged(monkeypatch):
     # the saddle config's polish takes more than two iterations
     cfg = SADDLE_CONFIG
     start = np.array([0.0, -1.0, 0.0])
-    with pytest.raises(ConvergenceError) as exc:
-        shell_minimum(cfg, start, max_iter=2)
-    best = exc.value.best
+    best = shell_minimum(cfg, start, max_iter=2)
     assert best.iterations == 2 and not best.converged
     assert np.isfinite(best.value) and np.all(np.isfinite(best.position))
     # analyze_trap notes the failure and measures the depth from the best point
@@ -1245,8 +1255,27 @@ def test_shell_minimum_iteration_cap_raises_with_best(monkeypatch):
 
     monkeypatch.setattr(ringtrap.analysis, "shell_minimum", capped)
     got = analyze_trap(cfg)
-    assert got.notes[0].startswith("minimum refinement did not converge")
+    assert got.notes[0] == (
+        "minimum refinement did not converge: shell polish stopped at its cap of 2 iterations"
+    )
     assert got.minimum.iterations == 2 and got.refined_minimum is None
+
+
+def test_capped_polish_at_an_open_coupling_is_no_cusp(monkeypatch):
+    # the gravity ring's minimum has an open coupling; a polish stopped at
+    # its cap takes no Newton finish, but its winner is still no cusp
+    cfg = reference_configs()["gravity"]
+
+    def capped(cfg, start):
+        return shell_minimum(cfg, start, max_iter=0)
+
+    monkeypatch.setattr(ringtrap.analysis, "shell_minimum", capped)
+    got = analyze_trap(cfg)
+    assert got.minimum.smooth
+    assert not got.minimum.converged and not got.minimum.stationary
+    assert got.minimum.grad_norm is None and got.refined_minimum is None
+    assert got.notes[0].startswith("minimum refinement did not converge")
+    assert not any("cusp" in note for note in got.notes)
 
 
 @pytest.mark.parametrize("shape", ["circular", "linear"])

@@ -540,6 +540,20 @@ def test_underflowing_gradient_is_a_config_error(ini, tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_too_many_profile_azimuths_are_a_config_error(ini, tmp_path, capsys, command):
+    # 10^12 azimuths would ask numpy for terabytes in the profile; the limit
+    # is checked at load, before any output
+    out = tmp_path / "wide"
+    argv = [command, "--config", str(ini), "--out", str(out),
+            "--set", "analysis.n_phi=1000000000000"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("ringtrap: config error: [analysis] n_phi")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_two_runs_in_one_process_keep_their_own_overrides(ini, tmp_path):
     # the parser is built once per process; each call parses its own --set
     one, two = tmp_path / "one", tmp_path / "two"

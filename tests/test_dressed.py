@@ -210,7 +210,8 @@ def test_underflowing_radius_keeps_its_direction(fig2a):
 
 
 def test_underflowing_single_point_keeps_its_direction():
-    # one point's R is a numpy scalar, whose rescue check compares it directly
+    # one point alone runs the batch path: its R, below 2^-500 m, takes the
+    # same rescue as in a batch
     directions = np.random.default_rng(7).normal(size=(8, 3))
     directions[:3] = np.eye(3)
     for cfg in reference_configs().values():
@@ -278,6 +279,33 @@ def test_coordinate_tuple_matches_stacked_positions_property(
         v = dressed_potential(r, cfg, work=work, out=out)
         assert v is out
         assert out.tobytes() == np.asarray(dressed_potential(stacked, cfg)).tobytes()
+
+
+_SINGLE_POINTS = [[0.0, 0.0, 0.0], [2.0**-520, -2.0**-600, 3.0 * 2.0**-530],
+                  [2.0**-520, 1e-5, 0.0], [1e-4, -2e-4, 3e-5]]
+
+
+@example((B07, B07, 2e-5), (-np.pi / 2, 0.3), False, _SINGLE_POINTS)
+@example((B07, B07, 2e-5), (-np.pi / 2, 0.3), True, _SINGLE_POINTS)
+@given(
+    st.tuples(_amplitude, _amplitude, _amplitude),
+    st.tuples(_phase, _phase),
+    st.booleans(),
+    st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=1, max_size=6),
+)
+def test_single_point_has_its_bits_in_a_batch_property(amps, phases, gravity, points):
+    # a (3,) point alone gives a 0-d result with the bits it has inside a
+    # batch, the centre and points below 2^-500 m among them
+    bx, by, bz = amps
+    cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=phases[0], beta=phases[1],
+                    gravity=gravity)
+    pts = _read_only(points)
+    for fn in (dressed_potential, rabi_squared, larmor_frequency, detuning):
+        batch = fn(pts, cfg)
+        for point, in_batch in zip(pts, batch):
+            alone = fn(point, cfg)
+            assert np.ndim(alone) == 0
+            assert np.asarray(alone).tobytes() == np.asarray(in_batch).tobytes()
 
 
 # -- dressed potential -------------------------------------------------------
