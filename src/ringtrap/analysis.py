@@ -16,9 +16,9 @@ The same closed form turns the 3-D minimum into a 2-D question: the minimum
 of V is the minimum of the ray floor over the unit sphere of field
 directions, with no box and no window. ``shell_minimum`` takes it from the
 coupling holes, where |Omega| closes, in closed form and, under gravity,
-from a map of directions polished by a tangent-plane Newton iteration; a
-smooth winner ends in Newton steps that bring the gradient of V, given by
-the envelope theorem, below 1e-8 m g.
+from a map of directions polished by one trust-region Newton iteration in
+the tangent plane; where the coupling is open, the polish brings the
+gradient of V, given by the envelope theorem, below 1e-8 m g.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ MIN_CLASSIFY_AZIMUTHS = 64
 PROFILE_ZOOM = (97, 12)
 
 #: entries of each closed-form array (one per ray and frequency) that a
-#: batch of profile frequencies may fill, so that a batch stays cache-sized:
-#: up to 64 frequencies at 256 azimuths in the plane, and one frequency at a
-#: time in a z band (2 * 97 slopes per azimuth), where larger batches
-#: measured slower
+#: batch of profile columns may fill, so that a batch stays cache-sized:
+#: up to 64 frequencies at 256 azimuths in the plane, and in a z band
+#: (2 * 97 slopes per azimuth) one frequency on up to 84 azimuths
 PROFILE_BATCH_POINTS = 2**14
 
 #: most azimuths a valley profile may have: then one frequency's plane batch,
@@ -66,8 +65,10 @@ SMOOTH_RABI_FRACTION = 0.01
 #: stationarity threshold on the gradient norm, in units of m*g
 STATIONARY_GRAD_FACTOR = 1e-8
 
-#: a polished minimum where the coupling is closed is polished on until its
-#: step is below this [m] of position, MIN_MESH_STEP / r0 in angle
+#: the shell polish stops a candidate where the coupling is closed once its
+#: step is below this [m] of position, MIN_MESH_STEP / r0 in angle; where the
+#: coupling is open it stops on the gradient instead, as a Newton step near
+#: the stationarity target is far shorter than this
 MIN_MESH_STEP = 1e-12
 
 #: the map of field directions ``shell_minimum`` starts from under gravity:
@@ -79,11 +80,6 @@ SHELL_MAP = (33, 64)
 #: angle [rad] of the tangent-plane finite differences of the shell polish
 #: and of the neighbours that test a coupling hole for a local minimum
 SHELL_PROBE_ANGLE = 1e-6
-
-#: the shell polish stops a candidate once its step is shorter than this
-#: [rad], (2 pi / 64) / 2**9: 4e-8 m on a ring of 214 um, from where the
-#: Newton finish in the winner's tangent plane converges
-SHELL_STEP_TOL = 2.0 * np.pi / 64 / 2**9
 
 #: Newton iterations on the secular equation of a trust-region step that
 #: meets its radius: from the left the iteration rises monotonically to the
@@ -317,8 +313,9 @@ def azimuthal_profile(
     images project onto. Along every ray of constant z / rho the field
     direction is fixed and V has a closed-form minimum (``_valley_floor``):
     the plane is one such ray per azimuth (one kernel call of the coupling
-    on ``n_phi`` directions); a z band zooms over the ray slope for all
-    azimuths in lockstep (one kernel call per pass of ``PROFILE_ZOOM``).
+    on ``n_phi`` directions); a z band zooms over the ray slope for the
+    azimuths of a batch in lockstep (one kernel call per pass of
+    ``PROFILE_ZOOM``).
 
     Given a sequence ``omegas``, returns one profile whose rows are the
     profiles of ``cfg.with_rf(omega=w)`` for each w, each with the bits of
@@ -327,7 +324,8 @@ def azimuthal_profile(
     ``PROFILE_BATCH_POINTS`` entries, and at least one. In the plane a batch
     is one kernel call, the coupling on the ``n_phi`` ray directions, which
     do not depend on the frequency; its floors go straight into the
-    profile's arrays.
+    profile's arrays. A z band takes one frequency at a time, on as few
+    near-equal parts of the azimuths as keep each within the budget.
     """
     if n_phi < 8:
         raise ValueError("n_phi must be at least 8")
@@ -344,14 +342,20 @@ def azimuthal_profile(
     cosp, sinp = np.cos(phis), np.sin(phis)
     rays = 2 * PROFILE_ZOOM[0] if z_band_factor > 0 else 1
     per_batch = min(len(ws), max(1, PROFILE_BATCH_POINTS // (rays * n_phi)))
+    # a band batch of one frequency splits its azimuths into near-equal parts
+    # that fit the budget; a plane batch always takes all of them
+    parts = -(-n_phi // (PROFILE_BATCH_POINTS // rays))
+    width = -(-n_phi // parts)
     floors = np.empty((4, len(ws), n_phi))  # radii, z, potentials, rabis
     for start in range(0, len(ws), per_batch):
         rows = slice(start, start + per_batch)
         col = r0[rows, None]  # one row of columns per frequency
-        _valley_floor(
-            cfg, cosp, sinp, col, rho_factors[0] * col, rho_factors[1] * col,
-            z_band_factor * col, floors[:, rows],
-        )
+        for first in range(0, n_phi, width):
+            cols = slice(first, first + width)
+            _valley_floor(
+                cfg, cosp[cols], sinp[cols], col, rho_factors[0] * col,
+                rho_factors[1] * col, z_band_factor * col, floors[:, rows, cols],
+            )
     scales = cfg.atom.m_F * HBAR * ws
     if omegas is None:
         return AzimuthalProfile(phis, *floors[:, 0], float(scales[0]), float(r0[0]))
@@ -598,9 +602,10 @@ class MinimizationResult:
     converged: bool  # the search ended within its iteration cap
     stationary: bool  # gradient norm below 1e-8 * m * g
     smooth: bool  # coupling open at the minimum; harmonic analysis valid
-    grad_norm: float | None  # None where the coupling is closed or the polish capped
-    iterations: int
-    f_evals: int
+    # |grad V| [N] at the ray floor; None where the coupling is closed or the polish capped
+    grad_norm: float | None
+    iterations: int  # of the shell polish, each one kernel call
+    f_evals: int  # directions evaluated
 
 
 @dataclass(frozen=True)
@@ -819,47 +824,6 @@ def _trust_steps(grad, curv, radius):
     return step, np.sqrt((step * step).sum(axis=1))
 
 
-def _polish_on_shell(cfg, n, tol, max_iter, holes=np.empty((0, 3))):
-    """Polish the unit directions ``n`` (k, 3) together toward local minima
-    of V*: a Newton iteration in each one's tangent plane with a trust
-    radius, one kernel call of 9 directions per candidate per iteration
-    (``_probe``). A trial is taken when V* falls, and the radius then grows
-    to twice the step; otherwise the radius shrinks to a quarter of it, which
-    also ends a descent into the cusp of a coupling hole. A candidate stops
-    once its step is shorter than ``tol`` [rad]. The last ``len(holes)``
-    candidates start beside those holes, and each stops once it is more than
-    a row of the map from its hole: from there the map resolves the descent.
-
-    Returns the directions, R*, V* [J] and |Omega| there, the iterations,
-    the directions evaluated, and whether ``max_iter`` stopped the polish
-    first.
-    """
-    scale = cfg.atom.m_F * HBAR * cfg.rf.omega
-    state = _probe(cfg, n, scale)  # basis, R*, V*, |Omega|, gradient, Hessian
-    basis, _, value, _, grad, curv = state
-    active = np.isfinite(value)
-    row = np.pi / SHELL_MAP[0]
-    trust = np.full(len(n), row)
-    tethered = slice(len(n) - len(holes), len(n))
-    it, evals = 0, 9 * len(n)
-    while True:
-        step, length = _trust_steps(grad, curv, trust)
-        active &= length >= tol
-        active[tethered] &= (basis[tethered, 0] * holes).sum(axis=1) >= math.cos(row)
-        if not active.any() or it == max_iter:
-            return (basis[:, 0],) + state[1:4] + (it, evals, bool(active.any()))
-        it += 1
-        k = np.flatnonzero(active)
-        coeffs = np.column_stack([np.ones(len(k)), step[k]])[:, None]
-        trial = _turn(basis[k], coeffs)[:, 0]
-        got = _probe(cfg, trial, scale)
-        evals += 9 * len(k)
-        better = got[2] < value[k]
-        trust[k] = np.where(better, np.maximum(trust[k], 2.0 * length[k]), 0.25 * length[k])
-        for kept, new in zip(state, got):
-            kept[k[better]] = new[better]
-
-
 def _floor_gradient(probe, scale):
     """|grad V| [N] at the ray floor of each centre of ``probe`` (a
     ``_probe`` of V* / ``scale``), by the envelope theorem: at r = R* u(n),
@@ -874,38 +838,64 @@ def _floor_gradient(probe, scale):
     return np.where(np.isfinite(value), norm, np.inf)
 
 
-def _finish_on_shell(cfg, n, target):
-    """Newton steps in the tangent plane from the unit direction ``n``
-    (1, 3), each taken, halved up to seven times, only when the gradient of
-    V at the ray floor (``_floor_gradient``) shrinks: near the minimum V*
-    falls by less than its own rounding, so its fall tells nothing. Stops
-    below ``target`` [N], after 12 steps, where the Hessian is not
-    positive definite, or when no halving helps. Returns the last
-    ``_probe``, its gradient norm and the trials, probes after the first;
-    each probe is one kernel call of 9 directions."""
+def _polish_on_shell(cfg, n, max_iter, holes, kept):
+    """Take the unit directions ``n`` (k, 3) together down to local minima
+    of V*: a trust-region Newton iteration in each one's tangent plane
+    (``_trust_steps``), one kernel call of 9 directions per candidate per
+    iteration (``_probe``).
+
+    A trial is taken when V* falls, or when V* stays within
+    ``SHELL_TIE_FRACTION`` of m_F hbar omega of its old value and the
+    gradient of V at the ray floor (``_floor_gradient``) shrinks: near a
+    smooth minimum V* falls by less than its own rounding, so its fall
+    tells nothing. A taken trial grows the trust radius to twice the step;
+    otherwise it shrinks to a quarter of the step. Each candidate stops by
+    its kind: where the coupling is open (|Omega| > ``SMOOTH_RABI_FRACTION``
+    omega), once that gradient is below ``STATIONARY_GRAD_FACTOR`` m g or
+    its step below rounding; where it is closed, V* has a cusp and no
+    gradient, and the candidate stops once its step is below
+    ``MIN_MESH_STEP`` of position. Any candidate stops once one of the
+    coupling holes ``kept`` (m, 3) lies within its step: it is sliding into
+    a cusp that is a candidate already. The last ``len(holes)`` candidates
+    start beside those holes, and each stops once it is more than a row of
+    the map from its hole: from there the map resolves the descent.
+
+    Returns the directions, R*, V* [J], |Omega| and the floor gradient [N]
+    there, the iterations, the directions evaluated, and whether
+    ``max_iter`` stopped the polish first.
+    """
     scale = cfg.atom.m_F * HBAR * cfg.rf.omega
-    probe = _probe(cfg, n, scale)
-    norm = _floor_gradient(probe, scale)[0]
-    trials = 0
-    for _ in range(12):
-        if norm < target:
-            break
-        basis, (g1, g2), (h11, h12, h22) = probe[0], probe[4][0], probe[5][0]
-        det = h11 * h22 - h12 * h12
-        if not (h11 > 0 and det > 0):
-            break
-        step = np.array([1.0, (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det])
-        for _ in range(8):
-            got = _probe(cfg, _turn(basis, step[None])[:, 0], scale)
-            trials += 1
-            got_norm = _floor_gradient(got, scale)[0]
-            if got_norm < norm:
-                probe, norm = got, got_norm
-                break
-            step[1:] *= 0.5
-        else:
-            break
-    return probe, float(norm), trials
+    tie = SHELL_TIE_FRACTION * scale
+    target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
+    mesh = MIN_MESH_STEP / resonance_radius(cfg)
+    state = _probe(cfg, n, scale)  # basis, R*, V*, |Omega|, gradient, Hessian
+    basis, _, value, rabi, grad, curv = state
+    norm = _floor_gradient(state, scale)
+    active = np.isfinite(value)
+    row = np.pi / SHELL_MAP[0]
+    trust = np.full(len(n), row)
+    tethered = slice(len(n) - len(holes), len(n))
+    it, evals = 0, len(_STENCIL) * len(n)
+    while True:
+        step, length = _trust_steps(grad, curv, trust)
+        open_ = rabi > SMOOTH_RABI_FRACTION * cfg.rf.omega
+        active &= np.where(open_, (norm >= target) & (length >= np.finfo(float).eps),
+                           length >= mesh)
+        active[tethered] &= (basis[tethered, 0] * holes).sum(axis=1) >= math.cos(row)
+        chord = np.sqrt(((basis[:, None, 0] - kept) ** 2).sum(axis=-1))  # to each kept hole
+        active &= chord.min(axis=1, initial=np.inf) > length
+        if not active.any() or it == max_iter:
+            return (basis[:, 0],) + state[1:4] + (norm, it, evals, bool(active.any()))
+        it += 1
+        k = np.flatnonzero(active)
+        coeffs = np.column_stack([np.ones(len(k)), step[k]])[:, None]
+        got = _probe(cfg, _turn(basis[k], coeffs)[:, 0], scale)
+        got_norm = _floor_gradient(got, scale)
+        evals += len(_STENCIL) * len(k)
+        better = (got[2] < value[k]) | ((got[2] <= value[k] + tie) & (got_norm < norm[k]))
+        trust[k] = np.where(better, np.maximum(trust[k], 2.0 * length[k]), 0.25 * length[k])
+        for old, new in zip(state + (norm,), got + (got_norm,)):
+            old[k[better]] = new[better]
 
 
 def _map_minima(v) -> np.ndarray:
@@ -961,24 +951,21 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
 
     The lowest candidate wins; those within ``SHELL_TIE_FRACTION`` of
     m_F hbar omega of it tie, and the one whose direction is nearest
-    ``start`` wins. A polished winner where the coupling is closed
-    (|Omega| <= ``SMOOTH_RABI_FRACTION`` omega) is polished on to
-    ``MIN_MESH_STEP`` of position. Where the coupling is open the winner
-    ends in ``_finish_on_shell``, which takes the gradient of V below
-    ``STATIONARY_GRAD_FACTOR`` m g; ``stationary`` says whether it got
-    there. At a coupling-closed winner V has a cusp and no gradient:
-    ``grad_norm`` is None, ``stationary`` False and ``smooth`` False.
-    ``iterations`` counts the polish iterations and the finish's trials,
-    each one kernel call, and ``f_evals`` the directions evaluated. The
-    caller must know that V is bounded below (no gravity, or kappa > 1):
-    otherwise V* falls toward the rays that have no floor, where R* grows
-    without bound.
+    ``start`` wins. Where the coupling is open (|Omega| >
+    ``SMOOTH_RABI_FRACTION`` omega) ``grad_norm`` is the gradient of V at
+    the winner's ray floor, and ``stationary`` says whether the polish took
+    it below ``STATIONARY_GRAD_FACTOR`` m g. At a coupling-closed winner V
+    has a cusp and no gradient: ``grad_norm`` is None, ``stationary`` False
+    and ``smooth`` False. ``iterations`` counts the polish iterations, each
+    one kernel call, and ``f_evals`` the directions evaluated. The caller
+    must know that V is bounded below (no gravity, or kappa > 1): otherwise
+    V* falls toward the rays that have no floor, where R* grows without
+    bound.
 
     A polish stopped by its cap of ``max_iter`` iterations returns its
     lowest candidate with ``converged`` False and ``iterations`` equal to
-    the cap. It takes no Newton finish: ``grad_norm`` is None and
-    ``stationary`` False, while ``smooth`` still says whether the coupling
-    is open there.
+    the cap; ``grad_norm`` is then None and ``stationary`` False, while
+    ``smooth`` still says whether the coupling is open there.
     """
     start = np.asarray(start, dtype=float)
     # the components of directions hundreds of decades apart, such as those
@@ -989,9 +976,9 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
         if not len(holes):  # the rf vanishes: every direction is a hole
             holes = start[None, :]
         it, evals, capped = 0, len(holes), False
+        unknown = np.full(len(holes), np.inf)  # no floor gradient at a cusp
         if not cfg.gravity_on:
-            cands = (holes,) + _shell_floor(cfg, holes)
-            polished = np.zeros(len(holes), dtype=bool)
+            cands = (holes,) + _shell_floor(cfg, holes) + (unknown,)
         else:
             directions = _SHELL_DIRECTIONS
             m = len(directions)
@@ -1009,37 +996,23 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
             downhill = _turn(basis[~kept], np.column_stack([np.ones(len(down)), down])[:, None])
             starts = _map_minima(floors[1][:m].reshape(SHELL_MAP)).reshape(-1)
             *found, it, more, capped = _polish_on_shell(
-                cfg, np.concatenate([directions[starts], downhill[:, 0]]), SHELL_STEP_TOL,
-                max_iter, holes[~kept],
+                cfg, np.concatenate([directions[starts], downhill[:, 0]]), max_iter,
+                holes[~kept], holes[kept],
             )
             evals += more
             # the holes' rows are the centres of their stencils
-            at_holes = [holes] + [f[m::len(_STENCIL)] for f in floors]
+            at_holes = [holes] + [f[m::len(_STENCIL)] for f in floors] + [unknown]
             cands = tuple(np.concatenate([h[kept], f]) for h, f in zip(at_holes, found))
-            polished = np.arange(len(cands[0])) >= kept.sum()
         values = cands[2]
         tie = SHELL_TIE_FRACTION * cfg.atom.m_F * HBAR * cfg.rf.omega
         near = values <= values.min() + tie
         best = int(np.argmax(np.where(near, cands[0] @ start, -np.inf)))
-        n, radius, value, rabi = (c[best:best + 1] for c in cands)
-        smooth_rabi = SMOOTH_RABI_FRACTION * cfg.rf.omega
-        if polished[best] and not capped and rabi[0] <= smooth_rabi:
-            # no Newton finish follows where the coupling is closed, so a
-            # polished minimum there goes on to the fine precision, MIN_MESH_STEP
-            # of position
-            *found, more_it, more, capped = _polish_on_shell(
-                cfg, n, MIN_MESH_STEP / resonance_radius(cfg), max_iter - it
-            )
-            (n, radius, value, rabi), it, evals = found, it + more_it, evals + more
-        smooth = bool(rabi[0] > smooth_rabi)
+        n, radius, value, rabi, norm = (c[best] for c in cands)
+        smooth = bool(rabi > SMOOTH_RABI_FRACTION * cfg.rf.omega)
         target = STATIONARY_GRAD_FACTOR * cfg.atom.mass * G_ACCEL
-        grad_norm = None
-        if smooth and not capped:
-            probe, grad_norm, trials = _finish_on_shell(cfg, n, target)
-            n, radius, value = probe[0][:, 0], probe[1], probe[2]
-            it, evals = it + trials, evals + len(_STENCIL) * (1 + trials)
+        grad_norm = float(norm) if smooth and not capped else None
         return MinimizationResult(
-            position=radius[0] * n[0] * _RAY, value=float(value[0]), converged=not capped,
+            position=radius * n * _RAY, value=float(value), converged=not capped,
             stationary=grad_norm is not None and grad_norm < target, smooth=smooth,
             grad_norm=grad_norm, iterations=it, f_evals=evals,
         )
@@ -1060,8 +1033,8 @@ def analyze_trap(
     the profile minimum (the first listed minimum). It may lie outside the
     rho window and the z band. The depth, the lowest first maximum along
     six axis rays (``_escape_depth``), is measured from it. Where
-    it is smooth and stationary (its Newton finish took the gradient of V
-    below 1e-8 m g) it is ``refined_minimum``, and the harmonic frequencies
+    it is smooth and stationary (its polish took the gradient of V below
+    1e-8 m g) it is ``refined_minimum``, and the harmonic frequencies
     are taken there. A search stopped at its iteration cap
     (``converged`` False) is noted, and its lowest candidate kept. With
     gravity on and kappa <= 1, V has no bound minimum: nothing is refined, a

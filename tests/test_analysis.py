@@ -400,11 +400,52 @@ def test_profile_potential_is_the_kernel_at_its_position_property(
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_band_profile_makes_one_kernel_call_per_pass(name, monkeypatch):
     # one call per pass, the coupling on its ray directions: one slope
-    # window per sign of z and azimuth
+    # window per sign of z and azimuth, 2 * 97 * 64 of them within the budget
     shapes = count_coupling_calls(monkeypatch)
-    azimuthal_profile(reference_configs()[name], n_phi=256, z_band_factor=0.3)
+    azimuthal_profile(reference_configs()[name], n_phi=64, z_band_factor=0.3)
     n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
-    assert shapes == [(n_slopes * 2 * 256, 3)] * passes
+    assert shapes == [(n_slopes * 2 * 64, 3)] * passes
+
+
+def test_band_profile_splits_its_azimuths_within_the_budget(fig2c, monkeypatch):
+    # 2 * 97 * 256 ray directions exceed the budget: four parts of 64
+    # azimuths, each one kernel call per pass
+    shapes = count_coupling_calls(monkeypatch)
+    azimuthal_profile(fig2c, n_phi=256, z_band_factor=0.3)
+    n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
+    assert shapes == [(n_slopes * 2 * 64, 3)] * (4 * passes)
+    assert n_slopes * 2 * 64 <= PROFILE_BATCH_POINTS
+
+
+@pytest.mark.parametrize("name", sorted(reference_configs()))
+def test_split_band_floors_equal_one_unsplit_call(name):
+    # every column is computed with operations of its own, so the floors of
+    # the azimuth parts have the bits of one call on all 256 azimuths
+    cfg = reference_configs()[name]
+    prof = azimuthal_profile(cfg, n_phi=256, z_band_factor=0.3)
+    r0 = np.array([[resonance_radius(cfg)]])
+    out = np.empty((4, 1, 256))
+    ringtrap.analysis._valley_floor(
+        cfg, np.cos(prof.azimuths), np.sin(prof.azimuths), r0, 0.2 * r0, 3.0 * r0,
+        0.3 * r0, out,
+    )
+    for got, want in zip((prof.radii, prof.z, prof.potentials, prof.rabis), out[:, 0]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_band_profile_memory_is_bounded_by_the_batch_budget(fig2c):
+    # a band pass on 1024 azimuths held all 2 * 97 * 1024 rays at once, a
+    # peak of ~34 MiB; split within the budget, the closed form's arrays and
+    # the kernel's temporaries on one part take ~21 arrays of the budget
+    azimuthal_profile(fig2c, n_phi=64, z_band_factor=0.3)
+    tracemalloc.start()
+    try:
+        _, grown = traced_growth(
+            lambda: azimuthal_profile(fig2c, n_phi=1024, z_band_factor=0.3)
+        )
+    finally:
+        tracemalloc.stop()
+    assert grown <= 32 * PROFILE_BATCH_POINTS * 8
 
 
 @pytest.mark.parametrize(
@@ -1055,7 +1096,7 @@ def test_trap_frequencies_reject_a_saddle():
 
 
 #: how far V* at the point ``shell_minimum`` reports may lie above the least
-#: V* of the oracles, in units of m_F hbar omega. The Newton finish of a
+#: V* of the oracles, in units of m_F hbar omega. The shell polish of a
 #: smooth minimum stops once the gradient is below 1e-8 m g, from where a
 #: neighbour 1e-6 rad away reads lower by at most a few 1e-15
 SHELL_ORACLE_TOLERANCE = 1e-12
@@ -1243,27 +1284,36 @@ def test_ray_floor_is_the_minimum_along_each_ray():
 
 
 def test_shell_minimum_iteration_cap_returns_its_best_unconverged(monkeypatch):
-    # the saddle config's polish takes more than two iterations
-    cfg = SADDLE_CONFIG
-    start = np.array([0.0, -1.0, 0.0])
-    best = shell_minimum(cfg, start, max_iter=2)
-    assert best.iterations == 2 and not best.converged
+    # the gravity ring's polish takes two iterations, so a cap of one stops it
+    cfg = reference_configs()["gravity"]
+    start = _field_direction([1e-9, -1.05, 0.0])
+    best = shell_minimum(cfg, start, max_iter=1)
+    assert best.iterations == 1 and not best.converged
     assert np.isfinite(best.value) and np.all(np.isfinite(best.position))
     # analyze_trap notes the failure and measures the depth from the best point
     def capped(cfg, start):
-        return shell_minimum(cfg, start, max_iter=2)
+        return shell_minimum(cfg, start, max_iter=1)
 
     monkeypatch.setattr(ringtrap.analysis, "shell_minimum", capped)
     got = analyze_trap(cfg)
     assert got.notes[0] == (
-        "minimum refinement did not converge: shell polish stopped at its cap of 2 iterations"
+        "minimum refinement did not converge: shell polish stopped at its cap of 1 iterations"
     )
-    assert got.minimum.iterations == 2 and got.refined_minimum is None
+    assert got.minimum.iterations == 1 and got.refined_minimum is None
+
+
+def test_saddle_config_candidates_stop_at_the_hole_they_slide_into():
+    # the map minima beside the saddle config's kept hole slide into its
+    # cusp, and each stops once the hole lies within its step: at once, where
+    # a stop on the step length alone takes 12 iterations
+    got = shell_minimum(SADDLE_CONFIG, np.array([0.0, -1.0, 0.0]))
+    assert got.converged and not got.smooth
+    assert got.iterations < 12
 
 
 def test_capped_polish_at_an_open_coupling_is_no_cusp(monkeypatch):
     # the gravity ring's minimum has an open coupling; a polish stopped at
-    # its cap takes no Newton finish, but its winner is still no cusp
+    # its cap reports no gradient, but its winner is still no cusp
     cfg = reference_configs()["gravity"]
 
     def capped(cfg, start):
@@ -1366,10 +1416,10 @@ _REFERENCE_ANALYSES = {
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_ANALYSES))
 def test_reference_analysis_pinned(name):
-    # only the gravity ring's refinement ends in a Newton finish, whose point
-    # is the root of difference quotients that rounding can move: it may
-    # move by 1e-10 r0, and its depth and frequencies by 1e-8 relative;
-    # every other number is exact
+    # only the gravity ring's refinement ends in Newton steps on the floor
+    # gradient, whose point is the root of difference quotients that
+    # rounding can move: it may move by 1e-10 r0, and its depth and
+    # frequencies by 1e-8 relative; every other number is exact
     want = _REFERENCE_ANALYSES[name]
     cfg = reference_configs()[name]
     got = analyze_trap(cfg)
@@ -1388,9 +1438,9 @@ def test_reference_analysis_pinned(name):
     assert got.criteria.omega_over_rabi == want["omega_over_rabi"]
     assert got.criteria.coupling_dominated is want["coupling_dominated"]
     assert got.criteria.gravity_negligible is True
-    # the shell polish's iterations and the finish's trials: none without
-    # gravity, where the minimum is a coupling hole; one of each on the
-    # gravity ring
+    # the shell polish's iterations, each one kernel call: none without
+    # gravity, where the minimum is a coupling hole, and two on the gravity
+    # ring
     assert got.minimum.iterations == want["iterations"]
     omegas = (got.omega_rho, got.omega_z, got.omega_phi)
     if name == "gravity":

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ringtrap import dressed_potential, resonance_radius
-from ringtrap.analysis import _field_direction, shell_minimum
+from ringtrap import convert_units, dressed_potential, resonance_radius
+from ringtrap.analysis import _field_direction, analyze_trap, shell_minimum, trap_frequencies
 from ringtrap.constants import G_ACCEL, RB87
 
 from conftest import B07, make_trap
@@ -66,8 +70,32 @@ def test_brute_force_oracle_agreement():
     assert vals[k] - res.value <= cell_variation
 
 
+@given(freq_mhz=st.floats(1.5 * 0.95, 1.5 * 1.05), amplitude=st.floats(0.95, 1.05))
+# draws on which an open-coupling candidate stopped at a step of
+# MIN_MESH_STEP / r0 ends just above the stationarity target, with no
+# frequencies: a Newton step there is shorter than that
+@example(1.4645025451705727, 0.9699488651098552)
+@example(1.4806356958508826, 0.9805346477244491)
+@example(1.5094022008589147, 1.00188727533679)
+@example(1.4990879575098406, 0.989758715344199)
+@example(1.497107738220142, 0.9983835272161371)
+@example(1.4880279937395127, 0.9859711011971547)
+@example(1.492480877453427, 1.000023583792388)
+def test_jittered_gravity_ring_is_a_harmonic_minimum_property(freq_mhz, amplitude):
+    # the circular gravity ring in the units of an INI file, 0.7 G and
+    # 1.5 MHz each within +-5%: the minimum analyze_trap refines is smooth
+    # and stationary, and it has frequencies with omega_z / omega_rho > 1
+    b = convert_units(0.7 * amplitude, "G", "T")
+    cfg = make_trap(b_x=b, b_y=b, alpha=math.radians(-90),
+                    omega=convert_units(freq_mhz, "MHz", "rad/s"), gravity=True)
+    res = analyze_trap(cfg).minimum
+    assert res.converged and res.smooth and res.stationary
+    freqs = trap_frequencies(cfg, res.position)
+    assert freqs.omega_z / freqs.omega_rho > 1.0
+
+
 def test_iteration_cap_returns_its_best_unconverged():
-    # a capped polish takes no Newton finish, whatever the coupling
+    # a capped polish reports no floor gradient, whatever the coupling
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
     best = shell_minimum(cfg, _field_direction([1e-9, -1.05, 0.0]), max_iter=0)
     assert not best.converged and best.smooth and not best.stationary
