@@ -17,7 +17,7 @@ from .analysis import (
     frequency_sweep,
     trap_frequencies,
 )
-from .constants import RB87, AtomSpecies
+from .constants import GAUSS, GAUSS_PER_CM, MHZ, MICROKELVIN, RB87, AtomSpecies
 from .dressed import (
     detuning,
     dressed_potential,
@@ -33,6 +33,7 @@ from .gaussfit import TwoGaussianFit, fit_two_gaussians, two_gaussian
 from .grids import ScalarGrid, sample_grid
 from .image_io import (
     export_grid_binary,
+    export_grid_csv,
     export_image_binary,
     export_image_csv,
     import_grid_binary,
@@ -48,6 +49,5 @@ from .imaging import (
     extract_diameter_profile,
     measure_ring_radius,
 )
-from .units import convert_units
 
 __version__ = "0.1.0"

@@ -1071,9 +1071,10 @@ def analyze_trap(
     elif cls.geometry is not Geometry.CENTER_TRAP:
         result = shell_minimum(cfg, _field_direction(minima[0][0]))
         if not result.converged:
+            n = result.iterations
             notes.append(
                 "minimum refinement did not converge: shell polish stopped at "
-                f"its cap of {result.iterations} iterations"
+                f"its cap of {n} iteration{'' if n == 1 else 's'}"
             )
         if result.stationary and result.smooth:
             refined = result.position

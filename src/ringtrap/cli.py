@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -21,11 +20,16 @@ import numpy as np
 
 from .analysis import analyze_trap, frequency_sweep, resonance_radius
 from .config import RunConfig, load_config
+from .constants import MICROKELVIN
 from .errors import ConfigError, RingtrapError
-from .grids import node_blocks, sample_grid
-from .image_io import export_grid_binary, export_image_binary, export_image_csv
+from .grids import sample_grid
+from .image_io import (
+    export_grid_binary,
+    export_grid_csv,
+    export_image_binary,
+    export_image_csv,
+)
 from .imaging import add_noise, column_density, measure_ring_radius
-from .units import convert_units
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,31 +53,11 @@ def _fmt(value) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _write_grid_csv(grid, path) -> None:
-    """One ``x_m,y_m,z_m,V_J,V_uK`` row of ``repr``s per node, written one
-    block at a time."""
-    # v / j_per_uk rounds exactly as convert_units(v, "J", "uK") does
-    j_per_uk = convert_units(1.0, "uK", "J")
-    # each axis value is formatted once; only V is formatted per node
-    coords = [[repr(c) for c in ax.tolist()] for ax in grid.axes()]
-    with open(path, "w") as fh:
-        fh.write("x_m,y_m,z_m,V_J,V_uK\n")
-        for box in node_blocks(grid.dims):
-            v = grid.values[box].reshape(-1)
-            heads = itertools.product(*(c[s] for c, s in zip(coords, box)))
-            fh.writelines(
-                f"{x},{y},{z},{a!r},{b!r}\n"
-                for (x, y, z), a, b in zip(heads, v.tolist(), (v / j_per_uk).tolist())
-            )
-
-
 def run_potential(rc: RunConfig, outdir: Path) -> int:
-    cfg = rc.trap()
-    grid = sample_grid(cfg, rc.grid_region(), rc.grid_dims())
-    formats = rc.output_formats()
-    if "csv" in formats:
-        _write_grid_csv(grid, outdir / "grid.csv")
-    if "bin" in formats:
+    grid = sample_grid(rc.trap, rc.grid_region, rc.grid_dims)
+    if "csv" in rc.formats:
+        export_grid_csv(grid, outdir / "grid.csv")
+    if "bin" in rc.formats:
         export_grid_binary(grid, outdir / "grid.f64", outdir / "grid.hdr")
 
     vmin = float(grid.values.min())
@@ -83,11 +67,11 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
         "origin_m": list(grid.origin),
         "spacing_m": list(grid.spacing),
         "min_J": vmin,
-        "min_uK": convert_units(vmin, "J", "uK"),
+        "min_uK": vmin / MICROKELVIN,
         "min_position_m": [float(c) for c in grid.min_position()],
         "max_J": vmax,
-        "max_uK": convert_units(vmax, "J", "uK"),
-        "resonance_radius_m": resonance_radius(cfg),
+        "max_uK": vmax / MICROKELVIN,
+        "resonance_radius_m": resonance_radius(rc.trap),
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -95,11 +79,11 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
 
 def run_analyze(rc: RunConfig, outdir: Path) -> int:
     analysis = analyze_trap(
-        rc.trap(),
+        rc.trap,
         n_phi=rc.get("analysis", "n_phi"),
-        rho_factors=rc.rho_factors(),
+        rho_factors=rc.rho_factors,
         z_band_factor=rc.get("analysis", "z_band_factor"),
-        tolerances=rc.classifier_tolerances(),
+        tolerances=rc.tolerances,
     )
     criteria = analysis.criteria
 
@@ -116,8 +100,8 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         f"low_confidence: {_fmt(analysis.low_confidence)}",
         f"ring_radius_um: {_fmt(analysis.ring_radius * um)}",
         f"resonance_radius_um: {_fmt(analysis.resonance_radius * um)}",
-        f"barrier_uK: {_fmt(convert_units(analysis.barrier_height, 'J', 'uK'))}",
-        f"depth_uK: {_fmt(convert_units(analysis.depth, 'J', 'uK'))}",
+        f"barrier_uK: {_fmt(analysis.barrier_height / MICROKELVIN)}",
+        f"depth_uK: {_fmt(analysis.depth / MICROKELVIN)}",
         f"omega_rho_Hz: {_fmt(hz(analysis.omega_rho))}",
         f"omega_z_Hz: {_fmt(hz(analysis.omega_z))}",
         f"omega_phi_Hz: {_fmt(hz(analysis.omega_phi))}",
@@ -133,7 +117,7 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         x, y, z = (float(c) * um for c in pos)
         lines.append(
             f"  {float(np.degrees(azim))!r},{x!r},{y!r},{z!r},"
-            f"{convert_units(v, 'J', 'uK')!r}"
+            f"{v / MICROKELVIN!r}"
         )
     if analysis.refined_minimum is not None:
         x, y, z = (float(c) * um for c in analysis.refined_minimum)
@@ -147,37 +131,32 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_sweep(rc: RunConfig, outdir: Path) -> int:
-    freqs_mhz, omegas, amplitudes = rc.sweep_inputs  # built by the load
     rows = frequency_sweep(
-        rc.trap(),
-        omegas,
-        amplitudes=amplitudes,
+        rc.trap,
+        rc.sweep_omegas,
+        amplitudes=rc.sweep_amplitudes,
         n_phi=rc.get("analysis", "n_phi"),
-        rho_factors=rc.rho_factors(),
+        rho_factors=rc.rho_factors,
         z_band_factor=rc.get("analysis", "z_band_factor"),
-        tolerances=rc.classifier_tolerances(),
+        tolerances=rc.tolerances,
     )
-    # r_resonance_um, r_numeric_um, barrier_uK; b / j_per_uk rounds exactly
-    # as convert_units(b, "J", "uK") does
+    # r_resonance_um, r_numeric_um, barrier_uK
     cols = np.array([(r.resonance_radius, r.numeric_radius, r.barrier_height) for r in rows])
     cols[:, :2] *= 1e6
-    cols[:, 2] /= convert_units(1.0, "uK", "J")
+    cols[:, 2] /= MICROKELVIN
     # the error column stays, always empty: readers of sweep.csv use it
     lines = ["freq_MHz,r_resonance_um,r_numeric_um,barrier_uK,geometry,error"]
     lines.extend(
         f"{f_mhz!r},{r0!r},{radius!r},{barrier!r},{row.geometry.value},"
-        for f_mhz, (r0, radius, barrier), row in zip(freqs_mhz, cols.tolist(), rows)
+        for f_mhz, (r0, radius, barrier), row in zip(rc.sweep_freqs_mhz, cols.tolist(), rows)
     )
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def run_image(rc: RunConfig, outdir: Path) -> int:
-    cfg = rc.trap()
-    r0 = resonance_radius(cfg)
-    region, dims = rc.image_grid(r0)
     image = column_density(
-        cfg, rc.get("imaging", "temperature_uk") * 1e-6, region, dims,
+        rc.trap, rc.get("imaging", "temperature_uk") * 1e-6, rc.image_region, rc.image_dims,
         atom_number=rc.get("imaging", "atom_number"),
         od_scale=rc.get("imaging", "od_scale"),
     )
@@ -185,10 +164,9 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
     if noise > 0:
         image = add_noise(image, noise, seed=rc.get("imaging", "noise_seed"))
 
-    formats = rc.output_formats()
-    if "csv" in formats:
+    if "csv" in rc.formats:
         export_image_csv(image, outdir / "image.csv")
-    if "bin" in formats:
+    if "bin" in rc.formats:
         export_image_binary(image, outdir / "image.u16", outdir / "image.hdr")
 
     # image coordinates are trap coordinates: the ring is centred on (0, 0)
@@ -199,7 +177,7 @@ def run_image(rc: RunConfig, outdir: Path) -> int:
     lines = [
         f"radius_um: {measurement.radius * um!r}",
         f"uncertainty_um: {measurement.uncertainty * um!r}",
-        f"resonance_radius_um: {r0 * um!r}",
+        f"resonance_radius_um: {resonance_radius(rc.trap) * um!r}",
         f"n_diameters_used: {len(measurement.per_diameter)}",
         f"n_diameters_excluded: {len(measurement.excluded)}",
         "per_diameter: angle_deg,radius_um,rms_residual",

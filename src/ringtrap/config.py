@@ -1,17 +1,19 @@
 """Run configuration: strict INI parsing with unit-suffixed keys.
 
 The config vocabulary follows the lab conventions (gauss, G/cm, MHz,
-degrees, micrometers, microkelvin); values are converted to SI exactly once,
-when the trap/analysis objects are built. Parsing is strict: unknown
-sections or keys, malformed values and cross-field conflicts all raise
-:class:`ConfigError` before any computation starts. Every run writes back a
-resolved echo of the full configuration with defaults materialised.
+degrees, micrometers, microkelvin); values become SI when the config loads.
+:func:`load_config` builds every object a run needs in one pass: the trap,
+the classifier tolerances, the rho window, the analysis grid, the image box,
+the sweep inputs and the output formats. Building is validating: unknown
+sections or keys, malformed values, cross-field conflicts and any input a
+builder rejects all raise :class:`ConfigError` before any computation starts.
+Every run writes back a resolved echo of the full configuration with defaults
+materialised.
 """
 
 from __future__ import annotations
 
 import configparser
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,11 +29,10 @@ from .analysis import (
     check_rho_factors,
     resonance_radius,
 )
-from .constants import SPECIES_PRESETS, AtomSpecies
+from .constants import GAUSS, GAUSS_PER_CM, MHZ, SPECIES_PRESETS, AtomSpecies
 from .errors import ConfigError
 from .fields import QuadrupoleConfig, RfConfig, TrapConfig
 from .grids import MAX_GRID_NODES, check_node_limit
-from .units import convert_units
 
 
 def _positive(v):
@@ -171,223 +172,190 @@ def _assign(values: dict, provided: set, section: str, key: str, raw: str) -> No
         provided.add((section, key))
 
 
+def _atom(values: dict, provided: set) -> AtomSpecies:
+    atom = values["atom"]
+    name = atom["species"]
+    keys = ("mass_kg", "g_f", "m_f")
+    if name.lower() == "custom":
+        missing = [k for k in keys if atom[k] is None]
+        if missing:
+            raise ConfigError(f"[atom] species=custom requires keys: {', '.join(missing)}")
+        try:
+            return AtomSpecies(
+                mass=atom["mass_kg"], g_F=atom["g_f"], m_F=atom["m_f"], label="custom"
+            )
+        except ValueError as err:
+            raise ConfigError(f"[atom] {err}") from None
+    explicit = [k for k in keys if ("atom", k) in provided]
+    if explicit:
+        raise ConfigError(
+            f"[atom] keys {', '.join(explicit)} conflict with species="
+            f"{name}; use species=custom for explicit atomic constants"
+        )
+    try:
+        return SPECIES_PRESETS[name]
+    except KeyError:
+        known = ", ".join(sorted(set(SPECIES_PRESETS)))
+        raise ConfigError(
+            f"[atom] unknown species {name!r}; known presets: {known}, or custom"
+        ) from None
+
+
+def _trap(values: dict, provided: set) -> TrapConfig:
+    rf = values["rf"]
+    try:
+        rf_config = RfConfig(
+            b_x=rf["bx_g"] * GAUSS,
+            b_y=rf["by_g"] * GAUSS,
+            b_z=rf["bz_g"] * GAUSS,
+            alpha=math.radians(rf["alpha_deg"]),
+            beta=math.radians(rf["beta_deg"]),
+            omega=rf["freq_mhz"] * MHZ,
+        )
+        gradient = values["quadrupole"]["gradient_g_per_cm"] * GAUSS_PER_CM
+        return TrapConfig(
+            atom=_atom(values, provided),
+            quad=QuadrupoleConfig(gradient=gradient),
+            rf=rf_config,
+            gravity_on=values["gravity"]["enabled"],
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+
+def _analysis_grid(analysis: dict) -> tuple:
+    """(region [m], dims) of the ``potential`` grid."""
+    region = []
+    for ax in "xyz":
+        lo = analysis[f"grid_{ax}_min_mm"] * 1e-3
+        hi = analysis[f"grid_{ax}_max_mm"] * 1e-3
+        if hi < lo:
+            raise ConfigError(f"[analysis] grid_{ax} range is inverted")
+        region.append((lo, hi))
+    dims = tuple(analysis[f"grid_n{ax}"] for ax in "xyz")
+    for ax, (lo, hi), n in zip("xyz", region, dims):
+        if n > 1 and not hi > lo:
+            raise ConfigError(f"[analysis] grid_n{ax}={n} needs a non-empty grid_{ax} range")
+    _check_in("analysis", check_node_limit, dims)
+    return tuple(region), dims
+
+
+def _image_grid(imaging: dict, r0: float) -> tuple:
+    """(region [m], dims) of the imaged box around a ring of resonance radius
+    ``r0``: square pixels, centred on the axis, with the in-plane half-width
+    rounded up to whole pixels."""
+    pixel = imaging["pixel_um"] * 1e-6
+    half_z = imaging["z_halfwidth_factor"] * r0
+    half = imaging["xy_halfwidth_factor"] * r0 / pixel
+    # capped, so an infinite half-width still fails the node limit below
+    n_half = math.ceil(min(half, MAX_GRID_NODES))
+    extent = n_half * pixel
+    dims = (2 * n_half + 1, 2 * n_half + 1, imaging["nz"])
+    _check_in("imaging", check_node_limit, dims)
+    return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
+
+
+def _sweep_freqs(sweep: dict, provided: set) -> tuple:
+    """The sweep frequencies [MHz]: the list, or the range."""
+    listed = sweep["freq_mhz_list"].strip()
+    range_given = [k for k in _RANGE_KEYS if ("sweep", k) in provided]
+    if listed and range_given:
+        raise ConfigError("[sweep] freq_mhz_list conflicts with " + ", ".join(range_given))
+    if listed:
+        try:
+            return tuple(float(tok) for tok in listed.split(",") if tok.strip())
+        except ValueError:
+            raise ConfigError("[sweep] freq_mhz_list must be comma-separated numbers") from None
+    start, stop, count = (sweep[k] for k in _RANGE_KEYS)
+    if count == 1:
+        return (start,)
+    step = (stop - start) / (count - 1)
+    return tuple(start + k * step for k in range(count))
+
+
+def _amplitude_table(sweep: dict, config_path: Path, freqs_mhz: tuple):
+    """Per-frequency (bx, by, bz) rf amplitudes [T] from the optional
+    ``amplitude_table`` (rows ``freq_MHz,bx_G,by_G,bz_G``, one per sweep
+    frequency, in order; a relative path is taken from the config file's
+    directory), or None when no table is configured."""
+    path_str = sweep["amplitude_table"].strip()
+    if not path_str:
+        return None
+    # an absolute path_str replaces the directory
+    path = config_path.resolve().parent / path_str
+    if not path.exists():
+        raise ConfigError(f"[sweep] amplitude_table not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"[sweep] amplitude_table is not text: {err}") from None
+    rows = []
+    for ln, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("freq"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ConfigError(
+                f"[sweep] amplitude_table line {ln}: expected freq_MHz,bx_G,by_G,bz_G"
+            )
+        try:
+            row = tuple(float(p) for p in parts)
+        except ValueError:
+            raise ConfigError(f"[sweep] amplitude_table line {ln}: non-numeric value") from None
+        # the same limits as the [rf] keys: finite, amplitudes >= 0
+        if not all(math.isfinite(v) for v in row) or min(row[1:]) < 0:
+            raise ConfigError(
+                f"[sweep] amplitude_table line {ln}: values must be finite "
+                "and rf amplitudes non-negative"
+            )
+        rows.append(row)
+    if len(rows) != len(freqs_mhz):
+        raise ConfigError(
+            f"[sweep] amplitude_table has {len(rows)} rows for {len(freqs_mhz)} "
+            "sweep frequencies"
+        )
+    for (f_mhz, *_), f_want in zip(rows, freqs_mhz):
+        if abs(f_mhz - f_want) > 1e-9 * max(abs(f_want), 1.0):
+            raise ConfigError(
+                f"[sweep] amplitude_table frequency {f_mhz} MHz does not "
+                f"match sweep frequency {f_want} MHz"
+            )
+    return [tuple(b * GAUSS for b in row[1:]) for row in rows]
+
+
+def _formats(output: dict) -> tuple:
+    """The ``[output] formats`` tokens, ``csv`` and/or ``bin``."""
+    toks = tuple(t.strip() for t in output["formats"].split(",") if t.strip())
+    bad = [t for t in toks if t not in ("csv", "bin")]
+    if bad:
+        raise ConfigError(f"[output] unknown formats: {', '.join(bad)}")
+    if not toks:
+        raise ConfigError("[output] formats must include csv and/or bin")
+    return toks
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with all defaults materialised."""
+    """A validated run configuration: the values, with all defaults
+    materialised, and every object a subcommand runs on, built from them
+    once, in SI, by :func:`load_config`."""
 
     values: dict
-    provided: frozenset  # (section, key) pairs the user set explicitly
-    path: Path  # the config file; a relative amplitude_table is found beside it
+    formats: tuple  # the bulk file formats, "csv" and/or "bin"
+    grid_region: tuple  # (lo, hi) per axis [m] of the `potential` grid
+    grid_dims: tuple
+    rho_factors: tuple
+    tolerances: ClassifierTolerances
+    trap: TrapConfig
+    image_region: tuple  # the imaged box [m]
+    image_dims: tuple
+    sweep_freqs_mhz: tuple
+    sweep_omegas: np.ndarray  # the same frequencies [rad/s], read-only
+    sweep_amplitudes: list | None  # per-frequency (bx, by, bz) [T], or None
 
     def get(self, section: str, key: str):
         return self.values[section][key]
-
-    # -- builders -----------------------------------------------------------
-
-    def atom(self) -> AtomSpecies:
-        name = self.get("atom", "species")
-        explicit = [
-            k for k in ("mass_kg", "g_f", "m_f") if ("atom", k) in self.provided
-        ]
-        if name.lower() == "custom":
-            missing = [k for k in ("mass_kg", "g_f", "m_f") if self.get("atom", k) is None]
-            if missing:
-                raise ConfigError(
-                    f"[atom] species=custom requires keys: {', '.join(missing)}"
-                )
-            try:
-                return AtomSpecies(
-                    mass=self.get("atom", "mass_kg"),
-                    g_F=self.get("atom", "g_f"),
-                    m_F=self.get("atom", "m_f"),
-                    label="custom",
-                )
-            except ValueError as err:
-                raise ConfigError(f"[atom] {err}") from None
-        if explicit:
-            raise ConfigError(
-                f"[atom] keys {', '.join(explicit)} conflict with species="
-                f"{name}; use species=custom for explicit atomic constants"
-            )
-        try:
-            return SPECIES_PRESETS[name]
-        except KeyError:
-            known = ", ".join(sorted(set(SPECIES_PRESETS)))
-            raise ConfigError(
-                f"[atom] unknown species {name!r}; known presets: {known}, or custom"
-            ) from None
-
-    def trap(self) -> TrapConfig:
-        try:
-            rf = RfConfig(
-                b_x=convert_units(self.get("rf", "bx_g"), "G", "T"),
-                b_y=convert_units(self.get("rf", "by_g"), "G", "T"),
-                b_z=convert_units(self.get("rf", "bz_g"), "G", "T"),
-                alpha=math.radians(self.get("rf", "alpha_deg")),
-                beta=math.radians(self.get("rf", "beta_deg")),
-                omega=convert_units(self.get("rf", "freq_mhz"), "MHz", "rad/s"),
-            )
-            quad = QuadrupoleConfig(
-                gradient=convert_units(
-                    self.get("quadrupole", "gradient_g_per_cm"), "G/cm", "T/m"
-                )
-            )
-            return TrapConfig(
-                atom=self.atom(),
-                quad=quad,
-                rf=rf,
-                gravity_on=self.get("gravity", "enabled"),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-
-    def classifier_tolerances(self) -> ClassifierTolerances:
-        return ClassifierTolerances(
-            rel_flat=self.get("analysis", "flat_tol"),
-            match_depth=self.get("analysis", "depth_match_tol"),
-            closure=self.get("analysis", "closure_tol"),
-        )
-
-    def rho_factors(self) -> tuple:
-        factors = (self.get("analysis", "rho_min_factor"),
-                   self.get("analysis", "rho_max_factor"))
-        _check_in("analysis", check_rho_factors, factors)
-        return factors
-
-    def grid_region(self):
-        mm = 1e-3
-        reg = []
-        for ax in ("x", "y", "z"):
-            lo = self.get("analysis", f"grid_{ax}_min_mm") * mm
-            hi = self.get("analysis", f"grid_{ax}_max_mm") * mm
-            if hi < lo:
-                raise ConfigError(f"[analysis] grid_{ax} range is inverted")
-            reg.append((lo, hi))
-        return tuple(reg)
-
-    def grid_dims(self):
-        dims = tuple(self.get("analysis", f"grid_n{ax}") for ax in ("x", "y", "z"))
-        for ax, (lo, hi), n in zip("xyz", self.grid_region(), dims):
-            if n > 1 and not hi > lo:
-                raise ConfigError(
-                    f"[analysis] grid_n{ax}={n} needs a non-empty grid_{ax} range"
-                )
-        _check_in("analysis", check_node_limit, dims)
-        return dims
-
-    def image_grid(self, r0: float):
-        """(region, dims) of the imaged box around a ring of resonance radius
-        ``r0``: square pixels, centred on the axis, with the in-plane
-        half-width rounded up to whole pixels.
-        """
-        pixel = self.get("imaging", "pixel_um") * 1e-6
-        half_z = self.get("imaging", "z_halfwidth_factor") * r0
-        half = self.get("imaging", "xy_halfwidth_factor") * r0 / pixel
-        # capped, so an infinite half-width still fails the node limit below
-        n_half = math.ceil(min(half, MAX_GRID_NODES))
-        extent = n_half * pixel
-        dims = (2 * n_half + 1, 2 * n_half + 1, self.get("imaging", "nz"))
-        _check_in("imaging", check_node_limit, dims)
-        return ((-extent, extent), (-extent, extent), (-half_z, half_z)), dims
-
-    @functools.cached_property
-    def sweep_inputs(self) -> tuple:
-        """The sweep frequencies [MHz] (a tuple), the same as dressing
-        frequencies [rad/s] (a read-only array) and the per-frequency
-        (bx, by, bz) amplitudes [T] of ``sweep_amplitudes_t`` (a list, or
-        None). Each is read, converted and checked once per config: by the
-        load."""
-        listed = self.get("sweep", "freq_mhz_list").strip()
-        range_given = [k for k in _RANGE_KEYS if ("sweep", k) in self.provided]
-        if listed and range_given:
-            raise ConfigError(
-                "[sweep] freq_mhz_list conflicts with "
-                + ", ".join(range_given)
-            )
-        if listed:
-            try:
-                freqs = [float(tok) for tok in listed.split(",") if tok.strip()]
-            except ValueError:
-                raise ConfigError("[sweep] freq_mhz_list must be comma-separated numbers") from None
-        else:
-            start = self.get("sweep", "freq_mhz_start")
-            stop = self.get("sweep", "freq_mhz_stop")
-            count = self.get("sweep", "freq_mhz_count")
-            if count == 1:
-                freqs = [start]
-            else:
-                step = (stop - start) / (count - 1)
-                freqs = [start + k * step for k in range(count)]
-        # an array scales each value as convert_units scales one
-        omegas = convert_units(np.array(freqs), "MHz", "rad/s")
-        _check_in("sweep", check_frequencies, omegas)  # the sweep's own rule
-        omegas.setflags(write=False)
-        return tuple(freqs), omegas, self.sweep_amplitudes_t(freqs)
-
-    def sweep_amplitudes_t(self, freqs_mhz):
-        """Per-frequency (bx, by, bz) rf amplitudes in tesla from the optional
-        ``amplitude_table`` (rows ``freq_MHz,bx_G,by_G,bz_G``, one per sweep
-        frequency, in order; a relative path is taken from the config file's
-        directory), or None when no table is configured."""
-        path_str = self.get("sweep", "amplitude_table").strip()
-        if not path_str:
-            return None
-        # an absolute path_str replaces the directory
-        path = self.path.resolve().parent / path_str
-        if not path.exists():
-            raise ConfigError(f"[sweep] amplitude_table not found: {path}")
-        try:
-            text = path.read_text()
-        except UnicodeDecodeError as err:
-            raise ConfigError(f"[sweep] amplitude_table is not text: {err}") from None
-        rows = []
-        for ln, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("freq"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ConfigError(
-                    f"[sweep] amplitude_table line {ln}: expected "
-                    f"freq_MHz,bx_G,by_G,bz_G"
-                )
-            try:
-                row = tuple(float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(
-                    f"[sweep] amplitude_table line {ln}: non-numeric value"
-                ) from None
-            # the same limits as the [rf] keys: finite, amplitudes >= 0
-            if not all(math.isfinite(v) for v in row) or min(row[1:]) < 0:
-                raise ConfigError(
-                    f"[sweep] amplitude_table line {ln}: values must be finite "
-                    "and rf amplitudes non-negative"
-                )
-            rows.append(row)
-        if len(rows) != len(freqs_mhz):
-            raise ConfigError(
-                f"[sweep] amplitude_table has {len(rows)} rows for {len(freqs_mhz)} "
-                "sweep frequencies"
-            )
-        for (f_mhz, *_), f_want in zip(rows, freqs_mhz):
-            if abs(f_mhz - f_want) > 1e-9 * max(abs(f_want), 1.0):
-                raise ConfigError(
-                    f"[sweep] amplitude_table frequency {f_mhz} MHz does not "
-                    f"match sweep frequency {f_want} MHz"
-                )
-        return [tuple(convert_units(b, "G", "T") for b in row[1:]) for row in rows]
-
-    def output_formats(self) -> list:
-        """The ``[output] formats`` tokens, ``csv`` and/or ``bin``."""
-        toks = [t.strip() for t in self.get("output", "formats").split(",") if t.strip()]
-        bad = [t for t in toks if t not in ("csv", "bin")]
-        if bad:
-            raise ConfigError(f"[output] unknown formats: {', '.join(bad)}")
-        if not toks:
-            raise ConfigError("[output] formats must include csv and/or bin")
-        return toks
-
-    # -- echo ---------------------------------------------------------------
 
     def resolved_ini(self) -> str:
         """Render the full configuration, defaults included, as INI text.
@@ -415,7 +383,10 @@ class RunConfig:
         return "\n".join(lines)
 
 
-def _validated(values: dict, provided: set, path: Path) -> RunConfig:
+def _build(values: dict, provided: set, path: Path) -> RunConfig:
+    """Check each value's range, then build every run object: a config is
+    valid for every subcommand or fails the load, before any output is
+    written."""
     for section, keys in _SCHEMA.items():
         for key, spec in keys.items():
             val = values[section][key]
@@ -423,15 +394,35 @@ def _validated(values: dict, provided: set, path: Path) -> RunConfig:
                 continue
             if spec.check is not None and not spec.check(val):
                 raise ConfigError(f"[{section}] {key}={val!r} is out of range")
-    rc = RunConfig(values=values, provided=frozenset(provided), path=path)
-    # every builder runs here, so a config is valid for every subcommand or
-    # fails the load, before any output is written
-    rc.output_formats()
-    rc.grid_dims()
-    rc.rho_factors()
-    rc.image_grid(resonance_radius(rc.trap()))
-    rc.sweep_inputs
-    return rc
+    analysis, sweep = values["analysis"], values["sweep"]
+    formats = _formats(values["output"])
+    grid_region, grid_dims = _analysis_grid(analysis)
+    rho_factors = (analysis["rho_min_factor"], analysis["rho_max_factor"])
+    _check_in("analysis", check_rho_factors, rho_factors)
+    trap = _trap(values, provided)
+    image_region, image_dims = _image_grid(values["imaging"], resonance_radius(trap))
+    freqs = _sweep_freqs(sweep, provided)
+    omegas = np.array(freqs) * MHZ
+    _check_in("sweep", check_frequencies, omegas)  # the sweep's own rule
+    omegas.setflags(write=False)
+    return RunConfig(
+        values=values,
+        formats=formats,
+        grid_region=grid_region,
+        grid_dims=grid_dims,
+        rho_factors=rho_factors,
+        tolerances=ClassifierTolerances(
+            rel_flat=analysis["flat_tol"],
+            match_depth=analysis["depth_match_tol"],
+            closure=analysis["closure_tol"],
+        ),
+        trap=trap,
+        image_region=image_region,
+        image_dims=image_dims,
+        sweep_freqs_mhz=freqs,
+        sweep_omegas=omegas,
+        sweep_amplitudes=_amplitude_table(sweep, path, freqs),
+    )
 
 
 def _blank_values() -> dict:
@@ -490,4 +481,4 @@ def load_config(path, overrides=None) -> RunConfig:
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"--set targets unknown key {section}.{key}")
         _assign(values, provided, section, key, raw)
-    return _validated(values, provided, path)
+    return _build(values, provided, path)

@@ -14,6 +14,13 @@ MU_B = 9.2740100783e-24  # Bohr magneton [J/T]
 K_B = 1.380649e-23  # Boltzmann constant [J/K] (exact)
 G_ACCEL = 9.80665  # standard gravity [m/s^2] (exact)
 
+# The lab units of the config and the reports, each as its SI value: a lab
+# value times the factor is SI, and an SI value divided by it is the lab value.
+GAUSS = 1e-4  # [T]
+GAUSS_PER_CM = 1e-2  # [T/m]
+MHZ = 2 * math.pi * 1e6  # a frequency of 1 MHz as an angular frequency [rad/s]
+MICROKELVIN = K_B * 1e-6  # k_B times 1 uK [J]
+
 
 @dataclass(frozen=True)
 class AtomSpecies:

@@ -5,10 +5,6 @@ class RingtrapError(Exception):
     """Base class for all package errors."""
 
 
-class UnitError(RingtrapError, ValueError):
-    """Unknown or unsupported unit conversion."""
-
-
 class ConfigError(RingtrapError, ValueError):
     """Invalid, unknown, or out-of-range configuration input."""
 

@@ -1,5 +1,6 @@
 """Image and grid export and import: plain-text CSV matrix, 16-bit binary
-image and float64 binary grid, each binary with a text sidecar.
+image, float64 binary grid, each binary with a text sidecar, and the grid's
+one-row-per-node CSV.
 
 CSV stores full-precision floats (``repr`` round-trip, so import is exact).
 The image binary quantises to uint16 with a scale recorded in the sidecar;
@@ -14,11 +15,13 @@ on import.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 
-from .grids import ScalarGrid
+from .constants import MICROKELVIN
+from .grids import ScalarGrid, node_blocks
 from .imaging import SyntheticImage
 
 _HDR_VERSION = "1"
@@ -137,6 +140,22 @@ def export_grid_binary(grid: ScalarGrid, data_path, header_path) -> None:
     ]
     Path(header_path).write_text("\n".join(header) + "\n")
     grid.values.astype("<f8", copy=False).tofile(data_path)
+
+
+def export_grid_csv(grid: ScalarGrid, path) -> None:
+    """Write one ``x_m,y_m,z_m,V_J,V_uK`` row of ``repr``s per node, in C
+    order, one block of nodes at a time."""
+    # each axis value is formatted once; only V is formatted per node
+    coords = [[repr(c) for c in ax.tolist()] for ax in grid.axes()]
+    with open(path, "w") as fh:
+        fh.write("x_m,y_m,z_m,V_J,V_uK\n")
+        for box in node_blocks(grid.dims):
+            v = grid.values[box].reshape(-1)
+            heads = itertools.product(*(c[s] for c, s in zip(coords, box)))
+            fh.writelines(
+                f"{x},{y},{z},{a!r},{b!r}\n"
+                for (x, y, z), a, b in zip(heads, v.tolist(), (v / MICROKELVIN).tolist())
+            )
 
 
 def import_grid_binary(data_path, header_path) -> ScalarGrid:

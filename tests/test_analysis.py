@@ -1297,7 +1297,7 @@ def test_shell_minimum_iteration_cap_returns_its_best_unconverged(monkeypatch):
     monkeypatch.setattr(ringtrap.analysis, "shell_minimum", capped)
     got = analyze_trap(cfg)
     assert got.notes[0] == (
-        "minimum refinement did not converge: shell polish stopped at its cap of 1 iterations"
+        "minimum refinement did not converge: shell polish stopped at its cap of 1 iteration"
     )
     assert got.minimum.iterations == 1 and got.refined_minimum is None
 

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ringtrap.cli
+import ringtrap.config
 import ringtrap.grids
 import ringtrap.imaging
-from ringtrap import rabi_frequency, resonance_radius, sample_grid
+from ringtrap import TrapConfig, rabi_frequency, resonance_radius, sample_grid
 from ringtrap.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from ringtrap.config import load_config
+from ringtrap.constants import MICROKELVIN
 from ringtrap.grids import fill_potential, node_blocks
 from ringtrap.image_io import import_grid_binary
 from ringtrap.imaging import measure_ring_radius
-from ringtrap.units import convert_units
 
 BASE = """
 [rf]
@@ -87,10 +88,9 @@ def per_row_grid_csv(grid):
     all node positions, and five reprs per row."""
     pos = grid.node_positions().reshape(-1, 3)
     vals = grid.values.reshape(-1)
-    j_per_uk = convert_units(1.0, "uK", "J")
     lines = ["x_m,y_m,z_m,V_J,V_uK"]
     for (x, y, z), v in zip(pos.tolist(), vals.tolist()):
-        lines.append(f"{x!r},{y!r},{z!r},{v!r},{v / j_per_uk!r}")
+        lines.append(f"{x!r},{y!r},{z!r},{v!r},{v / MICROKELVIN!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -109,8 +109,8 @@ def test_potential_csv_matches_per_row_writer(ini, tmp_path, monkeypatch, chunk,
         argv += ["--set", item]
     assert main(argv) == EXIT_OK
     rc = load_config(ini, overrides=overrides)
-    assert len(list(node_blocks(rc.grid_dims()))) == n_blocks
-    grid = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
+    assert len(list(node_blocks(rc.grid_dims))) == n_blocks
+    grid = sample_grid(rc.trap, rc.grid_region, rc.grid_dims)
     assert (tmp_path / "grid.csv").read_bytes() == per_row_grid_csv(grid).encode()
 
 
@@ -121,7 +121,7 @@ def test_default_outputs_are_binary(ini, tmp_path):
         "grid.f64", "grid.hdr", "resolved.ini", "summary.json",
     ]
     rc = load_config(ini)
-    grid = sample_grid(rc.trap(), rc.grid_region(), rc.grid_dims())
+    grid = sample_grid(rc.trap, rc.grid_region, rc.grid_dims)
     back = import_grid_binary(out / "grid.f64", out / "grid.hdr")
     assert back.values.tobytes() == grid.values.tobytes()
     assert (back.origin, back.spacing, back.dims) == (grid.origin, grid.spacing, grid.dims)
@@ -433,7 +433,7 @@ def test_image_reports_a_ring_inside_the_image_or_exits_3(
     tmp = tmp_path_factory.mktemp("prop")
     ini = tmp / "run.ini"
     ini.write_text(BASE)
-    r0 = resonance_radius(load_config(ini, overrides=overrides).trap())
+    r0 = resonance_radius(load_config(ini, overrides=overrides).trap)
     overrides.append(f"imaging.pixel_um={r0 * 1e6 / 15!r}")
     argv = ["image", "--config", str(ini), "--out", str(tmp / "out")]
     for item in overrides:
@@ -476,7 +476,7 @@ def test_analyze_coupling_test_at_reported_minimum(ini, tmp_path):
     first = text[text.index("minima: azimuth_deg,x_um,y_um,z_um,V_uK") + 1]
     pos = np.array([float(c) for c in first.split(",")[1:4]]) * 1e-6
     assert abs(pos[2]) > 1e-5  # the reported minimum is off-plane
-    cfg = load_config(ini, overrides=overrides).trap()
+    cfg = load_config(ini, overrides=overrides).trap
     expected = cfg.rf.omega / rabi_frequency(pos, cfg)
     assert float(rep["omega_over_rabi"]) == pytest.approx(expected, rel=1e-9)
     want_flag = "true" if expected < float(rep["kappa"]) else "false"
@@ -564,6 +564,20 @@ def test_two_runs_in_one_process_keep_their_own_overrides(ini, tmp_path):
     assert (first.get("rf", "freq_mhz"), first.get("rf", "by_g")) == (1.25, 0.7)
     assert (second.get("rf", "freq_mhz"), second.get("rf", "by_g")) == (1.5, 0.0)
     assert ringtrap.cli._build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_a_run_builds_its_trap_once(ini, tmp_path, monkeypatch, command):
+    # the load builds every run object, and the subcommand reads them
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs)
+        return TrapConfig(*args, **kwargs)
+
+    monkeypatch.setattr(ringtrap.config, "TrapConfig", counted)
+    assert main([command, "--config", str(ini), "--out", str(tmp_path)]) == EXIT_OK
+    assert len(built) == 1
 
 
 def test_numeric_error_exit_code(ini, tmp_path):

@@ -23,7 +23,7 @@ def write(tmp_path, text, name="run.ini"):
 
 def test_minimal_config_builds_trap(tmp_path):
     rc = load_config(write(tmp_path, MINIMAL))
-    cfg = rc.trap()
+    cfg = rc.trap
     assert cfg.rf.b_x == pytest.approx(0.7e-4, rel=1e-14)
     assert cfg.rf.alpha == pytest.approx(-math.pi / 2, rel=1e-14)
     assert cfg.rf.omega == pytest.approx(2 * math.pi * 1.5e6, rel=1e-14)
@@ -87,8 +87,8 @@ def test_syntax_error_reports_line(tmp_path):
 
 def test_overrides_applied_and_typed(tmp_path):
     rc = load_config(write(tmp_path, MINIMAL), overrides=["rf.freq_mhz=2.5", "gravity.enabled=false"])
-    assert rc.trap().rf.omega == pytest.approx(2 * math.pi * 2.5e6, rel=1e-14)
-    assert rc.trap().gravity_on is False
+    assert rc.trap.rf.omega == pytest.approx(2 * math.pi * 2.5e6, rel=1e-14)
+    assert rc.trap.gravity_on is False
 
 
 def test_override_unknown_key_rejected(tmp_path):
@@ -100,11 +100,11 @@ def test_override_unknown_key_rejected(tmp_path):
 
 def test_species_custom_requires_constants(tmp_path):
     with pytest.raises(ConfigError, match="species=custom requires"):
-        load_config(write(tmp_path, "[atom]\nspecies = custom\n")).atom()
+        load_config(write(tmp_path, "[atom]\nspecies = custom\n"))
     rc = load_config(
         write(tmp_path, "[atom]\nspecies = custom\nmass_kg = 1.44316e-25\ng_f = 0.5\nm_f = 1\n")
     )
-    assert rc.atom().m_F == 1
+    assert rc.trap.atom.m_F == 1
 
 
 def test_species_preset_conflicts_with_explicit(tmp_path):
@@ -120,16 +120,16 @@ def test_unknown_species_rejected(tmp_path):
 def test_unit_round_trip_fidelity(tmp_path):
     # config gauss -> tesla -> gauss identity to 1e-12 (criterion: unit fidelity)
     rc = load_config(write(tmp_path, "[rf]\nbx_g = 0.6283185307179586\n"))
-    b_t = rc.trap().rf.b_x
+    b_t = rc.trap.rf.b_x
     assert b_t * 1e4 == pytest.approx(0.6283185307179586, rel=1e-12)
 
 
 def test_sweep_frequency_list_and_range(tmp_path):
     rc = load_config(write(tmp_path, MINIMAL))
-    freqs = rc.sweep_inputs[0]
+    freqs = rc.sweep_freqs_mhz
     assert freqs[0] == 0.5 and freqs[-1] == 3.0 and len(freqs) == 11
     rc2 = load_config(write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0, 2.0\n"))
-    assert rc2.sweep_inputs[0] == (1.0, 2.0)
+    assert rc2.sweep_freqs_mhz == (1.0, 2.0)
     with pytest.raises(ConfigError, match="conflict"):
         load_config(
             write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0\nfreq_mhz_start = 0.5\n")
@@ -139,14 +139,17 @@ def test_sweep_frequency_list_and_range(tmp_path):
 def test_amplitude_table_loaded_and_validated(tmp_path):
     table = tmp_path / "amps.csv"
     table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n2.0,0,0,0\n")
-    rc = load_config(write(tmp_path, MINIMAL + "\n[sweep]\nfreq_mhz_list = 1.0, 2.0\namplitude_table = amps.csv\n"))
-    rows = rc.sweep_amplitudes_t([1.0, 2.0])
-    assert rows == [(0.7e-4, 0.7e-4, 0.0), (0.0, 0.0, 0.0)]
-    with pytest.raises(ConfigError, match="rows"):
-        rc.sweep_amplitudes_t([1.0, 2.0, 3.0])
-    with pytest.raises(ConfigError, match="does not match"):
-        rc.sweep_amplitudes_t([1.0, 2.5])
-    assert load_config(write(tmp_path, MINIMAL)).sweep_amplitudes_t([1.0]) is None
+
+    def sweep(freqs):
+        text = f"\n[sweep]\nfreq_mhz_list = {freqs}\namplitude_table = amps.csv\n"
+        return load_config(write(tmp_path, MINIMAL + text))
+
+    assert sweep("1.0, 2.0").sweep_amplitudes == [(0.7e-4, 0.7e-4, 0.0), (0.0, 0.0, 0.0)]
+    with pytest.raises(ConfigError, match="2 rows for 3 sweep frequencies"):
+        sweep("1.0, 2.0, 3.0")
+    with pytest.raises(ConfigError, match="2.0 MHz does not match sweep frequency 2.5 MHz"):
+        sweep("1.0, 2.5")
+    assert load_config(write(tmp_path, MINIMAL)).sweep_amplitudes is None
 
 
 def test_echo_deterministic(tmp_path):
@@ -158,7 +161,7 @@ def test_empty_atom_constant_reads_as_unset(tmp_path):
     rc = load_config(write(tmp_path, MINIMAL + "\n[atom]\nmass_kg =\ng_f =\n"),
                      overrides=["atom.m_f="])
     assert rc.get("atom", "mass_kg") is None
-    assert rc.atom().label.startswith("87Rb")  # no conflict with the preset
+    assert rc.trap.atom.label.startswith("87Rb")  # no conflict with the preset
     with pytest.raises(ConfigError, match="expected a number"):
         load_config(write(tmp_path, MINIMAL + "\n[quadrupole]\ngradient_g_per_cm =\n"))
 
@@ -238,6 +241,6 @@ def test_analysis_grid_budget_fails_the_load(tmp_path):
     # runs when the config loads, for every subcommand
     grid = "\n[analysis]\ngrid_z_max_mm = 1.0\ngrid_nx = 10000\ngrid_ny = 10000\n"
     rc = load_config(write(tmp_path, MINIMAL + grid + "grid_nz = 1\n"))
-    assert math.prod(rc.grid_dims()) == 10**8
+    assert math.prod(rc.grid_dims) == 10**8
     with pytest.raises(ConfigError, match=r"\[analysis\] grid of 200000000 nodes"):
         load_config(write(tmp_path, MINIMAL + grid + "grid_nz = 2\n"))

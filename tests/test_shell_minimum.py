@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ringtrap import convert_units, dressed_potential, resonance_radius
+from ringtrap import GAUSS, MHZ, dressed_potential, resonance_radius
 from ringtrap.analysis import _field_direction, analyze_trap, shell_minimum, trap_frequencies
 from ringtrap.constants import G_ACCEL, RB87
 
@@ -85,9 +85,8 @@ def test_jittered_gravity_ring_is_a_harmonic_minimum_property(freq_mhz, amplitud
     # the circular gravity ring in the units of an INI file, 0.7 G and
     # 1.5 MHz each within +-5%: the minimum analyze_trap refines is smooth
     # and stationary, and it has frequencies with omega_z / omega_rho > 1
-    b = convert_units(0.7 * amplitude, "G", "T")
-    cfg = make_trap(b_x=b, b_y=b, alpha=math.radians(-90),
-                    omega=convert_units(freq_mhz, "MHz", "rad/s"), gravity=True)
+    b = 0.7 * amplitude * GAUSS
+    cfg = make_trap(b_x=b, b_y=b, alpha=math.radians(-90), omega=freq_mhz * MHZ, gravity=True)
     res = analyze_trap(cfg).minimum
     assert res.converged and res.smooth and res.stationary
     freqs = trap_frequencies(cfg, res.position)
