@@ -273,11 +273,13 @@ def _sweep_freqs(sweep: dict, provided: set) -> tuple:
     return tuple(start + k * step for k in range(count))
 
 
-def _amplitude_table(sweep: dict, config_path: Path, freqs_mhz: tuple):
+def _amplitude_table(sweep: dict, config_path: Path, freqs_mhz: tuple, trap: TrapConfig):
     """Per-frequency (bx, by, bz) rf amplitudes [T] from the optional
     ``amplitude_table`` (rows ``freq_MHz,bx_G,by_G,bz_G``, one per sweep
     frequency, in order; a relative path is taken from the config file's
-    directory), or None when no table is configured."""
+    directory), or None when no table is configured. Each row must make a
+    trap that ``TrapConfig`` accepts with the amplitudes of ``trap``
+    replaced."""
     path_str = sweep["amplitude_table"].strip()
     if not path_str:
         return None
@@ -321,7 +323,21 @@ def _amplitude_table(sweep: dict, config_path: Path, freqs_mhz: tuple):
                 f"[sweep] amplitude_table frequency {f_mhz} MHz does not "
                 f"match sweep frequency {f_want} MHz"
             )
-    return [tuple(b * GAUSS for b in row[1:]) for row in rows]
+    amplitudes = [tuple(b * GAUSS for b in row[1:]) for row in rows]
+    for bx, by, bz in amplitudes:
+        _check_in("sweep", lambda b: trap.with_rf(b_x=b[0], b_y=b[1], b_z=b[2]), (bx, by, bz))
+    return amplitudes
+
+
+def _check_resonance_radius(where: str, r0: float) -> None:
+    """Raise ConfigError unless the resonance radius ``r0`` [m] that
+    ``where`` gives is positive and finite: a dressing frequency whose
+    radius rounds to 0 m, or overflows, makes no ring."""
+    if not 0 < r0 < math.inf:
+        raise ConfigError(
+            f"{where} gives a resonance radius of {float(r0)!r} m at this "
+            "gradient; it must be positive and finite"
+        )
 
 
 def _formats(output: dict) -> tuple:
@@ -400,10 +416,17 @@ def _build(values: dict, provided: set, path: Path) -> RunConfig:
     rho_factors = (analysis["rho_min_factor"], analysis["rho_max_factor"])
     _check_in("analysis", check_rho_factors, rho_factors)
     trap = _trap(values, provided)
-    image_region, image_dims = _image_grid(values["imaging"], resonance_radius(trap))
+    r0 = resonance_radius(trap)
+    _check_resonance_radius(f"[rf] freq_mhz={values['rf']['freq_mhz']!r}", r0)
+    image_region, image_dims = _image_grid(values["imaging"], r0)
     freqs = _sweep_freqs(sweep, provided)
     omegas = np.array(freqs) * MHZ
     _check_in("sweep", check_frequencies, omegas)  # the sweep's own rule
+    # the radius grows with the frequency: the extremes bound every row's
+    for f_mhz in (min(freqs), max(freqs)):
+        _check_resonance_radius(
+            f"[sweep] frequency {f_mhz!r} MHz", resonance_radius(trap, f_mhz * MHZ)
+        )
     omegas.setflags(write=False)
     return RunConfig(
         values=values,
@@ -421,7 +444,7 @@ def _build(values: dict, provided: set, path: Path) -> RunConfig:
         image_dims=image_dims,
         sweep_freqs_mhz=freqs,
         sweep_omegas=omegas,
-        sweep_amplitudes=_amplitude_table(sweep, path, freqs),
+        sweep_amplitudes=_amplitude_table(sweep, path, freqs, trap),
     )
 
 

@@ -35,6 +35,41 @@ Only the trap centre r = 0 has no field direction; there the coupling is
 taken as C^2 (B_x^2 + B_y^2), the average of the two axial limits. A point
 so close to the centre that R underflows still has its own direction.
 
+How the kernel evaluates it. C is folded into a' = C a and b' = C b, and
+g_F mu_B B_q / hbar into one slope K, once per config
+(``TrapConfig.coupling_parts`` and ``TrapConfig.larmor_slope``). With the
+unnormalised field direction P = (x, y, w), w = -2z, s = 1/R and
+m = (P.a') s, the component of a' along n times R,
+
+    u = a' - (n.a') n + n x b' = a' - s (m P - P x b'),    |Omega|^2 = |u|^2,
+
+the same vector as above, and still a sum of squares. P x b' is
+(U, -x b'_z, x b'_y) with U = y b'_z - w b'_y, as b'_x = 0.
+
+The kernel runs in two stages. The first (:func:`yz_planes`) forms the
+terms of (y, z) alone, five planes: y, w, S = y^2 + w^2,
+T = y a'_y + w a'_z and U. The second adds the x coordinates:
+R = sqrt(x^2 + S), omega_0 = K R, s = 1/R, m = (x a'_x + T) s, then
+
+    -u_x = s (m x - U) - a'_x,
+    -u_y = s (m y + x b'_z) - a'_y,
+    -u_z = s (m w - x b'_y) - a'_z,
+
+each squared into the sum |Omega|^2 once formed. A grid fill forms the
+planes once, as contiguous (1, ny, nz) arrays, and each block of whole
+x-slabs adds its x column to them (``planes`` of
+:func:`dressed_potential`): 24 passes over the block for |Omega|^2, and 5
+more for V. Every other call forms the planes of its own points. s
+multiplies twice in sequence, never as s^2: that order leaves the coupling
+of fig. 2a an exact 0 at its resonance point on the x axis, where forming
+(P.a') s^2 P leaves |Omega|^2 = 5e-20 (rad/s)^2.
+
+A point with R below 2^-500 m, the centre among them, takes R = 1 in the
+second stage, so that nothing divides by zero; then its coupling is formed
+once more, on its own: its coordinates, scaled by 2^600 (exact), run
+through both stages, and the centre, the one point whose scaled R is still
+0, takes the average of the axial limits.
+
 Every function of a position takes it in either of two forms: an (..., 3)
 array of positions, or a tuple (x, y, z) of coordinate arrays that broadcast
 together, such as the axes ``np.meshgrid(..., sparse=True)`` returns. A grid
@@ -45,9 +80,19 @@ points; the result has the points' shape.
 Where the kernel's temporaries live: a call allocates them afresh, whatever
 the number of points, unless it is given a workspace
 (:func:`kernel_workspace`). It then writes each temporary into a row of that
-workspace, viewed in the points' shape, and ``dressed_potential``
-writes V into the ``out`` array it is given, so a call allocates nothing the
-size of its points. The grid fill passes one workspace to every block.
+workspace, viewed in the temporary's own shape, and ``dressed_potential``
+writes V into the ``out`` array it is given, so a call allocates nothing
+the size of its points. The rows hold:
+
+- 0: the products of x alone (x^2, then a'_x x, b'_z x and b'_y x);
+- 1: R, then s;
+- 2: omega_0;
+- 3: m, then -u_z;
+- 4: -u_x, then the sum of the squares, |Omega|^2;
+- 5: -u_y, the first stage's scratch, and the gravity term m g y;
+- 6-10: the planes y, w, S, T and U.
+
+The grid fill passes one workspace to every block.
 """
 
 from __future__ import annotations
@@ -62,8 +107,19 @@ from .fields import TrapConfig
 #: finite-difference steps below this are rejected as underflow [m]
 MIN_FD_STEP = 1e-9
 
-#: temporaries of one kernel call alive at once: the rows of a workspace
-WORKSPACE_ROWS = 8
+#: temporaries of one kernel call alive at once: the rows of a workspace,
+#: six of the second stage and the five planes of the first
+WORKSPACE_ROWS = 11
+
+#: the rows that hold the second stage's temporaries, and those of the planes
+_STAGE_ROWS = range(1, 6)
+_PLANE_ROWS = range(6, 11)
+
+#: R [m] below which the squares of the coordinates lose precision (and below
+#: ~1e-154 m R underflows to 0): such a point's coupling is formed again from
+#: its coordinates times _RESCALE, a power of two
+_TINY = 2.0**-500
+_RESCALE = 2.0**600
 
 
 def coupling_prefactor(cfg: TrapConfig) -> float:
@@ -89,34 +145,21 @@ def kernel_workspace(points: int) -> np.ndarray:
 def _coordinates(r):
     """x, y and z of an (..., 3) array or of a tuple of three arrays."""
     if isinstance(r, tuple):
-        return tuple(np.asarray(c, dtype=float) for c in r)
+        x, y, z = r
+        return np.asarray(x, dtype=float), np.asarray(y, dtype=float), np.asarray(z, dtype=float)
     r = np.asarray(r, dtype=float)
     return r[..., 0], r[..., 1], r[..., 2]
 
 
-def _row(work, i, *operands):
-    """Row ``i`` of the workspace, viewed in the operands' broadcast shape."""
+def _views(work, rows, *operands):
+    """The workspace's ``rows``, each viewed in the broadcast shape of the
+    ``operands`` (0-d for one point, never a numpy scalar); without a
+    workspace None each, so that numpy allocates a fresh temporary."""
+    if work is None:
+        return (None,) * len(rows)
     shape = np.broadcast(*operands).shape
-    return work[i, :math.prod(shape)].reshape(shape)
-
-
-#: the outputs of :func:`_rows` without a workspace: every temporary is fresh
-_FRESH = ((None,) * WORKSPACE_ROWS, (None,) * 5)
-
-
-def _rows(work, x, y, z):
-    """The outputs of one kernel call's temporaries on the coordinates x, y
-    and z: the workspace's rows, each viewed once in the points' shape (0-d
-    for one point, never a numpy scalar), then rows 0, 3, 4, 5 and 3 in the
-    shapes of -2 z, x^2, y^2, x^2 + y^2 and 4 z^2, which coordinates given
-    as a tuple may make smaller."""
-    shape = np.broadcast(x, y, z).shape
     size = math.prod(shape)
-    return (
-        tuple(row[:size].reshape(shape) for row in work),
-        (_row(work, 0, z), _row(work, 3, x), _row(work, 4, y), _row(work, 5, x, y),
-         _row(work, 3, z)),
-    )
+    return tuple(work[i, :size].reshape(shape) for i in rows)
 
 
 def _select(mask, a, b, out):
@@ -129,81 +172,119 @@ def _select(mask, a, b, out):
     return out
 
 
-def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None):
-    """(omega_0, |Omega|^2) at the positions ``r`` in either form, with R and
-    n computed once.
+def yz_planes(y, z, cfg: TrapConfig, work=None) -> tuple:
+    """The kernel's first stage: the five terms of (y, z) alone,
+    ``(y, w, S, T, U)``, where w = -2z, S = y^2 + w^2, T = y a'_y + w a'_z
+    and U = y b'_z - w b'_y.
 
-    Each step is one numpy ufunc call whose ``out`` is a workspace row, or
-    None without a workspace, so that numpy allocates a fresh temporary: one
-    path for any number of points. Given a workspace, the two results are
-    views of it. The rows are viewed in the points' shape
-    once per call (``_rows``); only the first few temporaries, of the
-    coordinates alone, take a row in their own shape. The rows hold: 0 w;
-    1 R, then 1/R, n_z and u_z; 2 omega_0; 3 n_x; 4 n_y, then u_y; 5 n.a;
-    6 each term added into n.a and u; 7 u_x, then |Omega|^2. Before n is
-    formed, rows 3-7 hold the partial sums of R^2 and the rescued
-    coordinates. Only a call on points with R below 2^-500 m, the centre
-    among them, takes the rescue, the centre's mask and the two selections:
-    in a grid fill, the block that holds the centre.
-
-    The temporaries are updated in place, never the inputs. The components of
-    u are computed with their signs flipped, which IEEE arithmetic does
-    exactly, and are only ever squared, so the results are bit for bit those
-    of the out-of-place expressions, with or without a workspace.
-    """
-    x, y, z = _coordinates(r)
-    rows, small = _FRESH if work is None else _rows(work, x, y, z)
-    w_row, xx_row, yy_row, sum_row, ww_row = small
-    rf = cfg.rf
-    ax, ay, az, by, bz = rf.amplitude_parts
+    Given a workspace, they are its rows 6-10, in the broadcast shape of
+    ``y`` and ``z`` (y copied into its row), and row 5 is scratch; without
+    one, y is itself the first plane. Pass them to every
+    :func:`dressed_potential` call whose points share these y and z."""
     # a coordinate hundreds of decades below another underflows in the
     # squares and products of its part, to a 0 that changes nothing
     with np.errstate(under="ignore"):
-        w = np.multiply(-2.0, z, w_row)
-        rad = np.add(np.multiply(x, x, xx_row), np.multiply(y, y, yy_row), sum_row)
-        rad = np.sqrt(np.add(rad, np.multiply(w, w, ww_row), rows[1]), rows[1])
-        larmor = np.multiply(cfg.atom.g_F * MU_B * cfg.quad.gradient, rad, rows[2])
-        larmor /= HBAR
-        tiny = 2.0**-500
-        centre = None
-        if rad.size and rad.min() < tiny:
-            # below ~1e-151 m the squares lose precision, and below ~1e-154 m R
-            # underflows to 0; scaling by a power of two is exact, so such a
-            # point keeps its own direction (and the centre stays at 0)
-            scale = _select(rad < tiny, 2.0**600, 1.0, rows[3])
-            x, y = np.multiply(x, scale, rows[5]), np.multiply(y, scale, rows[6])
-            w = np.multiply(w, scale, rows[7])
-            rad = np.add(np.multiply(x, x, rows[3]), np.multiply(y, y, rows[4]), rows[3])
-            rad = np.sqrt(np.add(rad, np.multiply(w, w, rows[4]), rows[1]), rows[1])
-            centre = rad == 0.0
-            rad = _select(centre, 1.0, rad, rows[1])
-        inv = np.divide(1.0, rad, rows[1])
-        nx, ny = np.multiply(x, inv, rows[3]), np.multiply(y, inv, rows[4])
-        inv *= w  # 1/R is not needed again
-        nz = inv
-        na = np.multiply(nx, ax, rows[5])
-        na += np.multiply(ny, ay, rows[6])
-        na += np.multiply(nz, az, rows[6])
-        # minus the components of a - (n.a) n + n x b, with b = (0, by, bz)
-        ux = np.multiply(na, nx, rows[7])
-        ux -= ax
-        ux -= np.multiply(ny, bz, rows[6])
-        ux += np.multiply(nz, by, rows[6])
-        uy = np.multiply(na, ny, rows[4])  # n_y is not needed again
-        uy -= ay
-        uy += np.multiply(nx, bz, rows[6])
-        uz = np.multiply(na, nz, rows[1])  # nor n_z
-        uz -= az
-        uz -= np.multiply(nx, by, rows[6])
-        ux *= ux
-        uy *= uy
-        ux += uy
-        uz *= uz
-        ux += uz
-        if centre is not None:
-            ux = _select(centre, rf.b_x**2 + rf.b_y**2, ux, rows[7])
-        pref = coupling_prefactor(cfg)
-        return larmor, np.multiply(pref * pref, ux, rows[7])
+        return _first_stage(y, z, cfg, work)
+
+
+def _first_stage(y, z, cfg: TrapConfig, work):
+    """The planes of :func:`yz_planes`, under the caller's ``np.errstate``."""
+    *planes, tmp = _views(work, (*_PLANE_ROWS, 5), y, z)
+    y_row, w_row, s_row, t_row, u_row = planes
+    _, ay, az, by, bz = cfg.coupling_parts
+    if y_row is not None:
+        np.copyto(y_row, y)
+        y = y_row
+    w = np.multiply(z, -2.0, w_row)
+    return (
+        y, w,
+        np.add(np.multiply(y, y, s_row), np.multiply(w, w, tmp), s_row),
+        np.add(np.multiply(y, ay, t_row), np.multiply(w, az, tmp), t_row),
+        np.subtract(np.multiply(y, bz, u_row), np.multiply(w, by, tmp), u_row),
+    )
+
+
+def _second_stage(x, planes, cfg: TrapConfig, work):
+    """(omega_0, |Omega|^2, tiny) at the points of x and of the (y, z)
+    ``planes``: the kernel's second stage, under the caller's
+    ``np.errstate``. ``tiny`` is None, or the mask of the points whose R is
+    below ``_TINY``, where R is taken as 1 and |Omega|^2 is not yet that of
+    the point.
+
+    Each step is one numpy ufunc call whose ``out`` is a workspace row, or
+    None without a workspace: one path for any number of points. The
+    temporaries are updated in place, never the inputs or the planes. The
+    components of u are formed with their signs flipped, which IEEE
+    arithmetic does exactly, and are only ever squared.
+    """
+    y, w, s_yz, t_yz, u_yz = planes
+    (x_row,) = _views(work, (0,), x)
+    rad_row, larmor_row, m_row, sum_row, uy_row = _views(work, _STAGE_ROWS, x, s_yz)
+    ax, ay, az, by, bz = cfg.coupling_parts
+    rad = np.sqrt(np.add(np.multiply(x, x, x_row), s_yz, rad_row), rad_row)
+    larmor = np.multiply(rad, cfg.larmor_slope, larmor_row)
+    tiny = None
+    if rad.size and rad.min() < _TINY:
+        tiny = rad < _TINY
+        rad = _select(tiny, 1.0, rad, rad_row)
+    s = np.divide(1.0, rad, rad_row)
+    m = np.add(np.multiply(x, ax, x_row), t_yz, m_row)
+    m *= s
+    total = np.multiply(m, x, sum_row)
+    total -= u_yz
+    total *= s
+    total -= ax
+    total *= total
+    part = np.multiply(m, y, uy_row)
+    part += np.multiply(x, bz, x_row)
+    part *= s
+    part -= ay
+    part *= part
+    total += part
+    m *= w  # m is not needed again
+    m -= np.multiply(x, by, x_row)
+    m *= s
+    m -= az
+    m *= m
+    total += m
+    return larmor, total, tiny
+
+
+def _rescued_coupling(x, y, z, cfg: TrapConfig):
+    """|Omega|^2 at points (1-D coordinates) whose R is below ``_TINY``: both
+    stages on the coordinates times ``_RESCALE``, exact, which leaves the
+    field direction as it is; the centre, whose R is still 0, takes
+    C^2 (B_x^2 + B_y^2)."""
+    x, y, z = (c * _RESCALE for c in (x, y, z))
+    _, om2, centre = _second_stage(x, _first_stage(y, z, cfg, None), cfg, None)
+    if centre is not None:
+        rf = cfg.rf
+        om2[centre] = coupling_prefactor(cfg) ** 2 * (rf.b_x**2 + rf.b_y**2)
+    return om2
+
+
+def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None, planes=None):
+    """(omega_0, |Omega|^2) at the positions ``r`` in either form: both
+    stages of the kernel, or only the second on the given ``planes`` of r's
+    y and z (:func:`yz_planes`). Given a workspace, the two results are views
+    of it. Only a call on points with R below ``_TINY``, the centre among
+    them, forms the coupling of those points again (``_rescued_coupling``):
+    in a grid fill, the block that holds the centre.
+
+    The results are bit for bit the same with or without a workspace, and
+    for the planes of any call whose points share y and z.
+    """
+    x, y, z = _coordinates(r)
+    with np.errstate(under="ignore"):
+        if planes is None:
+            planes = _first_stage(y, z, cfg, work)
+        larmor, om2, tiny = _second_stage(x, planes, cfg, work)
+        if tiny is not None:
+            om2 = np.asarray(om2)
+            om2[tiny] = _rescued_coupling(
+                *(np.broadcast_to(c, tiny.shape)[tiny] for c in (x, y, z)), cfg
+            )
+    return larmor, om2
 
 
 def larmor_frequency(r, cfg: TrapConfig):
@@ -226,7 +307,7 @@ def rabi_frequency(r, cfg: TrapConfig):
     return np.sqrt(rabi_squared(r, cfg))
 
 
-def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
+def dressed_potential(r, cfg: TrapConfig, work=None, out=None, planes=None):
     """Adiabatic potential V [J] at position(s) ``r``.
 
     ``r`` is an (..., 3) array of positions, or a tuple ``(x, y, z)`` of
@@ -237,9 +318,11 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
     ``work``, from :func:`kernel_workspace` with room for the points, holds
     every temporary of the call; ``out``, an array of the points' shape,
     receives V. Given both, the call allocates nothing the size of the
-    points. Either way V has the same bits.
+    points. ``planes``, from :func:`yz_planes` on the y and z of ``r``,
+    skips the kernel's first stage: a grid fill forms them once for all its
+    blocks. Either way V has the same bits.
     """
-    larmor, om2 = _larmor_and_rabi_squared(r, cfg, work)
+    larmor, om2 = _larmor_and_rabi_squared(r, cfg, work, planes)
     larmor -= cfg.rf.omega  # -delta, only ever squared
     larmor *= larmor
     larmor += om2
@@ -248,7 +331,8 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None):
     v *= cfg.atom.m_F * HBAR
     if cfg.gravity_on:
         y = _coordinates(r)[1]
-        v += np.multiply(cfg.atom.mass * G_ACCEL, y, None if work is None else _row(work, 3, y))
+        (row,) = _views(work, (5,), y)
+        v += np.multiply(cfg.atom.mass * G_ACCEL, y, row)
     return v
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import MU_B, AtomSpecies
+from .constants import HBAR, MU_B, AtomSpecies
 
 
 def _reduce_phase(phi: float) -> float:
@@ -90,6 +90,10 @@ class TrapConfig:
     When ``gravity_on``, the potential includes +m*g*y (pull toward -y).
     The gradient must be large enough that g_F mu_B B_q, the Zeeman energy
     slope that every length scale divides by, does not underflow to zero.
+    The rf amplitudes must be small enough that the Rabi coupling of every
+    field direction is finite: 16 C^2 (B_x^2 + B_y^2 + B_z^2), with
+    C = g_F mu_B / (2 hbar), which bounds every square the kernel forms from
+    ``coupling_parts``, must be finite.
     """
 
     atom: AtomSpecies
@@ -103,6 +107,31 @@ class TrapConfig:
                 f"quadrupole gradient {self.quad.gradient!r} T/m is too small: "
                 "g_F mu_B B_q underflows to zero"
             )
+        # C^2 (B_x^2 + B_y^2 + B_z^2) = |a'|^2 + |b'|^2, in float arithmetic,
+        # where an overflow is inf, unwarned
+        c = self.atom.g_F * MU_B / (2.0 * HBAR)
+        amplitudes = (self.rf.b_x, self.rf.b_y, self.rf.b_z)
+        if not math.isfinite(16.0 * sum((c * b) * (c * b) for b in amplitudes)):
+            raise ValueError(
+                f"rf amplitudes {amplitudes!r} T are too large: the Rabi "
+                "coupling g_F mu_B |B_rf| / (2 hbar) overflows"
+            )
+
+    @cached_property
+    def coupling_parts(self) -> tuple:
+        """(a_x, a_y, a_z, b_y, b_z) of ``RfConfig.amplitude_parts`` times
+        C = g_F mu_B / (2 hbar), in rad/s: |Omega|^2 is the squared norm of
+        a - (n.a) n + n x b in these parts, with no further factor. Computed
+        once per config, in float arithmetic: a part that underflows is a 0
+        that changes nothing."""
+        c = self.atom.g_F * MU_B / (2.0 * HBAR)
+        return tuple(c * float(p) for p in self.rf.amplitude_parts)
+
+    @cached_property
+    def larmor_slope(self) -> float:
+        """g_F mu_B B_q / hbar: the Larmor frequency per meter of R, where
+        R^2 = x^2 + y^2 + 4 z^2 [rad/s/m]."""
+        return self.atom.g_F * MU_B * self.quad.gradient / HBAR
 
     def with_rf(self, **changes) -> "TrapConfig":
         """Copy of this config with rf parameters replaced."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dressed import dressed_potential, kernel_workspace
+from .dressed import dressed_potential, kernel_workspace, yz_planes
 from .fields import TrapConfig
 
 #: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
@@ -141,19 +141,35 @@ def fill_workspace(shape) -> np.ndarray:
     return kernel_workspace(min(_CHUNK, math.prod(shape)))
 
 
-def fill_potential(cfg: TrapConfig, axes, out, work) -> None:
+def fill_planes(cfg: TrapConfig, axes, work):
+    """The kernel's (y, z) planes (:func:`yz_planes`) of the grid of node
+    coordinates ``axes``, formed once in the workspace ``work`` for every
+    :func:`node_blocks` box: (1, ny, nz) arrays where the boxes are runs of
+    whole x-slabs. Where one slab holds more nodes than a box, each box forms
+    the planes of its own nodes, and this is None."""
+    if len(axes[1]) * len(axes[2]) > _CHUNK:
+        return None
+    return yz_planes(axes[1][None, :, None], axes[2][None, None, :], cfg, work)
+
+
+def fill_potential(cfg: TrapConfig, axes, out, work, planes=None) -> None:
     """Write V at the nodes of the grid of node coordinates ``axes`` into
     ``out`` one :func:`node_blocks` box at a time: the kernel takes each
     box's three axis slices, which broadcast to its nodes, its temporaries go
     into the workspace ``work`` (:func:`fill_workspace`), and V straight into
-    ``out``, so no box allocates. A node's V has the same bits in any grid
+    ``out``, so no box allocates. The (y, z) planes of the kernel's first
+    stage are ``planes``, by default :func:`fill_planes` of ``axes``: a
+    caller that fills several grids of the same y and z axes through one
+    workspace forms them once. A node's V has the same bits in any grid
     that holds it."""
+    if planes is None:
+        planes = fill_planes(cfg, axes, work)
     for box in node_blocks(out.shape):
         dressed_potential(
             (axes[0][box[0], None, None],
              axes[1][None, box[1], None],
              axes[2][None, None, box[2]]),
-            cfg, work=work, out=out[box],
+            cfg, work=work, out=out[box], planes=planes,
         )
 
 

@@ -21,7 +21,7 @@ from .constants import K_B
 from .errors import MeasurementError
 from .fields import TrapConfig
 from .gaussfit import FitError, fit_two_gaussians
-from .grids import fill_potential, fill_workspace, grid_axes, slab_runs
+from .grids import fill_planes, fill_potential, fill_workspace, grid_axes, slab_runs
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,17 @@ def column_density(
     region is the trap truncation. Pixels must be square, and nz >= 2.
 
     One pass, no 3-D array: for each run of whole x-slabs (``slab_runs``) V
-    fills one reused block, each node is weighted against the run's least
-    V_run, and the block is z-integrated into its image rows, lifted at the
-    end to the common floor V_min by exp(-(V_run - V_min)/k_B T). The runs
-    are split into contiguous parts, one per available CPU (``_run_parts``),
-    and each part holds a block and a kernel workspace of its own; every run
-    is computed as in one serial pass, so the image has the same bits for
-    any number of workers.
+    fills one reused block, and each node's weight exp(-(V - V_run)/k_B T)
+    is taken against the run's least V_run in three passes: subtract V_run,
+    multiply by -1/k_B T, exp. One product with the trapezoid weights
+    (1/2, 1, ..., 1, 1/2) then z-integrates the block into its image rows,
+    which are lifted at the end to the common floor V_min by
+    dz exp(-(V_run - V_min)/k_B T). The runs are split into contiguous
+    parts, one per available CPU (``_run_parts``), and each part holds a
+    block and a kernel workspace of its own, and forms the kernel's (y, z)
+    planes once (``fill_planes``) for all its runs. Every run is computed as
+    in one serial pass, so the image has the same bits for any number of
+    workers.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
@@ -141,25 +145,27 @@ def column_density(
     runs = list(slab_runs(dims))
     img = np.empty(dims[:2])
     floors = np.empty(len(runs))
+    trapezoid = np.ones(dims[2])
+    trapezoid[[0, -1]] = 0.5
 
     def project(part):
         # the runs ``part`` through a block and a workspace of their own;
         # each writes only its image rows and its floor
         block = np.empty((axes[0][runs[0]].size,) + dims[1:])
         work = fill_workspace(block.shape)
+        planes = fill_planes(cfg, axes, work)
         for k in part:
             run = runs[k]
             w = block[: axes[0][run].size]
-            fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work)
+            fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work, planes)
             # min and max propagate NaN and reach any inf, with no per-node mask
             floors[k] = w.min()
             if not (math.isfinite(floors[k]) and math.isfinite(w.max())):
                 raise ValueError("grid values must all be finite")
             w -= floors[k]
-            w /= -kt
+            w *= -1.0 / kt
             np.exp(w, out=w)  # weights in [0, 1]
-            w[..., :: dims[2] - 1] *= 0.5  # the trapezoid rule's end weights
-            w.sum(axis=2, out=img[run])
+            np.matmul(w, trapezoid, out=img[run])
 
     _run_parts(project, len(runs))
     for run, lift in zip(runs, spacing[2] * np.exp((floors - floors.min()) / -kt)):

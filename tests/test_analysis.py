@@ -1349,9 +1349,11 @@ def test_analyze_ring_radius_positive(fig2b):
 
 
 # analyze_trap on the reference configs with its defaults; (x, y, z) m, V J,
-# azimuth rad. The gravity ring's refined point, depth and frequencies are
-# those of the one-stage box search, which the shell search meets within
-# the tolerances of test_reference_analysis_pinned
+# azimuth rad. The gravity ring's depth and frequencies are those of the
+# one-stage box search, which the shell search meets within the tolerances
+# of test_reference_analysis_pinned; its refined point is the shell
+# search's own. The symmetric ring's barrier and the azimuth of its lowest
+# profile sample are rounding: every azimuth has the same V to an ulp
 _REFERENCE_ANALYSES = {
     "fig2a": dict(
         geometry=Geometry.DOUBLE_WELL,
@@ -1371,11 +1373,11 @@ _REFERENCE_ANALYSES = {
     "fig2b": dict(
         geometry=Geometry.SYMMETRIC_RING,
         ring_radius=0.0002143432050427971,
-        barrier_height=1.3452465257518244e-43,
+        barrier_height=8.96831017167883e-44,
         depth=2.0722535037199532e-27,
         omegas=(None, None, None),
-        minima=[((0.00021022466046042687, 4.1816284893768286e-05, 0.0),
-                 3.2459035274049993e-28, 0.19634954084936207)],
+        minima=[((6.22205480975354e-05, 0.00020511365859557194, 0.0),
+                 3.2459035274049993e-28, 1.2762720155208536)],
         refined=(0.0, 0.0, 0.00010717160252139855),
         omega_over_rabi=6.124091572651348,
         coupling_dominated=True,
@@ -1386,7 +1388,7 @@ _REFERENCE_ANALYSES = {
         geometry=Geometry.ASYMMETRIC_RING,
         ring_radius=0.0002143432050427971,
         barrier_height=2.4483896163859514e-28,
-        depth=1.4781553528435062e-27,
+        depth=1.4781553528435064e-27,
         omegas=(None, None, None),
         minima=[((0.0002143432050427971, 0.0, 0.0), 9.274010078300001e-29, 0.0),
                 ((-0.0002143432050427971, 2.6249471997464628e-20, 0.0),
@@ -1405,7 +1407,7 @@ _REFERENCE_ANALYSES = {
         omegas=(314.411109594408, 4184.126199264274, 257.5549350428417),
         minima=[((-4.0366991435830814e-20, -0.00021974766636898024, 0.0),
                  1.743791737275864e-29, 4.71238898038469)],
-        refined=(-6.791161473551125e-15, -0.00014783928098396201, 7.829252414139514e-05),
+        refined=(-3.459833264215695e-14, -0.00014783928137345416, 7.829252396360257e-05),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
         iterations=2,

@@ -321,9 +321,9 @@ def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
     # most of an image run's memory, and only the projection needs them
     refs = []
 
-    def fill(cfg, axes, out, work):
+    def fill(cfg, axes, out, work, planes):
         refs.extend(weakref.ref(a) for a in (out if out.base is None else out.base, work))
-        return fill_potential(cfg, axes, out, work)
+        return fill_potential(cfg, axes, out, work, planes)
 
     def measure(image, center, **kwargs):
         assert refs and all(ref() is None for ref in refs)
@@ -537,6 +537,24 @@ def test_underflowing_gradient_is_a_config_error(ini, tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("ringtrap: config error: quadrupole gradient")
     assert "underflows" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [(["rf.freq_mhz=1e-320"], "[rf] freq_mhz=1e-320 gives a resonance radius of 0.0 m"),
+     (["rf.bx_g=1e308", "rf.by_g=1e308"], "rf amplitudes")],
+)
+def test_trap_without_a_finite_ring_is_a_config_error(ini, tmp_path, capsys, overrides, message):
+    # the README examples that once exited 0 with a ring radius of 0 or nan
+    out = tmp_path / "none"
+    argv = ["analyze", "--config", str(ini), "--out", str(out)]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"ringtrap: config error: {message}")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -152,6 +152,31 @@ def test_amplitude_table_loaded_and_validated(tmp_path):
     assert load_config(write(tmp_path, MINIMAL)).sweep_amplitudes is None
 
 
+def test_resonance_radius_that_rounds_to_zero_fails_the_load(tmp_path):
+    # hbar omega of 1e-320 MHz underflows: the trap's resonance radius is
+    # 0 m, which makes no ring; the sweep's frequencies obey the same rule
+    with pytest.raises(ConfigError, match=r"\[rf\] freq_mhz=1e-320 gives a resonance radius of 0.0 m"):
+        load_config(write(tmp_path, MINIMAL), overrides=["rf.freq_mhz=1e-320"])
+    with pytest.raises(ConfigError, match=r"\[sweep\] frequency 1e-320 MHz"):
+        load_config(write(tmp_path, MINIMAL), overrides=["sweep.freq_mhz_list=1e-320, 1.0"])
+
+
+def test_rf_amplitudes_whose_coupling_overflows_fail_the_load(tmp_path):
+    # C B of 1e308 G is 4.4e314 rad/s: the coupling overflows to inf; the
+    # largest amplitudes that pass keep 16 times the sum of the squares finite
+    with pytest.raises(ConfigError, match="too large"):
+        load_config(write(tmp_path, MINIMAL), overrides=["rf.bx_g=1e308", "rf.by_g=1e308"])
+    with pytest.raises(ConfigError, match="too large"):
+        load_config(write(tmp_path, MINIMAL), overrides=["rf.bz_g=1e150"])
+    trap = load_config(write(tmp_path, MINIMAL), overrides=["rf.bz_g=1e140"]).trap
+    assert all(math.isfinite(p) for p in trap.coupling_parts)
+    table = tmp_path / "amps.csv"
+    table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n2.0,1e308,0,0\n")
+    text = "\n[sweep]\nfreq_mhz_list = 1.0, 2.0\namplitude_table = amps.csv\n"
+    with pytest.raises(ConfigError, match=r"\[sweep\] rf amplitudes .* too large"):
+        load_config(write(tmp_path, MINIMAL + text))
+
+
 def test_echo_deterministic(tmp_path):
     p = write(tmp_path, MINIMAL)
     assert load_config(p).resolved_ini() == load_config(p).resolved_ini()

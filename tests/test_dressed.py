@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -389,6 +390,94 @@ def test_potential_composes_detuning_and_coupling(name):
     if cfg.gravity_on:
         expected = expected + RB87.mass * G_ACCEL * pts[:, 1]
     assert np.array_equal(dressed_potential(pts, cfg), expected)
+
+
+def _potential_oracle(point, cfg):
+    """V [J] of the coordinate-free RWA form at ``point`` in 50-digit
+    arithmetic: every input is the float64 value the kernel is given, taken
+    exactly, and omega_0, |Omega|^2 = C^2 (|B~|^2 - |n.B~|^2 -
+    i n.(B~ x B~*)) and m_F hbar sqrt(delta^2 + |Omega|^2) are formed with
+    no rounding a float64 could see. The centre takes C^2 (B_x^2 + B_y^2)."""
+    with mpmath.workdps(50):
+        f = mpmath.mpf
+        rf, atom = cfg.rf, cfg.atom
+        hbar, c = f(HBAR), f(atom.g_F) * f(MU_B) / (2 * f(HBAR))
+        bt = [f(rf.b_x), f(rf.b_y) * mpmath.expj(f(rf.alpha)), f(rf.b_z) * mpmath.expj(f(rf.beta))]
+        p = [f(point[0]), f(point[1]), -2 * f(point[2])]
+        rad = mpmath.sqrt(sum(q * q for q in p))
+        if rad == 0:
+            coupling = c * c * (f(rf.b_x) ** 2 + f(rf.b_y) ** 2)
+        else:
+            n = [q / rad for q in p]
+            nb = sum(q * b for q, b in zip(n, bt))
+            cross = [bt[(i + 1) % 3] * mpmath.conj(bt[(i + 2) % 3])
+                     - bt[(i + 2) % 3] * mpmath.conj(bt[(i + 1) % 3]) for i in range(3)]
+            total = (sum(abs(b) ** 2 for b in bt) - abs(nb) ** 2
+                     - 1j * sum(q * x for q, x in zip(n, cross)))
+            coupling = c * c * mpmath.re(total)
+        delta = f(rf.omega) - f(atom.g_F) * f(MU_B) * f(cfg.quad.gradient) * rad / hbar
+        v = atom.m_F * hbar * mpmath.sqrt(delta * delta + coupling)
+        if cfg.gravity_on:
+            v += f(atom.mass) * f(G_ACCEL) * p[1]
+        return float(v)
+
+
+#: the kernel's error bound against :func:`_potential_oracle`, in units of
+#: u = 2^-53 times the scale m_F hbar (omega_0 + omega + 2 C (B_x + B_y + B_z))
+#: + m g |y|. omega_0 = K R takes ~8 roundings (R from three squares, two
+#: sums and a sqrt; K folded from three constants), delta one more, and it
+#: cancels near the resonance shell, so its error is one of omega's scale,
+#: not of delta's. Each component of the coupling's vector takes ~12
+#: roundings of terms no larger than |a'| + |b'| <= 2 C (B_x + B_y + B_z),
+#: its parts ~6 more (C folded, cos and sin of the phases), and V's sum,
+#: sqrt, product and gravity term ~4 of V. 32 u covers the sum, with room
+#: for the sqrt(3) of three components; it is fixed from float64, not from
+#: a run of the kernel.
+ORACLE_ULPS = 32
+
+
+def _oracle_points(cfg, rng):
+    """50 points of one config: random ones, and ones near the x-axis coupling
+    hole of fig. 2a, on and near the z axis, on the resonance shell, and at
+    and around the trap centre, down to radii that underflow."""
+    r0 = resonance_radius(cfg)
+    random = rng.uniform(-2.0, 2.0, (20, 3)) * r0
+    hole = np.column_stack([
+        r0 * rng.choice([-1.0, 1.0], 10) * (1.0 + rng.uniform(-0.1, 0.1, 10)),
+        r0 * rng.choice([-1.0, 1.0], (10, 2)) * 10.0 ** rng.uniform(-12, -3, (10, 2)),
+    ])
+    axis = np.column_stack([
+        np.repeat([0.0, 1e-15 * r0, -3e-9 * r0], 2), np.repeat([0.0, -2e-15 * r0, 0.0], 2),
+        rng.uniform(-2.0, 2.0, 6) * r0,
+    ])
+    n = rng.normal(size=(10, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    shell = r0 * n * np.array([1.0, 1.0, -0.5])  # R = r0 along each field direction
+    d = rng.normal(size=3)
+    centre = np.array([np.zeros(3), 1e-160 * d, 1e-200 * d, 2.0**-520 * d])
+    return np.concatenate([random, hole, axis, shell, centre])
+
+
+def test_potential_matches_a_50_digit_oracle():
+    # 250 seeded points of the reference configs and one of random
+    # amplitudes and phases, each within ORACLE_ULPS of its scale
+    rng = np.random.default_rng(29)
+    configs = dict(reference_configs())
+    bx, by, bz = rng.uniform(0.1e-4, 1e-4, 3)
+    configs["random"] = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=rng.uniform(-np.pi, np.pi),
+                                  beta=rng.uniform(-np.pi, np.pi), gravity=True)
+    u = 2.0**-53
+    for cfg in configs.values():
+        pts = _oracle_points(cfg, rng)
+        got = dressed_potential(pts, cfg)
+        want = np.array([_potential_oracle(p, cfg) for p in pts])
+        atom, rf = cfg.atom, cfg.rf
+        larmor = atom.g_F * MU_B * field_magnitude(pts, cfg.quad) / HBAR
+        amplitude = 2.0 * coupling_prefactor(cfg) * (rf.b_x + rf.b_y + rf.b_z)
+        scale = atom.m_F * HBAR * (larmor + rf.omega + amplitude)
+        if cfg.gravity_on:
+            scale += atom.mass * G_ACCEL * np.abs(pts[:, 1])
+        assert np.all(np.abs(got - want) <= ORACLE_ULPS * u * scale)
 
 
 # -- finite differences ------------------------------------------------------

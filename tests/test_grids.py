@@ -241,10 +241,12 @@ def test_slab_runs_match_whole_array_trapezoids(monkeypatch, dims, chunk):
     kt = K_B * 20e-6
     base = np.random.default_rng(math.prod(dims)).random(dims)
     region = [(0.0, n - 1.0) for n in dims]
+    # the stand-in fill takes no kernel planes
+    monkeypatch.setattr(ringtrap.imaging, "fill_planes", lambda cfg, axes, work: None)
     for scale in (1e-3, 1.0, 1e3):
         monkeypatch.setattr(
             ringtrap.imaging, "fill_potential",
-            lambda cfg, axes, out, work: np.multiply(
+            lambda cfg, axes, out, work, planes: np.multiply(
                 base[axes[0].astype(int)], scale * kt, out=out
             ),
         )

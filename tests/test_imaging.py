@@ -111,6 +111,49 @@ def test_density_and_projection_match_whole_array_code(name):
     assert np.abs(img.values - oracle.values).max() <= oracle_tolerance(oracle, dims[2])
 
 
+def _divided_step_image(cfg, temperature, region, dims, atom_number=1e5, od_scale=1.0):
+    """The image as column_density made it before its Boltzmann step was a
+    product: per slab run, V - V_run divided by -k_B T, exp, the trapezoid's
+    end weights in a strided pass, then a plain z sum; the runs lifted to the
+    common floor and normalised as column_density does."""
+    dims, origin, spacing, axes = ringtrap.grids.grid_axes(region, dims)
+    kt = K_B * temperature
+    runs = list(ringtrap.grids.slab_runs(dims))
+    img = np.empty(dims[:2])
+    floors = np.empty(len(runs))
+    for k, run in enumerate(runs):
+        w = np.empty((axes[0][run].size,) + dims[1:])
+        ringtrap.grids.fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w,
+                                      ringtrap.grids.fill_workspace(w.shape))
+        floors[k] = w.min()
+        w -= floors[k]
+        w /= -kt
+        np.exp(w, out=w)
+        w[..., :: dims[2] - 1] *= 0.5
+        w.sum(axis=2, out=img[run])
+    for run, lift in zip(runs, spacing[2] * np.exp((floors - floors.min()) / -kt)):
+        img[run] *= lift
+    rows = img.sum(axis=1) - 0.5 * (img[:, 0] + img[:, -1])
+    img *= atom_number / (float(np.trapezoid(rows, dx=spacing[0])) * spacing[1]) * od_scale
+    return img
+
+
+@pytest.mark.parametrize("name, nz", [("fig2b", 33), ("gravity", 9), ("fig2c", 2)])
+def test_boltzmann_product_matches_the_divided_step(name, nz):
+    # the product with -1/k_B T and the trapezoid weights against the
+    # division, strided end weights and sum it replaced, on the same V. The
+    # bound is ORACLE_EPS_PER_Z_NODE: a node's exponent x differs by the
+    # rounding of 1/k_B T and of one product against one quotient, <= 3 u x,
+    # which moves its weight e^-x by <= 3 u x e^-x <= 3 u / e; exp rounds
+    # each weight once more, and each z reduction of nz weights rounds to
+    # within nz u of its column: a few eps per z node of the peak column
+    cfg = reference_configs()[name]
+    region, dims = imaging_region(cfg, nz=nz)
+    img = column_density(cfg, T20, region, dims, atom_number=3e4, od_scale=0.5)
+    want = _divided_step_image(cfg, T20, region, dims, atom_number=3e4, od_scale=0.5)
+    assert np.abs(img.values - want).max() <= oracle_tolerance(img, nz)
+
+
 @pytest.mark.parametrize("name", sorted(reference_configs()))
 def test_density_matches_out_of_place_oracle(name):
     # the textbook formula, out of place on the whole grid: V of every node
@@ -148,8 +191,8 @@ def test_one_pass_fills_the_bits_of_the_sampled_grid(fig2b, monkeypatch):
     # order of their first x node
     filled = []
 
-    def capture(cfg, axes, out, work):
-        ringtrap.grids.fill_potential(cfg, axes, out, work)
+    def capture(cfg, axes, out, work, planes):
+        ringtrap.grids.fill_potential(cfg, axes, out, work, planes)
         filled.append((axes[0][0], out.copy()))
 
     monkeypatch.setattr(ringtrap.imaging, "fill_potential", capture)
@@ -231,7 +274,7 @@ def test_non_finite_potential_in_a_later_worker_rejected(fig2b, monkeypatch):
     xs = ringtrap.grids.grid_axes(region, dims)[3][0]
     last = _slab_runs_of(dims)[-1]
 
-    def fill(cfg, axes, out, work):
+    def fill(cfg, axes, out, work, planes):
         out[...] = 0.0
         if axes[0][0] >= xs[last[0]]:
             out[-1, -1, -1] = np.inf
@@ -248,7 +291,7 @@ def test_first_failing_part_raises(fig2b, monkeypatch):
     xs = ringtrap.grids.grid_axes(region, dims)[3][0]
     runs = _slab_runs_of(dims)  # parts of runs 0-1, 2-3 and 4-6
 
-    def fill(cfg, axes, out, work):
+    def fill(cfg, axes, out, work, planes):
         out[...] = 0.0
         if axes[0][0] >= xs[runs[2][0]]:
             raise RuntimeError(f"run at x = {axes[0][0]!r}")
@@ -268,7 +311,7 @@ def test_errstate_reaches_every_worker(fig2b, monkeypatch):
     xs = ringtrap.grids.grid_axes(region, dims)[3][0]
     last = _slab_runs_of(dims)[-1]
 
-    def fill(cfg, axes, out, work):
+    def fill(cfg, axes, out, work, planes):
         out[...] = 0.0
         if axes[0][0] >= xs[last[0]]:
             np.divide(1.0, out[:1, :1, :1], out=out[:1, :1, :1])
@@ -291,7 +334,7 @@ def test_non_finite_density_rejected(fig2b):
 
 
 def test_non_finite_potential_rejected(fig2b, monkeypatch):
-    def fill(cfg, axes, out, work):
+    def fill(cfg, axes, out, work, planes):
         out[...] = 0.0
         if axes[0][0] > 0:
             out[-1, -1, -1] = np.inf
@@ -313,7 +356,7 @@ def test_column_density_uniform_box(fig2b, monkeypatch):
     # a flat potential: every column is the z extent, so the image is the
     # uniform areal density N / (Lx Ly) whatever the z spacing
     monkeypatch.setattr(
-        ringtrap.imaging, "fill_potential", lambda cfg, axes, out, work: out.fill(-3e-28)
+        ringtrap.imaging, "fill_potential", lambda cfg, axes, out, work, planes: out.fill(-3e-28)
     )
     region = ((0, 7e-6), (0, 7e-6), (0, 8e-6))
     img = column_density(fig2b, T20, region, (8, 8, 5), atom_number=49.0)
