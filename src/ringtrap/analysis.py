@@ -641,10 +641,11 @@ def _escape_depth(cfg: TrapConfig, origin: np.ndarray, v_min: float, r0: float) 
     """
     step = r0 / 200.0
     n_steps = 800  # 4 * r0 reach
-    directions = np.vstack([np.eye(3), -np.eye(3)])
-    offsets = step * np.arange(1, n_steps + 1)[None, :] * directions.T[:, :, None]
-    # the coordinates of the (6 rays, n_steps) points, each contiguous
-    vals = dressed_potential(tuple(origin[:, None, None] + offsets), cfg)
+    directions = np.hstack([np.eye(3), -np.eye(3)])  # column j: ray j's direction
+    # the coordinates of the (6 rays, n_steps) points, each C-contiguous
+    points = directions[:, :, None] * (step * np.arange(1, n_steps + 1))
+    points += origin[:, None, None]
+    vals = dressed_potential(tuple(points), cfg)
     turns = (vals[:, :-1] > v_min) & (vals[:, 1:] < vals[:, :-1])
     stop = np.where(turns.any(axis=1), turns.argmax(axis=1), n_steps - 2)
     seen = np.arange(n_steps) <= stop[:, None]

@@ -103,7 +103,7 @@ _SCHEMA = {
         "nz": _Key(int, 33, lambda v: v >= 2),
         "od_scale": _Key(float, 1.0, _positive),
         "noise_frac": _Key(float, 0.0, _non_negative),
-        "noise_seed": _Key(int, 0, _non_negative),
+        "noise_seed": _Key(int, 0, lambda v: 0 <= v < 2**64),  # the noise stream's key
     },
     "sweep": {
         "freq_mhz_start": _Key(float, 0.5, _positive),

@@ -957,6 +957,21 @@ def test_escape_depth_matches_per_ray_oracle(name, monkeypatch):
             assert np.array_equal(got, escape_depth_per_ray(cfg, origin, v_min, r0))
 
 
+def test_escape_depth_rays_are_c_contiguous(fig2c, monkeypatch):
+    # the kernel reads each of the three (6 rays, 800 steps) coordinate
+    # arrays in C order, with no stride between rays
+    seen = []
+
+    def spy(r, cfg, *args, **kwargs):
+        seen.append([(c.shape, c.flags.c_contiguous) for c in r])
+        return dressed_potential(r, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(ringtrap.analysis, "dressed_potential", spy)
+    r0 = resonance_radius(fig2c)
+    _escape_depth(fig2c, np.array([0.5 * r0, 0.3 * r0, 0.1 * r0]), 0.0, r0)
+    assert seen == [[((6, 800), True)] * 3]
+
+
 CUSP_NOTE = "coupling-closed (cusp) minimum; harmonic frequencies undefined"
 
 #: how near fig2b's pole hole its refinement ends, in units of r0: there
@@ -1420,8 +1435,12 @@ _REFERENCE_ANALYSES = {
 def test_reference_analysis_pinned(name):
     # only the gravity ring's refinement ends in Newton steps on the floor
     # gradient, whose point is the root of difference quotients that
-    # rounding can move: it may move by 1e-10 r0, and its depth and
-    # frequencies by 1e-8 relative; every other number is exact
+    # rounding can move. The tolerances below, 1e-10 r0 for the point and
+    # 1e-8 relative for its depth and frequencies, do not bound every
+    # rounding change: scaling the gradient by 1 + k 2**-52 (k = 1..7) moved
+    # the point by up to 3.6e-9 r0 and the depth by up to 1.2e-8, so a
+    # change to the kernel's rounding re-pins them. Every other number is
+    # exact
     want = _REFERENCE_ANALYSES[name]
     cfg = reference_configs()[name]
     got = analyze_trap(cfg)

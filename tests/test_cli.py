@@ -629,6 +629,13 @@ def test_invalid_seed_and_non_text_config_are_config_errors(ini, tmp_path):
     assert main(argv) == EXIT_CONFIG
 
 
+def test_noise_seed_beyond_uint64_is_a_config_error(ini, tmp_path):
+    argv = ["image", "--config", str(ini), "--out", str(tmp_path / "s"),
+            "--set", "imaging.noise_frac=0.02", "--set", f"imaging.noise_seed={2**64}"]
+    assert main(argv) == EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
+
+
 def test_stray_value_error_is_a_numerical_failure(ini, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("failure deep in the numerics")

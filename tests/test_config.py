@@ -80,6 +80,16 @@ def test_out_of_range_rejected(tmp_path):
         load_config(write(tmp_path, "[imaging]\npixel_um = 0\n"))
 
 
+def test_noise_seed_is_a_uint64(tmp_path):
+    # the seed keys the image noise's uint64 stream: 2**64 - 1 loads, and
+    # 2**64 is rejected at load with the key named
+    top = load_config(write(tmp_path, MINIMAL), overrides=[f"imaging.noise_seed={2**64 - 1}"])
+    assert top.get("imaging", "noise_seed") == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ConfigError, match=rf"\[imaging\] noise_seed={seed} is out of range"):
+            load_config(write(tmp_path, MINIMAL), overrides=[f"imaging.noise_seed={seed}"])
+
+
 def test_syntax_error_reports_line(tmp_path):
     with pytest.raises(ConfigError, match="syntax"):
         load_config(write(tmp_path, "[rf\nbx_g = 0.7\n"))

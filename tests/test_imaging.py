@@ -1,5 +1,10 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,21 +209,23 @@ def test_one_pass_fills_the_bits_of_the_sampled_grid(fig2b, monkeypatch):
 
 
 def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path, monkeypatch):
-    # the image workload's 311 x 311 x 33 grid (25.5 MB as a 3-D array): on
-    # one worker the one pass grows by the image, one block of whole
-    # x-slabs and the kernel workspace, and by numpy's iterator buffers
-    # inside a kernel call (~135 KB), which stay below one more block; each
-    # further worker adds its own block, buffers and workspace. The CSV
-    # export adds at most one block to what is held when it starts
+    # the image workload's 311 x 311 x 33 grid (25.5 MB as a 3-D array): the
+    # one pass grows by the image and, per worker, one block of whole
+    # x-slabs, the kernel workspace and one (y, z) plane, the temporary of
+    # forming the planes; 32 KB more covers the run list, the axes and a
+    # kernel call's small arrays (~17 KB measured). No kernel call makes
+    # iterator buffers. The CSV export adds at most one block to what is
+    # held when it starts
     region, dims = imaging_region(fig2b)
     block = 8 * (_CHUNK // (dims[1] * dims[2])) * dims[1] * dims[2]
     workspace = WORKSPACE_ROWS * block
+    plane = 8 * dims[1] * dims[2]
     tracemalloc.start()
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n, k=workers: min(k, n))
             img, grown = traced_growth(lambda: column_density(fig2b, T20, region, dims))
-            assert grown <= img.values.nbytes + workers * (2 * block + workspace)
+            assert grown <= img.values.nbytes + workers * (block + workspace + plane) + (32 << 10)
         _, grown = traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
         assert grown <= block
     finally:
@@ -440,6 +447,147 @@ def test_noise_seed_determinism(fig2b):
     n2 = add_noise(img, 0.01, seed=42)
     np.testing.assert_array_equal(n1.values, n2.values)
     assert np.all(n1.values >= 0)
+
+
+# -- the noise stream ---------------------------------------------------------
+
+def _splitmix64_reference(seed, n):
+    """Outputs 1 to n of SplitMix64 seeded with ``seed``, in Python ints."""
+    out = []
+    state = seed
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _box_muller_reference(seed, n):
+    """Deviates 0 to n - 1 by the stream's definition in Python floats: pair
+    k takes outputs 2k + 1 and 2k + 2, u = (output >> 11) 2**-53, and gives
+    r (cos, sin)(2 pi u2 - pi/2) with r = sqrt(-2 ln(1 - u1))."""
+    words = _splitmix64_reference(seed, n + n % 2)
+    out = []
+    for w1, w2 in zip(words[0::2], words[1::2]):
+        u1, u2 = (w1 >> 11) * 2.0**-53, (w2 >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        theta = 2.0 * math.pi * u2 - math.pi / 2
+        out += [r * math.cos(theta), r * math.sin(theta)]
+    return out[:n]
+
+
+def test_splitmix64_reference_known_answers():
+    # the published first outputs of SplitMix64 at seeds 0 and 1234567
+    assert _splitmix64_reference(0, 3) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
+    ]
+    assert _splitmix64_reference(1234567, 3) == [
+        0x599ED017FB08FC85, 0x2C73F08458540FA5, 0x883EBCE5A3F27C77
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_stream_bits_are_splitmix64(seed):
+    # the uint64 stage, exact integer arithmetic, against the pure-int
+    # SplitMix64 over counters 1 to 2m: pair k holds outputs 2k + 1 and
+    # 2k + 2; seed 2**64 - 1 wraps every state. 37 pairs take six doublings
+    m = 37
+    bits, scratch = np.empty(2 * m, np.uint64), np.empty(2 * m, np.uint64)
+    ringtrap.imaging._pair_bits(seed, bits, scratch)
+    want = _splitmix64_reference(seed, 2 * m)
+    assert [int(b) for b in bits[:m]] == want[0::2]
+    assert [int(b) for b in bits[m:]] == want[1::2]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 64), (7, 63), (2**64 - 1, 2)])
+def test_stream_deviates_follow_box_muller(seed, n):
+    # the deviates against the definition in Python floats: both round a
+    # log, a cosine and a square root of the same uniforms, so they agree to
+    # a few ulp of the largest deviate (|z| < 8.6)
+    got = ringtrap.imaging._normal_deviates(seed, n)
+    want = _box_muller_reference(seed, n)
+    assert got.shape == (n,)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+def test_stream_moments_and_ks_distance():
+    # 2**20 deviates of one seed against N(0, 1), each bound fixed from n
+    # before the run: the mean and variance within 5 standard errors (1/n
+    # and 2/n), the correlation of a pair's two deviates within 5/sqrt(n/2),
+    # and the Kolmogorov-Smirnov distance below 1.63/sqrt(n), its 1% point
+    n = 2**20
+    z = ringtrap.imaging._normal_deviates(2015, n)
+    assert abs(z.mean()) < 5 / math.sqrt(n)
+    assert abs(z.var() - 1) < 5 * math.sqrt(2 / n)
+    assert abs(np.mean(z[0::2] * z[1::2])) < 5 / math.sqrt(n / 2)
+    z.sort()
+    cdf = 0.5 + 0.5 * np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2)).astype(float)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.63 / math.sqrt(n)
+
+
+def test_stream_prefix_does_not_depend_on_the_draw_size():
+    # a deviate depends only on the seed and its index: a small draw, of odd
+    # or even size, is the head of a large one, bit for bit
+    large = ringtrap.imaging._normal_deviates(99, 10**6)
+    for n in (1, 2, 1001, 4096):
+        small = ringtrap.imaging._normal_deviates(99, n)
+        assert small.tobytes() == large[:n].tobytes()
+
+
+def test_noise_is_image_plus_scaled_deviates_clipped(fig2b):
+    # pixel i in C order takes deviate i, scaled by sigma = frac * max
+    img = synth_image(fig2b)
+    noisy = add_noise(img, 0.05, seed=3)
+    sigma = 0.05 * img.values.max()
+    want = img.values + ringtrap.imaging._normal_deviates(3, img.values.size).reshape(img.dims) * sigma
+    np.testing.assert_allclose(noisy.values, np.maximum(want, 0.0), rtol=1e-15, atol=1e-15 * sigma)
+    assert (noisy.values == 0).any() and noisy.quant_scale is None
+    assert add_noise(img, 0.0, seed=3) is img
+    # sigma ~1e213, whose square overflows, still gives finite noise
+    assert np.isfinite(add_noise(img, 1e200, seed=3).values).all()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_noise_seed_outside_uint64_rejected(fig2b, seed):
+    with pytest.raises(ValueError, match="noise seed"):
+        add_noise(synth_image(fig2b), 0.01, seed=seed)
+
+
+def test_noise_draw_holds_two_image_sized_arrays(fig2b):
+    # the hashes and the deviates, each ceil(n/2) pairs of float64 (16 bytes
+    # beyond the odd 311 x 311 image), and the headers of their views
+    img = synth_image(fig2b)
+    assert img.values.size % 2 == 1
+    tracemalloc.start()
+    try:
+        _, grown = traced_growth(lambda: add_noise(img, 0.02, seed=5))
+    finally:
+        tracemalloc.stop()
+    assert grown <= 2 * (img.values.nbytes + 8) + 4096
+
+
+def test_noisy_image_run_imports_no_numpy_random(tmp_path):
+    # the image subcommand with noise, in a fresh interpreter, draws without
+    # numpy.random
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[rf]\nbx_g = 0.7\nby_g = 0.7\nalpha_deg = -90\n[gravity]\nenabled = false\n"
+        "[imaging]\nnoise_frac = 0.02\nnoise_seed = 11\n"
+    )
+    code = (
+        "import sys\nfrom ringtrap.cli import main\n"
+        f"status = main(['image', '--config', {str(ini)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(status, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(ringtrap.imaging.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 def test_zero_atom_image_measurement_errors(fig2b):
