@@ -135,12 +135,10 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
     if not raw and spec.default is None:
         return None  # unset: the echo writes an unset key as an empty value
     if spec.type is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise ConfigError(f"{where}: expected a boolean, got {raw!r}") from None
     if spec.type is int:
         try:
             return int(raw)

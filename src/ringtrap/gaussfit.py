@@ -16,7 +16,6 @@ from .errors import FitError
 _MIN_SAMPLES = 12
 _MAX_ITER = 200
 _COST_RTOL = 1e-10
-_DAMP_RETRIES = 8
 
 
 def two_gaussian(x, params):
@@ -89,11 +88,14 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
 
     Requires at least 12 samples and a non-constant profile. Iterates a
     Levenberg-damped Gauss-Newton update until the relative cost decrease
-    falls below 1e-10 or 200 iterations. Singular normal equations trigger
-    damped retries (damping x10, up to 8 times); if all fail, the fit
-    errors out. A step to a non-finite parameter or cost fails like one that
-    raises the cost. A fit whose centres collapse within one sample spacing is
-    flagged ``degenerate``.
+    falls below 1e-10 or 200 iterations. Singular normal equations raise
+    :class:`FitError` at once: the damped matrix J'J + lam diag(J'J), with
+    lam >= 1e-12, is positive definite while every diagonal entry of J'J is
+    positive. An entry is zero where a lobe underflows on every sample, and
+    damping, which scales the diagonal, keeps it zero for every lam. A step
+    to a non-finite parameter or cost fails like one that raises the cost. A
+    fit whose centres collapse within one sample spacing is flagged
+    ``degenerate``.
     """
     x = np.asarray(positions, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -115,16 +117,12 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
         jac = _jacobian(x, p)
         jtj = jac.T @ jac
         jtr = jac.T @ resid
-        step = None
-        lam_try = lam
-        for _ in range(_DAMP_RETRIES):
-            try:
-                step = np.linalg.solve(jtj + lam_try * np.diag(np.diag(jtj)), -jtr)
-                break
-            except np.linalg.LinAlgError:
-                lam_try *= 10.0
-        if step is None:
-            raise FitError("normal equations singular despite damping retries")
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jtr)
+        except np.linalg.LinAlgError:
+            raise FitError(
+                "normal equations singular: a parameter has no effect on the profile"
+            ) from None
 
         p_new = p + step
         p_new[2] = max(abs(p_new[2]), spacing / 10.0)  # widths stay positive
@@ -137,12 +135,12 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
         if cost_new < cost:
             rel_drop = (cost - cost_new) / max(cost, 1e-300)
             p, resid, cost = p_new, resid_new, cost_new
-            lam = max(lam_try / 10.0, 1e-12)
+            lam = max(lam / 10.0, 1e-12)
             if rel_drop < _COST_RTOL:
                 converged = True
                 break
         else:
-            lam = lam_try * 10.0
+            lam *= 10.0
             if lam > 1e12:
                 converged = cost == 0.0
                 break

@@ -149,7 +149,8 @@ def fill_planes(cfg: TrapConfig, axes, work):
     the planes of its own nodes, and this is None."""
     if len(axes[1]) * len(axes[2]) > _CHUNK:
         return None
-    return yz_planes(axes[1][None, :, None], axes[2][None, None, :], cfg, work)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in fill_potential
+        return yz_planes(axes[1][None, :, None], axes[2][None, None, :], cfg, work)
 
 
 def fill_potential(cfg: TrapConfig, axes, out, work, planes=None) -> None:
@@ -161,16 +162,18 @@ def fill_potential(cfg: TrapConfig, axes, out, work, planes=None) -> None:
     stage are ``planes``, by default :func:`fill_planes` of ``axes``: a
     caller that fills several grids of the same y and z axes through one
     workspace forms them once. A node's V has the same bits in any grid
-    that holds it."""
+    that holds it. A node whose V overflows is inf or NaN, with no
+    floating-point warning: the caller's finite check reports it."""
     if planes is None:
         planes = fill_planes(cfg, axes, work)
-    for box in node_blocks(out.shape):
-        dressed_potential(
-            (axes[0][box[0], None, None],
-             axes[1][None, box[1], None],
-             axes[2][None, None, box[2]]),
-            cfg, work=work, out=out[box], planes=planes,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for box in node_blocks(out.shape):
+            dressed_potential(
+                (axes[0][box[0], None, None],
+                 axes[1][None, box[1], None],
+                 axes[2][None, None, box[2]]),
+                cfg, work=work, out=out[box], planes=planes,
+            )
 
 
 def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:

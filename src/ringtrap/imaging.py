@@ -191,18 +191,6 @@ def column_density(
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _arange_into(out: np.ndarray, start: int, step: int) -> None:
-    """``out[k] = start + k * step`` mod 2**64 in the uint64 array ``out``:
-    each call copies the filled head forward, shifted by its length times
-    ``step``, so ~log2(n) calls make one pass (``np.arange`` has no ``out``)."""
-    out[0] = start
-    done = 1
-    while done < out.size:
-        k = min(done, out.size - done)
-        np.add(out[:k], np.uint64(done * step % 2**64), out=out[done : done + k])
-        done += k
-
-
 def _splitmix64(states: np.ndarray, scratch: np.ndarray) -> None:
     """SplitMix64's output for each uint64 state, in place; ``scratch`` is a
     uint64 array of the same size. Array arithmetic wraps mod 2**64."""
@@ -216,15 +204,20 @@ def _splitmix64(states: np.ndarray, scratch: np.ndarray) -> None:
     states ^= scratch
 
 
-def _pair_bits(seed: int, bits: np.ndarray, scratch: np.ndarray) -> None:
-    """Outputs 1 to 2m of SplitMix64 seeded with ``seed``, the hashes of the
-    states seed + c * _GOLDEN, into the uint64 array ``bits`` of size 2m:
-    output 2k + 1 in ``bits[k]`` and output 2k + 2 in ``bits[m + k]``, the two
-    halves of pair k."""
-    m = bits.size // 2
-    _arange_into(bits[:m], (seed + _GOLDEN) % 2**64, 2 * _GOLDEN % 2**64)
-    np.add(bits[:m], np.uint64(_GOLDEN), out=bits[m:])
+def _pair_bits(seed: int, scratch: np.ndarray) -> np.ndarray:
+    """Outputs 1 to 2m of SplitMix64 seeded with ``seed`` as a new uint64
+    array, where 2m is the size of the uint64 array ``scratch``: the hashes
+    of the states seed + c * _GOLDEN mod 2**64, with c = 2k + 1 in entry k
+    and c = 2k + 2 in entry m + k, the two halves of pair k. Entry i starts
+    as i * 2 _GOLDEN and adds its half's offset, seed + _GOLDEN or
+    seed + (2 - 2m) _GOLDEN, each constant reduced mod 2**64 as a Python int."""
+    m = scratch.size // 2
+    bits = np.arange(2 * m, dtype=np.uint64)
+    bits *= np.uint64(2 * _GOLDEN % 2**64)
+    bits[:m] += np.uint64((seed + _GOLDEN) % 2**64)
+    bits[m:] += np.uint64((seed + (2 - 2 * m) * _GOLDEN) % 2**64)
     _splitmix64(bits, scratch)
+    return bits
 
 
 def _normal_deviates(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
@@ -241,12 +234,12 @@ def _normal_deviates(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
     library's cosine is about twice as fast on [-pi/4, pi/4] as on
     [-pi/2, pi/2]), and sin phi = sqrt(1 - cos**2 phi) signed as phi.
 
-    Two arrays of 2 ceil(n/2) float64 are held, the hashes and the result,
-    and each step writes over one of them."""
+    Two arrays of 2 ceil(n/2) 8-byte words are held, the hashes and the
+    result, which first serves as the hashing's scratch, and each step
+    writes over one of them."""
     m = (n + 1) // 2
-    bits = np.empty(2 * m, np.uint64)
     out = np.empty(2 * m)
-    _pair_bits(seed, bits, out.view(np.uint64))
+    bits = _pair_bits(seed, out.view(np.uint64))
     bits >>= np.uint64(11)
     k1, k2 = bits[:m], bits[m:]
     np.subtract(np.uint64(1 << 53), k1, out=k1)  # 2**53 (1 - u1), in [1, 2**53]

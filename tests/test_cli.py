@@ -382,6 +382,23 @@ def test_cloud_without_a_ring_exits_3(tmp_path, capsys):
         assert not (out / "radius.txt").exists()
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("potential", ["analysis.grid_x_min_mm=1e300", "analysis.grid_x_max_mm=1e301"]),
+    ("image", ["imaging.z_halfwidth_factor=1e300"]),
+])
+def test_overflowing_grid_fill_exits_3_without_a_warning(ini, tmp_path, capsys, command, overrides):
+    # x**2 of nodes 1e297 m to 1e298 m out, and z**2 of an image
+    # half-height of ~1e296 m, overflow in the kernel; the finite check over
+    # the filled nodes reports it, with no numpy overflow warning first (a
+    # failure under filterwarnings = ["error"], a traceback under -W error)
+    argv = [command, "--config", str(ini), "--out", str(tmp_path / "huge")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err == "ringtrap: numerical failure: grid values must all be finite\n"
+
+
 #: how far an exit-0 image radius may lie from r0, as a fraction of r0: 1.5
 #: pixels of r0 / 15. A lobe of a ring thinner than a pixel, or one skewed by
 #: a thermal width near r0 (100 uK at 30 G/cm), sits within about a pixel of

@@ -101,6 +101,24 @@ def test_overrides_applied_and_typed(tmp_path):
     assert rc.trap.gravity_on is False
 
 
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("yes", True), ("true", True), ("on", True),
+    ("0", False), ("no", False), ("false", False), ("off", False),
+])
+@pytest.mark.parametrize("case", [str.upper, str.title])
+def test_boolean_words_in_any_case(tmp_path, word, value, case):
+    text = MINIMAL + f"[gravity]\nenabled = {case(word)}\n"
+    assert load_config(write(tmp_path, text)).trap.gravity_on is value
+
+
+@pytest.mark.parametrize("raw", ["maybe", "2", ""])
+def test_non_boolean_rejected(tmp_path, raw):
+    with pytest.raises(ConfigError, match=r"\[gravity\] enabled: expected a boolean"):
+        load_config(write(tmp_path, MINIMAL + f"[gravity]\nenabled = {raw}\n"))
+    with pytest.raises(ConfigError, match=r"\[gravity\] enabled: expected a boolean"):
+        load_config(write(tmp_path, MINIMAL), overrides=[f"gravity.enabled={raw}"])
+
+
 def test_override_unknown_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown key"):
         load_config(write(tmp_path, MINIMAL), overrides=["rf.power_w=3"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ringtrap import fit_two_gaussians, two_gaussian
+from ringtrap import SyntheticImage, fit_two_gaussians, measure_ring_radius, two_gaussian
 from ringtrap.errors import FitError
 
 
@@ -69,3 +69,44 @@ def test_constant_profile_rejected():
     x = np.linspace(-10, 10, 40)
     with pytest.raises(FitError):
         fit_two_gaussians(x, np.ones_like(x))
+
+
+def lone_lobe(t):
+    """One lobe at t = -50 and a 1e-6 bump on the sample at t = +50, which
+    the initial guess takes for the second lobe: a few steps send that lobe
+    ~1e7 samples away, where it underflows on every sample and the squares
+    of its three Jacobian columns, the normal equations' diagonal, are 0."""
+    y = np.exp(-0.5 * ((t + 50.0) / 10.0) ** 2)
+    y[t == 50.0] += 1e-6
+    return y
+
+
+def test_singular_normal_equations_fail_at_the_first_failed_solve(monkeypatch):
+    # damping scales the diagonal, so it cannot lift a zero diagonal entry:
+    # the first singular solve ends the fit, with no retry
+    solve, failed = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            failed.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    with pytest.raises(FitError, match="normal equations singular: a parameter has no effect"):
+        fit_two_gaussians(np.arange(-100.0, 101.0), lone_lobe(np.arange(-100.0, 101.0)))
+    assert len(failed) == 1
+    assert not np.diag(failed[0])[3:].any()
+
+
+def test_singular_diameter_is_excluded():
+    # a ring image whose 0 degree diameter is the lone-lobe profile
+    n, c = 201, 100.0
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    values = np.exp(-0.5 * ((np.hypot(ii - c, jj - c) - 50.0) / 10.0) ** 2)
+    values[:, 100] = lone_lobe(np.arange(n) - c)
+    meas = measure_ring_radius(SyntheticImage(pixel_size=1.0, values=values), (c, c), 4)
+    assert meas.excluded[0][0] == 0.0
+    assert meas.excluded[0][1].startswith("normal equations singular")
+    assert 0.0 not in [f.angle for f in meas.per_diameter]

@@ -492,10 +492,10 @@ def test_splitmix64_reference_known_answers():
 def test_stream_bits_are_splitmix64(seed):
     # the uint64 stage, exact integer arithmetic, against the pure-int
     # SplitMix64 over counters 1 to 2m: pair k holds outputs 2k + 1 and
-    # 2k + 2; seed 2**64 - 1 wraps every state. 37 pairs take six doublings
+    # 2k + 2; seed 2**64 - 1 wraps every state, and the offset of the
+    # second half, seed + (2 - 2m) * golden, wraps below zero
     m = 37
-    bits, scratch = np.empty(2 * m, np.uint64), np.empty(2 * m, np.uint64)
-    ringtrap.imaging._pair_bits(seed, bits, scratch)
+    bits = ringtrap.imaging._pair_bits(seed, np.empty(2 * m, np.uint64))
     want = _splitmix64_reference(seed, 2 * m)
     assert [int(b) for b in bits[:m]] == want[0::2]
     assert [int(b) for b in bits[m:]] == want[1::2]
