@@ -171,8 +171,10 @@ def check_rho_factors(rho_factors):
 
 
 def _lowest(rays):
-    """``rays`` (quantity, candidate, ...) at the candidate of lowest V (row 3)."""
-    k = np.argmin(rays[3], axis=0)
+    """``rays`` (quantity, candidate, ...) at the candidate of lowest V (row 3);
+    of candidates tied in V, the one of least |s| (row 0), nearest the plane."""
+    tied = rays[3] == rays[3].min(axis=0)
+    k = np.argmin(np.where(tied, np.abs(rays[0]), np.inf), axis=0)
     return np.take_along_axis(rays, k[None, None], axis=1)[:, 0]
 
 
@@ -241,10 +243,11 @@ def _valley_floor(cfg, cosp, sinp, r0, rho_min, rho_max, z_band, out):
     from one kernel call of the coupling on the ray directions. The z = 0
     plane is the single ray s = 0, whose n_phi directions carry no
     frequency axis. A z band zooms s over [-z_band / rho_min, 0] and
-    [0, z_band / rho_min] by ``PROFILE_ZOOM`` and keeps the lowest ray seen;
-    s = 0 is a node of the first pass, so the band floor is never above the
-    plane floor. Every column is computed with the operations of its own,
-    so a column's floor has the same bits in any batch.
+    [0, z_band / rho_min] by ``PROFILE_ZOOM`` and keeps the lowest ray seen,
+    of rays tied in V the one nearest the plane; s = 0 is a node of the
+    first pass, so the band floor is never above the plane floor. Every
+    column is computed with the operations of its own, so a column's floor
+    has the same bits in any batch.
     """
     band = bool(np.any(z_band > 0))
     n_s, passes = PROFILE_ZOOM if band else (1, 1)

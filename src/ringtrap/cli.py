@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import analyze_trap, frequency_sweep, resonance_radius
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, render_value
 from .constants import MICROKELVIN
 from .errors import ConfigError, RingtrapError
 from .grids import sample_grid
@@ -40,13 +40,7 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "unavailable"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "unavailable" if value is None else render_value(value)
 
 
 # ---------------------------------------------------------------------------

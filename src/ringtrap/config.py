@@ -349,6 +349,16 @@ def _formats(output: dict) -> tuple:
     return toks
 
 
+def render_value(value) -> str:
+    """How a config or report value prints: booleans as ``true``/``false``,
+    floats as their ``repr`` (which round-trips), anything else as ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A validated run configuration: the values, with all defaults
@@ -384,15 +394,7 @@ class RunConfig:
                 if section == "sweep" and key in skipped:
                     continue
                 val = self.values[section][key]
-                if val is None:
-                    rendered = ""
-                elif isinstance(val, bool):
-                    rendered = "true" if val else "false"
-                elif isinstance(val, float):
-                    rendered = repr(val)
-                else:
-                    rendered = str(val)
-                lines.append(f"{key} = {rendered}")
+                lines.append(f"{key} = {'' if val is None else render_value(val)}")
             lines.append("")
         return "\n".join(lines)
 

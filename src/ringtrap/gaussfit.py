@@ -88,7 +88,9 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
 
     Requires at least 12 samples and a non-constant profile. Iterates a
     Levenberg-damped Gauss-Newton update until the relative cost decrease
-    falls below 1e-10 or 200 iterations. Singular normal equations raise
+    falls below 1e-10, or the damping passes 1e12 with no step lowering the
+    cost: both stop at a minimum. ``converged`` means the fit stopped so
+    before its cap of 200 iterations. Singular normal equations raise
     :class:`FitError` at once: the damped matrix J'J + lam diag(J'J), with
     lam >= 1e-12, is positive definite while every diagonal entry of J'J is
     positive. An entry is zero where a lobe underflows on every sample, and
@@ -111,8 +113,7 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
     resid = two_gaussian(x, p) - y
     cost = float(resid @ resid)
     lam = 1e-3
-    converged = False
-    it = 0
+    converged = True
     for it in range(1, _MAX_ITER + 1):
         jac = _jacobian(x, p)
         jtj = jac.T @ jac
@@ -137,13 +138,13 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
             p, resid, cost = p_new, resid_new, cost_new
             lam = max(lam / 10.0, 1e-12)
             if rel_drop < _COST_RTOL:
-                converged = True
                 break
         else:
             lam *= 10.0
             if lam > 1e12:
-                converged = cost == 0.0
                 break
+    else:
+        converged = False
 
     if p[4] < p[1]:  # report centers in ascending order
         p = np.array([p[3], p[4], p[5], p[0], p[1], p[2]])

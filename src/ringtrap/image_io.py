@@ -47,6 +47,14 @@ def _parse_meta(line: str, meta: dict) -> None:
         meta[key.strip()] = val.strip()
 
 
+def _write_header(header_path, kind: str, dtype: str, lines: list[str]) -> None:
+    """Write a binary's text sidecar: the ``format=ringtrap-<kind>`` line,
+    the exporter's own ``lines``, then the dtype and the fixed layout."""
+    header = [f"format=ringtrap-{kind} v{_HDR_VERSION}", *lines,
+              f"dtype={dtype}", "byteorder=little", "order=row-major"]
+    Path(header_path).write_text("\n".join(header) + "\n")
+
+
 def _read_header(header_path) -> dict:
     meta = {}
     for line in Path(header_path).read_text().splitlines():
@@ -99,15 +107,10 @@ def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
     quant = np.rint(image.values / scale).astype("<u2") if scale > 0 else np.zeros(
         image.dims, dtype="<u2"
     )
-    header = [
-        f"format=ringtrap-u16 v{_HDR_VERSION}",
+    _write_header(header_path, "u16", "uint16", [
         *_meta_lines(image, "atoms/m^2 * od_scale (for value = u16 * scale)"),
         f"scale={scale!r}",
-        "dtype=uint16",
-        "byteorder=little",
-        "order=row-major",
-    ]
-    Path(header_path).write_text("\n".join(header) + "\n")
+    ])
     Path(data_path).write_bytes(quant.tobytes())
 
 
@@ -128,17 +131,12 @@ def export_grid_binary(grid: ScalarGrid, data_path, header_path) -> None:
     ``origin + spacing * arange(n)`` rebuilds :meth:`ScalarGrid.axes`
     exactly.
     """
-    header = [
-        f"format=ringtrap-f64 v{_HDR_VERSION}",
+    _write_header(header_path, "f64", "float64", [
         "dims=" + ",".join(str(n) for n in grid.dims),
         "origin_m=" + ",".join(repr(c) for c in grid.origin),
         "spacing_m=" + ",".join(repr(s) for s in grid.spacing),
         "units=J",
-        "dtype=float64",
-        "byteorder=little",
-        "order=row-major",
-    ]
-    Path(header_path).write_text("\n".join(header) + "\n")
+    ])
     grid.values.astype("<f8", copy=False).tofile(data_path)
 
 

@@ -140,6 +140,18 @@ def test_profile_z_band_finds_lower_valley(fig2c):
     assert abs(banded.z[0]) > 1e-6
 
 
+def test_profile_z_band_ties_keep_the_plane(fig2a):
+    # at phi = 90 and 270 degrees the x-linear rf is normal to every field
+    # direction of the meridian, so every ray slope ties in V: the floor is
+    # the one nearest the plane, the plane's own
+    flat = azimuthal_profile(fig2a, n_phi=64)
+    banded = azimuthal_profile(fig2a, n_phi=64, z_band_factor=0.3)
+    for i in (16, 48):
+        assert banded.z[i] == 0.0 and not np.signbit(banded.z[i])
+        assert banded.radii[i] == flat.radii[i]
+        assert banded.potentials[i] == flat.potentials[i]
+
+
 def test_profile_requires_min_azimuths(fig2a):
     with pytest.raises(ValueError):
         azimuthal_profile(fig2a, n_phi=4)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from ringtrap import SyntheticImage, fit_two_gaussians, measure_ring_radius, two_gaussian
-from ringtrap.errors import FitError
+import ringtrap.gaussfit
+from ringtrap import (
+    SyntheticImage,
+    extract_diameter_profile,
+    fit_two_gaussians,
+    measure_ring_radius,
+    two_gaussian,
+)
+from ringtrap.errors import FitError, MeasurementError
 
 
 def profile(params, n=101, span=250.0):
@@ -110,3 +117,36 @@ def test_singular_diameter_is_excluded():
     assert meas.excluded[0][0] == 0.0
     assert meas.excluded[0][1].startswith("normal equations singular")
     assert 0.0 not in [f.angle for f in meas.per_diameter]
+
+
+def clean_ring(n=201, radius=50.0, width=10.0):
+    """A noise-free n x n ring image of pixel 1, centred on (c, c)."""
+    c = (n - 1) / 2.0
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    values = np.exp(-0.5 * ((np.hypot(ii - c, jj - c) - radius) / width) ** 2)
+    return SyntheticImage(pixel_size=1.0, values=values), c
+
+
+def test_fit_at_its_minimum_converges():
+    # on the 0 and 90 degree diameters every step from the minimum raises the
+    # cost by rounding, so the damping passes its bound: that stop is a
+    # minimum too, and all four diameters count
+    img, c = clean_ring()
+    meas = measure_ring_radius(img, (c, c), 4)
+    assert meas.excluded == ()
+    assert [f.angle for f in meas.per_diameter] == [k * np.pi / 4 for k in range(4)]
+    assert meas.radius == pytest.approx(50.0, abs=1e-2)
+    t, prof = extract_diameter_profile(img, 0.0, (c, c))
+    fit = fit_two_gaussians(t, prof)
+    assert fit.converged
+
+
+def test_fit_stopped_at_its_cap_is_not_converged(monkeypatch):
+    monkeypatch.setattr(ringtrap.gaussfit, "_MAX_ITER", 1)
+    x, y = profile((1.0, -100.0, 12.0, 0.8, 95.0, 15.0))
+    fit = fit_two_gaussians(x, y)
+    assert not fit.converged and fit.iterations == 1
+    # no diameter of the clean ring reaches a stop within one iteration
+    img, c = clean_ring()
+    with pytest.raises(MeasurementError, match="0 of 4 .*; fit did not converge;"):
+        measure_ring_radius(img, (c, c), 4)
