@@ -1117,13 +1117,13 @@ def frequency_sweep(
     and finite, or an amplitude row that ``RfConfig`` rejects, raises
     ``ValueError``, and the sweep returns no partial result.
 
-    Rows that share an amplitude triple (every row, without a table) are
-    one array pass: one :func:`azimuthal_profile` call profiles them as the
-    rows of one profile, in batches of at most ``PROFILE_BATCH_POINTS``
-    closed-form entries (in the plane, one kernel call per batch);
-    ``_classify_rows`` classifies all of them under both tolerance sets at
-    once; and the radii and barriers are row reductions. Each row has the
-    bits of a profile and a ``classify_geometry`` of its own.
+    Without a table all rows are one array pass: one
+    :func:`azimuthal_profile` call profiles them as the rows of one profile,
+    in batches of at most ``PROFILE_BATCH_POINTS`` closed-form entries (in
+    the plane, one kernel call per batch); ``_classify_rows`` classifies all
+    of them under both tolerance sets at once; and the radii and barriers are
+    row reductions. With a table each row is a pass of its own. Each row has
+    the bits of a profile and a ``classify_geometry`` of its own.
     """
     omegas = [float(w) for w in omegas]
     check_frequencies(omegas)
@@ -1131,32 +1131,29 @@ def frequency_sweep(
         raise ValueError(f"sweep classification requires n_phi >= {MIN_CLASSIFY_AZIMUTHS}")
     check_rho_factors(rho_factors)
     if amplitudes is None:
-        groups = [(cfg, range(len(omegas)))]
+        passes = [(cfg, omegas)]
     else:
         if len(amplitudes) != len(omegas):
             raise ValueError("amplitudes table must match the frequency list length")
-        by_triple = {}  # amplitude triple -> row indices, in order of first use
-        for i, triple in enumerate(amplitudes):
-            by_triple.setdefault(tuple(float(b) for b in triple), []).append(i)
-        # one config per group, each checked by RfConfig before any profile
-        groups = [
-            (cfg.with_rf(b_x=bx, b_y=by, b_z=bz), members)
-            for (bx, by, bz), members in by_triple.items()
+        # one config per row, each checked by RfConfig before any profile
+        passes = [
+            (cfg.with_rf(b_x=float(bx), b_y=float(by), b_z=float(bz)), [w])
+            for w, (bx, by, bz) in zip(omegas, amplitudes)
         ]
 
     tol = tolerances or ClassifierTolerances()
-    rows = [None] * len(omegas)
-    for cfg_g, members in groups:
+    rows = []
+    for cfg_p, group in passes:
         profile = azimuthal_profile(
-            cfg_g, n_phi=n_phi, rho_factors=rho_factors,
-            z_band_factor=z_band_factor, omegas=[omegas[i] for i in members],
+            cfg_p, n_phi=n_phi, rho_factors=rho_factors,
+            z_band_factor=z_band_factor, omegas=group,
         )
         codes, _ = _classify_rows(profile, tol)
-        for i, r0, radius, barrier, code, code_halved in zip(
-            members, profile.resonance_radius.tolist(), profile.numeric_radius(),
+        for w, r0, radius, barrier, code, code_halved in zip(
+            group, profile.resonance_radius.tolist(), profile.numeric_radius(),
             profile.barrier_height(), *codes.tolist(),
         ):
-            rows[i] = SweepPoint(
-                omegas[i], r0, radius, barrier, _GEOMETRIES[code], code_halved != code
+            rows.append(
+                SweepPoint(w, r0, radius, barrier, _GEOMETRIES[code], code_halved != code)
             )
     return rows

@@ -122,11 +122,6 @@ _TINY = 2.0**-500
 _RESCALE = 2.0**600
 
 
-def coupling_prefactor(cfg: TrapConfig) -> float:
-    """g_F * mu_B / (2 hbar): Rabi rad/s per tesla of resonant rf amplitude."""
-    return cfg.atom.g_F * MU_B / (2.0 * HBAR)
-
-
 def resonance_radius(cfg: TrapConfig, omega=None):
     """z=0 radius of the zero-detuning shell: hbar*omega/(g_F mu_B B_q), at
     the dressing frequency ``omega`` (by default ``cfg.rf.omega``; an array
@@ -181,27 +176,22 @@ def yz_planes(y, z, cfg: TrapConfig, work=None) -> tuple:
     ``y`` and ``z`` (y copied into its row), and row 5 is scratch; without
     one, y is itself the first plane. Pass them to every
     :func:`dressed_potential` call whose points share these y and z."""
-    # a coordinate hundreds of decades below another underflows in the
-    # squares and products of its part, to a 0 that changes nothing
-    with np.errstate(under="ignore"):
-        return _first_stage(y, z, cfg, work)
-
-
-def _first_stage(y, z, cfg: TrapConfig, work):
-    """The planes of :func:`yz_planes`, under the caller's ``np.errstate``."""
     *planes, tmp = _views(work, (*_PLANE_ROWS, 5), y, z)
     y_row, w_row, s_row, t_row, u_row = planes
     _, ay, az, by, bz = cfg.coupling_parts
     if y_row is not None:
         np.copyto(y_row, y)
         y = y_row
-    w = np.multiply(z, -2.0, w_row)
-    return (
-        y, w,
-        np.add(np.multiply(y, y, s_row), np.multiply(w, w, tmp), s_row),
-        np.add(np.multiply(y, ay, t_row), np.multiply(w, az, tmp), t_row),
-        np.subtract(np.multiply(y, bz, u_row), np.multiply(w, by, tmp), u_row),
-    )
+    # a coordinate hundreds of decades below another underflows in the
+    # squares and products of its part, to a 0 that changes nothing
+    with np.errstate(under="ignore"):
+        w = np.multiply(z, -2.0, w_row)
+        return (
+            y, w,
+            np.add(np.multiply(y, y, s_row), np.multiply(w, w, tmp), s_row),
+            np.add(np.multiply(y, ay, t_row), np.multiply(w, az, tmp), t_row),
+            np.subtract(np.multiply(y, bz, u_row), np.multiply(w, by, tmp), u_row),
+        )
 
 
 def _second_stage(x, planes, cfg: TrapConfig, work):
@@ -256,10 +246,10 @@ def _rescued_coupling(x, y, z, cfg: TrapConfig):
     field direction as it is; the centre, whose R is still 0, takes
     C^2 (B_x^2 + B_y^2)."""
     x, y, z = (c * _RESCALE for c in (x, y, z))
-    _, om2, centre = _second_stage(x, _first_stage(y, z, cfg, None), cfg, None)
+    _, om2, centre = _second_stage(x, yz_planes(y, z, cfg), cfg, None)
     if centre is not None:
         rf = cfg.rf
-        om2[centre] = coupling_prefactor(cfg) ** 2 * (rf.b_x**2 + rf.b_y**2)
+        om2[centre] = cfg.coupling_prefactor**2 * (rf.b_x**2 + rf.b_y**2)
     return om2
 
 
@@ -277,7 +267,7 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None, planes=None):
     x, y, z = _coordinates(r)
     with np.errstate(under="ignore"):
         if planes is None:
-            planes = _first_stage(y, z, cfg, work)
+            planes = yz_planes(y, z, cfg, work)
         larmor, om2, tiny = _second_stage(x, planes, cfg, work)
         if tiny is not None:
             om2 = np.asarray(om2)

@@ -109,7 +109,7 @@ class TrapConfig:
             )
         # C^2 (B_x^2 + B_y^2 + B_z^2) = |a'|^2 + |b'|^2, in float arithmetic,
         # where an overflow is inf, unwarned
-        c = self.atom.g_F * MU_B / (2.0 * HBAR)
+        c = self.coupling_prefactor
         amplitudes = (self.rf.b_x, self.rf.b_y, self.rf.b_z)
         if not math.isfinite(16.0 * sum((c * b) * (c * b) for b in amplitudes)):
             raise ValueError(
@@ -118,13 +118,18 @@ class TrapConfig:
             )
 
     @cached_property
+    def coupling_prefactor(self) -> float:
+        """C = g_F mu_B / (2 hbar): Rabi rad/s per tesla of resonant rf amplitude."""
+        return self.atom.g_F * MU_B / (2.0 * HBAR)
+
+    @cached_property
     def coupling_parts(self) -> tuple:
         """(a_x, a_y, a_z, b_y, b_z) of ``RfConfig.amplitude_parts`` times
-        C = g_F mu_B / (2 hbar), in rad/s: |Omega|^2 is the squared norm of
+        C (``coupling_prefactor``), in rad/s: |Omega|^2 is the squared norm of
         a - (n.a) n + n x b in these parts, with no further factor. Computed
         once per config, in float arithmetic: a part that underflows is a 0
         that changes nothing."""
-        c = self.atom.g_F * MU_B / (2.0 * HBAR)
+        c = self.coupling_prefactor
         return tuple(c * float(p) for p in self.rf.amplitude_parts)
 
     @cached_property

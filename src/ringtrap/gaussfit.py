@@ -47,7 +47,6 @@ class TwoGaussianFit:
     params: tuple  # (a1, c1, w1, a2, c2, w2), centers sorted ascending
     cost: float  # sum of squared residuals at the solution
     converged: bool
-    degenerate: bool  # centers collapsed within one sample spacing
     iterations: int
 
     @property
@@ -95,9 +94,7 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
     lam >= 1e-12, is positive definite while every diagonal entry of J'J is
     positive. An entry is zero where a lobe underflows on every sample, and
     damping, which scales the diagonal, keeps it zero for every lam. A step
-    to a non-finite parameter or cost fails like one that raises the cost. A
-    fit whose centres collapse within one sample spacing is flagged
-    ``degenerate``.
+    to a non-finite parameter or cost fails like one that raises the cost.
     """
     x = np.asarray(positions, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -148,11 +145,9 @@ def fit_two_gaussians(positions, values) -> TwoGaussianFit:
 
     if p[4] < p[1]:  # report centers in ascending order
         p = np.array([p[3], p[4], p[5], p[0], p[1], p[2]])
-    degenerate = abs(p[4] - p[1]) < spacing
     return TwoGaussianFit(
         params=tuple(float(v) for v in p),
         cost=cost,
         converged=converged,
-        degenerate=degenerate,
         iterations=it,
     )

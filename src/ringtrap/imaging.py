@@ -321,10 +321,6 @@ class RadiusMeasurement:
     per_diameter: tuple
     excluded: tuple = ()  # (angle, reason) for diameters that failed
 
-    def __post_init__(self):
-        if self.uncertainty < 0:
-            raise ValueError("uncertainty must be non-negative")
-
 
 def _bilinear(values: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     i0 = np.floor(i).astype(int)
@@ -373,11 +369,13 @@ def measure_ring_radius(
     For each of ``n_diameters`` equally spaced angles in [0, pi), the profile
     through ``center`` is fit with a sum of two Gaussians and the
     half peak-to-peak centre separation gives one radius. A fit counts if it
-    converged with its centres apart, both lobes of positive amplitude, both
-    centres inside the sampled profile, the lobes resolved, their centre
-    separation above the sum of their widths (which keeps each width shorter
-    than the profile), and each lobe at least one sample (pixel) wide; other
-    diameters are excluded with their reasons. With
+    converged, both lobes of positive amplitude, both centres inside the
+    sampled profile, the lobes resolved, their centre separation above the
+    sum of their widths (which keeps each width shorter than the profile),
+    and each lobe at least one sample (pixel) wide; other diameters are
+    excluded with their reasons. The last two rules put accepted centres
+    more than two samples apart, so centres that collapsed together fail as
+    lobes not resolved. With
     fewer than two diameters left the image shows no ring, and a
     :class:`MeasurementError` is raised. ``radius`` is the mean of the
     per-diameter radii and ``uncertainty`` their standard deviation.
@@ -394,9 +392,7 @@ def measure_ring_radius(
         except FitError as err:
             excluded.append((angle, str(err)))
             continue
-        if fit.degenerate:
-            excluded.append((angle, "degenerate: centers collapsed"))
-        elif not fit.converged:
+        if not fit.converged:
             excluded.append((angle, "fit did not converge"))
         elif not all(a > 0 for a in fit.params[::3]):
             excluded.append((angle, "a lobe has no positive amplitude"))

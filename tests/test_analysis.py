@@ -791,11 +791,10 @@ def test_sweep_builds_one_config_per_amplitude_group(fig2b, monkeypatch):
     omegas = list(2 * np.pi * 1e6 * np.linspace(0.5, 3.0, 41))
     frequency_sweep(fig2b, omegas)
     assert built == []  # no table: the one group is the config itself
+    # with a table each row is a group of its own, repeated triples too
     amps = [(B07, B07, 0.0), (B07, 0.0, B02)] * 20 + [(B07, B07, 0.0)]
     frequency_sweep(fig2b, omegas, amplitudes=amps)
-    assert built == [
-        {"b_x": B07, "b_y": B07, "b_z": 0.0}, {"b_x": B07, "b_y": 0.0, "b_z": B02}
-    ]
+    assert built == [{"b_x": bx, "b_y": by, "b_z": bz} for bx, by, bz in amps]
 
 
 #: sweep frequencies of the batched-sweep tests, 0.5 to 3 MHz
@@ -848,14 +847,14 @@ def test_batched_sweep_amplitude_table_equals_one_row_at_a_time(fig2b, band):
 def test_plane_sweep_makes_one_kernel_call_per_amplitude_group(name, monkeypatch):
     cfg = reference_configs()[name]
     # one call per group: the coupling on the plane's 256 ray directions,
-    # which do not depend on the frequency
+    # which do not depend on the frequency; each table row is a group
     shapes = count_coupling_calls(monkeypatch)
     frequency_sweep(cfg, SWEEP_OMEGAS, n_phi=256)
     assert shapes == [(256, 3)]
     shapes.clear()
     amps = [(B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0), (B07, 0.0, B02), (B07, B07, 0.0)]
     frequency_sweep(cfg, SWEEP_OMEGAS, amplitudes=amps, n_phi=256)
-    assert shapes == [(256, 3)] * 2
+    assert shapes == [(256, 3)] * 5
 
 
 def test_sweep_batches_are_bounded_by_the_point_budget(fig2c, monkeypatch):
@@ -1191,7 +1190,7 @@ def test_coupling_holes_edge_cases(rf, pole):
         assert holes[0] @ holes[1] == pytest.approx(-1.0, abs=1e-15)
     # the coupling closes there, to the kernel's rounding
     rabi = ringtrap.dressed.rabi_frequency(holes * [1.0, 1.0, -0.5], cfg)
-    scale = ringtrap.dressed.coupling_prefactor(cfg) * math.hypot(*np.concatenate([a, b]))
+    scale = cfg.coupling_prefactor * math.hypot(*np.concatenate([a, b]))
     assert np.all(rabi <= 1e-14 * scale)
 
 
@@ -1512,3 +1511,10 @@ def test_refined_minimum_only_for_smooth_stationary_interior_point(
         assert got is point
     else:
         assert got is None
+
+
+def test_negative_z_band_and_few_sweep_azimuths_are_rejected(fig2b):
+    with pytest.raises(ValueError, match="z_band_factor must be non-negative"):
+        azimuthal_profile(fig2b, z_band_factor=-0.1)
+    with pytest.raises(ValueError, match="sweep classification requires n_phi >= 64"):
+        frequency_sweep(fig2b, [OMEGA_15MHZ], n_phi=32)

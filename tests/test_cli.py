@@ -262,6 +262,22 @@ def test_list_sweep_echo_reruns(ini, tmp_path):
     assert len((first / "sweep.csv").read_text().splitlines()) == 4
 
 
+def test_one_frequency_range_sweep_echo_reruns(ini, tmp_path):
+    # a range of count 1 is the one frequency freq_mhz_start; the stop is unused
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["sweep", "--config", str(ini), "--out", str(first),
+            "--set", "sweep.freq_mhz_start=1.25", "--set", "sweep.freq_mhz_stop=3.0",
+            "--set", "sweep.freq_mhz_count=1"]
+    assert main(argv) == EXIT_OK
+    lines = (first / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[0] == "1.25"
+    echo = first / "resolved.ini"
+    assert load_config(echo).sweep_freqs_mhz == (1.25,)
+    assert main(["sweep", "--config", str(echo), "--out", str(second)]) == EXIT_OK
+    assert (second / "sweep.csv").read_bytes() == (first / "sweep.csv").read_bytes()
+    assert (second / "resolved.ini").read_bytes() == echo.read_bytes()
+
+
 def test_sweep_amplitude_table_center_trap(ini, tmp_path):
     table = tmp_path / "amps.csv"
     table.write_text("freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n3.0,0,0,0\n")

@@ -297,3 +297,31 @@ def test_analysis_grid_budget_fails_the_load(tmp_path):
     assert math.prod(rc.grid_dims) == 10**8
     with pytest.raises(ConfigError, match=r"\[analysis\] grid of 200000000 nodes"):
         load_config(write(tmp_path, MINIMAL + grid + "grid_nz = 2\n"))
+
+
+def test_infinite_number_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"\[rf\] freq_mhz: value must be finite"):
+        load_config(write(tmp_path, MINIMAL), overrides=["rf.freq_mhz=inf"])
+
+
+def test_custom_species_constants_are_checked(tmp_path):
+    text = "[atom]\nspecies = custom\nmass_kg = 1.44316e-25\ng_f = 0.5\nm_f = 0\n"
+    with pytest.raises(ConfigError, match=r"\[atom\] trappable .* requires m_F >= 1"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("table, message", [
+    (b"freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,0\n\xff\xfe\n", "amplitude_table is not text"),
+    (b"freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7\n", "amplitude_table line 2: expected freq_MHz,"),
+    (b"freq_MHz,bx_G,by_G,bz_G\n1.0,0.7,0.7,abc\n", "amplitude_table line 2: non-numeric value"),
+], ids=["not-utf8", "three-columns", "non-numeric"])
+def test_malformed_amplitude_table_is_rejected(tmp_path, table, message):
+    (tmp_path / "amps.csv").write_bytes(table)
+    text = "\n[sweep]\nfreq_mhz_list = 1.0\namplitude_table = amps.csv\n"
+    with pytest.raises(ConfigError, match=r"\[sweep\] " + message):
+        load_config(write(tmp_path, MINIMAL + text))
+
+
+def test_override_with_an_empty_key_is_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"--set needs section.key=value, got 'rf.=1'"):
+        load_config(write(tmp_path, MINIMAL), overrides=["rf.=1"])

@@ -19,7 +19,7 @@ from ringtrap import (
     resonance_radius,
 )
 from ringtrap.constants import G_ACCEL, HBAR, MU_B
-from ringtrap.dressed import WORKSPACE_ROWS, coupling_prefactor
+from ringtrap.dressed import WORKSPACE_ROWS
 
 from conftest import (
     B07,
@@ -75,7 +75,7 @@ def test_detuning_sign_inside_outside(fig2b):
 def test_rabi_circular_on_ring(fig2b):
     r0 = resonance_radius(fig2b)
     # at z=0 only the (Bx^2 y^2 + By^2 x^2)/rho^2 term survives -> B^2
-    expected = coupling_prefactor(fig2b) * B07
+    expected = fig2b.coupling_prefactor * B07
     assert rabi_frequency([r0, 0, 0], fig2b) == pytest.approx(expected, rel=1e-13)
     assert expected / (2 * np.pi) == pytest.approx(244.9e3, rel=1e-3)
 
@@ -87,13 +87,13 @@ def test_rabi_linear_zero_on_x_axis(fig2a):
 
 def test_rabi_linear_full_on_y_axis(fig2a):
     r0 = resonance_radius(fig2a)
-    expected = (coupling_prefactor(fig2a) * B07) ** 2
+    expected = (fig2a.coupling_prefactor * B07) ** 2
     assert rabi_squared([0, r0, 0], fig2a) == pytest.approx(expected, rel=1e-13)
 
 
 def test_rabi_on_axis_azimuthal_average(fig2b):
     # circular polarization, alpha=-pi/2: axis value is C^2 B^2 (2 - 2 sgn(z))
-    c2b2 = (coupling_prefactor(fig2b) * B07) ** 2
+    c2b2 = (fig2b.coupling_prefactor * B07) ** 2
     assert rabi_squared([0, 0, 1e-4], fig2b) == pytest.approx(0.0, abs=1e-20 * c2b2)
     assert rabi_squared([0, 0, -1e-4], fig2b) == pytest.approx(4 * c2b2, rel=1e-12)
     assert rabi_squared([0, 0, 0], fig2b) == pytest.approx(2 * c2b2, rel=1e-12)
@@ -103,7 +103,7 @@ def test_rabi_axis_continuity(fig2a):
     # the coupling depends on position only through the field direction n,
     # which tends to (0, 0, -sgn z) from every azimuth: the axial limit is
     # unique and off-axis points approach the on-axis value
-    c2 = coupling_prefactor(fig2a) ** 2
+    c2 = fig2a.coupling_prefactor ** 2
     on_axis = rabi_squared([0.0, 0.0, 1e-4], fig2a)
     assert on_axis == pytest.approx(c2 * B07**2, rel=1e-12)
     phi = np.linspace(-np.pi, np.pi, 16, endpoint=False)
@@ -129,7 +129,7 @@ def _rabi_squared_oracle(r, cfg):
     n = n / np.linalg.norm(n, axis=-1, keepdims=True)
     n_bt = n @ bt
     val = np.vdot(bt, bt) - n_bt * n_bt.conj() - 1j * (n @ np.cross(bt, bt.conj()))
-    return coupling_prefactor(cfg) ** 2 * val.real
+    return cfg.coupling_prefactor ** 2 * val.real
 
 
 def test_rabi_coordinate_free_oracle():
@@ -138,7 +138,7 @@ def test_rabi_coordinate_free_oracle():
         bx, by, bz = rng.uniform(0.0, 1e-4, 3) * (rng.random(3) < 0.8)
         alpha, beta = rng.uniform(-np.pi, np.pi, 2)
         cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=alpha, beta=beta)
-        tol = 1e-13 * coupling_prefactor(cfg) ** 2 * (bx * bx + by * by + bz * bz)
+        tol = 1e-13 * cfg.coupling_prefactor ** 2 * (bx * bx + by * by + bz * bz)
         # positions spanning six decades, plus points on the z-axis
         pts = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-9, -3, (2000, 1))
         pts[:100, :2] = 0.0
@@ -148,7 +148,7 @@ def test_rabi_coordinate_free_oracle():
         axial = bx * bx + by * by + 2 * bx * by * np.sin(alpha) * np.sign(pts[:100, 2])
         np.testing.assert_allclose(
             rabi_squared(pts[:100], cfg),
-            coupling_prefactor(cfg) ** 2 * axial,
+            cfg.coupling_prefactor ** 2 * axial,
             rtol=0,
             atol=tol,
         )
@@ -180,7 +180,7 @@ def test_kernel_finite_and_matches_oracle_property(amps, phases, gradient, gravi
     bx, by, bz = amps
     cfg = make_trap(b_x=bx, b_y=by, b_z=bz, alpha=phases[0], beta=phases[1],
                     gradient=gradient, gravity=gravity)
-    tol = 1e-13 * coupling_prefactor(cfg) ** 2 * (bx * bx + by * by + bz * bz)
+    tol = 1e-13 * cfg.coupling_prefactor ** 2 * (bx * bx + by * by + bz * bz)
     pts = np.array(points + [np.zeros(3), [0.0, 0.0, 1e-4], [0.0, 0.0, -1e-4]])
     om2 = rabi_squared(pts, cfg)
     assert not np.isnan(om2).any()
@@ -189,7 +189,7 @@ def test_kernel_finite_and_matches_oracle_property(amps, phases, gradient, gravi
         om2[off], _rabi_squared_oracle(pts[off], cfg), rtol=0, atol=tol
     )
     # the centre takes the average of the two axial limits
-    centre = coupling_prefactor(cfg) ** 2 * (bx * bx + by * by)
+    centre = cfg.coupling_prefactor ** 2 * (bx * bx + by * by)
     np.testing.assert_allclose(om2[~off], centre, rtol=0, atol=tol)
     assert np.all(np.isfinite(dressed_potential(pts, cfg)))
 
@@ -206,7 +206,7 @@ def test_underflowing_radius_keeps_its_direction(fig2a):
                 rabi_squared(directions * scale, cfg), rabi_squared(directions, cfg)
             )
         # the centre itself keeps the average of the two axial limits
-        centre = coupling_prefactor(cfg) ** 2 * (cfg.rf.b_x**2 + cfg.rf.b_y**2)
+        centre = cfg.coupling_prefactor ** 2 * (cfg.rf.b_x**2 + cfg.rf.b_y**2)
         assert rabi_squared(np.zeros(3), cfg) == pytest.approx(centre, rel=1e-15)
 
 
@@ -473,7 +473,7 @@ def test_potential_matches_a_50_digit_oracle():
         want = np.array([_potential_oracle(p, cfg) for p in pts])
         atom, rf = cfg.atom, cfg.rf
         larmor = atom.g_F * MU_B * field_magnitude(pts, cfg.quad) / HBAR
-        amplitude = 2.0 * coupling_prefactor(cfg) * (rf.b_x + rf.b_y + rf.b_z)
+        amplitude = 2.0 * cfg.coupling_prefactor * (rf.b_x + rf.b_y + rf.b_z)
         scale = atom.m_F * HBAR * (larmor + rf.omega + amplitude)
         if cfg.gravity_on:
             scale += atom.mass * G_ACCEL * np.abs(pts[:, 1])

@@ -21,7 +21,7 @@ def test_noiseless_recovery_exact():
     truth = (1.0, -100.0, 12.0, 0.8, 95.0, 15.0)
     x, y = profile(truth)
     fit = fit_two_gaussians(x, y)
-    assert fit.converged and not fit.degenerate
+    assert fit.converged
     np.testing.assert_allclose(fit.params, truth, rtol=1e-6)
 
 
@@ -47,11 +47,20 @@ def test_noisy_centers_monte_carlo():
     assert np.percentile(errs, 95) < 0.5 * truth[2]
 
 
-def test_single_gaussian_flagged_degenerate():
-    x = np.linspace(-100, 100, 81)
-    y = np.exp(-0.5 * (x / 20.0) ** 2)
-    fit = fit_two_gaussians(x, y)
-    assert fit.degenerate
+def test_single_blob_diameters_are_not_resolved():
+    # the 0 and 90 degree diameters through one centred blob converge to two
+    # lobes less than a sample apart, which the separation rule excludes
+    n = 41
+    c = (n - 1) / 2.0
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    blob = np.exp(-0.5 * (np.hypot(ii - c, jj - c) / 6.0) ** 2)
+    img = SyntheticImage(pixel_size=1.0, values=blob)
+    t, prof = extract_diameter_profile(img, 0.0, (c, c))
+    fit = fit_two_gaussians(t, prof)
+    assert fit.converged and fit.separation < img.pixel_size
+    with pytest.raises(MeasurementError, match="no ring: 0 of 2") as err:
+        measure_ring_radius(img, (c, c), 2)
+    assert str(err.value).count("lobes not resolved") == 2
 
 
 def test_determinism_bitwise():
@@ -150,3 +159,9 @@ def test_fit_stopped_at_its_cap_is_not_converged(monkeypatch):
     img, c = clean_ring()
     with pytest.raises(MeasurementError, match="0 of 4 .*; fit did not converge;"):
         measure_ring_radius(img, (c, c), 4)
+
+
+def test_unequal_arrays_rejected():
+    x = np.linspace(-10, 10, 40)
+    with pytest.raises(ValueError, match="equal-length 1D arrays"):
+        fit_two_gaussians(x, np.ones(39))

@@ -15,7 +15,7 @@ from ringtrap import (
 )
 from ringtrap.constants import HBAR, K_B, RB87
 from ringtrap.dressed import kernel_workspace
-from ringtrap.grids import _CHUNK, node_blocks
+from ringtrap.grids import _CHUNK, grid_axes, node_blocks
 
 from conftest import (
     B07,
@@ -263,3 +263,15 @@ def test_slab_runs_cover_the_first_axis(monkeypatch):
     monkeypatch.setattr(ringtrap.grids, "_CHUNK", 60)
     assert list(ringtrap.grids.slab_runs((7, 4, 5))) == [slice(0, 3), slice(3, 6), slice(6, 9)]
     assert list(ringtrap.grids.slab_runs((2, 61))) == [slice(0, 1), slice(1, 2)]
+
+
+def test_grid_dims_and_extent_are_checked():
+    with pytest.raises(ValueError, match="dims must be three positive integers"):
+        ScalarGrid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2, 2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="dims must be three positive integers"):
+        grid_axes([(-1.0, 1.0)] * 2, (3, 3))
+    # a multi-node axis needs hi > lo; a one-node axis may have none
+    with pytest.raises(ValueError, match="positive extent on multi-node axes"):
+        grid_axes([(-1.0, 1.0), (0.5, 0.5), (-1.0, 1.0)], (3, 3, 3))
+    dims, origin, _, _ = grid_axes([(-1.0, 1.0), (0.5, 0.5), (-1.0, 1.0)], (3, 1, 3))
+    assert dims == (3, 1, 3) and origin[1] == 0.5

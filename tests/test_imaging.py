@@ -743,3 +743,32 @@ def test_image_values_must_be_finite_and_non_negative(pixel, ok):
     else:
         with pytest.raises(ValueError, match="image values must be finite and non-negative"):
             SyntheticImage(pixel_size=PIXEL, values=values)
+
+
+@pytest.mark.parametrize("values", [np.ones(5), np.ones((1, 5)), np.ones((2, 2, 2))],
+                         ids=["1d", "one-row", "3d"])
+def test_image_must_be_two_dimensional(values):
+    with pytest.raises(ValueError, match="2D array with at least 2x2 pixels"):
+        SyntheticImage(pixel_size=PIXEL, values=values)
+
+
+@pytest.mark.parametrize("pixel", [0.0, -PIXEL, np.nan])
+def test_image_pixel_size_must_be_positive(pixel):
+    with pytest.raises(ValueError, match="pixel size must be positive"):
+        SyntheticImage(pixel_size=pixel, values=np.ones((4, 5)))
+
+
+def test_negative_noise_and_too_few_diameters_are_rejected():
+    img = SyntheticImage(pixel_size=PIXEL, values=np.ones((4, 5)))
+    with pytest.raises(ValueError, match="noise fraction must be non-negative"):
+        add_noise(img, -0.01)
+    with pytest.raises(ValueError, match="need at least 2 diameters"):
+        measure_ring_radius(img, (0.0, 0.0), n_diameters=1)
+
+
+def test_density_integral_that_underflows_is_rejected(fig2b):
+    # a box 1e-110 m across: its volume, 1e-330 m^3, lies below the least
+    # subnormal, 4.9e-324, so the normalisation integral rounds to 0
+    h = 5e-111
+    with pytest.raises(ValueError, match="density normalisation integral vanished"):
+        column_density(fig2b, T20, [(-h, h)] * 3, (5, 5, 5))
