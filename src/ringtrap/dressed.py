@@ -78,21 +78,22 @@ Both forms run through one kernel and give the same bits for the same
 points; the result has the points' shape.
 
 Where the kernel's temporaries live: a call allocates them afresh, whatever
-the number of points, unless it is given a workspace
-(:func:`kernel_workspace`). It then writes each temporary into a row of that
+the number of points, unless it is given a workspace of ``WORKSPACE_ROWS``
+flat float rows. It then writes each temporary into a row of that
 workspace, viewed in the temporary's own shape, and ``dressed_potential``
-writes V into the ``out`` array it is given, so a call allocates nothing
-the size of its points. The rows hold:
+forms omega_0, then delta^2, then V in the ``out`` array it is given, so a
+call allocates nothing the size of its points. The rows hold:
 
 - 0: the products of x alone (x^2, then a'_x x, b'_z x and b'_y x);
 - 1: R, then s;
-- 2: omega_0;
-- 3: m, then -u_z;
-- 4: -u_x, then the sum of the squares, |Omega|^2;
-- 5: -u_y, the first stage's scratch, and the gravity term m g y;
-- 6-10: the planes y, w, S, T and U.
+- 2: m, then -u_z;
+- 3: -u_x, then the sum of the squares, |Omega|^2;
+- 4: -u_y, the first stage's scratch, and the gravity term m g y;
+- 5-9: the planes y, w, S, T and U.
 
-The grid fill passes one workspace to every block.
+A workspace is any sequence of flat rows, each as long as it needs to be:
+a call given the planes uses rows 0-4 only, and row 0 holds one entry per
+x value. The grid fill passes one workspace to every block.
 """
 
 from __future__ import annotations
@@ -107,13 +108,15 @@ from .fields import TrapConfig
 #: finite-difference steps below this are rejected as underflow [m]
 MIN_FD_STEP = 1e-9
 
-#: temporaries of one kernel call alive at once: the rows of a workspace,
-#: six of the second stage and the five planes of the first
-WORKSPACE_ROWS = 11
+#: temporaries of one kernel call alive at once beside omega_0, which is
+#: formed in ``out``: the rows of a workspace, the x row, four node rows of
+#: the second stage and the five planes of the first
+WORKSPACE_ROWS = 10
 
-#: the rows that hold the second stage's temporaries, and those of the planes
-_STAGE_ROWS = range(1, 6)
-_PLANE_ROWS = range(6, 11)
+#: the second stage's node rows (rows 1-4), and the first stage's rows
+#: (rows 4-9: its scratch, then the planes), a buffer of :func:`yz_planes`
+STAGE_ROWS = 4
+PLANE_ROWS = 6
 
 #: R [m] below which the squares of the coordinates lose precision (and below
 #: ~1e-154 m R underflows to 0): such a point's coupling is formed again from
@@ -128,13 +131,6 @@ def resonance_radius(cfg: TrapConfig, omega=None):
     gives one radius per frequency)."""
     omega = cfg.rf.omega if omega is None else omega
     return HBAR * omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
-
-
-def kernel_workspace(points: int) -> np.ndarray:
-    """Room for the temporaries of kernel calls on up to ``points`` points:
-    ``WORKSPACE_ROWS`` flat float buffers, allocated once and reused by every
-    call that is given them."""
-    return np.empty((WORKSPACE_ROWS, points))
 
 
 def _coordinates(r):
@@ -154,7 +150,7 @@ def _views(work, rows, *operands):
         return (None,) * len(rows)
     shape = np.broadcast(*operands).shape
     size = math.prod(shape)
-    return tuple(work[i, :size].reshape(shape) for i in rows)
+    return tuple(work[i][:size].reshape(shape) for i in rows)
 
 
 def _select(mask, a, b, out):
@@ -172,11 +168,11 @@ def yz_planes(y, z, cfg: TrapConfig, work=None) -> tuple:
     ``(y, w, S, T, U)``, where w = -2z, S = y^2 + w^2, T = y a'_y + w a'_z
     and U = y b'_z - w b'_y.
 
-    Given a workspace, they are its rows 6-10, in the broadcast shape of
-    ``y`` and ``z`` (y copied into its row), and row 5 is scratch; without
-    one, y is itself the first plane. Pass them to every
+    Given a buffer of ``PLANE_ROWS`` rows, they are its rows 1-5, in the
+    broadcast shape of ``y`` and ``z`` (y copied into its row), and row 0 is
+    scratch; without one, y is itself the first plane. Pass them to every
     :func:`dressed_potential` call whose points share these y and z."""
-    *planes, tmp = _views(work, (*_PLANE_ROWS, 5), y, z)
+    tmp, *planes = _views(work, range(PLANE_ROWS), y, z)
     y_row, w_row, s_row, t_row, u_row = planes
     _, ay, az, by, bz = cfg.coupling_parts
     if y_row is not None:
@@ -194,12 +190,12 @@ def yz_planes(y, z, cfg: TrapConfig, work=None) -> tuple:
         )
 
 
-def _second_stage(x, planes, cfg: TrapConfig, work):
+def _second_stage(x, planes, cfg: TrapConfig, work, larmor_out=None):
     """(omega_0, |Omega|^2, tiny) at the points of x and of the (y, z)
     ``planes``: the kernel's second stage, under the caller's
     ``np.errstate``. ``tiny`` is None, or the mask of the points whose R is
     below ``_TINY``, where R is taken as 1 and |Omega|^2 is not yet that of
-    the point.
+    the point. omega_0 is formed in ``larmor_out`` where that is given.
 
     Each step is one numpy ufunc call whose ``out`` is a workspace row, or
     None without a workspace: one path for any number of points. The
@@ -209,10 +205,10 @@ def _second_stage(x, planes, cfg: TrapConfig, work):
     """
     y, w, s_yz, t_yz, u_yz = planes
     (x_row,) = _views(work, (0,), x)
-    rad_row, larmor_row, m_row, sum_row, uy_row = _views(work, _STAGE_ROWS, x, s_yz)
+    rad_row, m_row, sum_row, uy_row = _views(work, range(1, 1 + STAGE_ROWS), x, s_yz)
     ax, ay, az, by, bz = cfg.coupling_parts
     rad = np.sqrt(np.add(np.multiply(x, x, x_row), s_yz, rad_row), rad_row)
-    larmor = np.multiply(rad, cfg.larmor_slope, larmor_row)
+    larmor = np.multiply(rad, cfg.larmor_slope, larmor_out)
     tiny = None
     if rad.size and rad.min() < _TINY:
         tiny = rad < _TINY
@@ -253,13 +249,14 @@ def _rescued_coupling(x, y, z, cfg: TrapConfig):
     return om2
 
 
-def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None, planes=None):
+def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None, planes=None, larmor_out=None):
     """(omega_0, |Omega|^2) at the positions ``r`` in either form: both
     stages of the kernel, or only the second on the given ``planes`` of r's
-    y and z (:func:`yz_planes`). Given a workspace, the two results are views
-    of it. Only a call on points with R below ``_TINY``, the centre among
-    them, forms the coupling of those points again (``_rescued_coupling``):
-    in a grid fill, the block that holds the centre.
+    y and z (:func:`yz_planes`). Given a workspace, |Omega|^2 is a view of
+    it; omega_0 is ``larmor_out`` where that is given. Only a call on points
+    with R below ``_TINY``, the centre among them, forms the coupling of
+    those points again (``_rescued_coupling``): in a grid fill, the block
+    that holds the centre.
 
     The results are bit for bit the same with or without a workspace, and
     for the planes of any call whose points share y and z.
@@ -267,8 +264,8 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None, planes=None):
     x, y, z = _coordinates(r)
     with np.errstate(under="ignore"):
         if planes is None:
-            planes = yz_planes(y, z, cfg, work)
-        larmor, om2, tiny = _second_stage(x, planes, cfg, work)
+            planes = yz_planes(y, z, cfg, None if work is None else work[-PLANE_ROWS:])
+        larmor, om2, tiny = _second_stage(x, planes, cfg, work, larmor_out)
         if tiny is not None:
             om2 = np.asarray(om2)
             om2[tiny] = _rescued_coupling(
@@ -305,14 +302,16 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None, planes=None):
     ``np.meshgrid(..., sparse=True)`` returns; V has their broadcast shape.
     Both forms give the same bits for the same positions.
 
-    ``work``, from :func:`kernel_workspace` with room for the points, holds
-    every temporary of the call; ``out``, an array of the points' shape,
-    receives V. Given both, the call allocates nothing the size of the
-    points. ``planes``, from :func:`yz_planes` on the y and z of ``r``,
-    skips the kernel's first stage: a grid fill forms them once for all its
-    blocks. Either way V has the same bits.
+    ``work``, ``WORKSPACE_ROWS`` rows with room for the points each, holds
+    every other temporary of the call; ``out``, an array of the points'
+    shape, receives omega_0, which becomes delta^2 and then V in place.
+    Given both, the call allocates nothing the size of the points.
+    ``planes``, from :func:`yz_planes` on the y and z of ``r``, skips the
+    kernel's first stage: a grid fill forms them once for all its blocks,
+    and its workspace then needs rows 0-4 only. Either way V has the same
+    bits.
     """
-    larmor, om2 = _larmor_and_rabi_squared(r, cfg, work, planes)
+    larmor, om2 = _larmor_and_rabi_squared(r, cfg, work, planes, out)
     larmor -= cfg.rf.omega  # -delta, only ever squared
     larmor *= larmor
     larmor += om2
@@ -321,7 +320,7 @@ def dressed_potential(r, cfg: TrapConfig, work=None, out=None, planes=None):
     v *= cfg.atom.m_F * HBAR
     if cfg.gravity_on:
         y = _coordinates(r)[1]
-        (row,) = _views(work, (5,), y)
+        (row,) = _views(work, (4,), y)
         v += np.multiply(cfg.atom.mass * G_ACCEL, y, row)
     return v
 

@@ -7,16 +7,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dressed import dressed_potential, kernel_workspace, yz_planes
+from .dressed import PLANE_ROWS, STAGE_ROWS, WORKSPACE_ROWS, dressed_potential, yz_planes
 from .fields import TrapConfig
 
 #: most nodes in one block of :func:`node_blocks` and :func:`slab_runs`:
 #: blocks are runs of whole x-slabs, split into z-rows or z-runs only where
-#: one slab holds more nodes. 2^15 nodes keep the kernel's temporaries (a few
-#: MB) in cache and bound the working set of the fill, and of each worker of
-#: the image's pass over slab runs, to one block (one slab where one slab is
-#: larger).
-_CHUNK = 1 << 15
+#: one slab holds more nodes. The cap is a byte budget. A fill, and each
+#: worker of the image's pass over slab runs, holds five node-sized arrays:
+#: the block and the kernel's four node rows (``STAGE_ROWS``), at most
+#: 5 x 8 B x 3 x 2^14 = 1.9 MB, beside one set of (y, z) planes in
+#: slab-sized rows. Where one slab holds more than a block, each block forms
+#: its own planes and the workspace has nine node rows: 3 x 2^14 is the
+#: largest multiple of 2^14 that keeps them below 4 MiB (3.4 MiB), where
+#: numpy asks for transparent huge pages, which make an allocation resident
+#: in full whether or not it is touched.
+#:
+#: Runs are as long as the budget allows because a worker hands the GIL over
+#: at each of the kernel's ~35 ufunc calls per block, so short runs leave a
+#: second worker waiting. On the 311 x 311 x 33 benchmark grid (slabs of
+#: 10,263 nodes) this cap gives 4-slab runs, which hold the bytes that its
+#: 3-slab runs held with an eleven-row workspace: 2 x 5 x 41,052 +
+#: 6 x 10,263 doubles against 2 x (6 x 30,789 + 5 x 10,263). Its image took
+#: 30.8 ms on two workers against 36.1 ms with 3-slab runs, and 45.2 and
+#: 48.6 ms on one (two shared Xeon CPUs).
+_CHUNK = 3 << 14
+
+#: float64 entries in a 64-byte cache line
+_LINE = 8
 
 #: refuse grids of more nodes: 800 MB as a sampled grid of float64; the
 #: image, which holds one slab run per worker, takes time linear in its nodes
@@ -135,22 +152,53 @@ def grid_axes(region, dims):
     return dims, origin, spacing, axes
 
 
-def fill_workspace(shape) -> np.ndarray:
+def fill_workspace(shape, block=False):
     """The kernel workspace for :func:`fill_potential` into an array of
-    ``shape``: room for its largest :func:`node_blocks` box."""
-    return kernel_workspace(min(_CHUNK, math.prod(shape)))
+    ``shape``, its rows sized to what they hold in its largest
+    :func:`node_blocks` box: the x row one entry per x-slab, then the node
+    rows. Where the boxes are runs of whole x-slabs they take the planes of
+    :func:`fill_planes` and need the second stage's ``STAGE_ROWS`` only;
+    else each box forms its own planes in the rows that follow.
+
+    With ``block``, ``(block, workspace)``: an empty array of ``shape`` to
+    fill, in one allocation with the node rows. glibc's malloc gives the
+    free top of its heap back to the system once it exceeds twice the
+    largest allocation yet freed from mmap, and the next pass faults those
+    pages in again: one allocation per image worker rather than two keeps
+    a pass over the benchmark's image grid at 4 page faults, against 692
+    (glibc 2.36, Linux x86-64).
+
+    The block and every node row start on a 64-byte cache line: unaligned
+    rows made the README's 401 x 401 grid fill 4% slower."""
+    slab = math.prod(shape[1:])
+    if slab <= _CHUNK:
+        slabs = min(shape[0], _CHUNK // slab)
+        x_size, rows, nodes = slabs, STAGE_ROWS, slabs * slab
+    else:
+        x_size, rows, nodes = 1, WORKSPACE_ROWS - 1, _CHUNK
+    size = math.prod(shape) if block else 0
+    lead, stride = (-(-n // _LINE) * _LINE for n in (size, nodes))
+    buf = np.empty(lead + rows * stride + _LINE - 1)
+    buf = buf[-(buf.ctypes.data // 8) % _LINE:]  # from the first whole cache line
+    node_rows = buf[lead:lead + rows * stride].reshape(rows, stride)[:, :nodes]
+    work = [np.empty(x_size), *node_rows]
+    return (buf[:size].reshape(shape), work) if block else work
 
 
-def fill_planes(cfg: TrapConfig, axes, work):
+def fill_planes(cfg: TrapConfig, axes):
     """The kernel's (y, z) planes (:func:`yz_planes`) of the grid of node
-    coordinates ``axes``, formed once in the workspace ``work`` for every
-    :func:`node_blocks` box: (1, ny, nz) arrays where the boxes are runs of
-    whole x-slabs. Where one slab holds more nodes than a box, each box forms
-    the planes of its own nodes, and this is None."""
-    if len(axes[1]) * len(axes[2]) > _CHUNK:
+    coordinates ``axes``, formed once for every :func:`node_blocks` box in
+    a buffer of ``PLANE_ROWS`` slab-sized rows of their own: (1, ny, nz)
+    arrays where the boxes are runs of whole x-slabs, which every box, and
+    every worker of an image, reads and none writes. Where one slab holds
+    more nodes than a box, each box forms the planes of its own nodes, and
+    this is None."""
+    slab = len(axes[1]) * len(axes[2])
+    if slab > _CHUNK:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # as in fill_potential
-        return yz_planes(axes[1][None, :, None], axes[2][None, None, :], cfg, work)
+        return yz_planes(axes[1][None, :, None], axes[2][None, None, :], cfg,
+                         np.empty((PLANE_ROWS, slab)))
 
 
 def fill_potential(cfg: TrapConfig, axes, out, work, planes=None) -> None:
@@ -160,12 +208,12 @@ def fill_potential(cfg: TrapConfig, axes, out, work, planes=None) -> None:
     into the workspace ``work`` (:func:`fill_workspace`), and V straight into
     ``out``, so no box allocates. The (y, z) planes of the kernel's first
     stage are ``planes``, by default :func:`fill_planes` of ``axes``: a
-    caller that fills several grids of the same y and z axes through one
-    workspace forms them once. A node's V has the same bits in any grid
-    that holds it. A node whose V overflows is inf or NaN, with no
-    floating-point warning: the caller's finite check reports it."""
+    caller that fills several grids of the same y and z axes forms them
+    once. A node's V has the same bits in any grid that holds it. A node
+    whose V overflows is inf or NaN, with no floating-point warning: the
+    caller's finite check reports it."""
     if planes is None:
-        planes = fill_planes(cfg, axes, work)
+        planes = fill_planes(cfg, axes)
     with np.errstate(over="ignore", invalid="ignore"):
         for box in node_blocks(out.shape):
             dressed_potential(
@@ -191,6 +239,10 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     workspace. Grids beyond ``MAX_GRID_NODES`` are rejected.
     """
     dims, origin, spacing, axes = grid_axes(region, dims)
+    # the workspace before the grid: a `potential` pass then faults none of
+    # their pages in again (1 page fault a pass, against 708 the other way
+    # round; see fill_workspace)
+    work = fill_workspace(dims)
     vals = np.empty(dims)
-    fill_potential(cfg, axes, vals, fill_workspace(dims))
+    fill_potential(cfg, axes, vals, work)
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

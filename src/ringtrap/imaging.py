@@ -121,17 +121,17 @@ def column_density(
     region is the trap truncation. Pixels must be square, and nz >= 2.
 
     One pass, no 3-D array: for each run of whole x-slabs (``slab_runs``) V
-    fills one reused block, and each node's weight exp(-(V - V_run)/k_B T)
-    is taken against the run's least V_run in three passes: subtract V_run,
-    multiply by -1/k_B T, exp. One product with the trapezoid weights
-    (1/2, 1, ..., 1, 1/2) then z-integrates the block into its image rows,
-    which are lifted at the end to the common floor V_min by
-    dz exp(-(V_run - V_min)/k_B T). The runs are split into contiguous
-    parts, one per available CPU (``_run_parts``), and each part holds a
-    block and a kernel workspace of its own, and forms the kernel's (y, z)
-    planes once (``fill_planes``) for all its runs. Every run is computed as
-    in one serial pass, so the image has the same bits for any number of
-    workers.
+    fills one reused block, and each node's weight exp(-(V - V_slab)/k_B T)
+    is taken against its x-slab's least V_slab in three passes: subtract
+    V_slab, multiply by -1/k_B T, exp. One product with the trapezoid
+    weights (1/2, 1, ..., 1, 1/2) then z-integrates the block into its image
+    rows, which are lifted at the end to the common floor V_min by
+    dz exp(-(V_slab - V_min)/k_B T). The kernel's (y, z) planes are formed
+    once (``fill_planes``) and read by every run. The runs are split into
+    contiguous parts, one per available CPU (``_run_parts``), and each part
+    holds a block and a kernel workspace of its own. Every x-slab is
+    computed as it is in one serial pass, whatever run holds it, so the
+    image has the same bits for any number of workers and any run length.
     """
     if not temperature > 0:
         raise ValueError("temperature must be positive")
@@ -145,32 +145,30 @@ def column_density(
     kt = K_B * temperature
     runs = list(slab_runs(dims))
     img = np.empty(dims[:2])
-    floors = np.empty(len(runs))
+    floors = np.empty(dims[0])
     trapezoid = np.ones(dims[2])
     trapezoid[[0, -1]] = 0.5
+    planes = fill_planes(cfg, axes)
 
     def project(part):
         # the runs ``part`` through a block and a workspace of their own;
-        # each writes only its image rows and its floor
-        block = np.empty((axes[0][runs[0]].size,) + dims[1:])
-        work = fill_workspace(block.shape)
-        planes = fill_planes(cfg, axes, work)
+        # each writes only its image rows and its slabs' floors
+        block, work = fill_workspace((axes[0][runs[0]].size,) + dims[1:], block=True)
         for k in part:
             run = runs[k]
             w = block[: axes[0][run].size]
             fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work, planes)
             # min and max propagate NaN and reach any inf, with no per-node mask
-            floors[k] = w.min()
-            if not (math.isfinite(floors[k]) and math.isfinite(w.max())):
+            w.min(axis=(1, 2), out=floors[run])
+            if not (math.isfinite(floors[run].min()) and math.isfinite(w.max())):
                 raise ValueError("grid values must all be finite")
-            w -= floors[k]
+            w -= floors[run][:, None, None]
             w *= -1.0 / kt
             np.exp(w, out=w)  # weights in [0, 1]
             np.matmul(w, trapezoid, out=img[run])
 
     _run_parts(project, len(runs))
-    for run, lift in zip(runs, spacing[2] * np.exp((floors - floors.min()) / -kt)):
-        img[run] *= lift
+    img *= (spacing[2] * np.exp((floors - floors.min()) / -kt))[:, None]
     # the trapezoid rule along y, then x, with no image-sized temporary
     rows = img.sum(axis=1) - 0.5 * (img[:, 0] + img[:, -1])
     norm = float(np.trapezoid(rows, dx=spacing[0])) * spacing[1]

@@ -338,7 +338,8 @@ def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
     refs = []
 
     def fill(cfg, axes, out, work, planes):
-        refs.extend(weakref.ref(a) for a in (out if out.base is None else out.base, work))
+        arrays = (out, *work)
+        refs.extend(weakref.ref(a if a.base is None else a.base) for a in arrays)
         return fill_potential(cfg, axes, out, work, planes)
 
     def measure(image, center, **kwargs):

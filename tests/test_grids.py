@@ -14,8 +14,8 @@ from ringtrap import (
     sample_grid,
 )
 from ringtrap.constants import HBAR, K_B, RB87
-from ringtrap.dressed import kernel_workspace
-from ringtrap.grids import _CHUNK, grid_axes, node_blocks
+from ringtrap.dressed import PLANE_ROWS, STAGE_ROWS, WORKSPACE_ROWS, yz_planes
+from ringtrap.grids import _CHUNK, fill_workspace, grid_axes, node_blocks
 
 from conftest import (
     B07,
@@ -152,8 +152,8 @@ def centred_region(dims, pitch=2.0**-17):
 @pytest.mark.parametrize(
     "dims, block",
     [
-        ((41, 41, 33), (24, 41, 33)),  # a run of whole x-slabs
-        ((2, 600, 600), (1, 54, 600)),  # z-rows of one slab
+        ((41, 41, 33), (_CHUNK // (41 * 33), 41, 33)),  # a run of whole x-slabs
+        ((2, 600, 600), (1, _CHUNK // 600, 600)),  # z-rows of one slab
         ((1, 1, 300_000), (1, 1, _CHUNK)),  # a segment of one z-row
     ],
 )
@@ -177,9 +177,10 @@ def test_centre_node_in_each_kind_of_block(name, dims, block):
 
 def test_fill_grows_by_one_workspace_whatever_its_block_count(fig2b):
     # 4 and 40 blocks of one x-slab each, both grids holding the centre:
-    # beyond its own values a fill holds the workspace plus, in the centre's
-    # block, one mask of a byte per node and numpy's ufunc buffers, all far
-    # below one block of float temporaries
+    # beyond its own values a fill holds the workspace's four node rows, the
+    # planes with the scratch row of their forming, and, in the centre's
+    # block, one mask of a byte per node, numpy's ufunc buffers and the
+    # workspace's x row, all far below one block of float temporaries
     block = 8 * 127 * 257
     growth = []
     tracemalloc.start()
@@ -191,7 +192,7 @@ def test_fill_grows_by_one_workspace_whatever_its_block_count(fig2b):
             growth.append(grown - grid.values.nbytes)
     finally:
         tracemalloc.stop()
-    workspace = kernel_workspace(_CHUNK).nbytes
+    workspace = (STAGE_ROWS + PLANE_ROWS) * block
     assert all(workspace <= g < workspace + block for g in growth)
     # nothing accumulates per block: the fills differ by a few small objects
     assert abs(growth[1] - growth[0]) < 16 << 10
@@ -204,11 +205,26 @@ def test_kernel_call_with_a_workspace_allocates_less_than_a_block(gravity):
     cfg = make_trap(b_x=B07, b_z=2e-5, beta=0.3, gravity=gravity)
     y, z = ((np.arange(n) - n // 2) * 2.0**-17 for n in (127, 257))
     coords = (np.zeros((1, 1, 1)), y[None, :, None], z[None, None, :])
-    work = kernel_workspace(_CHUNK)
+    work = np.empty((WORKSPACE_ROWS, _CHUNK))
     out = np.empty((1, 127, 257))
     tracemalloc.start()
     try:
         _, grown = traced_growth(lambda: dressed_potential(coords, cfg, work=work, out=out))
+    finally:
+        tracemalloc.stop()
+    assert grown < out.nbytes
+    assert out.tobytes() == dressed_potential(coords, cfg).tobytes()
+    # given the planes, as in a grid fill, it needs the x row and the four
+    # node rows only
+    planes = yz_planes(coords[1], coords[2], cfg)
+    work = fill_workspace(out.shape)
+    assert len(work) == 1 + STAGE_ROWS and work[0].size == 1
+    out.fill(np.nan)
+    tracemalloc.start()
+    try:
+        _, grown = traced_growth(
+            lambda: dressed_potential(coords, cfg, work=work, out=out, planes=planes)
+        )
     finally:
         tracemalloc.stop()
     assert grown < out.nbytes
@@ -223,7 +239,7 @@ SLAB_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1024, _CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 1024, 1 << 15, _CHUNK])
 @pytest.mark.parametrize("dims", SLAB_SHAPES)
 def test_slab_runs_match_whole_array_trapezoids(monkeypatch, dims, chunk):
     # the runs tile the first axis with at most ``chunk`` nodes each, or one
@@ -242,7 +258,7 @@ def test_slab_runs_match_whole_array_trapezoids(monkeypatch, dims, chunk):
     base = np.random.default_rng(math.prod(dims)).random(dims)
     region = [(0.0, n - 1.0) for n in dims]
     # the stand-in fill takes no kernel planes
-    monkeypatch.setattr(ringtrap.imaging, "fill_planes", lambda cfg, axes, work: None)
+    monkeypatch.setattr(ringtrap.imaging, "fill_planes", lambda cfg, axes: None)
     for scale in (1e-3, 1.0, 1e3):
         monkeypatch.setattr(
             ringtrap.imaging, "fill_potential",

@@ -20,7 +20,7 @@ from ringtrap import (
     resonance_radius,
 )
 from ringtrap.constants import K_B
-from ringtrap.dressed import WORKSPACE_ROWS
+from ringtrap.dressed import PLANE_ROWS, STAGE_ROWS
 from ringtrap.errors import MeasurementError
 from ringtrap.grids import _CHUNK, ScalarGrid, sample_grid
 from ringtrap.image_io import (
@@ -118,9 +118,11 @@ def test_density_and_projection_match_whole_array_code(name):
 
 def _divided_step_image(cfg, temperature, region, dims, atom_number=1e5, od_scale=1.0):
     """The image as column_density made it before its Boltzmann step was a
-    product: per slab run, V - V_run divided by -k_B T, exp, the trapezoid's
-    end weights in a strided pass, then a plain z sum; the runs lifted to the
-    common floor and normalised as column_density does."""
+    product and its floors were per x-slab: per slab run, V - V_run divided
+    by -k_B T, exp, the trapezoid's end weights in a strided pass, then a
+    plain z sum; the runs lifted to the common floor and normalised as
+    column_density does. A floor per run rather than per slab moves each
+    exponent by the rounding of one subtraction, within the same bound."""
     dims, origin, spacing, axes = ringtrap.grids.grid_axes(region, dims)
     kt = K_B * temperature
     runs = list(ringtrap.grids.slab_runs(dims))
@@ -210,22 +212,24 @@ def test_one_pass_fills_the_bits_of_the_sampled_grid(fig2b, monkeypatch):
 
 def test_image_pipeline_holds_one_block_beyond_its_arrays(fig2b, tmp_path, monkeypatch):
     # the image workload's 311 x 311 x 33 grid (25.5 MB as a 3-D array): the
-    # one pass grows by the image and, per worker, one block of whole
-    # x-slabs, the kernel workspace and one (y, z) plane, the temporary of
-    # forming the planes; 32 KB more covers the run list, the axes and a
-    # kernel call's small arrays (~17 KB measured). No kernel call makes
-    # iterator buffers. The CSV export adds at most one block to what is
-    # held when it starts
+    # one pass grows by the image, per worker one block of whole x-slabs and
+    # the kernel's four node rows, one set of (y, z) planes with the scratch
+    # row of their forming, which every worker reads, and the mask of a byte
+    # per node that the block holding the centre makes for its rescue; 64 KB
+    # more covers the run list, the slab floors, the axes, the threads, each
+    # worker's x row and its kernel calls' small arrays (31-46 KB measured
+    # for 1-3 workers). No kernel call makes iterator buffers. The CSV
+    # export adds at most one block to what is held when it starts
     region, dims = imaging_region(fig2b)
-    block = 8 * (_CHUNK // (dims[1] * dims[2])) * dims[1] * dims[2]
-    workspace = WORKSPACE_ROWS * block
     plane = 8 * dims[1] * dims[2]
+    block = (_CHUNK // (dims[1] * dims[2])) * plane
     tracemalloc.start()
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n, k=workers: min(k, n))
             img, grown = traced_growth(lambda: column_density(fig2b, T20, region, dims))
-            assert grown <= img.values.nbytes + workers * (block + workspace + plane) + (32 << 10)
+            held = workers * (1 + STAGE_ROWS) * block + PLANE_ROWS * plane + block // 8
+            assert grown <= img.values.nbytes + held + (64 << 10)
         _, grown = traced_growth(lambda: export_image_csv(img, tmp_path / "img.csv"))
         assert grown <= block
     finally:
@@ -252,10 +256,10 @@ def test_workers_one_per_available_cpu_and_at_most_one_per_run(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3, 50])
 def test_image_bits_do_not_depend_on_the_worker_count(fig2b, monkeypatch, workers):
-    # seven slab runs, the last 21 of 31 slabs; 50 workers are capped at 7
+    # five slab runs, the last 19 of 47 slabs; 50 workers are capped at 5
     region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
     runs = _slab_runs_of(dims)
-    assert len(runs) == 7 and 0 < len(runs[-1]) < len(runs[0])
+    assert len(runs) == 5 and 0 < len(runs[-1]) < len(runs[0])
     monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n: 1)
     serial = column_density(fig2b, T20, region, dims, atom_number=3e4, od_scale=0.5)
     threads = []
@@ -273,6 +277,23 @@ def test_image_bits_do_not_depend_on_the_worker_count(fig2b, monkeypatch, worker
     assert (img.pixel_size, img.origin, img.od_scale) == (
         serial.pixel_size, serial.origin, serial.od_scale
     )
+
+
+def test_image_bits_do_not_depend_on_the_run_length(fig2b, monkeypatch):
+    # runs of one slab, of two, of the default cap and of the whole grid,
+    # each on one and three workers: every x-slab is weighted against its own
+    # floor, so the image has the same bytes whatever run holds the slab
+    region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
+    slab = dims[1] * dims[2]
+    images = set()
+    for chunk, n_runs in ((slab, dims[0]), (2 * slab, 104), (_CHUNK, 5), (math.prod(dims), 1)):
+        monkeypatch.setattr(ringtrap.grids, "_CHUNK", chunk)
+        assert len(_slab_runs_of(dims)) == n_runs
+        for workers in (1, 3):
+            monkeypatch.setattr(ringtrap.imaging, "_workers", lambda n, k=workers: min(k, n))
+            img = column_density(fig2b, T20, region, dims, atom_number=3e4, od_scale=0.5)
+            images.add(img.values.tobytes())
+    assert len(images) == 1
 
 
 def test_non_finite_potential_in_a_later_worker_rejected(fig2b, monkeypatch):
@@ -296,7 +317,7 @@ def test_first_failing_part_raises(fig2b, monkeypatch):
     # parts 1 and 2 of three both fail; part 1's error is raised, every time
     region, dims = imaging_region(fig2b, half_xy_factor=1.2, nz=5)
     xs = ringtrap.grids.grid_axes(region, dims)[3][0]
-    runs = _slab_runs_of(dims)  # parts of runs 0-1, 2-3 and 4-6
+    runs = _slab_runs_of(dims)  # parts of runs 0, 1-2 and 3-4
 
     def fill(cfg, axes, out, work, planes):
         out[...] = 0.0
