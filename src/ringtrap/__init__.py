@@ -1,53 +1,57 @@
-"""rf-dressed quadrupole trap potentials and ring-trap analysis."""
+"""rf-dressed quadrupole trap potentials and ring-trap analysis.
 
-from .analysis import (
-    AzimuthalProfile,
-    Classification,
-    ClassifierTolerances,
-    CriteriaReport,
-    Geometry,
-    MinimizationResult,
-    RingAnalysis,
-    SweepPoint,
-    TrapFrequencies,
-    analyze_trap,
-    azimuthal_profile,
-    classify_geometry,
-    criteria_report,
-    frequency_sweep,
-    trap_frequencies,
-)
-from .constants import GAUSS, GAUSS_PER_CM, MHZ, MICROKELVIN, RB87, AtomSpecies
-from .dressed import (
-    detuning,
-    dressed_potential,
-    larmor_frequency,
-    potential_gradient,
-    potential_hessian,
-    rabi_frequency,
-    rabi_squared,
-    resonance_radius,
-)
-from .fields import QuadrupoleConfig, RfConfig, TrapConfig, field_magnitude, quadrupole_field
-from .gaussfit import TwoGaussianFit, fit_two_gaussians, two_gaussian
-from .grids import ScalarGrid, sample_grid
-from .image_io import (
-    export_grid_binary,
-    export_grid_csv,
-    export_image_binary,
-    export_image_csv,
-    import_grid_binary,
-    import_image_binary,
-    import_image_csv,
-)
-from .imaging import (
-    DiameterFit,
-    RadiusMeasurement,
-    SyntheticImage,
-    add_noise,
-    column_density,
-    extract_diameter_profile,
-    measure_ring_radius,
-)
+Each public name loads its module on first use (PEP 562), so that
+``import ringtrap`` stays cheap and a caller pays only for the modules it
+runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+#: the public names of each module
+_EXPORTS = {
+    "analysis": (
+        "AzimuthalProfile", "Classification", "CriteriaReport", "Geometry",
+        "MinimizationResult", "RingAnalysis", "SweepPoint", "TrapFrequencies",
+        "analyze_trap", "azimuthal_profile", "classify_geometry", "criteria_report",
+        "frequency_sweep", "trap_frequencies",
+    ),
+    "constants": ("GAUSS", "GAUSS_PER_CM", "MHZ", "MICROKELVIN", "RB87", "AtomSpecies"),
+    "dressed": (
+        "detuning", "dressed_potential", "larmor_frequency", "potential_gradient",
+        "potential_hessian", "rabi_frequency", "rabi_squared", "resonance_radius",
+    ),
+    "fields": (
+        "QuadrupoleConfig", "RfConfig", "TrapConfig", "field_magnitude", "quadrupole_field",
+    ),
+    "gaussfit": ("TwoGaussianFit", "fit_two_gaussians", "two_gaussian"),
+    "grids": ("ScalarGrid", "sample_grid"),
+    "image_io": (
+        "export_grid_binary", "export_grid_csv", "export_image_binary", "export_image_csv",
+        "import_grid_binary", "import_image_binary", "import_image_csv",
+    ),
+    "imaging": (
+        "DiameterFit", "RadiusMeasurement", "SyntheticImage", "add_noise", "column_density",
+        "extract_diameter_profile", "measure_ring_radius",
+    ),
+    "limits": ("ClassifierTolerances",),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

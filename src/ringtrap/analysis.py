@@ -42,23 +42,18 @@ from .dressed import (
 )
 from .errors import NotAMinimumError
 from .fields import TrapConfig
-
-#: fewest profile azimuths the geometry classifier accepts
-MIN_CLASSIFY_AZIMUTHS = 64
+from .limits import (
+    MAX_PROFILE_AZIMUTHS,
+    MIN_CLASSIFY_AZIMUTHS,
+    PROFILE_BATCH_POINTS,
+    ClassifierTolerances,
+    check_frequencies,
+    check_rho_factors,
+)
 
 #: valley-profile zoom over the ray slope z / rho in each half of a z band
 #: (the z = 0 plane is the one slope 0): slope nodes, passes
 PROFILE_ZOOM = (97, 12)
-
-#: entries of each closed-form array (one per ray and frequency) that a
-#: batch of profile columns may fill, so that a batch stays cache-sized:
-#: up to 64 frequencies at 256 azimuths in the plane, and in a z band
-#: (2 * 97 slopes per azimuth) one frequency on up to 84 azimuths
-PROFILE_BATCH_POINTS = 2**14
-
-#: most azimuths a valley profile may have: then one frequency's plane batch,
-#: a batch's smallest, fits within ``PROFILE_BATCH_POINTS`` entries
-MAX_PROFILE_AZIMUTHS = PROFILE_BATCH_POINTS
 
 #: fraction of the dressing frequency below which a point counts as
 #: coupling-closed (cusp): it has no gradient and no harmonic expansion
@@ -152,22 +147,6 @@ class AzimuthalProfile:
         """Azimuth-averaged radial coordinate of the valley floor [m]; a list
         over rows."""
         return self.radii.mean(axis=-1).tolist()
-
-
-def check_frequencies(omegas):
-    """Raise ValueError unless ``omegas`` holds at least one dressing
-    frequency and every one is positive and finite."""
-    ws = np.asarray(omegas, dtype=float)
-    if not (ws.size and np.all((ws > 0) & (ws < np.inf))):
-        raise ValueError("dressing frequencies must be one or more, positive and finite")
-
-
-def check_rho_factors(rho_factors):
-    """Raise ValueError unless the rho window factors satisfy 0 < lower < upper."""
-    if not 0 < rho_factors[0] < rho_factors[1]:
-        raise ValueError(
-            f"rho window factors must satisfy 0 < lower < upper, got {tuple(rho_factors)}"
-        )
 
 
 def _lowest(rays):
@@ -363,29 +342,9 @@ def azimuthal_profile(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassifierTolerances:
-    """Explicit thresholds for the geometry classifier.
-
-    rel_flat:   peak-to-peak valley variation below rel_flat * (m_F hbar omega)
-                counts as azimuthally flat.
-    match_depth: relative depth mismatch allowed between the two wells of a
-                double-well.
-    closure:    valley coupling below closure * max profile coupling marks a
-                closed avoided crossing (a true well, not a modulated ring).
-    """
-
-    rel_flat: float = 1e-3
-    match_depth: float = 1e-2
-    closure: float = 0.05
-
-    def halved(self) -> "ClassifierTolerances":
-        return ClassifierTolerances(
-            self.rel_flat / 2, self.match_depth / 2, self.closure / 2
-        )
-
-
-@dataclass(frozen=True)
 class Classification:
+    """A profile's geometry, its low-confidence flag and its minima's azimuth indices."""
+
     geometry: Geometry
     low_confidence: bool = False
     minima_indices: tuple = ()
@@ -471,6 +430,8 @@ def classify_geometry(
 
 @dataclass(frozen=True)
 class TrapFrequencies:
+    """Harmonic angular frequencies [rad/s] along rho, z and phi at a minimum."""
+
     omega_rho: float
     omega_z: float
     omega_phi: float
@@ -1091,6 +1052,8 @@ def analyze_trap(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One dressing frequency's row of a sweep: radii [m], barrier [J], geometry."""
+
     omega: float
     resonance_radius: float
     numeric_radius: float

@@ -6,6 +6,10 @@ deterministic: identical configs produce byte-identical files. Exit codes:
 0 success, 2 configuration error (:class:`ConfigError`, raised when the
 config loads, before any computation or output), 3 numerical failure (any
 other package error or ``ValueError``), 4 I/O error.
+
+A subcommand imports what only it runs when it runs: ``analyze`` and
+``sweep`` import :mod:`ringtrap.analysis`, ``image`` imports
+:mod:`ringtrap.imaging`, and ``potential`` neither.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import analyze_trap, frequency_sweep, resonance_radius
 from .config import RunConfig, load_config, render_value
 from .constants import MICROKELVIN
+from .dressed import resonance_radius
 from .errors import ConfigError, RingtrapError
 from .grids import sample_grid
 from .image_io import (
@@ -29,7 +33,6 @@ from .image_io import (
     export_image_binary,
     export_image_csv,
 )
-from .imaging import add_noise, column_density, measure_ring_radius
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,6 +75,8 @@ def run_potential(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_analyze(rc: RunConfig, outdir: Path) -> int:
+    from .analysis import analyze_trap
+
     analysis = analyze_trap(
         rc.trap,
         n_phi=rc.get("analysis", "n_phi"),
@@ -125,6 +130,8 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_sweep(rc: RunConfig, outdir: Path) -> int:
+    from .analysis import frequency_sweep
+
     rows = frequency_sweep(
         rc.trap,
         rc.sweep_omegas,
@@ -149,6 +156,8 @@ def run_sweep(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_image(rc: RunConfig, outdir: Path) -> int:
+    from .imaging import add_noise, column_density, measure_ring_radius
+
     image = column_density(
         rc.trap, rc.get("imaging", "temperature_uk") * 1e-6, rc.image_region, rc.image_dims,
         atom_number=rc.get("imaging", "atom_number"),

@@ -21,18 +21,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (
+from .constants import GAUSS, GAUSS_PER_CM, MHZ, SPECIES_PRESETS, AtomSpecies
+from .dressed import resonance_radius
+from .errors import ConfigError
+from .fields import QuadrupoleConfig, RfConfig, TrapConfig
+from .grids import MAX_GRID_NODES, check_node_limit
+from .limits import (
     MAX_PROFILE_AZIMUTHS,
     MIN_CLASSIFY_AZIMUTHS,
     ClassifierTolerances,
     check_frequencies,
     check_rho_factors,
-    resonance_radius,
 )
-from .constants import GAUSS, GAUSS_PER_CM, MHZ, SPECIES_PRESETS, AtomSpecies
-from .errors import ConfigError
-from .fields import QuadrupoleConfig, RfConfig, TrapConfig
-from .grids import MAX_GRID_NODES, check_node_limit
 
 
 def _positive(v):

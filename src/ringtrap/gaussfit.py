@@ -44,6 +44,8 @@ def _jacobian(x, params):
 
 @dataclass(frozen=True)
 class TwoGaussianFit:
+    """A two-Gaussian fit: its parameters, residual cost, convergence and iterations."""
+
     params: tuple  # (a1, c1, w1, a2, c2, w2), centers sorted ascending
     cost: float  # sum of squared residuals at the solution
     converged: bool

@@ -236,13 +236,16 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
         Node counts; at least 2 on non-collapsed axes.
 
     The grid is filled by :func:`fill_potential` through one kernel
-    workspace. Grids beyond ``MAX_GRID_NODES`` are rejected.
+    workspace, in one allocation with the grid's values (see
+    :func:`fill_workspace`), so the grid holds the workspace's node rows too:
+    at most 1.6 MB, and about four times its own size for a grid of one
+    block.
+    Grids beyond ``MAX_GRID_NODES`` are rejected.
     """
     dims, origin, spacing, axes = grid_axes(region, dims)
-    # the workspace before the grid: a `potential` pass then faults none of
-    # their pages in again (1 page fault a pass, against 708 the other way
-    # round; see fill_workspace)
-    work = fill_workspace(dims)
-    vals = np.empty(dims)
+    # one allocation, not two: with two, whether a repeated `potential` pass
+    # faulted ~430 of their pages in again or none depended on what the
+    # process had imported before it (see fill_workspace)
+    vals, work = fill_workspace(dims, block=True)
     fill_potential(cfg, axes, vals, work)
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import MICROKELVIN
 from .grids import ScalarGrid, node_blocks
-from .imaging import SyntheticImage
+
+if TYPE_CHECKING:  # imported where an image is built, so that grid I/O needs no imaging
+    from .imaging import SyntheticImage
 
 _HDR_VERSION = "1"
 
@@ -63,6 +66,8 @@ def _read_header(header_path) -> dict:
 
 
 def _image_from_meta(meta: dict, values: np.ndarray, quant_scale=None) -> SyntheticImage:
+    from .imaging import SyntheticImage
+
     return SyntheticImage(
         pixel_size=float(meta["pixel_size_m"]),
         values=values,
@@ -96,17 +101,24 @@ def export_image_binary(image: SyntheticImage, data_path, header_path) -> None:
     """Write little-endian uint16 pixels plus a text sidecar header.
 
     The quantisation scale is max/65535 unless the image carries the scale
-    it was previously imported with, which keeps round trips bit-exact. The
-    carried scale is kept only while the largest value still quantises to
-    at most 65535, so values that have grown since are never wrapped.
+    it was previously imported with, which keeps round trips bit-exact.
+    Either scale is written only if it is positive and the largest value
+    quantises to at most 65535 with it, so values that have grown since are
+    never wrapped; an image of zeros gets the scale 1.
     """
     vmax = float(image.values.max())
+
+    def fits(scale):
+        return scale is not None and scale > 0 and np.rint(vmax / scale) <= 65535
+
     scale = image.quant_scale
-    if scale is None or (vmax > 0 and not (scale > 0 and np.rint(vmax / scale) <= 65535)):
+    if not fits(scale):
         scale = vmax / 65535.0 if vmax > 0 else 1.0
-    quant = np.rint(image.values / scale).astype("<u2") if scale > 0 else np.zeros(
-        image.dims, dtype="<u2"
-    )
+        if not fits(scale):
+            # a subnormal max/65535 rounds to the nearest multiple of the least
+            # subnormal, possibly 0; the next multiple up is above the quotient
+            scale = float(np.nextafter(scale, np.inf))
+    quant = np.rint(image.values / scale).astype("<u2")
     _write_header(header_path, "u16", "uint16", [
         *_meta_lines(image, "atoms/m^2 * od_scale (for value = u16 * scale)"),
         f"scale={scale!r}",

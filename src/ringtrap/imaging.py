@@ -305,6 +305,8 @@ def add_noise(image: SyntheticImage, sigma_frac: float, seed: int = 0) -> Synthe
 
 @dataclass(frozen=True)
 class DiameterFit:
+    """The ring radius [m] from the two-Gaussian fit along the diameter at ``angle`` [rad]."""
+
     angle: float
     radius: float
     residual: float  # RMS fit residual relative to the profile peak

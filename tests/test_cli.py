@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringtrap.analysis
 import ringtrap.cli
 import ringtrap.config
 import ringtrap.grids
@@ -347,7 +348,7 @@ def test_image_frees_the_density_before_the_fits(ini, tmp_path, monkeypatch):
         return measure_ring_radius(image, center, **kwargs)
 
     monkeypatch.setattr(ringtrap.imaging, "fill_potential", fill)
-    monkeypatch.setattr(ringtrap.cli, "measure_ring_radius", measure)
+    monkeypatch.setattr(ringtrap.imaging, "measure_ring_radius", measure)
     argv = ["image", "--config", str(ini), "--out", str(tmp_path / "im"),
             "--set", "imaging.xy_halfwidth_factor=1.2"]
     assert main(argv) == EXIT_OK
@@ -674,7 +675,7 @@ def test_stray_value_error_is_a_numerical_failure(ini, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("failure deep in the numerics")
 
-    monkeypatch.setattr(ringtrap.cli, "analyze_trap", broken)
+    monkeypatch.setattr(ringtrap.analysis, "analyze_trap", broken)
     argv = ["analyze", "--config", str(ini), "--out", str(tmp_path / "v")]
     assert main(argv) == EXIT_NUMERIC
 
@@ -700,17 +701,59 @@ def test_resolved_ini_reloads(ini, tmp_path, command):
         assert (second / path.name).read_bytes() == path.read_bytes()
 
 
-def test_console_entry_point(ini, tmp_path):
-    # the module run as a program, as the console script runs it: its exit
-    # status is main's return value
+def package_env():
+    """The environment of a fresh interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(ringtrap.cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
+
+#: a script for a fresh interpreter: with a subcommand, ``ringtrap.cli.main``
+#: runs it; without, ``import ringtrap`` and ``load_config`` alone. It prints
+#: the exit code and the package's modules then loaded
+IMPORT_PROBE = """
+import json, sys
+command, config, out = sys.argv[1:]
+if command:
+    import ringtrap.cli
+    code = ringtrap.cli.main([command, "--config", config, "--out", out,
+                              "--set", "imaging.xy_halfwidth_factor=1.2"])
+else:
+    import ringtrap
+    from ringtrap.config import load_config
+    load_config(config)
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ringtrap."))]))
+"""
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("potential", {"analysis", "imaging", "gaussfit"}),
+    ("image", {"analysis"}),
+    ("analyze", {"imaging", "gaussfit"}),
+    ("sweep", {"imaging", "gaussfit"}),
+    ("", {"analysis", "imaging", "gaussfit", "image_io"}),
+])
+def test_a_run_imports_only_the_modules_it_runs(ini, tmp_path, command, absent):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, command, str(ini), str(tmp_path / "out")],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    loaded = {m.removeprefix("ringtrap.") for m in modules}
+    assert code == EXIT_OK
+    assert "config" in loaded and not absent & loaded, sorted(loaded)
+
+
+def test_console_entry_point(ini, tmp_path):
+    # the module run as a program, as the console script runs it: its exit
+    # status is main's return value
     def run(*args):
         return subprocess.run(
             [sys.executable, "-m", "ringtrap.cli", *args],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=package_env(), capture_output=True, text=True, timeout=120,
         )
 
     missing = run("analyze", "--config", str(tmp_path / "none.ini"))

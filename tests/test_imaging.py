@@ -693,6 +693,19 @@ def test_binary_export_of_grown_values_does_not_wrap(tmp_path):
     assert np.abs(back.values - grown.values).max() <= grown.values.max() / 65535.0
 
 
+@pytest.mark.parametrize("vmax", [1e-320, 3.3e-319, 5e-324, 2e-308])
+def test_binary_export_of_a_subnormal_maximum_keeps_its_value(tmp_path, vmax):
+    # vmax / 65535 underflows to 0 (1e-320) or rounds down to the least
+    # subnormal, which quantises vmax to 66,793 and wraps (3.3e-319)
+    p, h = tmp_path / "a.u16", tmp_path / "a.hdr"
+    img = dataclasses.replace(_header_image(), values=np.array([[0.0, vmax], [0.0, 0.0]]))
+    export_image_binary(img, p, h)
+    back = import_image_binary(p, h)
+    assert back.quant_scale > 0
+    assert np.rint(vmax / back.quant_scale) <= 65535
+    assert abs(back.values[0, 1] - vmax) <= back.quant_scale / 2
+
+
 def test_binary_quantisation_error_bounded(fig2b, tmp_path):
     img = synth_image(fig2b)
     p, h = tmp_path / "a.u16", tmp_path / "a.hdr"
