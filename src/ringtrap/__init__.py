@@ -12,19 +12,15 @@ __version__ = "0.1.0"
 #: the public names of each module
 _EXPORTS = {
     "analysis": (
-        "AzimuthalProfile", "Classification", "CriteriaReport", "Geometry",
-        "MinimizationResult", "RingAnalysis", "SweepPoint", "TrapFrequencies",
-        "analyze_trap", "azimuthal_profile", "classify_geometry", "criteria_report",
-        "frequency_sweep", "trap_frequencies",
+        "CriteriaReport", "MinimizationResult", "RingAnalysis", "TrapFrequencies",
+        "analyze_trap", "criteria_report", "trap_frequencies",
     ),
     "constants": ("GAUSS", "GAUSS_PER_CM", "MHZ", "MICROKELVIN", "RB87", "AtomSpecies"),
     "dressed": (
-        "detuning", "dressed_potential", "larmor_frequency", "potential_gradient",
-        "potential_hessian", "rabi_frequency", "rabi_squared", "resonance_radius",
+        "dressed_potential", "potential_hessian", "rabi_frequency", "rabi_squared",
+        "resonance_radius",
     ),
-    "fields": (
-        "QuadrupoleConfig", "RfConfig", "TrapConfig", "field_magnitude", "quadrupole_field",
-    ),
+    "fields": ("QuadrupoleConfig", "RfConfig", "TrapConfig"),
     "gaussfit": ("TwoGaussianFit", "fit_two_gaussians", "two_gaussian"),
     "grids": ("ScalarGrid", "sample_grid"),
     "image_io": (
@@ -36,6 +32,10 @@ _EXPORTS = {
         "extract_diameter_profile", "measure_ring_radius",
     ),
     "limits": ("ClassifierTolerances",),
+    "valley": (
+        "AzimuthalProfile", "Classification", "Geometry", "SweepPoint", "azimuthal_profile",
+        "classify_geometry", "frequency_sweep",
+    ),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

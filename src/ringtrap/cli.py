@@ -7,9 +7,10 @@ deterministic: identical configs produce byte-identical files. Exit codes:
 config loads, before any computation or output), 3 numerical failure (any
 other package error or ``ValueError``), 4 I/O error.
 
-A subcommand imports what only it runs when it runs: ``analyze`` and
-``sweep`` import :mod:`ringtrap.analysis`, ``image`` imports
-:mod:`ringtrap.imaging`, and ``potential`` neither.
+A subcommand imports what only it runs when it runs: ``sweep`` imports
+:mod:`ringtrap.valley`, ``analyze`` imports :mod:`ringtrap.analysis`, which
+builds on it, ``image`` imports :mod:`ringtrap.imaging`, and ``potential``
+none of them.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
 
 
 def run_sweep(rc: RunConfig, outdir: Path) -> int:
-    from .analysis import frequency_sweep
+    from .valley import frequency_sweep
 
     rows = frequency_sweep(
         rc.trap,

@@ -274,16 +274,6 @@ def _larmor_and_rabi_squared(r, cfg: TrapConfig, work=None, planes=None, larmor_
     return larmor, om2
 
 
-def larmor_frequency(r, cfg: TrapConfig):
-    """Local Larmor frequency omega_0 [rad/s]; zero at the trap centre."""
-    return _larmor_and_rabi_squared(r, cfg)[0]
-
-
-def detuning(r, cfg: TrapConfig):
-    """delta = omega - omega_0(r): positive inside the resonance shell."""
-    return cfg.rf.omega - larmor_frequency(r, cfg)
-
-
 def rabi_squared(r, cfg: TrapConfig):
     """Squared Rabi coupling |Omega|^2 [(rad/s)^2] at position(s) ``r``."""
     return _larmor_and_rabi_squared(r, cfg)[1]
@@ -330,15 +320,6 @@ def _check_fd_step(h: float):
         raise ValueError("finite-difference step must be positive")
     if h < MIN_FD_STEP:
         raise ValueError(f"finite-difference step underflow: h={h} < {MIN_FD_STEP}")
-
-
-def potential_gradient(r, cfg: TrapConfig, h: float = 1e-7):
-    """Central-difference gradient of V [J/m], O(h^2) accurate; one kernel call."""
-    r = np.asarray(r, dtype=float)
-    _check_fd_step(h)
-    steps = h * np.eye(3)
-    v = dressed_potential(np.concatenate([r + steps, r - steps]), cfg)
-    return (v[:3] - v[3:]) / (2.0 * h)
 
 
 def potential_hessian(r, cfg: TrapConfig, h: float = 1e-7):

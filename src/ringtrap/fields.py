@@ -141,20 +141,3 @@ class TrapConfig:
     def with_rf(self, **changes) -> "TrapConfig":
         """Copy of this config with rf parameters replaced."""
         return replace(self, rf=replace(self.rf, **changes))
-
-
-def quadrupole_field(r, quad: QuadrupoleConfig):
-    """Quadrupole field vector B_q*(x, y, -2z) at position(s) ``r``.
-
-    ``r`` is an array of shape (..., 3) in meters; returns the same shape
-    in tesla.
-    """
-    r = np.asarray(r, dtype=float)
-    return quad.gradient * (r * np.array([1.0, 1.0, -2.0]))
-
-
-def field_magnitude(r, quad: QuadrupoleConfig):
-    """|B| = B_q * sqrt(x^2 + y^2 + 4 z^2); exactly zero at the origin."""
-    r = np.asarray(r, dtype=float)
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    return quad.gradient * np.sqrt(x * x + y * y + 4.0 * z * z)

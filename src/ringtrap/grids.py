@@ -88,12 +88,6 @@ class ScalarGrid:
             for i in range(3)
         ]
 
-    def node_positions(self) -> np.ndarray:
-        """All node coordinates, shape ``dims + (3,)``."""
-        ax = self.axes()
-        mesh = np.meshgrid(*ax, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
     def min_position(self) -> np.ndarray:
         """Coordinates of the smallest value (first occurrence)."""
         idx = np.unravel_index(int(np.argmin(self.values)), self.dims)
@@ -152,16 +146,16 @@ def grid_axes(region, dims):
     return dims, origin, spacing, axes
 
 
-def fill_workspace(shape, block=False):
-    """The kernel workspace for :func:`fill_potential` into an array of
-    ``shape``, its rows sized to what they hold in its largest
-    :func:`node_blocks` box: the x row one entry per x-slab, then the node
-    rows. Where the boxes are runs of whole x-slabs they take the planes of
-    :func:`fill_planes` and need the second stage's ``STAGE_ROWS`` only;
-    else each box forms its own planes in the rows that follow.
+def fill_workspace(shape):
+    """``(block, workspace)``: an empty array of ``shape`` for
+    :func:`fill_potential` to fill, and the kernel workspace for it, its
+    rows sized to what they hold in its largest :func:`node_blocks` box: the
+    x row one entry per x-slab, then the node rows. Where the boxes are runs
+    of whole x-slabs they take the planes of :func:`fill_planes` and need
+    the second stage's ``STAGE_ROWS`` only; else each box forms its own
+    planes in the rows that follow.
 
-    With ``block``, ``(block, workspace)``: an empty array of ``shape`` to
-    fill, in one allocation with the node rows. glibc's malloc gives the
+    The block and the node rows are one allocation. glibc's malloc gives the
     free top of its heap back to the system once it exceeds twice the
     largest allocation yet freed from mmap, and the next pass faults those
     pages in again: one allocation per image worker rather than two keeps
@@ -176,13 +170,13 @@ def fill_workspace(shape, block=False):
         x_size, rows, nodes = slabs, STAGE_ROWS, slabs * slab
     else:
         x_size, rows, nodes = 1, WORKSPACE_ROWS - 1, _CHUNK
-    size = math.prod(shape) if block else 0
+    size = math.prod(shape)
     lead, stride = (-(-n // _LINE) * _LINE for n in (size, nodes))
     buf = np.empty(lead + rows * stride + _LINE - 1)
     buf = buf[-(buf.ctypes.data // 8) % _LINE:]  # from the first whole cache line
     node_rows = buf[lead:lead + rows * stride].reshape(rows, stride)[:, :nodes]
     work = [np.empty(x_size), *node_rows]
-    return (buf[:size].reshape(shape), work) if block else work
+    return buf[:size].reshape(shape), work
 
 
 def fill_planes(cfg: TrapConfig, axes):
@@ -201,19 +195,17 @@ def fill_planes(cfg: TrapConfig, axes):
                          np.empty((PLANE_ROWS, slab)))
 
 
-def fill_potential(cfg: TrapConfig, axes, out, work, planes=None) -> None:
+def fill_potential(cfg: TrapConfig, axes, out, work, planes) -> None:
     """Write V at the nodes of the grid of node coordinates ``axes`` into
     ``out`` one :func:`node_blocks` box at a time: the kernel takes each
     box's three axis slices, which broadcast to its nodes, its temporaries go
     into the workspace ``work`` (:func:`fill_workspace`), and V straight into
     ``out``, so no box allocates. The (y, z) planes of the kernel's first
-    stage are ``planes``, by default :func:`fill_planes` of ``axes``: a
-    caller that fills several grids of the same y and z axes forms them
-    once. A node's V has the same bits in any grid that holds it. A node
-    whose V overflows is inf or NaN, with no floating-point warning: the
-    caller's finite check reports it."""
-    if planes is None:
-        planes = fill_planes(cfg, axes)
+    stage are ``planes``, :func:`fill_planes` of ``axes``: a caller that
+    fills several grids of the same y and z axes forms them once. A node's
+    V has the same bits in any grid that holds it. A node whose V overflows
+    is inf or NaN, with no floating-point warning: the caller's finite
+    check reports it."""
     with np.errstate(over="ignore", invalid="ignore"):
         for box in node_blocks(out.shape):
             dressed_potential(
@@ -246,6 +238,6 @@ def sample_grid(cfg: TrapConfig, region, dims) -> ScalarGrid:
     # one allocation, not two: with two, whether a repeated `potential` pass
     # faulted ~430 of their pages in again or none depended on what the
     # process had imported before it (see fill_workspace)
-    vals, work = fill_workspace(dims, block=True)
-    fill_potential(cfg, axes, vals, work)
+    vals, work = fill_workspace(dims)
+    fill_potential(cfg, axes, vals, work, fill_planes(cfg, axes))
     return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=vals)

@@ -153,7 +153,7 @@ def column_density(
     def project(part):
         # the runs ``part`` through a block and a workspace of their own;
         # each writes only its image rows and its slabs' floors
-        block, work = fill_workspace((axes[0][runs[0]].size,) + dims[1:], block=True)
+        block, work = fill_workspace((axes[0][runs[0]].size,) + dims[1:])
         for k in part:
             run = runs[k]
             w = block[: axes[0][run].size]

@@ -1,8 +1,8 @@
-"""Input limits and checks that the config loader and the analysis share.
+"""Input limits and checks that the config loader and the valley profile share.
 
 :mod:`ringtrap.config` enforces them when a config loads and
-:mod:`ringtrap.analysis` when it is called, so a run that analyses nothing
-imports no analysis to check its config.
+:mod:`ringtrap.valley` when it is called, so a run that profiles no valley
+imports no valley code to check its config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ MIN_CLASSIFY_AZIMUTHS = 64
 #: entries of each closed-form array (one per ray and frequency) that a
 #: batch of profile columns may fill, so that a batch stays cache-sized:
 #: up to 64 frequencies at 256 azimuths in the plane, and in a z band
-#: (2 * 97 slopes per azimuth, ``analysis.PROFILE_ZOOM``) one frequency on
+#: (2 * 97 slopes per azimuth, ``valley.PROFILE_ZOOM``) one frequency on
 #: up to 84 azimuths
 PROFILE_BATCH_POINTS = 2**14
 

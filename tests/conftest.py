@@ -13,7 +13,6 @@ from ringtrap import (
     TrapConfig,
     column_density,
     dressed_potential,
-    potential_gradient,
     resonance_radius,
     sample_grid,
 )
@@ -72,10 +71,50 @@ def grid_global_min(cfg, lo, hi, n=161):
     return best_v, best_pos, variation
 
 
+def quadrupole_field(r, quad):
+    """Quadrupole field vector B_q*(x, y, -2z) [T] at position(s) ``r``, an
+    array of shape (..., 3) in meters: the field model of the kernel's
+    Larmor frequency."""
+    r = np.asarray(r, dtype=float)
+    return quad.gradient * (r * np.array([1.0, 1.0, -2.0]))
+
+
+def field_magnitude(r, quad):
+    """|B| = B_q * sqrt(x^2 + y^2 + 4 z^2); exactly zero at the origin."""
+    r = np.asarray(r, dtype=float)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    return quad.gradient * np.sqrt(x * x + y * y + 4.0 * z * z)
+
+
+def larmor_frequency(r, cfg):
+    """The kernel's local Larmor frequency omega_0 [rad/s] at position(s)
+    ``r`` in either form; zero at the trap centre."""
+    return ringtrap.dressed._larmor_and_rabi_squared(r, cfg)[0]
+
+
+def detuning(r, cfg):
+    """delta = omega - omega_0(r) of the kernel: positive inside the
+    resonance shell."""
+    return cfg.rf.omega - larmor_frequency(r, cfg)
+
+
+def potential_gradient(r, cfg, h=1e-7):
+    """Central-difference gradient of V [J/m], O(h^2) accurate; one kernel call."""
+    r = np.asarray(r, dtype=float)
+    steps = h * np.eye(3)
+    v = dressed_potential(np.concatenate([r + steps, r - steps]), cfg)
+    return (v[:3] - v[3:]) / (2.0 * h)
+
+
 def richardson_gradient(r, cfg, h):
     """The Richardson extrapolant (4 g(h/2) - g(h)) / 3 of the central
     difference gradient g of V at ``r``: its error is O(h^4), not O(h^2)."""
     return (4 * potential_gradient(r, cfg, h / 2) - potential_gradient(r, cfg, h)) / 3
+
+
+def node_positions(grid):
+    """All node coordinates of a ``ScalarGrid``, shape ``dims + (3,)``."""
+    return np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
 
 
 def count_kernel_calls(monkeypatch, module):

@@ -18,7 +18,6 @@ from ringtrap import (
     dressed_potential,
     frequency_sweep,
     measure_ring_radius,
-    potential_gradient,
     potential_hessian,
     rabi_squared,
     resonance_radius,
@@ -51,6 +50,7 @@ from conftest import (
     PIXEL,
     grid_global_min,
     make_trap,
+    potential_gradient,
     richardson_gradient,
     synth_image,
 )

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 import ringtrap.analysis
 import ringtrap.dressed
 import ringtrap.fields
+import ringtrap.valley
 from ringtrap import (
     Geometry,
     analyze_trap,
@@ -21,17 +22,8 @@ from ringtrap import (
     trap_frequencies,
 )
 from ringtrap.analysis import (
-    _GEOMETRIES,
-    CENTER_TRAP_COUPLING,
-    MAX_PROFILE_AZIMUTHS,
     MIN_MESH_STEP,
-    PROFILE_BATCH_POINTS,
-    AzimuthalProfile,
-    Classification,
-    ClassifierTolerances,
     MinimizationResult,
-    SweepPoint,
-    _classify_rows,
     _coupling_holes,
     _escape_depth,
     _field_direction,
@@ -39,7 +31,6 @@ from ringtrap.analysis import (
     _frames,
     _map_minima,
     _probe,
-    _ray_floor,
     _shell_floor,
     _trust_steps,
     _turn,
@@ -47,6 +38,16 @@ from ringtrap.analysis import (
 )
 from ringtrap.constants import G_ACCEL, HBAR, K_B, MU_B, RB87
 from ringtrap.errors import NotAMinimumError
+from ringtrap.limits import MAX_PROFILE_AZIMUTHS, PROFILE_BATCH_POINTS, ClassifierTolerances
+from ringtrap.valley import (
+    _GEOMETRIES,
+    CENTER_TRAP_COUPLING,
+    AzimuthalProfile,
+    Classification,
+    SweepPoint,
+    _classify_rows,
+    _ray_floor,
+)
 
 from conftest import (
     B07,
@@ -415,7 +416,7 @@ def test_band_profile_makes_one_kernel_call_per_pass(name, monkeypatch):
     # window per sign of z and azimuth, 2 * 97 * 64 of them within the budget
     shapes = count_coupling_calls(monkeypatch)
     azimuthal_profile(reference_configs()[name], n_phi=64, z_band_factor=0.3)
-    n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
+    n_slopes, passes = ringtrap.valley.PROFILE_ZOOM
     assert shapes == [(n_slopes * 2 * 64, 3)] * passes
 
 
@@ -424,7 +425,7 @@ def test_band_profile_splits_its_azimuths_within_the_budget(fig2c, monkeypatch):
     # azimuths, each one kernel call per pass
     shapes = count_coupling_calls(monkeypatch)
     azimuthal_profile(fig2c, n_phi=256, z_band_factor=0.3)
-    n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
+    n_slopes, passes = ringtrap.valley.PROFILE_ZOOM
     assert shapes == [(n_slopes * 2 * 64, 3)] * (4 * passes)
     assert n_slopes * 2 * 64 <= PROFILE_BATCH_POINTS
 
@@ -437,7 +438,7 @@ def test_split_band_floors_equal_one_unsplit_call(name):
     prof = azimuthal_profile(cfg, n_phi=256, z_band_factor=0.3)
     r0 = np.array([[resonance_radius(cfg)]])
     out = np.empty((4, 1, 256))
-    ringtrap.analysis._valley_floor(
+    ringtrap.valley._valley_floor(
         cfg, np.cos(prof.azimuths), np.sin(prof.azimuths), r0, 0.2 * r0, 3.0 * r0,
         0.3 * r0, out,
     )
@@ -724,7 +725,7 @@ def test_sweep_propagates_programming_errors(fig2b, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug in the profile")
 
-    monkeypatch.setattr(ringtrap.analysis, "azimuthal_profile", broken)
+    monkeypatch.setattr(ringtrap.valley, "azimuthal_profile", broken)
     with pytest.raises(TypeError, match="bug in the profile"):
         frequency_sweep(fig2b, [OMEGA_15MHZ])
 
@@ -740,7 +741,7 @@ def test_sweep_zero_amplitude_center_trap(fig2b):
 def test_sweep_rejects_empty_and_negative(fig2b, monkeypatch):
     # every input is checked before the first kernel call: a bad row raises,
     # even behind a valid group, and no row is profiled or returned
-    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    calls = count_coupling_calls(monkeypatch)
     two = [OMEGA_15MHZ, 2 * OMEGA_15MHZ]
     for omegas, amps in (
         ([], None),
@@ -758,7 +759,7 @@ def test_sweep_rejects_empty_and_negative(fig2b, monkeypatch):
 def test_sweep_per_row_failure_recorded(fig2b, monkeypatch):
     # a bad row is recorded as a ValueError naming it, raised before the
     # valid row ahead of it is profiled: the sweep returns no error rows
-    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    calls = count_coupling_calls(monkeypatch)
     omegas = [OMEGA_15MHZ, 2 * OMEGA_15MHZ]
     amps = [(B07, B07, 0.0), (-1.0e-4, 0.0, 0.0)]  # invalid amplitude on row 2
     with pytest.raises(ValueError, match="non-negative"):
@@ -768,7 +769,7 @@ def test_sweep_per_row_failure_recorded(fig2b, monkeypatch):
 
 def test_sweep_non_finite_amplitude_is_a_row_error(fig2b, monkeypatch):
     # a NaN amplitude is a bad input: it raises before any kernel call
-    calls = count_kernel_calls(monkeypatch, ringtrap.analysis)
+    calls = count_coupling_calls(monkeypatch)
     with pytest.raises(ValueError, match="finite"):
         frequency_sweep(fig2b, [OMEGA_15MHZ], amplitudes=[(float("nan"), 0.0, 0.0)])
     with pytest.raises(ValueError, match="finite"):
@@ -863,13 +864,13 @@ def test_sweep_batches_are_bounded_by_the_point_budget(fig2c, monkeypatch):
     per_batch = PROFILE_BATCH_POINTS // 256
     omegas = list(2 * np.pi * 1e6 * np.linspace(0.5, 3.0, per_batch + 6))
     batches = []
-    valley_floor = ringtrap.analysis._valley_floor
+    valley_floor = ringtrap.valley._valley_floor
 
     def counted(cfg, cosp, sinp, r0, *args):
         batches.append(len(r0))
         return valley_floor(cfg, cosp, sinp, r0, *args)
 
-    monkeypatch.setattr(ringtrap.analysis, "_valley_floor", counted)
+    monkeypatch.setattr(ringtrap.valley, "_valley_floor", counted)
     shapes = count_coupling_calls(monkeypatch)
     rows = frequency_sweep(fig2c, omegas, n_phi=256)
     assert batches == [per_batch, 6]
@@ -896,7 +897,7 @@ def test_warm_sweep_grows_by_nine_row_arrays(fig2b):
 def test_band_sweep_profiles_one_frequency_per_batch(fig2c, monkeypatch):
     # a band row is 2 * 97 slopes per azimuth, above the budget at n_phi = 64:
     # one kernel call per pass of each frequency
-    n_slopes, passes = ringtrap.analysis.PROFILE_ZOOM
+    n_slopes, passes = ringtrap.valley.PROFILE_ZOOM
     shapes = count_coupling_calls(monkeypatch)
     frequency_sweep(fig2c, SWEEP_OMEGAS[:2], n_phi=64, z_band_factor=0.3)
     assert shapes == [(n_slopes * 2 * 64, 3)] * (passes * 2)

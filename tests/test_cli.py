@@ -23,6 +23,8 @@ from ringtrap.grids import fill_potential, node_blocks
 from ringtrap.image_io import import_grid_binary
 from ringtrap.imaging import measure_ring_radius
 
+from conftest import node_positions
+
 BASE = """
 [rf]
 bx_g = 0.7
@@ -87,7 +89,7 @@ def test_potential_deterministic_reruns(ini, tmp_path):
 def per_row_grid_csv(grid):
     """grid.csv as the potential command wrote it before the per-axis writer:
     all node positions, and five reprs per row."""
-    pos = grid.node_positions().reshape(-1, 3)
+    pos = node_positions(grid).reshape(-1, 3)
     vals = grid.values.reshape(-1)
     lines = ["x_m,y_m,z_m,V_J,V_uK"]
     for (x, y, z), v in zip(pos.tolist(), vals.tolist()):
@@ -728,12 +730,16 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ringtrap.
 """
 
 
+#: the package modules that a subcommand runs, besides ``config``
+RUN_MODULES = {"analyze": {"analysis", "valley"}, "sweep": {"valley"}, "image": {"imaging"}}
+
+
 @pytest.mark.parametrize("command, absent", [
-    ("potential", {"analysis", "imaging", "gaussfit"}),
-    ("image", {"analysis"}),
+    ("potential", {"analysis", "valley", "imaging", "gaussfit"}),
+    ("image", {"analysis", "valley"}),
     ("analyze", {"imaging", "gaussfit"}),
-    ("sweep", {"imaging", "gaussfit"}),
-    ("", {"analysis", "imaging", "gaussfit", "image_io"}),
+    ("sweep", {"analysis", "imaging", "gaussfit"}),
+    ("", {"analysis", "valley", "imaging", "gaussfit", "image_io"}),
 ])
 def test_a_run_imports_only_the_modules_it_runs(ini, tmp_path, command, absent):
     proc = subprocess.run(
@@ -744,7 +750,8 @@ def test_a_run_imports_only_the_modules_it_runs(ini, tmp_path, command, absent):
     code, modules = json.loads(proc.stdout)
     loaded = {m.removeprefix("ringtrap.") for m in modules}
     assert code == EXIT_OK
-    assert "config" in loaded and not absent & loaded, sorted(loaded)
+    present = {"config"} | RUN_MODULES.get(command, set())
+    assert present <= loaded and not absent & loaded, sorted(loaded)
 
 
 def test_console_entry_point(ini, tmp_path):

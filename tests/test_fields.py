@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ringtrap import AtomSpecies, QuadrupoleConfig, RfConfig, field_magnitude, quadrupole_field
+from ringtrap import AtomSpecies, QuadrupoleConfig, RfConfig
+
+from conftest import field_magnitude, quadrupole_field
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from conftest import (
     B07,
     count_kernel_calls,
     make_trap,
+    node_positions,
     oracle_tolerance,
     reference_configs,
     traced_growth,
@@ -60,7 +61,7 @@ def test_planar_grid_matches_3d_evaluation(fig2c):
     r0 = resonance_radius(fig2c)
     region = ((-r0, r0), (0.2 * r0, 1.5 * r0), (1e-5, 1e-5))
     grid = sample_grid(fig2c, region, (21, 21, 1))
-    pts = grid.node_positions().reshape(-1, 3)
+    pts = node_positions(grid).reshape(-1, 3)
     np.testing.assert_array_equal(grid.values.reshape(-1), dressed_potential(pts, fig2c))
 
 
@@ -165,7 +166,7 @@ def test_centre_node_in_each_kind_of_block(name, dims, block):
     cfg = reference_configs()[name]
     with np.errstate(all="raise"):
         grid = sample_grid(cfg, centred_region(dims), dims)
-        stacked = dressed_potential(grid.node_positions(), cfg)
+        stacked = dressed_potential(node_positions(grid), cfg)
     centre = [int(np.flatnonzero(axis == 0.0)[0]) for axis in grid.axes()]
     box = next(
         box for box in node_blocks(dims)
@@ -217,7 +218,7 @@ def test_kernel_call_with_a_workspace_allocates_less_than_a_block(gravity):
     # given the planes, as in a grid fill, it needs the x row and the four
     # node rows only
     planes = yz_planes(coords[1], coords[2], cfg)
-    work = fill_workspace(out.shape)
+    _, work = fill_workspace(out.shape)
     assert len(work) == 1 + STAGE_ROWS and work[0].size == 1
     out.fill(np.nan)
     tracemalloc.start()

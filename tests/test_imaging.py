@@ -126,12 +126,12 @@ def _divided_step_image(cfg, temperature, region, dims, atom_number=1e5, od_scal
     dims, origin, spacing, axes = ringtrap.grids.grid_axes(region, dims)
     kt = K_B * temperature
     runs = list(ringtrap.grids.slab_runs(dims))
+    planes = ringtrap.grids.fill_planes(cfg, axes)
     img = np.empty(dims[:2])
     floors = np.empty(len(runs))
     for k, run in enumerate(runs):
-        w = np.empty((axes[0][run].size,) + dims[1:])
-        ringtrap.grids.fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w,
-                                      ringtrap.grids.fill_workspace(w.shape))
+        w, work = ringtrap.grids.fill_workspace((axes[0][run].size,) + dims[1:])
+        ringtrap.grids.fill_potential(cfg, (axes[0][run], axes[1], axes[2]), w, work, planes)
         floors[k] = w.min()
         w -= floors[k]
         w /= -kt

@@ -8,7 +8,7 @@ import ringtrap
 
 
 def test_each_public_name_is_its_home_modules_object():
-    assert len(ringtrap.__all__) == len(set(ringtrap.__all__)) == 53
+    assert len(ringtrap.__all__) == len(set(ringtrap.__all__)) == 48
     listed = dir(ringtrap)
     for name in ringtrap.__all__:
         home = importlib.import_module(f"ringtrap.{ringtrap._HOME[name]}")
