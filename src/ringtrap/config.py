@@ -9,12 +9,20 @@ sections or keys, malformed values, cross-field conflicts and any input a
 builder rejects all raise :class:`ConfigError` before any computation starts.
 Every run writes back a resolved echo of the full configuration with defaults
 materialised.
+
+The INI reader is a strict line reader. Leading whitespace is ignored; a
+blank line is skipped, and so is a line whose first non-blank character is
+``#`` or ``;``; a ``#`` or ``;`` after whitespace starts a comment to the end
+of the line. A header line is exactly ``[name]``; any other line is
+``key = value`` or ``key: value``, split at the first delimiter. A line with
+no delimiter, a key before the first header, and a section or key repeated
+in any case are syntax errors that name the line.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -120,6 +128,12 @@ _SCHEMA = {
 
 _RANGE_KEYS = ("freq_mhz_start", "freq_mhz_stop", "freq_mhz_count")
 
+#: the boolean words, read in any case
+_BOOLEANS = {
+    "1": True, "yes": True, "true": True, "on": True,
+    "0": False, "no": False, "false": False, "off": False,
+}
+
 
 def _check_in(section: str, check, value) -> None:
     """Run a library input check; its ValueError is a ConfigError of ``section``."""
@@ -136,7 +150,7 @@ def _parse_value(section: str, key: str, raw: str, spec: _Key):
         return None  # unset: the echo writes an unset key as an empty value
     if spec.type is bool:
         try:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+            return _BOOLEANS[raw.lower()]
         except KeyError:
             raise ConfigError(f"{where}: expected a boolean, got {raw!r}") from None
     if spec.type is int:
@@ -469,6 +483,56 @@ def parse_overrides(pairs) -> list:
     return out
 
 
+#: a comment: '#' or ';' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+#: the first '=' or ':' of a key line, with the whitespace around it
+_DELIMITER = re.compile(r"\s*[=:]\s*")
+
+
+def _syntax_error(line: int, message: str) -> ConfigError:
+    return ConfigError(f"config syntax error: line {line}: {message}")
+
+
+def _read_ini(path: Path):
+    """Yield (section, key, raw value) for each key line of the INI file at
+    ``path``, in file order, with the section and key lower-cased and checked
+    against the schema. The syntax is the module docstring's."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as err:
+        raise _syntax_error(err.object.count(b"\n", 0, err.start) + 1, str(err)) from None
+    first_seen = {}  # each lower-cased section and (section, key): its line
+    section = None
+    for ln, line in enumerate(text.split("\n"), start=1):
+        if "#" in line or ";" in line:  # most lines hold neither
+            line = _COMMENT.split(line, 1)[0]
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1]
+            section = name.lower()
+            if section in first_seen:
+                raise _syntax_error(ln, f"[{name}] repeats the section of line "
+                                        f"{first_seen[section]}")
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown config section [{name}]")
+            first_seen[section] = ln
+            continue
+        parts = _DELIMITER.split(line, 1)
+        if len(parts) == 1:
+            raise _syntax_error(ln, f"expected [section] or key = value, got {line!r}")
+        if section is None:
+            raise _syntax_error(ln, "key before the first [section]")
+        key = parts[0].lower()
+        if (section, key) in first_seen:
+            raise _syntax_error(ln, f"key {key!r} repeats line {first_seen[section, key]}")
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        first_seen[section, key] = ln
+        yield section, key, parts[1]
+
+
 def load_config(path, overrides=None) -> RunConfig:
     """Parse and validate a run configuration file.
 
@@ -478,28 +542,10 @@ def load_config(path, overrides=None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    # no header can name the empty section, so a [DEFAULT] section is read
-    # as the unknown section it is, not merged into every other one
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
-    )
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as err:
-        raise ConfigError(f"config syntax error: {err}") from None
-
     values = _blank_values()
     provided = set()
-    for section in parser.sections():
-        sec = section.lower()
-        if sec not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            k = key.lower()
-            if k not in _SCHEMA[sec]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            _assign(values, provided, sec, k, raw)
+    for section, key, raw in _read_ini(path):
+        _assign(values, provided, section, key, raw)
     for section, key, raw in parse_overrides(overrides) if overrides else []:
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"--set targets unknown key {section}.{key}")

@@ -1,3 +1,4 @@
+import configparser
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,9 @@ from ringtrap import (
     resonance_radius,
     sample_grid,
 )
+from ringtrap.config import _SCHEMA
 from ringtrap.constants import K_B
+from ringtrap.errors import ConfigError
 
 # property tests draw the same examples on every run and have no deadline:
 # the suite must be deterministic and must not fail on a slow shared machine
@@ -69,6 +72,34 @@ def grid_global_min(cfg, lo, hi, n=161):
     neighbors = np.clip(neighbors, lo, hi)
     variation = float(np.max(np.abs(dressed_potential(neighbors, cfg) - best_v)))
     return best_v, best_pos, variation
+
+
+def configparser_read_ini(path):
+    """The reference INI reader: ``configparser`` configured as
+    ``load_config`` once used it (inline ``#``/``;`` comments, no
+    interpolation, no ``[DEFAULT]`` section), with the same unknown-section
+    and unknown-key checks; yields what ``config._read_ini`` yields, the
+    (section, key, raw value) of each key, lower-cased. It merges sections
+    repeated in another case, which ``config._read_ini`` rejects."""
+    # no header can name the empty section, so a [DEFAULT] section is read
+    # as the unknown section it is, not merged into every other one
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"config syntax error: {err}") from None
+    for section in parser.sections():
+        sec = section.lower()
+        if sec not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            k = key.lower()
+            if k not in _SCHEMA[sec]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            yield sec, k, raw
 
 
 def quadrupole_field(r, quad):

@@ -713,7 +713,8 @@ def package_env():
 
 #: a script for a fresh interpreter: with a subcommand, ``ringtrap.cli.main``
 #: runs it; without, ``import ringtrap`` and ``load_config`` alone. It prints
-#: the exit code and the package's modules then loaded
+#: the exit code and the package's modules then loaded, and ``configparser``
+#: if it loaded
 IMPORT_PROBE = """
 import json, sys
 command, config, out = sys.argv[1:]
@@ -726,7 +727,8 @@ else:
     from ringtrap.config import load_config
     load_config(config)
     code = 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ringtrap."))]))
+loaded = [m for m in sys.modules if m.startswith("ringtrap.") or m == "configparser"]
+print(json.dumps([code, sorted(loaded)]))
 """
 
 
@@ -735,11 +737,11 @@ RUN_MODULES = {"analyze": {"analysis", "valley"}, "sweep": {"valley"}, "image": 
 
 
 @pytest.mark.parametrize("command, absent", [
-    ("potential", {"analysis", "valley", "imaging", "gaussfit"}),
-    ("image", {"analysis", "valley"}),
-    ("analyze", {"imaging", "gaussfit"}),
-    ("sweep", {"analysis", "imaging", "gaussfit"}),
-    ("", {"analysis", "valley", "imaging", "gaussfit", "image_io"}),
+    ("potential", {"analysis", "valley", "imaging", "gaussfit", "configparser"}),
+    ("image", {"analysis", "valley", "configparser"}),
+    ("analyze", {"imaging", "gaussfit", "configparser"}),
+    ("sweep", {"analysis", "imaging", "gaussfit", "configparser"}),
+    ("", {"analysis", "valley", "imaging", "gaussfit", "image_io", "configparser"}),
 ])
 def test_a_run_imports_only_the_modules_it_runs(ini, tmp_path, command, absent):
     proc = subprocess.run(
@@ -752,6 +754,22 @@ def test_a_run_imports_only_the_modules_it_runs(ini, tmp_path, command, absent):
     assert code == EXIT_OK
     present = {"config"} | RUN_MODULES.get(command, set())
     assert present <= loaded and not absent & loaded, sorted(loaded)
+
+
+def test_config_syntax_error_exits_2_with_one_line(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[rf\nbx_g = 0.7\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ringtrap.cli", "analyze", "--config", str(bad),
+         "--out", str(tmp_path / "out")],
+        env=package_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.splitlines() == [
+        "ringtrap: config error: config syntax error: line 1: "
+        "expected [section] or key = value, got '[rf'"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point(ini, tmp_path):

@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ringtrap.config
+from conftest import configparser_read_ini
 from ringtrap.config import _SCHEMA, load_config
 from ringtrap.errors import ConfigError
 
@@ -52,8 +55,8 @@ def test_unknown_section_rejected(tmp_path):
     "[DEFAULT]\n" + MINIMAL,
 ])
 def test_default_section_rejected(tmp_path, text):
-    # configparser reads [DEFAULT] as defaults for every other section,
-    # which no key of the schema is
+    # [DEFAULT] is no section of the schema: INI readers such as
+    # configparser merge it into every other section, this one does not
     with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
         load_config(write(tmp_path, text))
 
@@ -91,8 +94,44 @@ def test_noise_seed_is_a_uint64(tmp_path):
 
 
 def test_syntax_error_reports_line(tmp_path):
-    with pytest.raises(ConfigError, match="syntax"):
+    with pytest.raises(ConfigError, match=r"^config syntax error: line 1: [^\n]*$"):
         load_config(write(tmp_path, "[rf\nbx_g = 0.7\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    # configparser merged a section repeated in another case: bx_g = 0.9
+    ("[RF]\nbx_g = 0.3\n[rf]\nbx_g = 0.9\n", r"line 3: \[rf\] repeats the section of line 1"),
+    ("[rf]\nbx_g = 0.3\n[gravity]\n[rf]\n", r"line 4: \[rf\] repeats the section of line 1"),
+    ("[rf]\nbx_g = 0.3\n\n  BX_G: 0.9\n", r"line 4: key 'bx_g' repeats line 2"),
+    ("# comment\nbx_g = 0.7\n[rf]\n", r"line 2: key before the first \[section\]"),
+    ("[rf] x\nbx_g = 0.7\n", r"line 1: expected \[section\] or key = value, got '\[rf\] x'"),
+    ("[rf]\nbx_g 0.7 # no delimiter\n", r"line 2: expected \[section\] or key = value"),
+    (b"[rf]\nbx_g = 0.7\n\n\xff = 1\n", "line 4: 'utf-8' codec can't decode byte 0xff"),
+], ids=["section-in-another-case", "section", "key-in-another-case", "key-before-section",
+        "header-with-trailing-text", "no-delimiter", "not-utf8"])
+def test_syntax_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ConfigError, match=r"^config syntax error: " + message):
+        load_config(path)
+
+
+def test_the_syntax_the_reader_accepts(tmp_path):
+    text = (
+        "  ; a comment\n"
+        "\t# an indented comment\n"
+        "  [RF]  # a header's comment\n"
+        "\tBx_G: 0.5 ; a key's comment\r\n"
+        "    by_g=0.6\n"
+        "\n"
+        "[gravity]\n"
+        "enabled = off\n"
+    )
+    rc = load_config(write(tmp_path, text))
+    assert (rc.get("rf", "bx_g"), rc.get("rf", "by_g"), rc.trap.gravity_on) == (0.5, 0.6, False)
+    # a '#' or ';' that follows no whitespace is part of the value
+    with pytest.raises(ConfigError, match=r"\[rf\] freq_mhz: expected a number, got '1.5#2'"):
+        load_config(write(tmp_path, "[rf]\nfreq_mhz = 1.5#2\n"))
 
 
 def test_overrides_applied_and_typed(tmp_path):
@@ -287,6 +326,88 @@ def test_load_raises_only_config_error_and_echo_round_trips(tmp_path_factory, ru
     echo = rc.resolved_ini()
     path.write_text(echo)
     assert load_config(path).resolved_ini() == echo
+
+
+_CASE = st.sampled_from([str.lower, str.upper, str.title])
+_INDENT = st.sampled_from(["", " ", "    ", "\t"])
+# a comment's text: anything a line can hold
+_NOTE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                max_size=8)
+# nothing, or an inline comment: '#' or ';' after whitespace
+_INLINE = st.one_of(st.just(""), st.tuples(
+    st.sampled_from([" ", "\t", "  "]), st.sampled_from("#;"), _NOTE).map("".join))
+# a blank line, or a full-line comment at any indent
+_FILLER = st.one_of(st.sampled_from(["", "  ", "\t"]), st.tuples(
+    _INDENT, st.sampled_from("#;"), _NOTE).map("".join))
+
+
+def _loading_value(spec):
+    """Values of a key that load with every other key at its default."""
+    if spec.default is None:
+        return st.just("")
+    if spec.type is float:
+        return st.floats(0.9, 1.1).map(lambda f: repr(spec.default * f))
+    if spec.type is bool:
+        return _CLEAN[bool]
+    return st.just(str(spec.default))
+
+
+@st.composite
+def _ini_forms(draw):
+    """INI text of drawn schema entries in the forms both readers read
+    alike: comments of every kind, '=' or ':' with or without spaces, keys
+    and sections in any case, blank lines, any line ending and a block of
+    keys indented alike. Either every value loads, or values may be of any
+    type and a key may repeat, which both readers reject; no section
+    repeats, in any case."""
+    loads = draw(st.booleans())
+
+    def entry(section_key):
+        section, key = section_key
+        spec = _SCHEMA[section][key]
+        value = _loading_value(spec)
+        if not loads:
+            value = st.one_of(value, _TYPED[spec.type], _GARBAGE)
+        return st.tuples(st.just(section), st.just(key), value)
+
+    entries = draw(st.lists(st.sampled_from(_KEYS).flatmap(entry), max_size=8,
+                            unique_by=lambda e: e[:2]))
+    if entries and not loads and draw(st.booleans()):
+        entries.append(entries[0])
+    sections = {section: [] for section in draw(st.sets(st.sampled_from(list(_SCHEMA))))}
+    for section, key, value in entries:
+        # the whole value stays on its line
+        sections.setdefault(section, []).append((key, value.translate({10: None, 13: None})))
+    lines = []
+    for section, keys in sections.items():
+        lines += draw(st.lists(_FILLER, max_size=2))
+        lines.append(f"[{draw(_CASE)(section)}]{draw(_INLINE)}")
+        indent = draw(_INDENT)
+        for key, value in keys:
+            lines += draw(st.lists(_FILLER, max_size=1))
+            space = draw(st.sampled_from(["", " ", "\t"]))
+            delimiter = draw(st.sampled_from(["=", ":", " = ", ": "]))
+            lines.append(f"{indent}{draw(_CASE)(key)}{space}{delimiter}{value}{draw(_INLINE)}")
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _loaded(path, reader):
+    """(values, echo) of ``load_config`` on ``path`` read by ``reader``, or
+    None when it raises ConfigError."""
+    with mock.patch.object(ringtrap.config, "_read_ini", reader):
+        try:
+            rc = load_config(path)
+        except ConfigError:
+            return None
+    return rc.values, rc.resolved_ini()
+
+
+@given(_ini_forms())
+def test_reader_agrees_with_configparser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "forms.ini"
+    path.write_bytes(text.encode("utf-8"))
+    assert _loaded(path, ringtrap.config._read_ini) == _loaded(path, configparser_read_ini)
 
 
 def test_analysis_grid_budget_fails_the_load(tmp_path):
