@@ -20,7 +20,7 @@ _EXPORTS = {
         "dressed_potential", "potential_hessian", "rabi_frequency", "rabi_squared",
         "resonance_radius",
     ),
-    "fields": ("QuadrupoleConfig", "RfConfig", "TrapConfig"),
+    "fields": ("RfConfig", "TrapConfig"),
     "gaussfit": ("TwoGaussianFit", "fit_two_gaussians", "two_gaussian"),
     "grids": ("ScalarGrid", "sample_grid"),
     "image_io": (

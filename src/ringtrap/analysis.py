@@ -69,10 +69,6 @@ SHELL_TIE_FRACTION = 1e-12
 #: of its ray
 _RAY = np.array([1.0, 1.0, -0.5])
 
-#: an azimuthal trap frequency below this fraction of omega_rho is reported
-#: as exactly zero (flat ring direction)
-FLAT_PHI_FRACTION = 1e-3
-
 #: kappa above this counts as gravity negligible
 GRAVITY_NEGLIGIBLE_KAPPA = 5.0
 
@@ -97,10 +93,8 @@ def trap_frequencies(cfg: TrapConfig, minimum) -> TrapFrequencies:
     The Hessian of V is rotated into the local cylindrical frame
     (rho-hat, phi-hat, z-hat) at the minimum and diagonalised; each
     eigenvalue is paired to the axis its eigenvector aligns with best, and
-    omega_i = sqrt(lambda_i / m). An azimuthal frequency below
-    ``FLAT_PHI_FRACTION * omega_rho`` is reported as exactly zero (flat ring
-    direction); so is a negative eigenvalue within rounding (1e-9 of the
-    largest in size) of zero.
+    omega_i = sqrt(lambda_i / m). A negative eigenvalue within rounding
+    (1e-9 of the largest in size) of zero gives a frequency of exactly zero.
 
     Raises :class:`NotAMinimumError` at coupling-closed cusp points (the
     potential is conical there, not harmonic) and for negative curvature
@@ -139,11 +133,7 @@ def trap_frequencies(cfg: TrapConfig, minimum) -> TrapFrequencies:
             f"lambda_z={lam_z:.3e} J/m^2); point is not a harmonic minimum"
         )
     m = cfg.atom.mass
-    w_rho = math.sqrt(max(lam_rho, 0.0) / m)
-    w_z = math.sqrt(max(lam_z, 0.0) / m)
-    w_phi = math.sqrt(max(lam_phi, 0.0) / m)
-    if w_phi < FLAT_PHI_FRACTION * w_rho:
-        w_phi = 0.0
+    w_rho, w_phi, w_z = (math.sqrt(max(v, 0.0) / m) for v in (lam_rho, lam_phi, lam_z))
     return TrapFrequencies(
         omega_rho=w_rho,
         omega_z=w_z,
@@ -171,21 +161,17 @@ class CriteriaReport:
     gravity_negligible: bool
 
 
-def criteria_report(
-    cfg: TrapConfig, profile: AzimuthalProfile | None = None
-) -> CriteriaReport:
+def criteria_report(cfg: TrapConfig, profile: AzimuthalProfile) -> CriteriaReport:
     """kappa = g_F m_F mu_B B_q / (m g) and omega/Omega at the ring minimum.
 
-    The ring minimum is the global minimum of ``profile`` (its first, if
-    tied), by default :func:`azimuthal_profile` of ``cfg``.
+    The ring minimum is the global minimum of ``profile``, a valley profile
+    of ``cfg`` (its first, if tied).
     ``coupling_dominated`` is exactly (omega/Omega < kappa). When the
     coupling vanishes at the valley minimum, omega/Omega is +inf and the flag
     is False. ``gravity_negligible`` is kappa > ``GRAVITY_NEGLIGIBLE_KAPPA``.
     """
     atom = cfg.atom
-    kappa = atom.g_F * atom.m_F * MU_B * cfg.quad.gradient / (atom.mass * G_ACCEL)
-    if profile is None:
-        profile = azimuthal_profile(cfg)
+    kappa = atom.g_F * atom.m_F * MU_B * cfg.gradient / (atom.mass * G_ACCEL)
     rabi = float(profile.rabis[np.argmin(profile.potentials)])
     if rabi > 1e-12 * cfg.rf.omega:
         omega_over_rabi = cfg.rf.omega / rabi
@@ -231,9 +217,8 @@ class RingAnalysis:
     # axis-aligned rays from it [J]: it depends on the minimum's azimuth and
     # the rays' reach, so it is no saddle height
     depth: float
-    omega_rho: float | None
-    omega_z: float | None
-    omega_phi: float | None
+    # at the refined minimum; None where there is none or it is no harmonic minimum
+    frequencies: TrapFrequencies | None
     low_confidence: bool
     minimum: MinimizationResult | None
     criteria: CriteriaReport  # taken at the global minimum of the analysed profile
@@ -280,15 +265,16 @@ def _shell_floor(cfg, n):
 def _coupling_holes(cfg) -> np.ndarray:
     """The unit field directions (k, 3) where |Omega| is least on the sphere.
 
-    |Omega|^2 / C^2 = |a|^2 + |b|^2 - n.P n + 2 n.w, with P = a a^T + b b^T
-    and w = b x a, which P maps to 0. With P's largest eigenpair (p1, e1),
-    the least value on |n| = 1 is at n = -w / p1 +- sqrt(1 - |w|^2 / p1^2) e1.
+    |Omega|^2 = |a|^2 + |b|^2 - n.P n + 2 n.w, with a and b the
+    ``coupling_parts``, P = a a^T + b b^T and w = b x a, which P maps to 0.
+    With P's largest eigenpair (p1, e1), the least value on |n| = 1 is at
+    n = -w / p1 +- sqrt(1 - |w|^2 / p1^2) e1.
     |w|^2 = p1 p2 <= p1^2, so the coupling closes there: at two holes, which
     merge into -w / |w| for circular polarisation (p1 = p2). Linear rf
     (b = 0) has its holes at +-a / |a|. Where the rf vanishes (P = 0) no
     direction stands out and none is returned.
     """
-    parts = np.array(cfg.rf.amplitude_parts)
+    parts = np.array(cfg.coupling_parts)
     big = np.abs(parts).max()
     if big == 0:
         return np.empty((0, 3))
@@ -688,9 +674,7 @@ def analyze_trap(
         minima=tuple(minima),
         barrier_height=profile.barrier_height(),
         depth=depth,
-        omega_rho=freqs.omega_rho if freqs else None,
-        omega_z=freqs.omega_z if freqs else None,
-        omega_phi=freqs.omega_phi if freqs else None,
+        frequencies=freqs,
         low_confidence=cls.low_confidence,
         minimum=result,
         criteria=criteria,

@@ -86,15 +86,13 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         tolerances=rc.tolerances,
     )
     criteria = analysis.criteria
+    freqs = analysis.frequencies
 
     um = 1e6
-    hz = lambda w: None if w is None else w / _TWO_PI
-    ratio = (
-        analysis.omega_z / analysis.omega_rho
-        if analysis.omega_z is not None
-        and analysis.omega_rho not in (None, 0.0)
-        else None
+    hz_rho, hz_z, hz_phi = (None,) * 3 if freqs is None else (
+        w / _TWO_PI for w in (freqs.omega_rho, freqs.omega_z, freqs.omega_phi)
     )
+    ratio = None if freqs is None or freqs.omega_rho == 0.0 else freqs.omega_z / freqs.omega_rho
     lines = [
         f"geometry: {analysis.geometry}",
         f"low_confidence: {_fmt(analysis.low_confidence)}",
@@ -102,9 +100,9 @@ def run_analyze(rc: RunConfig, outdir: Path) -> int:
         f"resonance_radius_um: {_fmt(analysis.resonance_radius * um)}",
         f"barrier_uK: {_fmt(analysis.barrier_height / MICROKELVIN)}",
         f"depth_uK: {_fmt(analysis.depth / MICROKELVIN)}",
-        f"omega_rho_Hz: {_fmt(hz(analysis.omega_rho))}",
-        f"omega_z_Hz: {_fmt(hz(analysis.omega_z))}",
-        f"omega_phi_Hz: {_fmt(hz(analysis.omega_phi))}",
+        f"omega_rho_Hz: {_fmt(hz_rho)}",
+        f"omega_z_Hz: {_fmt(hz_z)}",
+        f"omega_phi_Hz: {_fmt(hz_phi)}",
         f"omega_z_over_omega_rho: {_fmt(ratio)}",
         f"kappa: {_fmt(criteria.kappa)}",
         f"omega_over_rabi: {_fmt(criteria.omega_over_rabi)}",

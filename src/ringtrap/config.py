@@ -32,7 +32,7 @@ import numpy as np
 from .constants import GAUSS, GAUSS_PER_CM, MHZ, SPECIES_PRESETS, AtomSpecies
 from .dressed import resonance_radius
 from .errors import ConfigError
-from .fields import QuadrupoleConfig, RfConfig, TrapConfig
+from .fields import RfConfig, TrapConfig
 from .grids import MAX_GRID_NODES, check_node_limit
 from .limits import (
     MAX_PROFILE_AZIMUTHS,
@@ -224,10 +224,9 @@ def _trap(values: dict, provided: set) -> TrapConfig:
             beta=math.radians(rf["beta_deg"]),
             omega=rf["freq_mhz"] * MHZ,
         )
-        gradient = values["quadrupole"]["gradient_g_per_cm"] * GAUSS_PER_CM
         return TrapConfig(
             atom=_atom(values, provided),
-            quad=QuadrupoleConfig(gradient=gradient),
+            gradient=values["quadrupole"]["gradient_g_per_cm"] * GAUSS_PER_CM,
             rf=rf_config,
             gravity_on=values["gravity"]["enabled"],
         )

@@ -130,7 +130,7 @@ def resonance_radius(cfg: TrapConfig, omega=None):
     the dressing frequency ``omega`` (by default ``cfg.rf.omega``; an array
     gives one radius per frequency)."""
     omega = cfg.rf.omega if omega is None else omega
-    return HBAR * omega / (cfg.atom.g_F * MU_B * cfg.quad.gradient)
+    return HBAR * omega / (cfg.atom.g_F * MU_B * cfg.gradient)
 
 
 def _coordinates(r):

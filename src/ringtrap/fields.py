@@ -1,4 +1,4 @@
-"""Static quadrupole and oscillating rf field models.
+"""The trap model: a quadrupole gradient, an oscillating rf field and an atom.
 
 The quadrupole symmetry axis is fixed to z and gravity acts along -y
 (potential term +m*g*y); arbitrary trap orientations are out of scope.
@@ -21,23 +21,6 @@ def _reduce_phase(phi: float) -> float:
     if out == -math.pi:
         out = math.pi
     return out
-
-
-@dataclass(frozen=True)
-class QuadrupoleConfig:
-    """Quadrupole trap field B_q*(x, y, -2z).
-
-    ``gradient`` is the radial gradient B_q [T/m]; the axial gradient along z
-    is -2*B_q by construction.
-    """
-
-    gradient: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.gradient):
-            raise ValueError("quadrupole gradient must be finite")
-        if not self.gradient > 0:
-            raise ValueError("quadrupole gradient must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,30 +49,17 @@ class RfConfig:
         object.__setattr__(self, "alpha", _reduce_phase(self.alpha))
         object.__setattr__(self, "beta", _reduce_phase(self.beta))
 
-    @cached_property
-    def amplitude_parts(self) -> tuple:
-        """(a_x, a_y, a_z, b_y, b_z): the real part a and imaginary part b of
-        the complex amplitude (B_x, B_y e^{i alpha}, B_z e^{i beta}), whose
-        b_x is 0. Computed once per config, not once per kernel call. The
-        sine of a subnormal phase, and its product with an amplitude, may
-        underflow, to a part that changes nothing."""
-        with np.errstate(under="ignore"):
-            return (
-                self.b_x,
-                self.b_y * np.cos(self.alpha),
-                self.b_z * np.cos(self.beta),
-                self.b_y * np.sin(self.alpha),
-                self.b_z * np.sin(self.beta),
-            )
-
 
 @dataclass(frozen=True)
 class TrapConfig:
     """Full parameter set of one rf-dressed quadrupole trap.
 
+    The quadrupole field is B_q (x, y, -2 z), with ``gradient`` the radial
+    gradient B_q [T/m]; the axial gradient along z is -2 B_q by construction.
     When ``gravity_on``, the potential includes +m*g*y (pull toward -y).
-    The gradient must be large enough that g_F mu_B B_q, the Zeeman energy
-    slope that every length scale divides by, does not underflow to zero.
+    The gradient must be finite, positive and large enough that
+    g_F mu_B B_q, the Zeeman energy slope that every length scale divides
+    by, does not underflow to zero.
     The rf amplitudes must be small enough that the Rabi coupling of every
     field direction is finite: 16 C^2 (B_x^2 + B_y^2 + B_z^2), with
     C = g_F mu_B / (2 hbar), which bounds every square the kernel forms from
@@ -97,14 +67,18 @@ class TrapConfig:
     """
 
     atom: AtomSpecies
-    quad: QuadrupoleConfig
+    gradient: float
     rf: RfConfig
     gravity_on: bool = True
 
     def __post_init__(self):
-        if not self.atom.g_F * MU_B * self.quad.gradient > 0:
+        if not math.isfinite(self.gradient):
+            raise ValueError("quadrupole gradient must be finite")
+        if not self.gradient > 0:
+            raise ValueError("quadrupole gradient must be positive")
+        if not self.atom.g_F * MU_B * self.gradient > 0:
             raise ValueError(
-                f"quadrupole gradient {self.quad.gradient!r} T/m is too small: "
+                f"quadrupole gradient {self.gradient!r} T/m is too small: "
                 "g_F mu_B B_q underflows to zero"
             )
         # C^2 (B_x^2 + B_y^2 + B_z^2) = |a'|^2 + |b'|^2, in float arithmetic,
@@ -124,19 +98,29 @@ class TrapConfig:
 
     @cached_property
     def coupling_parts(self) -> tuple:
-        """(a_x, a_y, a_z, b_y, b_z) of ``RfConfig.amplitude_parts`` times
-        C (``coupling_prefactor``), in rad/s: |Omega|^2 is the squared norm of
-        a - (n.a) n + n x b in these parts, with no further factor. Computed
-        once per config, in float arithmetic: a part that underflows is a 0
-        that changes nothing."""
-        c = self.coupling_prefactor
-        return tuple(c * float(p) for p in self.rf.amplitude_parts)
+        """(a_x, a_y, a_z, b_y, b_z): the real part a and imaginary part b of
+        the complex rf amplitude (B_x, B_y e^{i alpha}, B_z e^{i beta}), whose
+        b_x is 0, times C (``coupling_prefactor``), in rad/s: |Omega|^2 is
+        the squared norm of a - (n.a) n + n x b in these parts, with no
+        further factor. Computed once per config. The sine of a subnormal
+        phase, and its products, may underflow, to a part that changes
+        nothing."""
+        c, rf = self.coupling_prefactor, self.rf
+        with np.errstate(under="ignore"):
+            parts = (
+                rf.b_x,
+                rf.b_y * np.cos(rf.alpha),
+                rf.b_z * np.cos(rf.beta),
+                rf.b_y * np.sin(rf.alpha),
+                rf.b_z * np.sin(rf.beta),
+            )
+            return tuple(float(c * p) for p in parts)
 
     @cached_property
     def larmor_slope(self) -> float:
         """g_F mu_B B_q / hbar: the Larmor frequency per meter of R, where
         R^2 = x^2 + y^2 + 4 z^2 [rad/s/m]."""
-        return self.atom.g_F * MU_B * self.quad.gradient / HBAR
+        return self.atom.g_F * MU_B * self.gradient / HBAR
 
     def with_rf(self, **changes) -> "TrapConfig":
         """Copy of this config with rf parameters replaced."""

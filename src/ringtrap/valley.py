@@ -131,7 +131,7 @@ def _ray_floor(cfg, u, r0=None, window=None):
     """
     atom = cfg.atom
     r0 = resonance_radius(cfg) if r0 is None else r0
-    a = atom.m_F * atom.g_F * MU_B * cfg.quad.gradient
+    a = atom.m_F * atom.g_F * MU_B * cfg.gradient
     rabis = np.sqrt(rabi_squared(u.reshape(-1, 3), cfg)).reshape(u.shape[:-1])
     e = atom.m_F * HBAR * rabis
     c = atom.mass * G_ACCEL * u[..., 1] if cfg.gravity_on else 0.0
@@ -402,10 +402,10 @@ def frequency_sweep(
 
     ``amplitudes`` optionally overrides (b_x, b_y, b_z) per frequency
     (user-supplied antenna response table, tesla). The rho window and the
-    z band scale with each row's own resonance radius. Every input is
-    checked before any row is profiled: a frequency that is not positive
-    and finite, or an amplitude row that ``RfConfig`` rejects, raises
-    ``ValueError``, and the sweep returns no partial result.
+    z band scale with each row's own resonance radius. A frequency that is
+    not positive and finite, an amplitude row that ``RfConfig`` rejects or
+    a bad rho window raises ``ValueError`` before any kernel call, and the
+    sweep returns no partial result.
 
     Without a table all rows are one array pass: one
     :func:`azimuthal_profile` call profiles them as the rows of one profile,
@@ -419,7 +419,6 @@ def frequency_sweep(
     check_frequencies(omegas)
     if n_phi < MIN_CLASSIFY_AZIMUTHS:
         raise ValueError(f"sweep classification requires n_phi >= {MIN_CLASSIFY_AZIMUTHS}")
-    check_rho_factors(rho_factors)
     if amplitudes is None:
         passes = [(cfg, omegas)]
     else:

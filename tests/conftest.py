@@ -7,7 +7,6 @@ from hypothesis import settings
 
 import ringtrap.dressed
 from ringtrap import (
-    QuadrupoleConfig,
     RB87,
     RfConfig,
     SyntheticImage,
@@ -38,7 +37,7 @@ def make_trap(b_x=0.0, b_y=0.0, b_z=0.0, alpha=0.0, beta=0.0,
               omega=OMEGA_15MHZ, gradient=1.0, gravity=False, atom=RB87):
     return TrapConfig(
         atom=atom,
-        quad=QuadrupoleConfig(gradient=gradient),
+        gradient=gradient,
         rf=RfConfig(b_x=b_x, b_y=b_y, b_z=b_z, alpha=alpha, beta=beta, omega=omega),
         gravity_on=gravity,
     )
@@ -102,19 +101,19 @@ def configparser_read_ini(path):
             yield sec, k, raw
 
 
-def quadrupole_field(r, quad):
-    """Quadrupole field vector B_q*(x, y, -2z) [T] at position(s) ``r``, an
-    array of shape (..., 3) in meters: the field model of the kernel's
-    Larmor frequency."""
+def quadrupole_field(r, gradient):
+    """Quadrupole field vector B_q*(x, y, -2z) [T] of the radial ``gradient``
+    B_q [T/m] at position(s) ``r``, an array of shape (..., 3) in meters: the
+    field model of the kernel's Larmor frequency."""
     r = np.asarray(r, dtype=float)
-    return quad.gradient * (r * np.array([1.0, 1.0, -2.0]))
+    return gradient * (r * np.array([1.0, 1.0, -2.0]))
 
 
-def field_magnitude(r, quad):
+def field_magnitude(r, gradient):
     """|B| = B_q * sqrt(x^2 + y^2 + 4 z^2); exactly zero at the origin."""
     r = np.asarray(r, dtype=float)
     x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    return quad.gradient * np.sqrt(x * x + y * y + 4.0 * z * z)
+    return gradient * np.sqrt(x * x + y * y + 4.0 * z * z)
 
 
 def larmor_frequency(r, cfg):

@@ -135,7 +135,7 @@ def test_criterion_3_quasi_2d_confinement():
 def test_criterion_4_gravity_criteria():
     """kappa arithmetic and the coupling-dominance flag, either side of it."""
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gradient=GRAD_100_GCM)
-    rep = criteria_report(cfg)
+    rep = criteria_report(cfg, azimuthal_profile(cfg))
     kappa_expected = RB87.g_F * RB87.m_F * MU_B * GRAD_100_GCM / (RB87.mass * G_ACCEL)
     kappa_ok = abs(rep.kappa - 6.553) <= 1e-3 and rep.kappa == pytest.approx(
         kappa_expected, rel=1e-12
@@ -146,7 +146,8 @@ def test_criterion_4_gravity_criteria():
     b9 = 0.476e-4
     flips = []
     for gradient, want in [(1.3, False), (1.45, True)]:
-        r = criteria_report(make_trap(b_x=b9, b_y=b9, alpha=-np.pi / 2, gradient=gradient))
+        flip = make_trap(b_x=b9, b_y=b9, alpha=-np.pi / 2, gradient=gradient)
+        r = criteria_report(flip, azimuthal_profile(flip))
         flips.append(
             r.coupling_dominated is want
             and r.coupling_dominated is (r.omega_over_rabi < r.kappa)

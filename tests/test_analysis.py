@@ -634,7 +634,7 @@ def test_non_minimum_rejected(fig2b):
 # -- criteria ----------------------------------------------------------------
 
 def test_kappa_value(fig2b):
-    rep = criteria_report(fig2b)
+    rep = criteria_report(fig2b, azimuthal_profile(fig2b))
     expected = 0.5 * 2 * MU_B * 1.0 / (RB87.mass * G_ACCEL)
     assert rep.kappa == pytest.approx(expected, rel=1e-12)
     assert rep.kappa == pytest.approx(6.553, abs=1e-3)
@@ -645,13 +645,13 @@ def test_kappa_linear_in_m_f(fig2b):
 
     atom1 = AtomSpecies(mass=RB87.mass, g_F=0.5, m_F=1)
     cfg1 = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, atom=atom1)
-    assert criteria_report(cfg1).kappa == pytest.approx(
-        criteria_report(fig2b).kappa / 2, rel=1e-12
+    assert criteria_report(cfg1, azimuthal_profile(cfg1)).kappa == pytest.approx(
+        criteria_report(fig2b, azimuthal_profile(fig2b)).kappa / 2, rel=1e-12
     )
 
 
 def test_omega_over_rabi_circular(fig2b):
-    rep = criteria_report(fig2b)
+    rep = criteria_report(fig2b, azimuthal_profile(fig2b))
     expected = OMEGA_15MHZ / (0.5 * MU_B * B07 / (2 * HBAR))
     assert rep.omega_over_rabi == pytest.approx(expected, rel=1e-9)
     assert rep.omega_over_rabi == pytest.approx(6.124, abs=2e-3)
@@ -664,7 +664,7 @@ def test_coupling_dominated_flag_flips_with_gradient():
     b9 = 0.476e-4
     low = make_trap(b_x=b9, b_y=b9, alpha=-np.pi / 2, gradient=1.3)
     high = make_trap(b_x=b9, b_y=b9, alpha=-np.pi / 2, gradient=1.45)
-    rep_low, rep_high = criteria_report(low), criteria_report(high)
+    rep_low, rep_high = (criteria_report(c, azimuthal_profile(c)) for c in (low, high))
     assert rep_low.omega_over_rabi == pytest.approx(9.006, abs=2e-3)
     assert not rep_low.coupling_dominated
     assert rep_high.coupling_dominated
@@ -673,7 +673,8 @@ def test_coupling_dominated_flag_flips_with_gradient():
 
 
 def test_zero_coupling_reports_infinity():
-    rep = criteria_report(make_trap())
+    cfg = make_trap()
+    rep = criteria_report(cfg, azimuthal_profile(cfg))
     assert math.isinf(rep.omega_over_rabi)
     assert not rep.coupling_dominated
 
@@ -753,6 +754,11 @@ def test_sweep_rejects_empty_and_negative(fig2b, monkeypatch):
     ):
         with pytest.raises(ValueError):
             frequency_sweep(fig2b, omegas, amplitudes=amps)
+    # a bad rho window, with and without an amplitude table
+    for rho_factors in ((0.0, 3.0), (3.0, 0.2), (1.0, 1.0)):
+        for amps in (None, [(B07, B07, 0.0)] * 2):
+            with pytest.raises(ValueError, match="rho window factors"):
+                frequency_sweep(fig2b, two, amplitudes=amps, rho_factors=rho_factors)
     assert calls == []
 
 
@@ -920,15 +926,16 @@ def test_analyze_double_well_minima_sorted(fig2a):
     azims = sorted(a for _, _, a in analysis.minima)
     assert azims[0] == pytest.approx(0.0, abs=1e-9)
     assert azims[1] == pytest.approx(np.pi, rel=1e-9)
-    assert analysis.omega_rho is None  # cusp wells: no harmonic frequencies
+    assert analysis.frequencies is None  # cusp wells: no harmonic frequencies
 
 
 def test_analyze_gravity_ring_reports_frequencies():
     cfg = make_trap(b_x=B07, b_y=B07, alpha=-np.pi / 2, gravity=True)
     analysis = analyze_trap(cfg)
     assert analysis.geometry is Geometry.ASYMMETRIC_RING
-    assert analysis.omega_z is not None and analysis.omega_rho is not None
-    assert analysis.omega_z / analysis.omega_rho > 1
+    freqs = analysis.frequencies
+    assert freqs is not None
+    assert freqs.omega_z / freqs.omega_rho > 1
     assert analysis.depth > 0
     assert analysis.barrier_height >= 0
     assert analysis.minimum.stationary
@@ -1110,7 +1117,7 @@ def test_saddle_config_reports_the_global_minimum():
     np.testing.assert_allclose(
         got.minimum.position * 1e6, [-123.7511, -123.7511, 61.8756], rtol=0, atol=1e-4
     )
-    assert got.notes == (CUSP_NOTE,) and got.omega_phi is None
+    assert got.notes == (CUSP_NOTE,) and got.frequencies is None
     tol = 1e-12 * RB87.m_F * HBAR * cfg.rf.omega
     assert got.minimum.value <= dense_shell_minimum(cfg, 721, 1440) + tol
 
@@ -1131,7 +1138,7 @@ SHELL_ORACLE_TOLERANCE = 1e-12
 
 #: angles of any size up to pi, 0 and tiny ones among them: the squares of
 #: the parts of a phase of 1e-193 rad underflow in the search on the sphere,
-#: and the sine of a subnormal phase in ``RfConfig.amplitude_parts``, to a 0
+#: and the sine of a subnormal phase in ``TrapConfig.coupling_parts``, to a 0
 #: that changes nothing; underflow raises in this test
 ANGLES = st.one_of(
     st.just(0.0), st.floats(1e-6, np.pi), st.floats(-np.pi, -1e-6),
@@ -1177,8 +1184,10 @@ def test_coupling_holes_edge_cases(rf, pole):
     with np.errstate(all="raise"):
         holes = _coupling_holes(cfg)
     np.testing.assert_allclose(np.linalg.norm(holes, axis=1), 1.0, rtol=0, atol=1e-15)
-    ax, ay, az, by, bz = cfg.rf.amplitude_parts
-    a, b = np.array([ax, ay, az]), np.array([0.0, by, bz])
+    # the real and imaginary parts of (B_x, B_y e^{i alpha}, B_z e^{i beta})
+    rf = cfg.rf
+    a = np.array([rf.b_x, rf.b_y * math.cos(rf.alpha), rf.b_z * math.cos(rf.beta)])
+    b = np.array([0.0, rf.b_y * math.sin(rf.alpha), rf.b_z * math.sin(rf.beta)])
     if pole:
         # the two holes merge into -w / |w|, up to sqrt(eps) of the eigenpair
         w = np.cross(b, a)
@@ -1369,7 +1378,7 @@ def test_unbound_gravity_has_no_refined_minimum(shape):
         got = analyze_trap(cfg)
     assert got.criteria.kappa < 1
     assert got.minimum is None and got.refined_minimum is None
-    assert got.omega_rho is None
+    assert got.frequencies is None
     assert any(n.startswith("gravity exceeds the magnetic confinement") for n in got.notes)
     assert np.isfinite(got.depth) and got.depth >= 0
 
@@ -1480,7 +1489,8 @@ def test_reference_analysis_pinned(name):
     # gravity, where the minimum is a coupling hole, and two on the gravity
     # ring
     assert got.minimum.iterations == want["iterations"]
-    omegas = (got.omega_rho, got.omega_z, got.omega_phi)
+    freqs = got.frequencies
+    omegas = (None,) * 3 if freqs is None else (freqs.omega_rho, freqs.omega_z, freqs.omega_phi)
     if name == "gravity":
         assert got.depth == pytest.approx(want["depth"], rel=1e-8, abs=0)
         assert omegas == pytest.approx(want["omegas"], rel=1e-8, abs=0)

@@ -30,7 +30,7 @@ def test_minimal_config_builds_trap(tmp_path):
     assert cfg.rf.b_x == pytest.approx(0.7e-4, rel=1e-14)
     assert cfg.rf.alpha == pytest.approx(-math.pi / 2, rel=1e-14)
     assert cfg.rf.omega == pytest.approx(2 * math.pi * 1.5e6, rel=1e-14)
-    assert cfg.quad.gradient == pytest.approx(1.0, rel=1e-14)  # default 100 G/cm
+    assert cfg.gradient == pytest.approx(1.0, rel=1e-14)  # default 100 G/cm
     assert cfg.gravity_on is True  # physical default
     assert cfg.atom.label.startswith("87Rb")
 

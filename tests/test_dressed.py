@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 
 import ringtrap.dressed
 from ringtrap import (
-    QuadrupoleConfig,
     RB87,
     analyze_trap,
     dressed_potential,
@@ -373,7 +372,7 @@ def test_larmor_is_the_field_model_magnitude(gradient):
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, (200, 3)) * r0
     pts[:20, :2] = 0.0  # on the z axis
     pts[20] = 0.0  # the trap centre
-    expected = RB87.g_F * MU_B * field_magnitude(pts, QuadrupoleConfig(gradient)) / HBAR
+    expected = RB87.g_F * MU_B * field_magnitude(pts, gradient) / HBAR
     np.testing.assert_allclose(larmor_frequency(pts, cfg), expected, rtol=1e-15, atol=0)
 
 
@@ -415,7 +414,7 @@ def _potential_oracle(point, cfg):
             total = (sum(abs(b) ** 2 for b in bt) - abs(nb) ** 2
                      - 1j * sum(q * x for q, x in zip(n, cross)))
             coupling = c * c * mpmath.re(total)
-        delta = f(rf.omega) - f(atom.g_F) * f(MU_B) * f(cfg.quad.gradient) * rad / hbar
+        delta = f(rf.omega) - f(atom.g_F) * f(MU_B) * f(cfg.gradient) * rad / hbar
         v = atom.m_F * hbar * mpmath.sqrt(delta * delta + coupling)
         if cfg.gravity_on:
             v += f(atom.mass) * f(G_ACCEL) * p[1]
@@ -472,7 +471,7 @@ def test_potential_matches_a_50_digit_oracle():
         got = dressed_potential(pts, cfg)
         want = np.array([_potential_oracle(p, cfg) for p in pts])
         atom, rf = cfg.atom, cfg.rf
-        larmor = atom.g_F * MU_B * field_magnitude(pts, cfg.quad) / HBAR
+        larmor = atom.g_F * MU_B * field_magnitude(pts, cfg.gradient) / HBAR
         amplitude = 2.0 * cfg.coupling_prefactor * (rf.b_x + rf.b_y + rf.b_z)
         scale = atom.m_F * HBAR * (larmor + rf.omega + amplitude)
         if cfg.gravity_on:
